@@ -113,7 +113,50 @@ class _BaseAlgorithm:
 
 
 class _MarginalAlgorithm(_BaseAlgorithm):
+    """One allocation sweep for every marginal sampler.
+
+    Each datum leaves its cluster, is scored against every existing cluster
+    and every new-cluster candidate, and joins the one drawn. A sampler names
+    the :class:`Hierarchy` method that scores a datum against an existing
+    cluster and supplies its new-cluster candidates; the default candidate is
+    the prior predictive, born from the single-datum full conditional.
+    """
+
     requires_conditional_mixing = False
+    _existing_score = "get_like_lpdf"
+
+    def step(self, rng):
+        n = self.n
+        # looked up once per sweep, not once per (datum, cluster) pair
+        score = getattr(type(self.template), self._existing_score)
+        new_candidates = self._new_candidates()
+        for i in range(n):
+            stashed = self._remove_datum(i)
+            y = self._rows[i]
+            k = len(self.clusters)
+            log_masses = [
+                self.mixing.mass_existing_cluster(n, cluster.card, k, log=True)
+                + score(cluster, y)
+                for cluster in self.clusters
+            ]
+            log_new = self.mixing.mass_new_cluster(n, k, log=True)
+            log_masses += new_candidates(y, log_new, stashed, rng)
+            choice = sample_log_categorical(log_masses, rng)
+            if choice < k:
+                self.clusters[choice].add_datum(i, y)
+                self.allocations[i] = choice
+            else:
+                self._open_cluster(i, rng, state=self._candidate_state(choice - k))
+        self._refresh_clusters(rng)
+
+    def _new_candidates(self):
+        """Per-sweep function (y, log_new, stashed, rng) -> candidate log masses."""
+        prior_pred = self.template.prior_predictive()
+        return lambda y, log_new, stashed, rng: [log_new + prior_pred.lpdf(y)]
+
+    def _candidate_state(self, j):
+        """State of the chosen candidate j; None draws it from the full conditional."""
+        return None
 
     def _initialize(self, rng):
         n = self.n
@@ -197,58 +240,13 @@ class Neal2Algorithm(_MarginalAlgorithm):
     algo_id = "Neal2"
     requires_conjugate = True
 
-    def step(self, rng):
-        n = self.n
-        prior_pred = self.template.prior_predictive()
-        for i in range(n):
-            self._remove_datum(i)
-            y = self._rows[i]
-            k = len(self.clusters)
-            log_masses = [
-                self.mixing.mass_existing_cluster(n, cluster.card, k, log=True)
-                + cluster.get_like_lpdf(y)
-                for cluster in self.clusters
-            ]
-            log_masses.append(
-                self.mixing.mass_new_cluster(n, k, log=True) + prior_pred.lpdf(y)
-            )
-            choice = sample_log_categorical(log_masses, rng)
-            if choice == k:
-                self._open_cluster(i, rng)
-            else:
-                self.clusters[choice].add_datum(i, y)
-                self.allocations[i] = choice
-        self._refresh_clusters(rng)
-
 
 class Neal3Algorithm(_MarginalAlgorithm):
     """Marginal sampler for conjugate hierarchies with predictive evaluations."""
 
     algo_id = "Neal3"
     requires_conjugate = True
-
-    def step(self, rng):
-        n = self.n
-        prior_pred = self.template.prior_predictive()
-        for i in range(n):
-            self._remove_datum(i)
-            y = self._rows[i]
-            k = len(self.clusters)
-            log_masses = [
-                self.mixing.mass_existing_cluster(n, cluster.card, k, log=True)
-                + cluster.conditional_pred_lpdf(y)
-                for cluster in self.clusters
-            ]
-            log_masses.append(
-                self.mixing.mass_new_cluster(n, k, log=True) + prior_pred.lpdf(y)
-            )
-            choice = sample_log_categorical(log_masses, rng)
-            if choice == k:
-                self._open_cluster(i, rng)
-            else:
-                self.clusters[choice].add_datum(i, y)
-                self.allocations[i] = choice
-        self._refresh_clusters(rng)
+    _existing_score = "conditional_pred_lpdf"
 
 
 class Neal8Algorithm(_MarginalAlgorithm):
@@ -260,38 +258,26 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def __init__(self, hierarchy, mixing, init_num_clusters=3, n_aux=3):
         super().__init__(hierarchy, mixing, init_num_clusters)
         self.n_aux = check_positive_int(n_aux, "n_aux")
-        self._aux = None
+        self._aux = [hierarchy.clone() for _ in range(self.n_aux)]
 
-    def step(self, rng):
-        n = self.n
-        n_aux = self.n_aux
-        if self._aux is None:
-            self._aux = [self.template.clone() for _ in range(n_aux)]
-        log_naux = math.log(n_aux)
-        for i in range(n):
-            stashed = self._remove_datum(i)
-            y = self._rows[i]
-            k = len(self.clusters)
-            for j, aux in enumerate(self._aux):
+    def _new_candidates(self):
+        aux = self._aux
+        log_naux = math.log(len(aux))
+
+        def candidates(y, log_new, stashed, rng):
+            # slot 0 takes back the state of the cluster the datum just emptied
+            for j, cluster in enumerate(aux):
                 if j == 0 and stashed is not None:
-                    aux.state = stashed
+                    cluster.state = stashed
                 else:
-                    aux.sample_prior(rng)
-            log_masses = [
-                self.mixing.mass_existing_cluster(n, cluster.card, k, log=True)
-                + cluster.get_like_lpdf(y)
-                for cluster in self.clusters
-            ]
-            log_new = self.mixing.mass_new_cluster(n, k, log=True) - log_naux
-            for aux in self._aux:
-                log_masses.append(log_new + aux.get_like_lpdf(y))
-            choice = sample_log_categorical(log_masses, rng)
-            if choice < k:
-                self.clusters[choice].add_datum(i, y)
-                self.allocations[i] = choice
-            else:
-                self._open_cluster(i, rng, state=self._aux[choice - k].state)
-        self._refresh_clusters(rng)
+                    cluster.sample_prior(rng)
+            log_new -= log_naux
+            return [log_new + cluster.get_like_lpdf(y) for cluster in aux]
+
+        return candidates
+
+    def _candidate_state(self, j):
+        return self._aux[j].state
 
 
 class BlockedGibbsAlgorithm(_BaseAlgorithm):

@@ -128,11 +128,11 @@ def decode_state(line, record_index=None):
         state = ChainState(doc["iteration_num"], clusters, doc["cluster_allocs"], mixing)
     except (KeyError, TypeError, ValueError) as err:
         raise DecodeError(f"malformed chain record: {err}", record_index) from None
-    counts = np.bincount(state.allocations, minlength=len(clusters))
     if state.allocations.size and (
         state.allocations.min() < 0 or state.allocations.max() >= len(clusters)
     ):
         raise DecodeError("allocation out of range", record_index)
+    counts = np.bincount(state.allocations, minlength=len(clusters))
     for h, cs in enumerate(clusters):
         if counts[h] != cs.cardinality:
             raise DecodeError(
@@ -143,11 +143,10 @@ def decode_state(line, record_index=None):
 
 
 class MemoryCollector:
-    """Keeps the chain in a list, with a read cursor for replay."""
+    """Keeps the chain in a list."""
 
     def __init__(self):
         self._states = []
-        self._cursor = 0
 
     def start_collecting(self):
         pass
@@ -161,20 +160,9 @@ class MemoryCollector:
     def get_size(self):
         return len(self._states)
 
-    def get_next_state(self):
-        if self._cursor >= len(self._states):
-            return None
-        state = self._states[self._cursor]
-        self._cursor += 1
-        return state
-
-    def rewind(self):
-        self._cursor = 0
-
     def reset(self):
-        """Discard all collected states and rewind."""
+        """Discard all collected states."""
         self._states = []
-        self._cursor = 0
 
     def __iter__(self):
         return iter(list(self._states))
@@ -184,13 +172,17 @@ class MemoryCollector:
 
 
 class FileCollector:
-    """Streams records to a line-delimited chain file and replays them."""
+    """Streams records to a line-delimited chain file and replays them.
+
+    ``start_collecting`` begins a new chain and truncates the file; a
+    ``collect`` outside of it appends. Reading flushes pending records and
+    leaves collection open.
+    """
 
     def __init__(self, path):
         self.path = str(path)
         self._handle = None
         self._size = 0
-        self._read_iter = None
         if os.path.exists(self.path):
             self._size = self._count_records()
 
@@ -213,7 +205,7 @@ class FileCollector:
 
     def collect(self, state):
         if self._handle is None:
-            self.start_collecting()
+            self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(encode_state(state))
         self._handle.write("\n")
         self._size += 1
@@ -222,7 +214,8 @@ class FileCollector:
         return self._size
 
     def _read_records(self):
-        self.finish_collecting()
+        if self._handle is not None:
+            self._handle.flush()
         index = 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -231,24 +224,11 @@ class FileCollector:
                 index += 1
                 yield decode_state(line, record_index=index)
 
-    def get_next_state(self):
-        if self._read_iter is None:
-            self._read_iter = self._read_records()
-        try:
-            return next(self._read_iter)
-        except StopIteration:
-            self._read_iter = None
-            return None
-
-    def rewind(self):
-        self._read_iter = None
-
     def reset(self):
-        """Discard the stored chain (truncates the file) and rewind."""
+        """Discard the stored chain (truncates the file)."""
         self.finish_collecting()
         open(self.path, "w", encoding="utf-8").close()
         self._size = 0
-        self._read_iter = None
 
     def __iter__(self):
         return self._read_records()

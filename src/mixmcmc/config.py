@@ -19,13 +19,12 @@ validated by their consumers.
 
 from dataclasses import dataclass, field
 
+from .algorithms import ALGORITHM_IDS
 from .exceptions import ConfigError
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CHARS = _IDENT_START | set("0123456789")
 _NUMBER_CHARS = set("0123456789+-.eE")
-
-_ALGO_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
 
 
 @dataclass
@@ -335,9 +334,9 @@ class AlgoParams:
 def parse_algo_params(tree):
     """Validate and type the algorithm parameter tree."""
     algo_id = tree.get_str("algo_id")
-    if algo_id not in _ALGO_IDS:
+    if algo_id not in ALGORITHM_IDS:
         raise ConfigError(
-            f"unknown algo_id '{algo_id}'; expected one of {', '.join(_ALGO_IDS)}"
+            f"unknown algo_id '{algo_id}'; expected one of {', '.join(ALGORITHM_IDS)}"
         )
     rng_seed = tree.get_int("rng_seed")
     if rng_seed < 0:

@@ -185,18 +185,14 @@ class BayesianMixture:
         self.n_features_in_ = X.shape[1]
         self.similarity_matrix_ = postprocess.similarity_matrix(self.collector_)
         self.num_clusters_chain_ = postprocess.num_clusters_chain(self.collector_)
-        self._select_point_estimate()
+        records = list(self.collector_)
+        best = postprocess._binder_argmin(
+            postprocess.allocation_matrix(records), self.similarity_matrix_
+        )
+        self.best_record_ = records[best]
+        self.labels_ = self.best_record_.allocations.copy()
         self.n_clusters_ = len(set(self.labels_.tolist()))
         return self
-
-    def _select_point_estimate(self):
-        best_record, best_loss = None, np.inf
-        for record in self.collector_:
-            loss = postprocess.binder_loss(record.allocations, self.similarity_matrix_)
-            if loss < best_loss:
-                best_record, best_loss = record, loss
-        self.best_record_ = best_record
-        self.labels_ = best_record.allocations.copy()
 
     def _check_fitted(self):
         if not hasattr(self, "algorithm_"):

@@ -29,19 +29,18 @@ from .priors import (
 )
 from .states import MultiLSState
 from .updaters import (
-    GammaGammaUpdater,
-    NNIGUpdater,
-    NNWUpdater,
+    ConjugateUpdater,
     NNxIGUpdater,
     build_metropolis_updater,
+    gamma_gamma_posterior_hypers,
+    gamma_gamma_predictive,
+    nnig_posterior_hypers,
+    nnig_predictive,
+    nnw_posterior_hypers,
+    nnw_predictive,
 )
 
 HIERARCHY_TYPES = ("NNIG", "NNxIG", "LapNIG", "NNW", "GammaGamma")
-
-
-def _check_no_covariate(covariate):
-    if covariate is not None and len(np.atleast_1d(covariate)) > 0:
-        raise CapabilityError("covariate-dependent components are not supported")
 
 
 class Hierarchy:
@@ -78,20 +77,17 @@ class Hierarchy:
             self.likelihood.clone_empty(), self.prior, self.updater, self.name
         )
 
-    def get_like_lpdf(self, datum, covariate=None):
-        _check_no_covariate(covariate)
+    def get_like_lpdf(self, datum):
         return self.likelihood.lpdf(datum)
 
     def like_lpdf_grid(self, grid):
         return self.likelihood.lpdf_grid(grid)
 
-    def add_datum(self, datum_id, datum, covariate=None):
-        _check_no_covariate(covariate)
+    def add_datum(self, datum_id, datum):
         self.likelihood.add_datum(datum_id, datum)
         self._post_pred = None
 
-    def remove_datum(self, datum_id, datum, covariate=None):
-        _check_no_covariate(covariate)
+    def remove_datum(self, datum_id, datum):
         self.likelihood.remove_datum(datum_id, datum)
         self._post_pred = None
 
@@ -156,12 +152,13 @@ def _read_matrix(tree, key):
 
 
 def _default_updater(hier_type):
-    return {
-        "NNIG": NNIGUpdater,
-        "NNxIG": NNxIGUpdater,
-        "NNW": NNWUpdater,
-        "GammaGamma": GammaGammaUpdater,
-    }[hier_type]()
+    if hier_type == "NNxIG":
+        return NNxIGUpdater()
+    return ConjugateUpdater(*{
+        "NNIG": (nnig_posterior_hypers, nnig_predictive),
+        "NNW": (nnw_posterior_hypers, nnw_predictive),
+        "GammaGamma": (gamma_gamma_posterior_hypers, gamma_gamma_predictive),
+    }[hier_type])
 
 
 def build_hierarchy(hier_type, args):

@@ -37,16 +37,20 @@ def binder_loss(labels, similarity):
     return float(np.sum(np.where(same[iu], 1.0 - pi, pi)))
 
 
+def _binder_argmin(allocs, similarity):
+    """Index of the allocation row minimizing expected Binder loss; earliest wins ties."""
+    best, best_loss = None, np.inf
+    for t, row in enumerate(allocs):
+        loss = binder_loss(row, similarity)
+        if loss < best_loss:
+            best, best_loss = t, loss
+    return best
+
+
 def binder_best_clustering(collector):
     """Visited partition minimizing expected Binder loss; earliest wins ties."""
     allocs = allocation_matrix(collector)
-    pi = similarity_matrix(collector)
-    best, best_loss = None, np.inf
-    for row in allocs:
-        loss = binder_loss(row, pi)
-        if loss < best_loss:
-            best, best_loss = row, loss
-    return best.copy()
+    return allocs[_binder_argmin(allocs, similarity_matrix(collector))].copy()
 
 
 def autocorrelation(x, max_lag):

@@ -3,8 +3,7 @@
 Every prior evaluates its log density at a state, draws states (optionally
 from supplied posterior hyperparameters), and, where an unconstrained
 parameterization exists, evaluates the change-of-variables corrected log
-density used by Metropolis updaters. ``update_hypers`` is a no-op for all
-priors here: hyperparameters are fixed values.
+density used by Metropolis updaters.
 """
 
 import math
@@ -147,9 +146,6 @@ class NIGPrior:
         )
         return lpdf + logvar
 
-    def update_hypers(self, states):
-        pass
-
 
 class NxIGPrior:
     """Independent prior: mean ~ N(mean0, var0), var ~ IG(shape, scale).
@@ -182,9 +178,6 @@ class NxIGPrior:
         h = self.hypers
         lpdf = _norm_lpdf(mean, h.mean, h.var) + _invgamma_lpdf(var, h.shape, h.scale)
         return lpdf + logvar
-
-    def update_hypers(self, states):
-        pass
 
 
 class NWPrior:
@@ -257,9 +250,6 @@ class NWPrior:
     def lpdf_from_unconstrained(self, u):
         raise CapabilityError("NWPrior has no unconstrained parameterization")
 
-    def update_hypers(self, states):
-        pass
-
 
 class GammaPrior:
     """Gamma prior on the kernel rate; kernel shape is a fixed hyperparameter."""
@@ -288,6 +278,3 @@ class GammaPrior:
         rate = ad.exp(u[1])
         h = self.hypers
         return _gamma_lpdf(rate, h.rate_alpha, h.rate_beta) + GammaState.log_det_jacobian(u)
-
-    def update_hypers(self, states):
-        pass

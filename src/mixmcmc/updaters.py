@@ -1,7 +1,7 @@
 """Full-conditional samplers for component parameters.
 
-Closed-form updaters compute posterior hyperparameters from the cluster's
-sufficient statistics and draw through the prior's sampler; they also expose
+The conjugate updater computes posterior hyperparameters from the cluster's
+sufficient statistics and draws through the prior's sampler; it also exposes
 the matching marginal (predictive) densities used by marginal algorithms.
 The random-walk and Langevin updaters work with any likelihood/prior pair
 that supports an unconstrained parameterization.
@@ -180,66 +180,52 @@ class CompoundGamma:
         return np.where(y > 0, out, -np.inf)
 
 
-class NNIGUpdater:
-    """Closed-form normal / normal-inverse-gamma updater."""
+def nnig_predictive(hypers):
+    """Student-t marginal of one datum under normal-inverse-gamma hyperparameters."""
+    scale = math.sqrt(
+        hypers.scale * (hypers.var_scaling + 1.0) / (hypers.shape * hypers.var_scaling)
+    )
+    return StudentT(2.0 * hypers.shape, hypers.mean, scale)
+
+
+def nnw_predictive(hypers):
+    """Multivariate-t marginal of one datum under normal-inverse-Wishart hyperparameters."""
+    d = hypers.dim
+    df = hypers.deg_free - d + 1.0
+    if df <= 0:
+        raise ValueError("deg_free too small for a proper predictive")
+    scale = hypers.scale * (hypers.var_scaling + 1.0) / (hypers.var_scaling * df)
+    return MultivariateT(df, hypers.mean, scale)
+
+
+def gamma_gamma_predictive(hypers):
+    """Compound-gamma marginal of one datum under Gamma-rate hyperparameters."""
+    return CompoundGamma(hypers.shape, hypers.rate_alpha, hypers.rate_beta)
+
+
+class ConjugateUpdater:
+    """Closed-form updater for a conjugate likelihood/prior pair.
+
+    ``posterior_hypers(like, hypers)`` maps the cluster's sufficient
+    statistics and the prior hyperparameters to the posterior ones; the
+    draw goes through the prior's sampler at those. ``predictive(hypers)``
+    builds the marginal density of one datum under given hyperparameters.
+    """
+
+    def __init__(self, posterior_hypers, predictive):
+        self._posterior_hypers = posterior_hypers
+        self.predictive = predictive
 
     def is_conjugate(self):
         return True
 
     def compute_posterior_hypers(self, like, prior):
-        return nnig_posterior_hypers(like, prior.hypers)
+        return self._posterior_hypers(like, prior.hypers)
 
     def draw(self, like, prior, rng):
         state = prior.sample(rng, hypers=self.compute_posterior_hypers(like, prior))
         like.state = state
         return state
-
-    def predictive(self, hypers):
-        scale = math.sqrt(
-            hypers.scale * (hypers.var_scaling + 1.0) / (hypers.shape * hypers.var_scaling)
-        )
-        return StudentT(2.0 * hypers.shape, hypers.mean, scale)
-
-
-class NNWUpdater:
-    """Closed-form multinormal / normal-inverse-Wishart updater."""
-
-    def is_conjugate(self):
-        return True
-
-    def compute_posterior_hypers(self, like, prior):
-        return nnw_posterior_hypers(like, prior.hypers)
-
-    def draw(self, like, prior, rng):
-        state = prior.sample(rng, hypers=self.compute_posterior_hypers(like, prior))
-        like.state = state
-        return state
-
-    def predictive(self, hypers):
-        d = hypers.dim
-        df = hypers.deg_free - d + 1.0
-        if df <= 0:
-            raise ValueError("deg_free too small for a proper predictive")
-        scale = hypers.scale * (hypers.var_scaling + 1.0) / (hypers.var_scaling * df)
-        return MultivariateT(df, hypers.mean, scale)
-
-
-class GammaGammaUpdater:
-    """Closed-form Gamma-kernel / Gamma-rate-prior updater."""
-
-    def is_conjugate(self):
-        return True
-
-    def compute_posterior_hypers(self, like, prior):
-        return gamma_gamma_posterior_hypers(like, prior.hypers)
-
-    def draw(self, like, prior, rng):
-        state = prior.sample(rng, hypers=self.compute_posterior_hypers(like, prior))
-        like.state = state
-        return state
-
-    def predictive(self, hypers):
-        return CompoundGamma(hypers.shape, hypers.rate_alpha, hypers.rate_beta)
 
 
 class NNxIGUpdater:

@@ -212,7 +212,7 @@ def test_eval_lpdf_grid_degenerate_single_cluster():
     data = np.array([[0.2], [0.3], [0.4]])
     collector = _run(algo, data, 40, 39, seed=15)
     assert collector.get_size() == 1
-    record = collector.get_next_state()
+    (record,) = collector
     assert record.num_clusters() == 1
     grid = np.linspace(-2, 2, 50).reshape(-1, 1)
     lpdf = algo.eval_lpdf_grid(collector, grid)

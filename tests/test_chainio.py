@@ -70,6 +70,18 @@ def test_decode_rejects_out_of_range_allocations():
         decode_state(encode_state(state))
 
 
+def test_decode_reports_index_of_negative_allocation():
+    state = ChainState(
+        0,
+        [ClusterParams(1, {"mean": np.array([0.0]), "var": np.array([1.0])})],
+        np.array([-1]),
+        {"totalmass": 1.0},
+    )
+    with pytest.raises(DecodeError, match="out of range") as err:
+        decode_state(encode_state(state), record_index=7)
+    assert err.value.record_index == 7
+
+
 def test_memory_collector_basics():
     col = MemoryCollector()
     rng = np.random.default_rng(51)
@@ -79,19 +91,15 @@ def test_memory_collector_basics():
         col.collect(s)
     col.finish_collecting()
     assert col.get_size() == 3
-    assert col.get_next_state() == states[0]
-    assert col.get_next_state() == states[1]
-    assert col.get_next_state() == states[2]
-    assert col.get_next_state() is None
-    col.rewind()
-    assert col.get_next_state() == states[0]
+    assert list(col) == states
+    assert list(col) == states  # every pass replays from the start
     col.reset()
     assert col.get_size() == 0
-    assert col.get_next_state() is None
+    assert list(col) == []
 
 
 def test_empty_collector_signals_end_immediately():
-    assert MemoryCollector().get_next_state() is None
+    assert list(MemoryCollector()) == []
 
 
 def test_file_collector_round_trip(tmp_path):
@@ -104,14 +112,33 @@ def test_file_collector_round_trip(tmp_path):
         col.collect(s)
     col.finish_collecting()
     assert col.get_size() == 20
-    # replay from the same collector
-    replay = [col.get_next_state() for _ in range(21)]
-    assert replay[:20] == states
-    assert replay[20] is None
+    # replay from the same collector, twice
+    assert list(col) == states
+    assert list(col) == states
     # reopening the file yields the same chain
     fresh = FileCollector(path)
     assert fresh.get_size() == 20
     assert list(fresh) == states
+
+
+def test_file_collector_reading_keeps_collected_records(tmp_path):
+    path = tmp_path / "live.chain"
+    col = FileCollector(path)
+    rng = np.random.default_rng(57)
+    states = [random_state(rng, t) for t in range(4)]
+    col.start_collecting()
+    for s in states[:3]:
+        col.collect(s)
+    assert list(col) == states[:3]
+    col.collect(states[3])
+    col.finish_collecting()
+    assert col.get_size() == 4
+    assert list(col) == states
+    assert list(FileCollector(path)) == states
+    # a collect after the chain is closed appends to it
+    col.collect(states[0])
+    col.finish_collecting()
+    assert list(FileCollector(path)) == states + states[:1]
 
 
 def test_file_and_memory_collectors_replay_identically(tmp_path):
@@ -139,10 +166,10 @@ def test_truncated_final_record_reports_index(tmp_path):
     lines = raw.strip("\n").split("\n")
     lines[-1] = lines[-1][: len(lines[-1]) // 2]  # cut the second record mid-way
     path.write_text("\n".join(lines) + "\n")
-    fresh = FileCollector(path)
-    assert fresh.get_next_state() is not None
+    replay = iter(FileCollector(path))
+    assert next(replay) is not None
     with pytest.raises(DecodeError) as err:
-        fresh.get_next_state()
+        next(replay)
     assert err.value.record_index == 2
 
 

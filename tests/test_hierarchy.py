@@ -214,16 +214,6 @@ def test_clone_shares_no_mutable_state():
     assert h.state == UniLSState(5.0, 2.0)
 
 
-def test_covariates_must_be_empty():
-    h = _nnig()
-    with pytest.raises(CapabilityError):
-        h.get_like_lpdf(0.0, covariate=np.array([1.0]))
-    with pytest.raises(CapabilityError):
-        h.add_datum(0, 0.0, covariate=[2.0])
-    h.add_datum(0, 0.0, covariate=np.array([]))  # empty is fine
-    assert h.card == 1
-
-
 def test_metropolis_updater_from_config():
     args = dict(NNIG_ARGS)
     args["updater"] = "mala"

@@ -174,15 +174,6 @@ def test_nw_has_no_unconstrained_lpdf():
         prior.lpdf_from_unconstrained(np.zeros(2))
 
 
-def test_update_hypers_is_a_noop():
-    prior = NIGPrior(NIG_REF)
-    before = prior.hypers
-    prior.update_hypers([])
-    prior.update_hypers([UniLSState(0.0, 1.0)] * 3)
-    prior.update_hypers([UniLSState(5.0, 2.0)])
-    assert prior.hypers is before
-
-
 def test_hyper_validation():
     with pytest.raises(ValueError):
         NIGHypers(0.0, -1.0, 2.0, 2.0)

@@ -23,19 +23,32 @@ from mixmcmc.priors import (
 )
 from mixmcmc.states import MultiLSState, UniLSState
 from mixmcmc.updaters import (
-    GammaGammaUpdater,
+    ConjugateUpdater,
     MALAUpdater,
-    NNIGUpdater,
-    NNWUpdater,
     NNxIGUpdater,
     RandomWalkUpdater,
     gamma_gamma_posterior_hypers,
+    gamma_gamma_predictive,
     nnig_posterior_hypers,
+    nnig_predictive,
     nnw_posterior_hypers,
+    nnw_predictive,
     nnxig_mean_full_conditional,
 )
 
 NIG_REF = NIGHypers(0.0, 0.1, 2.0, 2.0)
+
+
+def _nnig_updater():
+    return ConjugateUpdater(nnig_posterior_hypers, nnig_predictive)
+
+
+def _nnw_updater():
+    return ConjugateUpdater(nnw_posterior_hypers, nnw_predictive)
+
+
+def _gamma_gamma_updater():
+    return ConjugateUpdater(gamma_gamma_posterior_hypers, gamma_gamma_predictive)
 
 
 def _normal_cluster(data):
@@ -194,7 +207,7 @@ def test_nnxig_chain_matches_quadrature_posterior():
 def test_semi_conjugate_empty_cluster_equals_prior_draw():
     prior = NIGPrior(NIG_REF)
     like = _normal_cluster([])
-    updater = NNIGUpdater()
+    updater = _nnig_updater()
     drawn = updater.draw(like, prior, np.random.default_rng(42))
     direct = prior.sample(np.random.default_rng(42))
     assert drawn == direct
@@ -202,7 +215,7 @@ def test_semi_conjugate_empty_cluster_equals_prior_draw():
 
 def test_nnig_draws_single_datum_posterior_mean():
     prior = NIGPrior(NIG_REF)
-    updater = NNIGUpdater()
+    updater = _nnig_updater()
     rng = np.random.default_rng(28)
     like = _normal_cluster([1.0])
     means = np.array([updater.draw(like, prior, rng).mean for _ in range(100_000)])
@@ -212,7 +225,7 @@ def test_nnig_draws_single_datum_posterior_mean():
 
 def test_gamma_gamma_draws_match_posterior_mean():
     prior = GammaPrior(GammaPriorHypers(1.0, 2.0, 2.0))
-    updater = GammaGammaUpdater()
+    updater = _gamma_gamma_updater()
     like = GammaLikelihood(1.0)
     like.add_datum(0, 1.0)
     like.add_datum(1, 3.0)
@@ -223,9 +236,9 @@ def test_gamma_gamma_draws_match_posterior_mean():
 
 
 def test_is_conjugate_flags():
-    assert NNIGUpdater().is_conjugate()
-    assert NNWUpdater().is_conjugate()
-    assert GammaGammaUpdater().is_conjugate()
+    assert _nnig_updater().is_conjugate()
+    assert _nnw_updater().is_conjugate()
+    assert _gamma_gamma_updater().is_conjugate()
     assert not NNxIGUpdater().is_conjugate()
     assert not RandomWalkUpdater().is_conjugate()
     assert not MALAUpdater().is_conjugate()

@@ -22,19 +22,16 @@ def log_mean_exp(arr, axis=0):
     arr = np.asarray(arr, dtype=float)
     m = np.max(arr, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.squeeze(m, axis=axis) + np.log(
-        np.mean(np.exp(arr - m), axis=axis)
-    )
-    return out
+    with np.errstate(divide="ignore"):  # an all -inf slice averages to log(0) = -inf
+        return np.squeeze(m, axis=axis) + np.log(np.mean(np.exp(arr - m), axis=axis))
 
 
 def sample_log_categorical(log_weights, rng):
-    """Draw an index from unnormalized log weights via max-subtraction."""
-    logs = log_weights.tolist() if isinstance(log_weights, np.ndarray) else log_weights
-    m = max(logs)
+    """Draw an index from a list of unnormalized log weights via max-subtraction."""
+    m = max(log_weights)
     if not math.isfinite(m):
         raise ValueError("all categorical log weights are -inf")
-    weights = [math.exp(v - m) for v in logs]
+    weights = [math.exp(v - m) for v in log_weights]
     u = rng.random() * math.fsum(weights)
     acc = 0.0
     for idx, w in enumerate(weights):

@@ -112,47 +112,80 @@ class _BaseAlgorithm:
         return np.vstack(rows)
 
 
+class _Memo(dict):
+    """f(key), computed on first use of each key."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, key):
+        value = self[key] = self._f(key)
+        return value
+
+
 class _MarginalAlgorithm(_BaseAlgorithm):
     """One allocation sweep for every marginal sampler.
 
     Each datum leaves its cluster, is scored against every existing cluster
-    and every new-cluster candidate, and joins the one drawn. A sampler names
-    the :class:`Hierarchy` method that scores a datum against an existing
-    cluster and supplies its new-cluster candidates; the default candidate is
-    the prior predictive, born from the single-datum full conditional.
+    and every new-cluster candidate, and joins the one drawn. The sweep runs
+    on a flat cluster store, parallel lists kept in step with
+    ``self.clusters``: each cluster's size, its likelihood's statistic list
+    (updated in place on every move), its log mass (looked up again when its
+    size changes) and its scorer ``y -> log score``. The allocations are a
+    Python list during the sweep. The store is built at the start of each
+    sweep; before the refresh the allocations go back to the array and the
+    member ids to the likelihoods. Births and deaths go through the cluster
+    objects (``_open_cluster``, ``_remove_datum``).
+
+    A sampler supplies the scorer of an existing cluster
+    (:meth:`_cluster_scorer`) and its new-cluster candidates; the default
+    candidate is the prior predictive, born from the single-datum full
+    conditional.
     """
 
     requires_conditional_mixing = False
-    _existing_score = "get_like_lpdf"
+    # True when a cluster's scorer depends on its members: rebuilt after a
+    # move, once the next datum has left, as that datum often leaves the same
+    # cluster again
+    _scorer_uses_members = False
 
     def step(self, rng):
         n = self.n
-        # looked up once per sweep, not once per (datum, cluster) pair
-        score = getattr(type(self.template), self._existing_score)
+        self._build_store()
         new_candidates = self._new_candidates()
+        rows, labels, sizes, stats = self._rows, self._labels, self._sizes, self._stats
+        log_masses, scorers, update_stats = self._log_masses, self._scorers, self._update_stats
+        log_new_mass = _Memo(lambda k: self.mixing.mass_new_cluster(n, k, log=True))
         for i in range(n):
             stashed = self._remove_datum(i)
-            y = self._rows[i]
-            k = len(self.clusters)
-            log_masses = [
-                self.mixing.mass_existing_cluster(n, cluster.card, k, log=True)
-                + score(cluster, y)
-                for cluster in self.clusters
-            ]
-            log_new = self.mixing.mass_new_cluster(n, k, log=True)
-            log_masses += new_candidates(y, log_new, stashed, rng)
-            choice = sample_log_categorical(log_masses, rng)
+            if self._dirty:
+                self._rescore_dirty()
+            y = rows[i]
+            k = len(scorers)
+            logs = [mass + score(y) for mass, score in zip(log_masses, scorers)]
+            logs += new_candidates(y, log_new_mass[k], stashed, rng)
+            choice = sample_log_categorical(logs, rng)
             if choice < k:
-                self.clusters[choice].add_datum(i, y)
-                self.allocations[i] = choice
+                labels[i] = choice
+                update_stats(stats[choice], i, y, True)
+                self._resized(choice, sizes[choice] + 1)
             else:
                 self._open_cluster(i, rng, state=self._candidate_state(choice - k))
+        self._rescore_dirty()
+        self._sync_members()
         self._refresh_clusters(rng)
+
+    def _cluster_scorer(self, h):
+        """Scorer of existing cluster h: its kernel at the current state."""
+        return self.clusters[h].likelihood.scorer()
 
     def _new_candidates(self):
         """Per-sweep function (y, log_new, stashed, rng) -> candidate log masses."""
-        prior_pred = self.template.prior_predictive()
-        return lambda y, log_new, stashed, rng: [log_new + prior_pred.lpdf(y)]
+        score = self.template.prior_predictive().lpdf
+        return lambda y, log_new, stashed, rng: [log_new + score(y)]
 
     def _candidate_state(self, j):
         """State of the chosen candidate j; None draws it from the full conditional."""
@@ -176,19 +209,59 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def _counts(self):
         return [cl.card for cl in self.clusters]
 
+    def _build_store(self):
+        n, mixing = self.n, self.mixing
+        self._labels = self.allocations.tolist()
+        self._update_stats = type(self.template.likelihood).update_stats
+        self._sizes = sizes = self._counts()
+        self._stats = [cl.likelihood.stats for cl in self.clusters]
+        # the existing-cluster mass depends on n and the size only, and the
+        # mixing state is fixed during a sweep
+        self._mass_of_size = _Memo(
+            lambda size: mixing.mass_existing_cluster(n, size, len(sizes), log=True))
+        self._log_masses = [self._mass_of_size[size] for size in sizes]
+        self._scorers = [self._cluster_scorer(h) for h in range(len(sizes))]
+        self._dirty = set()  # clusters whose member-dependent scorer is stale
+
+    def _resized(self, h, size):
+        self._sizes[h] = size
+        self._log_masses[h] = self._mass_of_size[size]
+        if self._scorer_uses_members:
+            self._dirty.add(h)
+
+    def _rescore_dirty(self):
+        for h in self._dirty:
+            self._scorers[h] = self._cluster_scorer(h)
+        self._dirty.clear()
+
     def _remove_datum(self, i):
         """Detach datum i; returns the state of its cluster if it died."""
-        h = int(self.allocations[i])
-        cluster = self.clusters[h]
-        cluster.remove_datum(i, self._rows[i])
-        self.allocations[i] = -1
-        if cluster.card > 0:
+        labels = self._labels
+        h = labels[i]
+        labels[i] = -1
+        y = self._rows[i]
+        size = self._sizes[h] - 1
+        if size:
+            self._update_stats(self._stats[h], i, y, False)
+            self._resized(h, size)
             return None
+        # a death goes through the cluster object, holding just this datum
+        cluster = self.clusters[h]
+        cluster.likelihood.set_members((i,))
+        cluster.remove_datum(i, y)
         last = len(self.clusters) - 1
+        self._dirty.discard(h)
         if h != last:
-            self.clusters[h] = self.clusters[last]
-            self.allocations[self.allocations == last] = h
-        self.clusters.pop()
+            for j, label in enumerate(labels):
+                if label == last:
+                    labels[j] = h
+            if last in self._dirty:
+                self._dirty.remove(last)
+                self._dirty.add(h)
+        for column in (self.clusters, self._sizes, self._stats, self._log_masses,
+                       self._scorers):
+            column[h] = column[last]
+            column.pop()
         return cluster.state
 
     def _open_cluster(self, i, rng, state=None):
@@ -199,8 +272,20 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         if state is None:
             # parameters born from the single-datum full conditional
             cluster.sample_full_cond(rng)
-        self.allocations[i] = len(self.clusters)
+        self._labels[i] = len(self.clusters)
         self.clusters.append(cluster)
+        self._sizes.append(1)
+        self._stats.append(cluster.likelihood.stats)
+        self._log_masses.append(self._mass_of_size[1])
+        self._scorers.append(self._cluster_scorer(len(self.clusters) - 1))
+
+    def _sync_members(self):
+        self.allocations[:] = self._labels
+        members = [[] for _ in self.clusters]
+        for i, h in enumerate(self._labels):
+            members[h].append(i)
+        for cluster, ids in zip(self.clusters, members):
+            cluster.likelihood.set_members(ids)
 
     def _refresh_clusters(self, rng):
         for cluster in self.clusters:
@@ -231,7 +316,8 @@ class _MarginalAlgorithm(_BaseAlgorithm):
 def _logsumexp_rows(stacked):
     mx = np.max(stacked, axis=0)
     mx = np.where(np.isfinite(mx), mx, 0.0)
-    return mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
+    with np.errstate(divide="ignore"):  # a column of -inf sums to log(0) = -inf
+        return mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
 
 
 class Neal2Algorithm(_MarginalAlgorithm):
@@ -246,7 +332,10 @@ class Neal3Algorithm(_MarginalAlgorithm):
 
     algo_id = "Neal3"
     requires_conjugate = True
-    _existing_score = "conditional_pred_lpdf"
+    _scorer_uses_members = True
+
+    def _cluster_scorer(self, h):
+        return self.clusters[h].conditional_pred_scorer(self._sizes[h], self._stats[h])
 
 
 class Neal8Algorithm(_MarginalAlgorithm):
@@ -272,7 +361,7 @@ class Neal8Algorithm(_MarginalAlgorithm):
                 else:
                     cluster.sample_prior(rng)
             log_new -= log_naux
-            return [log_new + cluster.get_like_lpdf(y) for cluster in aux]
+            return [log_new + cluster.likelihood.lpdf(y) for cluster in aux]
 
         return candidates
 

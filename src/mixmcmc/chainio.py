@@ -9,6 +9,7 @@ bit-identical to the collected ones.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -267,18 +268,27 @@ def read_csv_matrix(path):
 
 
 def write_csv_matrix(path, matrix):
-    """Write a 1-d or 2-d array as headerless CSV with lossless float repr."""
+    """Write a 1-d or 2-d array as headerless CSV with lossless float repr.
+
+    Integral values below 1e15 are written as integers, non-finite ones as
+    ``inf``, ``-inf`` or ``nan``.
+    """
     arr = np.asarray(matrix)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
+    if arr.dtype.kind in "iu" and (arr.size == 0 or -1e15 < arr.min() and arr.max() < 1e15):
+        # the same text as _format_cell, without a Python call per cell
+        lines = (",".join(map(str, row)) for row in arr.tolist())
+    else:
+        lines = (",".join(_format_cell(v) for v in row) for row in arr)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(_format_cell(v) for v in row))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
 
 
 def _format_cell(value):
     f = float(value)
-    if f == int(f) and abs(f) < 1e15:
+    if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)

@@ -183,13 +183,11 @@ class BayesianMixture:
         self.algorithm_.run(X, self.iterations, self.burnin, self.collector_, rng)
 
         self.n_features_in_ = X.shape[1]
-        self.similarity_matrix_ = postprocess.similarity_matrix(self.collector_)
-        self.num_clusters_chain_ = postprocess.num_clusters_chain(self.collector_)
-        records = list(self.collector_)
-        best = postprocess._binder_argmin(
-            postprocess.allocation_matrix(records), self.similarity_matrix_
-        )
-        self.best_record_ = records[best]
+        records = list(self.collector_)  # the one replay of the chain
+        allocs = postprocess.allocation_matrix(records)
+        self.similarity_matrix_ = postprocess._coclustering(allocs)
+        self.num_clusters_chain_ = postprocess.num_clusters_chain(records)
+        self.best_record_ = records[postprocess._binder_argmin(allocs, self.similarity_matrix_)]
         self.labels_ = self.best_record_.allocations.copy()
         self.n_clusters_ = len(set(self.labels_.tolist()))
         return self

@@ -12,6 +12,7 @@ import numpy as np
 from .config import ConfigTree
 from .exceptions import CapabilityError, ConfigError
 from .likelihoods import (
+    ClusterStats,
     GammaLikelihood,
     LaplaceLikelihood,
     MultiNormLikelihood,
@@ -49,7 +50,6 @@ class Hierarchy:
         self.prior = prior
         self.updater = updater
         self.name = name
-        self._post_pred = None
         self._prior_pred = None
 
     @property
@@ -85,11 +85,9 @@ class Hierarchy:
 
     def add_datum(self, datum_id, datum):
         self.likelihood.add_datum(datum_id, datum)
-        self._post_pred = None
 
     def remove_datum(self, datum_id, datum):
         self.likelihood.remove_datum(datum_id, datum)
-        self._post_pred = None
 
     def sample_prior(self, rng):
         self.likelihood.state = self.prior.sample(rng)
@@ -114,10 +112,8 @@ class Hierarchy:
 
     def posterior_predictive(self):
         self._require_predictive()
-        if self._post_pred is None:
-            hypers = self.updater.compute_posterior_hypers(self.likelihood, self.prior)
-            self._post_pred = self.updater.predictive(hypers)
-        return self._post_pred
+        hypers = self.updater.compute_posterior_hypers(self.likelihood, self.prior)
+        return self.updater.predictive(hypers)
 
     def prior_pred_lpdf(self, datum):
         """log of the prior marginal density of one datum."""
@@ -126,6 +122,12 @@ class Hierarchy:
     def conditional_pred_lpdf(self, datum):
         """log predictive density given the cluster's current members."""
         return self.posterior_predictive().lpdf(datum)
+
+    def conditional_pred_scorer(self, card, stats):
+        """Scorer y -> log predictive density given a cluster of this size and statistics."""
+        self._require_predictive()
+        hypers = self.updater.compute_posterior_hypers(ClusterStats(card, stats), self.prior)
+        return self.updater.predictive(hypers).lpdf
 
 
 def _read_vector(tree, key):

@@ -5,9 +5,18 @@ belong to the cluster, and maintains whatever statistics it needs to
 evaluate the whole-cluster log density and to feed posterior updates.
 Univariate kernels accept a scalar or a length-1 row as datum; the
 multivariate normal accepts a length-d row.
+
+Each family supplies the two pieces the marginal sweep's cluster store
+works with. ``scorer()`` returns a function ``y -> log f(y | state)`` with
+the state's constants computed once; ``lpdf`` goes through it, so the two
+share one formula. ``stats`` is a list holding the sufficient statistics,
+and ``update_stats(stats, datum_id, y, add)`` changes such a list in place
+for one datum; the store calls it directly and hands the member ids back
+with ``set_members`` once per sweep.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,9 +50,17 @@ def squared_norm_rows(z):
     return np.einsum("ki,ki->k", z, z)
 
 
+# What a conjugate posterior update reads of a cluster: its size and the
+# likelihood's statistic list. Likelihoods themselves have both attributes.
+ClusterStats = namedtuple("ClusterStats", ("card", "stats"))
+
+
 class _BaseLikelihood:
-    def __init__(self, state):
+    _as_datum = staticmethod(_as_scalar)
+
+    def __init__(self, state, stats):
         self.state = state
+        self.stats = stats
         self._ids = set()
 
     @property
@@ -57,14 +74,22 @@ class _BaseLikelihood:
     def add_datum(self, datum_id, datum):
         if datum_id in self._ids:
             raise ValueError(f"datum id {datum_id} is already in the cluster")
-        self._update_stats(datum, add=True)  # may reject the datum; ids stay clean
+        # may reject the datum; ids stay clean
+        self.update_stats(self.stats, datum_id, self._as_datum(datum), True)
         self._ids.add(datum_id)
 
     def remove_datum(self, datum_id, datum):
         if datum_id not in self._ids:
             raise ValueError(f"datum id {datum_id} is not in the cluster")
-        self._update_stats(datum, add=False)
+        self.update_stats(self.stats, datum_id, self._as_datum(datum), False)
         self._ids.remove(datum_id)
+
+    def set_members(self, ids):
+        """Replace the member ids; ``stats`` must already describe exactly them."""
+        self._ids = set(ids)
+
+    def lpdf(self, datum):
+        return self.scorer()(self._as_datum(datum))
 
     def lpdf_grid(self, grid):
         grid = np.asarray(grid, dtype=float)
@@ -85,26 +110,38 @@ class UniNormLikelihood(_BaseLikelihood):
     supports_unconstrained = True
 
     def __init__(self, state=None):
-        super().__init__(state if state is not None else UniLSState(0.0, 1.0))
-        self.data_sum = 0.0
-        self.data_sum_squares = 0.0
+        # stats: [sum of y, sum of y^2]
+        super().__init__(state if state is not None else UniLSState(0.0, 1.0), [0.0, 0.0])
+
+    @property
+    def data_sum(self):
+        return self.stats[0]
+
+    @property
+    def data_sum_squares(self):
+        return self.stats[1]
 
     def clone_empty(self):
         return UniNormLikelihood(self.state.copy())
 
-    def _update_stats(self, datum, add):
-        y = _as_scalar(datum)
+    @staticmethod
+    def update_stats(stats, datum_id, y, add):
         if add:
-            self.data_sum += y
-            self.data_sum_squares += y * y
+            stats[0] += y
+            stats[1] += y * y
         else:
-            self.data_sum -= y
-            self.data_sum_squares -= y * y
+            stats[0] -= y
+            stats[1] -= y * y
 
-    def lpdf(self, datum):
-        y = _as_scalar(datum)
-        d = y - self.state.mean
-        return -0.5 * (LOG_2PI + math.log(self.state.var)) - d * d / (2.0 * self.state.var)
+    def scorer(self):
+        mean, two_var = self.state.mean, 2.0 * self.state.var
+        log_norm = -0.5 * (LOG_2PI + math.log(self.state.var))
+
+        def score(y):
+            d = y - mean
+            return log_norm - d * d / two_var
+
+        return score
 
     def _lpdf_rows(self, grid):
         if grid.shape[1] != 1:
@@ -134,39 +171,57 @@ class MultiNormLikelihood(_BaseLikelihood):
     supports_unconstrained = False
 
     def __init__(self, state):
-        super().__init__(state)
         d = state.dim
-        self.data_sum = np.zeros(d)
-        self.data_sum_outer = np.zeros((d, d))
+        # stats: [sum of y, sum of y y^T]
+        super().__init__(state, [np.zeros(d), np.zeros((d, d))])
 
     @property
     def dim(self):
         return self.state.dim
 
+    @property
+    def data_sum(self):
+        return self.stats[0]
+
+    @property
+    def data_sum_outer(self):
+        return self.stats[1]
+
     def clone_empty(self):
         return MultiNormLikelihood(self.state.copy())
 
-    def _update_stats(self, datum, add):
+    def _as_datum(self, datum):
         y = np.asarray(datum, dtype=float).reshape(-1)
         if y.shape[0] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {y.shape[0]}")
-        if add:
-            self.data_sum += y
-            self.data_sum_outer += np.outer(y, y)
-        else:
-            self.data_sum -= y
-            self.data_sum_outer -= np.outer(y, y)
+        return y
 
-    def lpdf(self, datum):
-        y = np.asarray(datum, dtype=float).reshape(1, -1)
-        return float(self._lpdf_rows(y)[0])
+    @staticmethod
+    def update_stats(stats, datum_id, y, add):
+        if add:
+            stats[0] += y
+            stats[1] += np.outer(y, y)
+        else:
+            stats[0] -= y
+            stats[1] -= np.outer(y, y)
+
+    def _constants(self):
+        st = self.state
+        return st.mean, st.chol_inv, self.dim * LOG_2PI + st.log_det
+
+    def scorer(self):
+        constants = self._constants()
+        return lambda y: float(_mvn_lpdf_rows(y.reshape(1, -1), *constants)[0])
 
     def _lpdf_rows(self, grid):
         if grid.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} columns, got {grid.shape[1]}")
-        diff = grid - self.state.mean
-        quad = squared_norm_rows(whiten_rows(self.state.chol_inv, diff))
-        return -0.5 * (self.dim * LOG_2PI + self.state.log_det + quad)
+        return _mvn_lpdf_rows(grid, *self._constants())
+
+
+def _mvn_lpdf_rows(rows, mean, chol_inv, log_norm):
+    quad = squared_norm_rows(whiten_rows(chol_inv, rows - mean))
+    return -0.5 * (log_norm + quad)
 
 
 class LaplaceLikelihood(_BaseLikelihood):
@@ -181,30 +236,33 @@ class LaplaceLikelihood(_BaseLikelihood):
     supports_unconstrained = True
 
     def __init__(self, state=None):
-        super().__init__(state if state is not None else UniLSState(0.0, 1.0))
-        self.data = {}
+        # stats: [{datum id: y}], in the order the data joined
+        super().__init__(state if state is not None else UniLSState(0.0, 1.0), [{}])
+
+    @property
+    def data(self):
+        return self.stats[0]
 
     def clone_empty(self):
         return LaplaceLikelihood(self.state.copy())
 
-    def _update_stats(self, datum, add):
-        pass  # raw data stored in add/remove below
-
-    def add_datum(self, datum_id, datum):
-        super().add_datum(datum_id, datum)
-        self.data[datum_id] = _as_scalar(datum)
+    @staticmethod
+    def update_stats(stats, datum_id, y, add):
+        if add:
+            stats[0][datum_id] = y
+        else:
+            del stats[0][datum_id]
 
     def remove_datum(self, datum_id, datum):
         y = _as_scalar(datum)
         if datum_id in self.data and self.data[datum_id] != y:
             raise ValueError(f"datum id {datum_id} was added with a different value")
         super().remove_datum(datum_id, datum)
-        del self.data[datum_id]
 
-    def lpdf(self, datum):
-        y = _as_scalar(datum)
-        scale = self.state.var
-        return -math.log(2.0 * scale) - abs(y - self.state.mean) / scale
+    def scorer(self):
+        mean, scale = self.state.mean, self.state.var
+        log_norm = -math.log(2.0 * scale)
+        return lambda y: log_norm - abs(y - mean) / scale
 
     def _lpdf_rows(self, grid):
         if grid.shape[1] != 1:
@@ -228,8 +286,8 @@ class GammaLikelihood(_BaseLikelihood):
     """Gamma kernel with fixed shape and random rate, for positive data.
 
     lpdf(y) = shape*log(rate) - lgamma(shape) + (shape-1)*log(y) - rate*y
-    for y > 0 and -inf otherwise. Tracks (data_sum, data_log_sum, ndata);
-    the log-sum makes the whole-cluster density exact when the shape
+    for y > 0 and -inf otherwise. Tracks (data_sum, data_log_sum) and the
+    size; the log-sum makes the whole-cluster density exact when the shape
     coordinate of the unconstrained vector moves.
     """
 
@@ -239,35 +297,46 @@ class GammaLikelihood(_BaseLikelihood):
     def __init__(self, shape, state=None):
         if shape <= 0:
             raise ValueError("shape must be positive")
-        super().__init__(state if state is not None else GammaState(shape, 1.0))
+        # stats: [sum of y, sum of log y]
+        super().__init__(state if state is not None else GammaState(shape, 1.0), [0.0, 0.0])
         self.shape = float(shape)
-        self.data_sum = 0.0
-        self.data_log_sum = 0.0
 
     @property
-    def ndata(self):
-        return self.card
+    def data_sum(self):
+        return self.stats[0]
+
+    @property
+    def data_log_sum(self):
+        return self.stats[1]
 
     def clone_empty(self):
         return GammaLikelihood(self.shape, self.state.copy())
 
-    def _update_stats(self, datum, add):
-        y = _as_scalar(datum)
-        if y <= 0:
+    def add_datum(self, datum_id, datum):
+        if _as_scalar(datum) <= 0:
             raise ValueError("Gamma likelihood requires positive data")
-        if add:
-            self.data_sum += y
-            self.data_log_sum += math.log(y)
-        else:
-            self.data_sum -= y
-            self.data_log_sum -= math.log(y)
+        super().add_datum(datum_id, datum)
 
-    def lpdf(self, datum):
-        y = _as_scalar(datum)
-        if y <= 0:
-            return -math.inf
+    @staticmethod
+    def update_stats(stats, datum_id, y, add):
+        if add:
+            stats[0] += y
+            stats[1] += math.log(y)
+        else:
+            stats[0] -= y
+            stats[1] -= math.log(y)
+
+    def scorer(self):
         s, r = self.state.shape, self.state.rate
-        return s * math.log(r) - math.lgamma(s) + (s - 1.0) * math.log(y) - r * y
+        log_norm = s * math.log(r) - math.lgamma(s)
+        s1 = s - 1.0
+
+        def score(y):
+            if y <= 0:
+                return -math.inf
+            return log_norm + s1 * math.log(y) - r * y
+
+        return score
 
     def _lpdf_rows(self, grid):
         if grid.shape[1] != 1:

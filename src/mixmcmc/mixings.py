@@ -6,6 +6,9 @@ truncated stick-breaking mixing instead carries explicit weights for a
 fixed number of components. ``update_state`` resamples whatever part of the
 mixing state has a full conditional (stick fractions; the concentration
 under its optional Gamma hyperprior) and is a no-op otherwise.
+
+The existing-cluster mass may depend on n and the cluster size only: a
+marginal sweep computes it once per size and reuses it across clusters.
 """
 
 import math

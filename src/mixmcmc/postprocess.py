@@ -20,12 +20,32 @@ def num_clusters_chain(collector):
 
 def similarity_matrix(collector):
     """Posterior co-clustering frequencies: pi[i, j] = mean of 1{c_i == c_j}."""
-    allocs = allocation_matrix(collector)
+    return _coclustering(allocation_matrix(collector))
+
+
+# one-hot entries per block of records (1 MB): bounds the working memory
+_ONE_HOT_BLOCK = 1 << 17
+
+
+def _coclustering(allocs):
+    """Co-clustering frequencies of a (T, n) allocation matrix.
+
+    Each block of records is one-hot encoded, record t's label h in column
+    t * k + h, and one matrix product counts the records in which two data
+    share a label. The counts are integers, exact in floating point, so the
+    result does not depend on the block size.
+    """
     t, n = allocs.shape
-    out = np.zeros((n, n))
-    for row in allocs:
-        out += row[:, None] == row[None, :]
-    return out / t
+    k = int(allocs.max()) + 1
+    block = max(1, _ONE_HOT_BLOCK // (n * k))
+    counts = np.zeros((n, n))
+    for start in range(0, t, block):
+        rows = allocs[start:start + block]
+        one_hot = np.zeros((n, rows.shape[0] * k))
+        cols = rows + k * np.arange(rows.shape[0])[:, None]
+        one_hot[np.arange(n), cols] = 1.0
+        counts += one_hot @ one_hot.T
+    return counts / t
 
 
 def binder_loss(labels, similarity):
@@ -50,7 +70,7 @@ def _binder_argmin(allocs, similarity):
 def binder_best_clustering(collector):
     """Visited partition minimizing expected Binder loss; earliest wins ties."""
     allocs = allocation_matrix(collector)
-    return allocs[_binder_argmin(allocs, similarity_matrix(collector))].copy()
+    return allocs[_binder_argmin(allocs, _coclustering(allocs))].copy()
 
 
 def autocorrelation(x, max_lag):

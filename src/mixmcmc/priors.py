@@ -241,11 +241,12 @@ class NWPrior:
         m_inv = np.linalg.inv(m)
         cov = m_inv.T @ m_inv
         cov = 0.5 * (cov + cov.T)
-        state_cov = MultiLSState(np.zeros(d), cov)
-        mean = h.mean + (state_cov.chol @ rng.standard_normal(d)) / math.sqrt(
+        state = MultiLSState(np.zeros(d), cov)
+        # mean | cov ~ N(mean0, cov / var_scaling), through the state's own factor
+        state.mean = h.mean + (state.chol @ rng.standard_normal(d)) / math.sqrt(
             h.var_scaling
         )
-        return MultiLSState(mean, cov)
+        return state
 
     def lpdf_from_unconstrained(self, u):
         raise CapabilityError("NWPrior has no unconstrained parameterization")

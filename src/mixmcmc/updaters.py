@@ -19,15 +19,21 @@ from .priors import GammaPriorHypers, NIGHypers, NWHypers
 
 
 def nnig_posterior_hypers(like, hypers):
-    """Posterior normal-inverse-gamma hyperparameters for a normal cluster."""
+    """Posterior normal-inverse-gamma hyperparameters for a normal cluster.
+
+    Like the other posterior-hyperparameter functions, it reads only
+    ``like.card`` and ``like.stats``, so a likelihood or a
+    :class:`~mixmcmc.likelihoods.ClusterStats` will do.
+    """
     n = like.card
     if n == 0:
         return hypers
-    ybar = like.data_sum / n
+    data_sum, data_sum_squares = like.stats
+    ybar = data_sum / n
     lam_n = hypers.var_scaling + n
-    mean_n = (hypers.var_scaling * hypers.mean + like.data_sum) / lam_n
+    mean_n = (hypers.var_scaling * hypers.mean + data_sum) / lam_n
     shape_n = hypers.shape + 0.5 * n
-    ss = max(like.data_sum_squares - n * ybar * ybar, 0.0)
+    ss = max(data_sum_squares - n * ybar * ybar, 0.0)
     scale_n = (
         hypers.scale
         + 0.5 * ss
@@ -41,11 +47,12 @@ def nnw_posterior_hypers(like, hypers):
     n = like.card
     if n == 0:
         return hypers
-    ybar = like.data_sum / n
+    data_sum, data_sum_outer = like.stats
+    ybar = data_sum / n
     lam_n = hypers.var_scaling + n
-    mean_n = (hypers.var_scaling * hypers.mean + like.data_sum) / lam_n
+    mean_n = (hypers.var_scaling * hypers.mean + data_sum) / lam_n
     df_n = hypers.deg_free + n
-    centered = like.data_sum_outer - n * np.outer(ybar, ybar)
+    centered = data_sum_outer - n * np.outer(ybar, ybar)
     dev = ybar - hypers.mean
     scale_n = (
         hypers.scale
@@ -58,13 +65,13 @@ def nnw_posterior_hypers(like, hypers):
 
 def gamma_gamma_posterior_hypers(like, hypers):
     """Posterior Gamma hyperparameters for a Gamma-rate cluster."""
-    n = like.ndata
+    n = like.card
     if n == 0:
         return hypers
     return GammaPriorHypers(
         hypers.shape,
         hypers.rate_alpha + hypers.shape * n,
-        hypers.rate_beta + like.data_sum,
+        hypers.rate_beta + like.stats[0],
     )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import indicator_se, nnig_dp_coclustering_probability
+from test_chain_hashes import HIER_ARGS, _data
 
 from mixmcmc.algorithms import (
     BlockedGibbsAlgorithm,
@@ -11,7 +12,7 @@ from mixmcmc.algorithms import (
 )
 from mixmcmc.chainio import MemoryCollector, decode_state, encode_state
 from mixmcmc.exceptions import ConfigError
-from mixmcmc.hierarchy import build_hierarchy
+from mixmcmc.hierarchy import HIERARCHY_TYPES, build_hierarchy
 from mixmcmc.mixings import DirichletMixing, PitYorMixing, TruncatedSBMixing
 
 NNIG_ARGS = {
@@ -347,3 +348,40 @@ def test_neal8_promoted_auxiliary_state_is_fresh():
     for cl in algo.clusters:
         for aux in algo._aux:
             assert cl.state is not aux.state
+
+
+STORE_CELLS = [
+    (algo_id, hier_type)
+    for algo_id in ("Neal2", "Neal3", "Neal8")
+    for hier_type in HIERARCHY_TYPES
+    if algo_id == "Neal8" or hier_type in ("NNIG", "NNW", "GammaGamma")
+]
+
+
+@pytest.mark.parametrize("algo_id,hier_type", STORE_CELLS)
+def test_cluster_store_matches_a_recount(algo_id, hier_type):
+    # the sweep updates statistics in place and hands members back once per
+    # sweep: after a run every cluster must equal one rebuilt from the labels
+    algo = build_algorithm(algo_id, build_hierarchy(hier_type, HIER_ARGS[hier_type]),
+                           DirichletMixing(1.0))
+    _run(algo, _data(hier_type), 15, 10, seed=11)
+    labels = algo.allocations.tolist()
+    assert sorted(set(labels)) == list(range(len(algo.clusters)))
+    assert algo._sizes == [cluster.card for cluster in algo.clusters]
+    for h, cluster in enumerate(algo.clusters):
+        members = [i for i, label in enumerate(labels) if label == h]
+        assert cluster.card == len(members)
+        assert cluster.members == frozenset(members)
+        assert algo._stats[h] is cluster.likelihood.stats
+        recount = algo.template.likelihood.clone_empty()
+        for i in members:
+            recount.add_datum(i, algo.data[i])
+        for got, want in zip(cluster.likelihood.stats, recount.stats):
+            if isinstance(want, dict):  # the Laplace kernel keeps its data by id
+                assert got == want
+            else:
+                assert np.allclose(got, want)
+        if algo_id == "Neal3":
+            # the store's predictive scorer is the cluster's own predictive
+            y = algo._rows[0]
+            assert algo._scorers[h](y) == cluster.conditional_pred_lpdf(y)

@@ -234,3 +234,19 @@ def test_write_csv_round_trip(tmp_path):
     assert np.array_equal(read_csv_matrix(p), mat)
     write_csv_matrix(p, np.array([1, 2, 3]))
     assert np.array_equal(read_csv_matrix(p), [[1.0], [2.0], [3.0]])
+
+
+def test_write_csv_non_finite_cells(tmp_path):
+    p = tmp_path / "h.csv"
+    write_csv_matrix(p, np.array([[-np.inf, 0.5, 2.0], [np.nan, np.inf, -3.0]]))
+    assert p.read_text() == "-inf,0.5,2\nnan,inf,-3\n"
+
+
+def test_write_csv_integer_arrays_match_the_cell_format(tmp_path):
+    rng = np.random.default_rng(57)
+    ints = rng.integers(-50, 50, size=(6, 4))
+    ints[0, 0] = 10**15  # beyond the integer form: written as a float
+    for arr in (ints, ints[1:], ints[:, 0], ints.astype(np.uint8)):
+        write_csv_matrix(tmp_path / "i.csv", arr)
+        write_csv_matrix(tmp_path / "f.csv", arr.astype(float))
+        assert (tmp_path / "i.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()

@@ -121,6 +121,24 @@ def test_byte_identical_outputs_across_runs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def test_gamma_density_on_a_grid_reaching_zero_is_written(tmp_path):
+    # the Gamma kernel has log density -inf at y <= 0; the run must still finish
+    _write_run_inputs(tmp_path)
+    (tmp_path / "g0.txt").write_text("fixed_values { shape: 2.0 rate_alpha: 2.0 rate_beta: 2.0 }\n")
+    rng = np.random.default_rng(1)
+    data = rng.gamma(2.0, size=40)
+    (tmp_path / "data.csv").write_text("".join(f"{float(v)!r}\n" for v in data))
+    (tmp_path / "grid.csv").write_text("-1.0\n0.0\n0.5\n2.0\n")
+    args = _full_run_args(tmp_path)
+    args[args.index("NNIG")] = "GammaGamma"
+    assert main(args) == 0
+    rows = (tmp_path / "dens.csv").read_text().splitlines()
+    assert len(rows) == 200
+    assert all(row.startswith("-inf,-inf,") for row in rows)
+    mean = (tmp_path / "dens.mean.csv").read_text().split(",")
+    assert mean[:2] == ["-inf", "-inf"] and np.isfinite(float(mean[2]))
+
+
 def test_incompatible_model_exits_nonzero(tmp_path, capsys):
     _write_run_inputs(tmp_path)
     (tmp_path / "lap.txt").write_text(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import adjusted_rand_index
 
+from mixmcmc.chainio import MemoryCollector
 from mixmcmc.estimator import BayesianMixture
 
 
@@ -43,6 +44,22 @@ def test_fit_recovers_two_clusters():
     assert adjusted_rand_index(est.labels_, truth) > 0.95
     assert est.similarity_matrix_.shape == (80, 80)
     assert est.num_clusters_chain_.shape == (400,)
+
+
+def test_fit_replays_the_chain_once(monkeypatch):
+    replays = []
+    real_iter = MemoryCollector.__iter__
+
+    def counting_iter(self):
+        replays.append(1)
+        return real_iter(self)
+
+    monkeypatch.setattr(MemoryCollector, "__iter__", counting_iter)
+    x, _ = _two_blob_data(seed=3, n=30)
+    est = BayesianMixture(iterations=60, burnin=20, random_state=4).fit(x)
+    assert len(replays) == 1
+    assert est.num_clusters_chain_.shape == (40,)
+    assert est.labels_.tolist() == est.best_record_.allocations.tolist()
 
 
 def test_fit_predict_matches_labels():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from oracles import all_partitions
 
-from mixmcmc.chainio import ChainState
+from mixmcmc import postprocess
+from mixmcmc.chainio import ChainState, MemoryCollector
 from mixmcmc.postprocess import (
     autocorrelation,
     binder_best_clustering,
@@ -56,6 +57,40 @@ def test_similarity_matches_pairwise_count_oracle():
         for j in range(7):
             direct = np.mean(allocs[:, i] == allocs[:, j])
             assert pi[i, j] == direct
+
+
+def test_similarity_blocks_match_the_per_record_loop(monkeypatch):
+    # several one-hot blocks, some records using fewer labels than others
+    monkeypatch.setattr(postprocess, "_ONE_HOT_BLOCK", 50)
+    rng = np.random.default_rng(63)
+    allocs = rng.integers(0, 5, size=(37, 9))
+    allocs[::4] = 0
+    chain = [_rec(row, it=t) for t, row in enumerate(allocs)]
+    expected = np.zeros((9, 9))
+    for row in allocs:
+        expected += row[:, None] == row[None, :]
+    assert np.array_equal(similarity_matrix(chain), expected / 37)
+
+
+def test_binder_replays_the_chain_once(monkeypatch):
+    replays = []
+    real_iter = MemoryCollector.__iter__
+
+    def counting_iter(self):
+        replays.append(1)
+        return real_iter(self)
+
+    monkeypatch.setattr(MemoryCollector, "__iter__", counting_iter)
+    rng = np.random.default_rng(64)
+    chain = MemoryCollector()
+    for t in range(30):
+        chain.collect(_rec(rng.integers(0, 3, size=6), it=t))
+    best = binder_best_clustering(chain)
+    assert len(replays) == 1
+    records = list(chain)
+    pi = similarity_matrix(records)
+    losses = [binder_loss(r.allocations, pi) for r in records]
+    assert best.tolist() == records[int(np.argmin(losses))].allocations.tolist()
 
 
 def test_binder_degenerate_chain_returns_that_partition():

@@ -19,6 +19,10 @@ from .exceptions import ConfigError
 
 ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
 
+# Neal8 draws its auxiliary states in blocks of data of about this many
+# n_aux * d * d cells, so that the batch's memory stays bounded at large n
+_AUX_BATCH_CELLS = 1 << 16
+
 
 class _BaseAlgorithm:
     algo_id = None
@@ -155,7 +159,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def step(self, rng):
         n = self.n
         self._build_store()
-        new_candidates = self._new_candidates()
+        new_candidates = self._new_candidates(rng)
         rows, labels, sizes, stats = self._rows, self._labels, self._sizes, self._stats
         log_masses, scorers, update_stats = self._log_masses, self._scorers, self._update_stats
         log_new_mass = _Memo(lambda k: self.mixing.mass_new_cluster(n, k, log=True))
@@ -166,14 +170,15 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             y = rows[i]
             k = len(scorers)
             logs = [mass + score(y) for mass, score in zip(log_masses, scorers)]
-            logs += new_candidates(y, log_new_mass[k], stashed, rng)
+            logs += new_candidates(i, log_new_mass[k], stashed)
             choice = sample_log_categorical(logs, rng)
             if choice < k:
                 labels[i] = choice
                 update_stats(stats[choice], i, y, True)
                 self._resized(choice, sizes[choice] + 1)
             else:
-                self._open_cluster(i, rng, state=self._candidate_state(choice - k))
+                state = self._candidate_state(i, choice - k, stashed)
+                self._open_cluster(i, rng, state=state)
         self._rescore_dirty()
         self._sync_members()
         self._refresh_clusters(rng)
@@ -182,13 +187,16 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         """Scorer of existing cluster h: its kernel at the current state."""
         return self.clusters[h].likelihood.scorer()
 
-    def _new_candidates(self):
-        """Per-sweep function (y, log_new, stashed, rng) -> candidate log masses."""
-        score = self.template.prior_predictive().lpdf
-        return lambda y, log_new, stashed, rng: [log_new + score(y)]
+    def _new_candidates(self, rng):
+        """Per-sweep function (i, log_new, stashed) -> candidate log masses of datum i.
 
-    def _candidate_state(self, j):
-        """State of the chosen candidate j; None draws it from the full conditional."""
+        ``stashed`` is the state of the cluster datum i just emptied, or None.
+        """
+        score, rows = self.template.prior_predictive().lpdf, self._rows
+        return lambda i, log_new, stashed: [log_new + score(rows[i])]
+
+    def _candidate_state(self, i, j, stashed):
+        """State of datum i's chosen candidate j; None draws it from the full conditional."""
         return None
 
     def _initialize(self, rng):
@@ -339,7 +347,16 @@ class Neal3Algorithm(_MarginalAlgorithm):
 
 
 class Neal8Algorithm(_MarginalAlgorithm):
-    """Auxiliary-parameter marginal sampler; works with any hierarchy."""
+    """Auxiliary-parameter marginal sampler; works with any hierarchy.
+
+    The sweep draws every datum's ``n_aux`` auxiliary states from the
+    prior in one batch and scores them in one array expression, when it
+    reaches the datum's block (all data at once unless n is large). They
+    do not depend on the chain state, so drawing them ahead of the datum
+    leaves the kernel as it is. Slot 0 of a datum whose cluster just died
+    takes back that cluster's state instead. A state object is built only
+    for the candidate a datum joins.
+    """
 
     algo_id = "Neal8"
     requires_conjugate = False
@@ -347,26 +364,37 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def __init__(self, hierarchy, mixing, init_num_clusters=3, n_aux=3):
         super().__init__(hierarchy, mixing, init_num_clusters)
         self.n_aux = check_positive_int(n_aux, "n_aux")
-        self._aux = [hierarchy.clone() for _ in range(self.n_aux)]
+        # the current block's auxiliary states, a StateBatch of shape
+        # (block size, n_aux), and the index of its first datum
+        self._aux = None
+        self._aux_start = 0
 
-    def _new_candidates(self):
-        aux = self._aux
-        log_naux = math.log(len(aux))
+    def _new_candidates(self, rng):
+        n, n_aux, data = self.n, self.n_aux, self.data
+        block = max(1, _AUX_BATCH_CELLS // (n_aux * data.shape[1] ** 2))
+        like = self._scratch_likelihood()
+        rows, log_naux = self._rows, math.log(n_aux)
+        scores = []
 
-        def candidates(y, log_new, stashed, rng):
-            # slot 0 takes back the state of the cluster the datum just emptied
-            for j, cluster in enumerate(aux):
-                if j == 0 and stashed is not None:
-                    cluster.state = stashed
-                else:
-                    cluster.sample_prior(rng)
+        def candidates(i, log_new, stashed):
+            # the sweep visits the data in order
+            if i % block == 0:
+                self._aux = self.template.prior.sample_batch(rng, (min(block, n - i), n_aux))
+                self._aux_start = i
+                scores[:] = like.score_batch(self._aux, data[i:i + block]).tolist()
+            row = scores[i - self._aux_start]
+            if stashed is not None:
+                like.state = stashed
+                row[0] = like.lpdf(rows[i])
             log_new -= log_naux
-            return [log_new + cluster.likelihood.lpdf(y) for cluster in aux]
+            return [log_new + score for score in row]
 
         return candidates
 
-    def _candidate_state(self, j):
-        return self._aux[j].state
+    def _candidate_state(self, i, j, stashed):
+        if j == 0 and stashed is not None:
+            return stashed
+        return self._aux.state((i - self._aux_start, j))
 
 
 class BlockedGibbsAlgorithm(_BaseAlgorithm):

@@ -107,6 +107,29 @@ def sqrt(x):
     return math.sqrt(x)
 
 
+def abs_dev_sum(ys, x):
+    """Sum of |y - x| over the floats ys; one Dual when x is one.
+
+    The slope of |y - x| in x is -1 where y >= x and +1 below, the sign
+    ``Dual.__abs__`` takes at a tie, so the result equals the per-datum sum
+    of ``abs(y - x)`` while building a single Dual.
+    """
+    xv = x.val if isinstance(x, Dual) else x
+    total = 0.0
+    slope = 0
+    for y in ys:
+        d = y - xv
+        if d >= 0:
+            total += d
+            slope -= 1
+        else:
+            total -= d
+            slope += 1
+    if isinstance(x, Dual):
+        return Dual(total, slope * x.grad)
+    return total
+
+
 def _digamma(x):
     # recurrence to push x above 10, then the standard asymptotic expansion
     out = 0.0

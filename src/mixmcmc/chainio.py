@@ -279,6 +279,14 @@ def write_csv_matrix(path, matrix):
     if arr.dtype.kind in "iu" and (arr.size == 0 or -1e15 < arr.min() and arr.max() < 1e15):
         # the same text as _format_cell, without a Python call per cell
         lines = (",".join(map(str, row)) for row in arr.tolist())
+    elif arr.dtype.kind == "f":
+        # a row without a finite integral cell is _format_cell's repr throughout
+        arr = arr.astype(float, copy=False)  # the cells as _format_cell sees them
+        integral = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 1e15)
+        lines = (
+            ",".join(map(_format_cell if special else repr, row))
+            for row, special in zip(arr.tolist(), integral.any(axis=1).tolist())
+        )
     else:
         lines = (",".join(_format_cell(v) for v in row) for row in arr)
     with open(path, "w", encoding="utf-8") as fh:

@@ -13,6 +13,12 @@ share one formula. ``stats`` is a list holding the sufficient statistics,
 and ``update_stats(stats, datum_id, y, add)`` changes such a list in place
 for one datum; the store calls it directly and hands the member ids back
 with ``set_members`` once per sweep.
+
+For Neal8's auxiliary states, ``score_batch(batch, rows)`` scores a
+:class:`~mixmcmc.states.StateBatch` of shape (n, m) against n data rows,
+row i of the batch at datum i. It and ``lpdf_grid`` go through one
+per-family formula that reads the state's fields by name, so a state and a
+batch of states share it.
 """
 
 import math
@@ -40,14 +46,15 @@ def whiten_rows(chol_inv, diff):
 
     Uses einsum (not a LAPACK batched solve) so each row's result is
     bitwise independent of how many rows are transformed together; scalar
-    and grid evaluations therefore agree exactly.
+    and grid evaluations therefore agree exactly. Leading axes broadcast,
+    so a stack of factors whitens a stack of row sets.
     """
-    return np.einsum("ij,kj->ki", chol_inv, diff)
+    return np.einsum("...ij,...kj->...ki", chol_inv, diff)
 
 
 def squared_norm_rows(z):
     """Per-row squared Euclidean norm with fixed summation order."""
-    return np.einsum("ki,ki->k", z, z)
+    return np.einsum("...ki,...ki->...k", z, z)
 
 
 # What a conjugate posterior update reads of a cluster: its size and the
@@ -97,6 +104,15 @@ class _BaseLikelihood:
             grid = grid.reshape(-1, 1)
         return self._lpdf_rows(grid)
 
+    def _lpdf_rows(self, grid):
+        if grid.shape[1] != 1:
+            raise ValueError(f"expected 1 column, got {grid.shape[1]}")
+        return self._log_density(self.state, grid[:, 0])
+
+    def score_batch(self, batch, rows):
+        """log f(rows[i] | batch state (i, j)) for a batch of shape (n, m) and n rows."""
+        return self._log_density(batch, rows[:, :1])
+
     def cluster_lpdf_from_unconstrained(self, u):
         raise CapabilityError(
             f"{type(self).__name__} has no unconstrained parameterization"
@@ -143,11 +159,10 @@ class UniNormLikelihood(_BaseLikelihood):
 
         return score
 
-    def _lpdf_rows(self, grid):
-        if grid.shape[1] != 1:
-            raise ValueError(f"expected 1 column, got {grid.shape[1]}")
-        d = grid[:, 0] - self.state.mean
-        return -0.5 * (LOG_2PI + np.log(self.state.var)) - d * d / (2.0 * self.state.var)
+    @staticmethod
+    def _log_density(st, y):
+        d = y - st.mean
+        return -0.5 * (LOG_2PI + np.log(st.var)) - d * d / (2.0 * st.var)
 
     def cluster_lpdf_from_unconstrained(self, u):
         """Sum of log N(y_i | mean, var) over the cluster, from (mean, log var).
@@ -205,18 +220,24 @@ class MultiNormLikelihood(_BaseLikelihood):
             stats[0] -= y
             stats[1] -= np.outer(y, y)
 
-    def _constants(self):
-        st = self.state
+    def _constants(self, st):
         return st.mean, st.chol_inv, self.dim * LOG_2PI + st.log_det
 
     def scorer(self):
-        constants = self._constants()
+        constants = self._constants(self.state)
         return lambda y: float(_mvn_lpdf_rows(y.reshape(1, -1), *constants)[0])
 
     def _lpdf_rows(self, grid):
         if grid.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} columns, got {grid.shape[1]}")
-        return _mvn_lpdf_rows(grid, *self._constants())
+        return _mvn_lpdf_rows(grid, *self._constants(self.state))
+
+    def score_batch(self, batch, rows):
+        # each (i, j) scores a one-row grid: rows (n, 1, 1, d) against means (n, m, 1, d)
+        mean, chol_inv, log_norm = self._constants(batch)
+        out = _mvn_lpdf_rows(rows[:, None, None, :], mean[..., None, :], chol_inv,
+                             log_norm[..., None])
+        return out[..., 0]
 
 
 def _mvn_lpdf_rows(rows, mean, chol_inv, log_norm):
@@ -264,11 +285,10 @@ class LaplaceLikelihood(_BaseLikelihood):
         log_norm = -math.log(2.0 * scale)
         return lambda y: log_norm - abs(y - mean) / scale
 
-    def _lpdf_rows(self, grid):
-        if grid.shape[1] != 1:
-            raise ValueError(f"expected 1 column, got {grid.shape[1]}")
-        scale = self.state.var
-        return -np.log(2.0 * scale) - np.abs(grid[:, 0] - self.state.mean) / scale
+    @staticmethod
+    def _log_density(st, y):
+        scale = st.var
+        return -np.log(2.0 * scale) - np.abs(y - st.mean) / scale
 
     def cluster_lpdf_from_unconstrained(self, u):
         n = self.card
@@ -276,9 +296,7 @@ class LaplaceLikelihood(_BaseLikelihood):
             return 0.0
         mean, logscale = u[0], u[1]
         scale = ad.exp(logscale)
-        abs_sum = 0.0
-        for y in self.data.values():
-            abs_sum = abs_sum + abs(y - mean)
+        abs_sum = ad.abs_dev_sum(self.data.values(), mean)
         return -n * (math.log(2.0) + logscale) - abs_sum / scale
 
 
@@ -338,11 +356,9 @@ class GammaLikelihood(_BaseLikelihood):
 
         return score
 
-    def _lpdf_rows(self, grid):
-        if grid.shape[1] != 1:
-            raise ValueError(f"expected 1 column, got {grid.shape[1]}")
-        y = grid[:, 0]
-        s, r = self.state.shape, self.state.rate
+    @staticmethod
+    def _log_density(st, y):
+        s, r = st.shape, st.rate  # one kernel shape for a whole batch
         with np.errstate(divide="ignore", invalid="ignore"):
             out = s * np.log(r) - math.lgamma(s) + (s - 1.0) * np.log(y) - r * y
         return np.where(y > 0, out, -np.inf)

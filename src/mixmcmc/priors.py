@@ -1,7 +1,8 @@
 """Base measures over component states: densities and sampling.
 
 Every prior evaluates its log density at a state, draws states (optionally
-from supplied posterior hyperparameters), and, where an unconstrained
+from supplied posterior hyperparameters), draws a batch of states from
+itself as arrays (``sample_batch``), and, where an unconstrained
 parameterization exists, evaluates the change-of-variables corrected log
 density used by Metropolis updaters.
 """
@@ -15,7 +16,7 @@ from . import autodiff as ad
 from ._util import LOG_2PI
 from ._validation import check_positive, check_spd_matrix
 from .exceptions import CapabilityError
-from .states import GammaState, MultiLSState, UniLSState
+from .states import GammaState, MultiLSState, StateBatch, UniLSState
 
 
 def _norm_lpdf(x, mean, var):
@@ -137,6 +138,13 @@ class NIGPrior:
         mean = h.mean + math.sqrt(var / h.var_scaling) * rng.standard_normal()
         return UniLSState(mean, var)
 
+    def sample_batch(self, rng, size):
+        """``size`` independent prior draws, as a :class:`StateBatch`."""
+        h = self.hypers
+        var = h.scale / rng.gamma(h.shape, size=size)
+        mean = h.mean + np.sqrt(var / h.var_scaling) * rng.standard_normal(size)
+        return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
+
     def lpdf_from_unconstrained(self, u):
         mean, logvar = u[0], u[1]
         var = ad.exp(logvar)
@@ -171,6 +179,13 @@ class NxIGPrior:
         mean = h.mean + math.sqrt(h.var) * rng.standard_normal()
         var = h.scale / rng.gamma(h.shape)
         return UniLSState(mean, var)
+
+    def sample_batch(self, rng, size):
+        """``size`` independent prior draws, as a :class:`StateBatch`."""
+        h = self.hypers
+        mean = h.mean + math.sqrt(h.var) * rng.standard_normal(size)
+        var = h.scale / rng.gamma(h.shape, size=size)
+        return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
     def lpdf_from_unconstrained(self, u):
         mean, logvar = u[0], u[1]
@@ -231,16 +246,7 @@ class NWPrior:
             self._prior_bartlett if h is self.hypers else self._bartlett_factor(h)
         )
         d = h.dim
-        # Bartlett decomposition of Wishart(deg_free, scale^-1); cov is its inverse
-        a = np.zeros((d, d))
-        for j in range(d):
-            a[j, j] = math.sqrt(rng.chisquare(h.deg_free - j))
-        idx = np.tril_indices(d, k=-1)
-        a[idx] = rng.standard_normal(len(idx[0]))
-        m = chol_inv_scale @ a
-        m_inv = np.linalg.inv(m)
-        cov = m_inv.T @ m_inv
-        cov = 0.5 * (cov + cov.T)
+        cov = _inverse_wishart(rng, chol_inv_scale, h.deg_free, ())
         state = MultiLSState(np.zeros(d), cov)
         # mean | cov ~ N(mean0, cov / var_scaling), through the state's own factor
         state.mean = h.mean + (state.chol @ rng.standard_normal(d)) / math.sqrt(
@@ -248,8 +254,44 @@ class NWPrior:
         )
         return state
 
+    def sample_batch(self, rng, size):
+        """``size`` independent prior draws, as a :class:`StateBatch`.
+
+        Besides ``mean`` and ``cov`` the batch holds each covariance's
+        ``chol_inv`` and ``log_det``, which the kernel's batch score reads.
+        """
+        h = self.hypers
+        cov = _inverse_wishart(rng, self._prior_bartlett, h.deg_free, size)
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as err:
+            raise ValueError("a drawn 'cov' is not positive definite") from err
+        z = rng.standard_normal(size + (h.dim, 1))
+        mean = h.mean + (chol @ z)[..., 0] / math.sqrt(h.var_scaling)
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov,
+                          chol_inv=np.linalg.inv(chol), log_det=log_det)
+
     def lpdf_from_unconstrained(self, u):
         raise CapabilityError("NWPrior has no unconstrained parameterization")
+
+
+def _inverse_wishart(rng, chol_inv_scale, deg_free, size):
+    """Covariances ~ IW(deg_free, scale), stacked over the shape ``size``.
+
+    Each is the inverse of a Wishart(deg_free, scale^-1) draw through the
+    Bartlett decomposition; ``chol_inv_scale`` is the lower Cholesky factor
+    of scale^-1.
+    """
+    d = chol_inv_scale.shape[0]
+    a = np.zeros(size + (d, d))
+    diag = np.arange(d)
+    a[..., diag, diag] = np.sqrt(rng.chisquare(deg_free - diag, size=size + (d,)))
+    lower = np.tril_indices(d, k=-1)
+    a[(...,) + lower] = rng.standard_normal(size + (len(lower[0]),))
+    m_inv = np.linalg.inv(chol_inv_scale @ a)
+    cov = np.swapaxes(m_inv, -1, -2) @ m_inv
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 class GammaPrior:
@@ -274,6 +316,12 @@ class GammaPrior:
         h = hypers if hypers is not None else self.hypers
         rate = rng.gamma(h.rate_alpha) / h.rate_beta
         return GammaState(h.shape, rate)
+
+    def sample_batch(self, rng, size):
+        """``size`` independent prior draws, as a :class:`StateBatch`; all share the shape."""
+        h = self.hypers
+        rate = rng.gamma(h.rate_alpha, size=size) / h.rate_beta
+        return StateBatch(GammaState, ("shape", "rate"), shape=h.shape, rate=rate)
 
     def lpdf_from_unconstrained(self, u):
         rate = ad.exp(u[1])

@@ -3,7 +3,8 @@
 Each state knows how to copy itself, serialize to/from a flat ``params``
 map (name -> array + shape), and, where supported, map between its
 constrained and unconstrained representations with the associated
-log-Jacobian term for change-of-variables corrections.
+log-Jacobian term for change-of-variables corrections. A
+:class:`StateBatch` holds many states of one class as arrays.
 """
 
 import math
@@ -171,3 +172,24 @@ class GammaState:
 
     def __repr__(self):
         return f"GammaState(shape={self.shape:.6g}, rate={self.rate:.6g})"
+
+
+class StateBatch:
+    """Many states of one class, held as arrays.
+
+    Each field is an array whose leading axes are the batch shape, or a
+    scalar that every state in the batch shares. The fields carry the
+    state's attribute names, so a formula that reads ``st.mean`` and
+    ``st.var`` works on a state and on a batch alike. ``args`` names the
+    fields the state's constructor takes, in order.
+    """
+
+    def __init__(self, state_cls, args, **fields):
+        self.state_cls = state_cls
+        self.args = args
+        self.__dict__.update(fields)
+
+    def state(self, index):
+        """The state at ``index``, built through its constructor and checks."""
+        values = (getattr(self, name) for name in self.args)
+        return self.state_cls(*(v[index] if np.ndim(v) else v for v in values))

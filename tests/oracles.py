@@ -61,8 +61,13 @@ def gamma_rate_quadrature(data, kernel_shape, rate_alpha, rate_beta):
     return float(np.trapezoid(kernel * rates, rates) / norm)
 
 
-def nxig_quadrature(data, mean0, var0, shape, scale):
-    """Posterior moments under the independent normal x inverse-gamma prior."""
+def nxig_quadrature(data, mean0, var0, shape, scale, kernel="normal"):
+    """Log marginal likelihood and posterior moments under the independent
+    normal x inverse-gamma prior, by 2-d trapezoid quadrature over (mu, log var).
+
+    ``kernel="laplace"`` scores the data under the Laplace kernel whose
+    scale is the ``var`` coordinate, as the LapNIG hierarchy does.
+    """
     data = np.asarray(data, dtype=float).reshape(-1)
     anchor = np.concatenate([data, [mean0]])
     lo = anchor.min() - 12.0 * (anchor.std() + np.sqrt(var0) + 1.0)
@@ -77,32 +82,41 @@ def nxig_quadrature(data, mean0, var0, shape, scale):
         + lv_mesh
     )
     for y in data:
-        logk = logk + stats.norm.logpdf(y, mu_mesh, np.sqrt(var))
-    kernel = np.exp(logk - logk.max())
+        if kernel == "laplace":
+            logk = logk + stats.laplace.logpdf(y, mu_mesh, var)
+        else:
+            logk = logk + stats.norm.logpdf(y, mu_mesh, np.sqrt(var))
+    peak = logk.max()
+    weights = np.exp(logk - peak)
 
     def integrate(values):
         return np.trapezoid(np.trapezoid(values, logvar, axis=1), mu)
 
-    norm = integrate(kernel)
+    norm = integrate(weights)
     return {
-        "e_mean": float(integrate(kernel * mu_mesh) / norm),
-        "e_var": float(integrate(kernel * var) / norm),
+        "log_marginal": float(peak + np.log(norm)),
+        "e_mean": float(integrate(weights * mu_mesh) / norm),
+        "e_var": float(integrate(weights * var) / norm),
     }
 
 
-def nnig_dp_coclustering_probability(y1, y2, mean0, var_scaling, shape, scale, alpha):
+def dp_coclustering_probability(log_marginal, y1, y2, alpha):
     """Exact posterior P(c_1 = c_2) for two data points under a DP mixture.
 
     Brute force over the two partitions of {1, 2}: the partition prior puts
-    unnormalized weight 1 on "together" and ``alpha`` on "apart"; marginal
-    likelihoods come from quadrature.
+    unnormalized weight 1 on "together" and ``alpha`` on "apart";
+    ``log_marginal(data)`` gives a cluster's log marginal likelihood.
     """
-    lm12 = nnig_quadrature([y1, y2], mean0, var_scaling, shape, scale)["log_marginal"]
-    lm1 = nnig_quadrature([y1], mean0, var_scaling, shape, scale)["log_marginal"]
-    lm2 = nnig_quadrature([y2], mean0, var_scaling, shape, scale)["log_marginal"]
-    together = np.exp(lm12)
-    apart = alpha * np.exp(lm1 + lm2)
+    together = np.exp(log_marginal([y1, y2]))
+    apart = alpha * np.exp(log_marginal([y1]) + log_marginal([y2]))
     return float(together / (together + apart))
+
+
+def nnig_dp_coclustering_probability(y1, y2, mean0, var_scaling, shape, scale, alpha):
+    """:func:`dp_coclustering_probability` under the NNIG hierarchy."""
+    return dp_coclustering_probability(
+        lambda data: nnig_quadrature(data, mean0, var_scaling, shape, scale)["log_marginal"],
+        y1, y2, alpha)
 
 
 def indicator_se(values):

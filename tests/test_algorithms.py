@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import indicator_se, nnig_dp_coclustering_probability
+from oracles import (
+    dp_coclustering_probability,
+    indicator_se,
+    nnig_dp_coclustering_probability,
+    nxig_quadrature,
+)
 from test_chain_hashes import HIER_ARGS, _data
 
+from mixmcmc import algorithms
 from mixmcmc.algorithms import (
     BlockedGibbsAlgorithm,
     Neal8Algorithm,
@@ -164,6 +170,75 @@ def test_two_point_coclustering_matches_enumeration(algo_id, n_aux):
     indicator = np.array([float(r.allocations[0] == r.allocations[1]) for r in collector])
     se = indicator_se(indicator)
     assert abs(indicator.mean() - target) < 3 * se
+
+
+def _assert_nxig_coclustering_matches_enumeration(hier_type, args, y1, y2, n_aux):
+    h = HIER_ARGS[hier_type]["fixed_values"]
+    kernel = "laplace" if hier_type == "LapNIG" else "normal"
+    target = dp_coclustering_probability(
+        lambda data: nxig_quadrature(data, h["mean"], h["var"], h["shape"], h["scale"],
+                                     kernel=kernel)["log_marginal"],
+        y1, y2, alpha=1.0)
+    algo = build_algorithm("Neal8", build_hierarchy(hier_type, args), DirichletMixing(1.0),
+                           n_aux=n_aux)
+    collector = _run(algo, [[y1], [y2]], 6000, 500, seed=8)
+    indicator = np.array([float(r.allocations[0] == r.allocations[1]) for r in collector])
+    assert abs(indicator.mean() - target) < 3 * indicator_se(indicator)
+
+
+@pytest.mark.parametrize("hier_type", ["NNxIG", "LapNIG"])
+@pytest.mark.parametrize("n_aux", [1, 3])
+def test_neal8_nonconjugate_two_point_coclustering_matches_enumeration(hier_type, n_aux):
+    # the auxiliary candidates drawn and scored per sweep, on the two
+    # non-conjugate families; LapNIG refreshes its clusters by MALA
+    args = dict(HIER_ARGS[hier_type])
+    if hier_type == "LapNIG":
+        args.update(updater="mala", step_size=0.5, num_steps=3)
+    _assert_nxig_coclustering_matches_enumeration(hier_type, args, -1.0, 1.0, n_aux)
+
+
+def test_neal8_auxiliary_blocks_keep_the_coclustering_oracle(monkeypatch):
+    # one datum per block of auxiliary states: each is drawn only when the
+    # sweep reaches its datum, after the other datum has moved; the data sit
+    # asymmetrically about the prior mean, so that states scored at the
+    # wrong datum would show
+    monkeypatch.setattr(algorithms, "_AUX_BATCH_CELLS", 3)
+    _assert_nxig_coclustering_matches_enumeration("NNxIG", HIER_ARGS["NNxIG"], 0.5, 3.0, 3)
+
+
+@pytest.mark.parametrize("hier_type", ["NNxIG", "NNW"])
+def test_neal8_births_come_from_their_own_block(monkeypatch, hier_type):
+    # blocks of 4 data: 30 data take 7 full blocks and one of 2 per sweep,
+    # and a born state is one of its datum's own auxiliary states
+    d = 2 if hier_type == "NNW" else 1
+    monkeypatch.setattr(algorithms, "_AUX_BATCH_CELLS", 3 * d * d * 4)
+    algo = Neal8Algorithm(build_hierarchy(hier_type, HIER_ARGS[hier_type]),
+                          DirichletMixing(5.0), n_aux=3)
+    sizes, births = [], []
+    prior = algo.template.prior
+    real_batch, real_open, real_remove = prior.sample_batch, algo._open_cluster, algo._remove_datum
+    stash = [None]
+
+    def sample_batch(rng, size):
+        sizes.append(size)
+        return real_batch(rng, size)
+
+    def remove_datum(i):
+        stash[0] = real_remove(i)
+        return stash[0]
+
+    def open_cluster(i, rng, state=None):
+        if state is not stash[0]:
+            row = algo._aux.mean[i - algo._aux_start]
+            assert any(np.array_equal(state.mean, mean) for mean in row)
+            births.append(i)
+        real_open(i, rng, state=state)
+
+    monkeypatch.setattr(prior, "sample_batch", sample_batch)
+    algo._remove_datum, algo._open_cluster = remove_datum, open_cluster
+    _run(algo, _data(hier_type), 20, 10, seed=23)
+    assert sizes == ([(4, 3)] * 7 + [(2, 3)]) * 20
+    assert any(i >= 4 for i in births)
 
 
 def test_blocked_gibbs_agrees_with_dp_enumeration():
@@ -342,12 +417,29 @@ def test_allocation_sampling_survives_huge_masses():
 
 
 def test_neal8_promoted_auxiliary_state_is_fresh():
-    # the promoted state must not alias the scratch auxiliary hierarchy
-    algo = Neal8Algorithm(_nnig(), DirichletMixing(5.0), n_aux=2)
-    collector = _run(algo, [[-4.0], [4.0], [0.0]], 100, 50, seed=22)
-    for cl in algo.clusters:
-        for aux in algo._aux:
-            assert cl.state is not aux.state
+    # a born state is built from the sweep's auxiliary arrays (or takes back
+    # the state its datum's cluster just left) and must share no memory with
+    # the auxiliary batch, nor be the offered object itself
+    for hier_type, data in [("NNIG", [[-4.0], [4.0], [0.0]]), ("NNW", _data("NNW")[:6])]:
+        algo = Neal8Algorithm(build_hierarchy(hier_type, HIER_ARGS[hier_type]),
+                              DirichletMixing(5.0), n_aux=2)
+        births = []
+        real_open = algo._open_cluster
+
+        def open_cluster(i, rng, state=None, algo=algo, births=births, real_open=real_open):
+            real_open(i, rng, state=state)
+            births.append((algo.clusters[-1].state, state, algo._aux))
+
+        algo._open_cluster = open_cluster
+        _run(algo, data, 100, 50, seed=22)
+        assert len(births) > 10
+        for born, offered, aux in births:
+            assert born is not offered
+            batch_arrays = [v for v in vars(aux).values() if isinstance(v, np.ndarray)]
+            for slot in type(born).__slots__:
+                value = getattr(born, slot)
+                if isinstance(value, np.ndarray):
+                    assert not any(np.shares_memory(value, arr) for arr in batch_arrays)
 
 
 STORE_CELLS = [

@@ -59,16 +59,16 @@ CHAIN_SHA256 = {
     "Neal3/NNW/PY": "5a5e07e50104dae65f277a3129c3450c37bd90cc03c31de69e11b41bbc9c9b20",
     "Neal3/GammaGamma/DP": "3902a3b32618869b49fa93298ae026f4e4af531434294b363229228562637691",
     "Neal3/GammaGamma/PY": "238a5b97bc8efa12cc60bd63872836a0d744109cadc460e90342ab13d46ed59a",
-    "Neal8/NNIG/DP": "de4e34c5a8a8ba4de524fc518a17cfdfaba7a2915045ecafb5b8049214792651",
-    "Neal8/NNIG/PY": "319f41ade6d3af94808c05ac188c59f2f686f126200027f3337f8319a46cd18d",
-    "Neal8/NNxIG/DP": "0ba0c6533d9eb53d0e3a29ca4de5782867995bba73dffba8a3f49f0aa49f4449",
-    "Neal8/NNxIG/PY": "bdc5c579aedf9aaeee7faaf9721d837980e79329dc57c8f02104ed6b19d1c450",
-    "Neal8/LapNIG/DP": "bd7d8d42c8ff220701b21ecc722a899ef20a296951a0b3bdeb492fd0848754dc",
-    "Neal8/LapNIG/PY": "ea4a4f27630b9af9d5010dfcb7f0f58461b02592dbd903a530d8827fc08b878f",
-    "Neal8/NNW/DP": "b4eea3294906865c9451b826d16952c372a1d738644e0bf4eae4a304abcc8e75",
-    "Neal8/NNW/PY": "70e0d50274315ccab172724b59ae4bd4d146d0e05701c1ee51737174b5d48bf2",
-    "Neal8/GammaGamma/DP": "48a3fc3d4c3313a39e8e1bd3a3f4a0a63bdf9f3a7960c823fa6ad8c1066d0476",
-    "Neal8/GammaGamma/PY": "46a300f8afa55d249ba126fc6314429d9bb8814ed8dff367a4a02d3139aeb96b",
+    "Neal8/NNIG/DP": "f67030fd7ae8594697a52701c77f120b7fcfa7e025bf88868aa8ebc21b93b15e",
+    "Neal8/NNIG/PY": "af9302374c2d76d660597ea9bca2e550ac03296d2b5744a2784acd99f4eeb3a1",
+    "Neal8/NNxIG/DP": "4d33ebd7c20e19442d6542780077e62c2f5f28f544a7179d9af1451ec8f5391f",
+    "Neal8/NNxIG/PY": "a17a43a95c136c5dd1d771d3f36cd45a1e2cceddbbf18cc8633acd37118d8bae",
+    "Neal8/LapNIG/DP": "8dfe6d4436baca1325fb1e983ce7cdff204707603cf78c55a08d2a894ff6a8e1",
+    "Neal8/LapNIG/PY": "c0b7e4bad59571827aae8dcc2fd05915f46fc8e49e8444b464fd9df2c5b733e8",
+    "Neal8/NNW/DP": "119fc45dd997a038ccf35cd280d769b64e08d46a776cbf3356c56af22916674b",
+    "Neal8/NNW/PY": "664fac94d45b121660d56d2dac750870584503f7f74847a6bea73cec9a9fcf45",
+    "Neal8/GammaGamma/DP": "2e94316431f3172f42300f8c9f6693101396d28e0a8e957f15cce8a5368ee722",
+    "Neal8/GammaGamma/PY": "29a201bc1fa952f42db7762098c2298adbbe762140002b07e8c5068cdd44480a",
     "BlockedGibbs/NNIG/TruncSB": "e63173758671bd95aa04a7070f886491722a6565dcc33b16ecaa126fc3e4e1c3",
     "BlockedGibbs/NNxIG/TruncSB": "9af07d6a5d1e8cdb7005ffb00800e26f893280e21563ab5dfe4f3340c323a818",
     "BlockedGibbs/LapNIG/TruncSB": "f76e1e89871b0d0146fb3c075e448484b0a5cbaef7a98a5bcc28ec95a735ae20",

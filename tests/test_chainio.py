@@ -6,6 +6,7 @@ from mixmcmc.chainio import (
     ClusterParams,
     FileCollector,
     MemoryCollector,
+    _format_cell,
     decode_state,
     encode_state,
     read_csv_matrix,
@@ -250,3 +251,26 @@ def test_write_csv_integer_arrays_match_the_cell_format(tmp_path):
         write_csv_matrix(tmp_path / "i.csv", arr)
         write_csv_matrix(tmp_path / "f.csv", arr.astype(float))
         assert (tmp_path / "i.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
+def test_write_csv_float_rows_match_the_cell_format(tmp_path):
+    # rows with and without integral cells, around every special case of the cell format
+    rng = np.random.default_rng(58)
+    mat = rng.normal(size=(12, 5)) * 1e3
+    mat[1, 2] = -0.0
+    mat[2, 0] = 4.0
+    mat[3, 4] = 1e15 - 1.0
+    mat[4, 1] = 1e15
+    mat[5, 3] = -1e15
+    mat[6, :3] = [np.inf, -np.inf, np.nan]
+    mat[7, 0] = 0.0
+    mat[8, 2] = 123456789012.5
+    mat[9] = [2.5e15, 1e300, -1e-300, 5e-324, 0.1]
+    with np.errstate(over="ignore"):  # 1e300 becomes inf in single precision
+        single = mat.astype(np.float32)
+    for arr in (mat, single, mat[:, 0], mat[:0]):
+        p = tmp_path / "m.csv"
+        write_csv_matrix(p, arr)
+        rows = arr[:, None] if arr.ndim == 1 else arr
+        want = "".join(",".join(_format_cell(v) for v in row) + "\n" for row in rows)
+        assert p.read_text() == want

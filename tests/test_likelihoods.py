@@ -206,3 +206,36 @@ def test_laplace_remove_checks_value():
     like.add_datum(0, 1.0)
     with pytest.raises(ValueError):
         like.remove_datum(0, 2.0)
+
+
+def test_batch_score_matches_the_scalar_scorer_of_each_built_state():
+    from mixmcmc.priors import (
+        GammaPrior,
+        GammaPriorHypers,
+        NIGHypers,
+        NIGPrior,
+        NWHypers,
+        NWPrior,
+        NxIGHypers,
+        NxIGPrior,
+    )
+
+    rng = np.random.default_rng(18)
+    n, m = 30, 3
+    positive = rng.gamma(2.0, size=(n, 1))
+    positive[:2, 0] = [0.0, -1.0]  # outside the Gamma kernel's support
+    cases = [
+        (UniNormLikelihood(), NIGPrior(NIGHypers(0.0, 0.1, 2.0, 2.0)), rng.normal(size=(n, 1))),
+        (LaplaceLikelihood(), NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0)), rng.normal(size=(n, 1))),
+        (GammaLikelihood(2.0), GammaPrior(GammaPriorHypers(2.0, 2.0, 2.0)), positive),
+        (MultiNormLikelihood(MultiLSState(np.zeros(3), np.eye(3))),
+         NWPrior(NWHypers(np.zeros(3), 0.2, 6.0, np.eye(3))), rng.normal(size=(n, 3))),
+    ]
+    for like, prior, rows in cases:
+        batch = prior.sample_batch(rng, (n, m))
+        scores = like.score_batch(batch, rows)
+        assert scores.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                like.state = batch.state((i, j))
+                assert np.allclose(scores[i, j], like.lpdf(rows[i]), rtol=1e-12, atol=1e-12)

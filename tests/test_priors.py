@@ -181,3 +181,67 @@ def test_hyper_validation():
         GammaPriorHypers(0.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         NWHypers(np.zeros(3), 1.0, 1.5, np.eye(3))  # deg_free <= d - 1
+
+
+def _two_sample_z(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se = math.sqrt(a.var() / a.shape[0] + b.var() / b.shape[0])
+    return abs(a.mean() - b.mean()) / se
+
+
+# shape > 4: the inverse-gamma variance has the four moments the
+# standard errors of the second moments need
+@pytest.mark.parametrize("prior,fields", [
+    (NIGPrior(NIGHypers(1.0, 0.5, 5.5, 3.0)), ("mean", "var")),
+    (NxIGPrior(NxIGHypers(-1.0, 2.0, 5.5, 3.0)), ("mean", "var")),
+    (GammaPrior(GammaPriorHypers(2.0, 3.0, 2.0)), ("rate",)),
+])
+def test_batch_draw_matches_the_scalar_sampler(prior, fields):
+    rng = np.random.default_rng(16)
+    batch = prior.sample_batch(rng, (20_000, 3))
+    scalar = [prior.sample(rng) for _ in range(20_000)]
+    for name in fields:
+        drawn = getattr(batch, name)
+        want = np.array([getattr(s, name) for s in scalar])
+        assert drawn.shape == (20_000, 3)
+        # first and second moments, of the whole batch and of each column
+        for got in [drawn.reshape(-1)] + [drawn[:, j] for j in range(3)]:
+            assert _two_sample_z(got, want) < 4
+            assert _two_sample_z(got**2, want**2) < 4
+    built = batch.state((5, 2))
+    assert type(built) is type(scalar[0])
+    for name in fields:
+        assert getattr(built, name) == getattr(batch, name)[5, 2]
+
+
+def test_nw_batch_draw_matches_the_scalar_sampler_and_the_analytic_mean():
+    scale = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    d, nu = 3, 9.0
+    prior = NWPrior(NWHypers([1.0, -1.0, 0.0], 2.0, nu, scale))
+    rng = np.random.default_rng(17)
+    batch = prior.sample_batch(rng, (10_000, 2))
+    covs = batch.cov.reshape(-1, d, d)
+    means = batch.mean.reshape(-1, d)
+    assert batch.mean.shape == (10_000, 2, d) and batch.cov.shape == (10_000, 2, d, d)
+    # E[cov] = scale / (deg_free - d - 1), E[mean] = mean0, within 4 standard errors
+    se_cov = covs.std(axis=0) / math.sqrt(covs.shape[0])
+    assert np.all(np.abs(covs.mean(axis=0) - scale / (nu - d - 1.0)) < 4 * se_cov)
+    se_mean = means.std(axis=0) / math.sqrt(means.shape[0])
+    assert np.all(np.abs(means.mean(axis=0) - [1.0, -1.0, 0.0]) < 4 * se_mean)
+    # Var[mean] = E[cov] / var_scaling
+    mean_sq = (means - [1.0, -1.0, 0.0]) ** 2
+    want_var = np.diag(scale) / (nu - d - 1.0) / 2.0
+    se_var = mean_sq.std(axis=0) / math.sqrt(mean_sq.shape[0])
+    assert np.all(np.abs(mean_sq.mean(axis=0) - want_var) < 4 * se_var)
+    scalar = [prior.sample(rng) for _ in range(10_000)]
+    for a in range(d):
+        assert _two_sample_z(means[:, a], [s.mean[a] for s in scalar]) < 4
+        assert _two_sample_z(means[:, a] ** 2, [s.mean[a] ** 2 for s in scalar]) < 4
+        for b in range(a, d):
+            assert _two_sample_z(covs[:, a, b], [s.cov[a, b] for s in scalar]) < 4
+    # the derived fields the kernel's batch score reads agree with the built state's
+    for index in [(0, 0), (123, 1), (9_999, 1)]:
+        state = batch.state(index)
+        assert isinstance(state, MultiLSState)
+        assert np.allclose(state.chol_inv, batch.chol_inv[index])
+        assert state.log_det == pytest.approx(batch.log_det[index], abs=1e-10)

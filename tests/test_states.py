@@ -155,3 +155,59 @@ def test_digamma_against_scipy():
 
     for x in [0.1, 0.5, 1.0, 2.5, 7.0, 40.0]:
         assert ad._digamma(x) == pytest.approx(float(scipy_digamma(x)), rel=1e-10)
+
+
+def _abs_sum_per_datum(ys, x):
+    # the per-datum Dual loop that ad.abs_dev_sum replaces
+    total = 0.0
+    for y in ys:
+        total = total + abs(y - x)
+    return total
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_abs_dev_sum_equals_the_per_datum_dual_loop():
+    rng = np.random.default_rng(14)
+    x = 0.37
+    cases = [
+        [x],  # a tie only
+        [x, x, 1.0, -2.0],  # ties count as y >= x, as Dual.__abs__ does
+        [1.0, 2.0, 3.0],
+        [-1.0, -2.0, -3.0],
+        rng.normal(size=25).tolist() + [x] * 3,
+        list(np.float64(v) for v in rng.normal(size=15)) + [np.float64(x)],
+    ]
+    for ys in cases:
+        for seed in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+            want = _abs_sum_per_datum(ys, ad.Dual(x, seed))
+            got = ad.abs_dev_sum(ys, ad.Dual(x, seed))
+            assert isinstance(got, ad.Dual)
+            assert _bits(got.val) == _bits(want.val)
+            # equal as numbers: only the sign of a zero slope may differ
+            assert np.array_equal(got.grad, want.grad)
+        assert _bits(ad.abs_dev_sum(ys, x)) == _bits(_abs_sum_per_datum(ys, x))
+
+
+def test_laplace_target_is_bitwise_unchanged_by_the_one_dual_sum():
+    from mixmcmc.likelihoods import LaplaceLikelihood
+
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 9, 40):
+        like = LaplaceLikelihood()
+        data = rng.normal(size=n).tolist()
+        for i, y in enumerate(data):
+            like.add_datum(i, y)
+        # the current mean on a datum, and away from all of them
+        for u in (np.array([data[0], 0.3]), rng.normal(size=2)):
+
+            def per_datum(v, n=n, data=data):
+                return -n * (math.log(2.0) + v[1]) - _abs_sum_per_datum(data, v[0]) / ad.exp(v[1])
+
+            want_val, want_grad = ad.gradient(per_datum, u)
+            got_val, got_grad = ad.gradient(like.cluster_lpdf_from_unconstrained, u)
+            assert _bits(got_val) == _bits(want_val)
+            assert _bits(got_grad) == _bits(want_grad)
+            assert _bits(like.cluster_lpdf_from_unconstrained(u)) == _bits(per_datum(u))

@@ -9,13 +9,6 @@ def check_positive(value, name):
     return float(value)
 
 
-def check_nonnegative_int(value, name):
-    iv = int(value)
-    if iv != value or iv < 0:
-        raise ValueError(f"'{name}' must be a non-negative integer, got {value!r}")
-    return iv
-
-
 def check_positive_int(value, name):
     iv = int(value)
     if iv != value or iv < 1:

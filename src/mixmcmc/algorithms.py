@@ -80,12 +80,25 @@ class _BaseAlgorithm:
                 collector.collect(self._snapshot(it))
         collector.finish_collecting()
 
-    def _component_list(self):
+    def _initial_num_clusters(self):
         raise NotImplementedError
+
+    def _initialize(self, rng):
+        """Draw the starting clusters from the prior and stripe the data over them."""
+        n, k0 = self.n, self._initial_num_clusters()
+        stripes = min(self.init_num_clusters, k0, n)
+        self.allocations = np.array([i % stripes for i in range(n)], dtype=int)
+        self.clusters = []
+        for _ in range(k0):
+            cluster = self.template.clone()
+            cluster.sample_prior(rng)
+            self.clusters.append(cluster)
+        for i in range(n):
+            self.clusters[self.allocations[i]].add_datum(i, self._rows[i])
 
     def _snapshot(self, iteration):
         cluster_states = [
-            ClusterParams(cl.card, cl.state.to_params()) for cl in self._component_list()
+            ClusterParams(cl.card, cl.state.to_params()) for cl in self.clusters
         ]
         return ChainState(
             iteration,
@@ -94,26 +107,56 @@ class _BaseAlgorithm:
             self.mixing.state_params(),
         )
 
-    def _scratch_likelihood(self):
-        return self.template.likelihood.clone_empty()
+    def _record_log_weights(self, record, mixing):
+        """Log weights of one record, the mixing set to its state.
 
-    def eval_lpdf_grid(self, collector, grid, rng=None):
-        """Per-record mixture log density on a grid; rows follow the chain order."""
+        One per cluster of the record and, for a marginal sampler, a last one
+        for a new cluster, whose density is ``_new_cluster_lpdf``.
+        """
+        raise NotImplementedError
+
+    def _record_rows(self, records, grid, rng):
+        """Yield, per record, its rows log w_h + log f_h(grid), one per weight.
+
+        Each cluster's state is rebuilt once from its params; a row whose
+        weight is -inf is -inf, its density not evaluated.
+        """
+        scratch = self.template.likelihood.clone_empty()
+        state_cls = type(self.template.state)
+        mixing = copy.copy(self.mixing)
+        for record in records:
+            mixing.set_state_params(record.mixing_params)
+            log_w = self._record_log_weights(record, mixing)
+            rows = np.empty((len(log_w), grid.shape[0]))
+            for h, (w, cs) in enumerate(zip(log_w.tolist(), record.cluster_states)):
+                if math.isfinite(w):
+                    scratch.state = state_cls.from_params(cs.params)
+                    rows[h] = scratch.lpdf_grid(grid)
+                else:
+                    rows[h] = -np.inf
+            if len(log_w) > len(record.cluster_states):
+                rows[-1] = self._new_cluster_lpdf(grid, scratch, rng)
+            rows += log_w[:, None]
+            yield rows
+
+    def eval_lpdf_grid(self, records, grid, rng=None):
+        """Per-record mixture log density on a grid; rows follow the chain order.
+
+        ``records`` is a collector or a list of its records.
+        """
         grid = check_data_matrix(grid, "grid")
-        if collector.get_size() == 0:
+        if len(records) == 0:
             raise ValueError("cannot evaluate densities on an empty chain")
         if rng is None:
             rng = np.random.default_rng(0)
-        scratch = self._scratch_likelihood()
-        state_cls = type(self.template.state)
-        mixing = copy.copy(self.mixing)
-        rows = []
-        for record in collector:
-            mixing.set_state_params(record.mixing_params)
-            rows.append(
-                self._record_lpdf_grid(record, grid, scratch, state_cls, mixing, rng)
-            )
-        return np.vstack(rows)
+        return np.vstack([_logsumexp_rows(rows) for rows in self._record_rows(records, grid, rng)])
+
+
+def _logsumexp_rows(stacked):
+    mx = np.max(stacked, axis=0)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    with np.errstate(divide="ignore"):  # a column of -inf sums to log(0) = -inf
+        return mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
 
 
 class _Memo(dict):
@@ -162,7 +205,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         new_candidates = self._new_candidates(rng)
         rows, labels, sizes, stats = self._rows, self._labels, self._sizes, self._stats
         log_masses, scorers, update_stats = self._log_masses, self._scorers, self._update_stats
-        log_new_mass = _Memo(lambda k: self.mixing.mass_new_cluster(n, k, log=True))
+        log_new_mass = _Memo(lambda k: self.mixing.mass_new_cluster(n, k))
         for i in range(n):
             stashed = self._remove_datum(i)
             if self._dirty:
@@ -199,20 +242,8 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         """State of datum i's chosen candidate j; None draws it from the full conditional."""
         return None
 
-    def _initialize(self, rng):
-        n = self.n
-        k0 = min(self.init_num_clusters, n)
-        self.clusters = []
-        self.allocations = np.array([i % k0 for i in range(n)], dtype=int)
-        for _ in range(k0):
-            cluster = self.template.clone()
-            cluster.sample_prior(rng)
-            self.clusters.append(cluster)
-        for i in range(n):
-            self.clusters[self.allocations[i]].add_datum(i, self._rows[i])
-
-    def _component_list(self):
-        return self.clusters
+    def _initial_num_clusters(self):
+        return min(self.init_num_clusters, self.n)
 
     def _counts(self):
         return [cl.card for cl in self.clusters]
@@ -226,7 +257,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         # the existing-cluster mass depends on n and the size only, and the
         # mixing state is fixed during a sweep
         self._mass_of_size = _Memo(
-            lambda size: mixing.mass_existing_cluster(n, size, len(sizes), log=True))
+            lambda size: mixing.mass_existing_cluster(n, size, len(sizes)))
         self._log_masses = [self._mass_of_size[size] for size in sizes]
         self._scorers = [self._cluster_scorer(h) for h in range(len(sizes))]
         self._dirty = set()  # clusters whose member-dependent scorer is stale
@@ -300,32 +331,20 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             cluster.sample_full_cond(rng)
         self.mixing.update_state(self._counts(), self.n, rng)
 
-    def _record_lpdf_grid(self, record, grid, scratch, state_cls, mixing, rng):
-        n = record.allocations.shape[0]
-        k = len(record.cluster_states)
-        log_masses = np.empty(k + 1)
-        parts = np.empty((k + 1, grid.shape[0]))
-        for h, cs in enumerate(record.cluster_states):
-            log_masses[h] = mixing.mass_existing_cluster(n, cs.cardinality, k, log=True)
-            scratch.state = state_cls.from_params(cs.params)
-            parts[h] = scratch.lpdf_grid(grid)
-        log_masses[k] = mixing.mass_new_cluster(n, k, log=True)
+    def _record_log_weights(self, record, mixing):
+        n, k = record.allocations.shape[0], len(record.cluster_states)
+        log_masses = np.array(
+            [mixing.mass_existing_cluster(n, cs.cardinality, k) for cs in record.cluster_states]
+            + [mixing.mass_new_cluster(n, k)])
+        return log_masses - logsumexp(log_masses)
+
+    def _new_cluster_lpdf(self, grid, scratch, rng):
+        """Log density of a new cluster on the grid, for one record."""
         if self.template.is_conjugate():
-            parts[k] = self.template.prior_predictive().lpdf_grid(grid)
-        else:
-            # plug-in new-cluster term: one prior draw per record
-            scratch.state = self.template.prior.sample(rng)
-            parts[k] = scratch.lpdf_grid(grid)
-        log_weights = log_masses - logsumexp(log_masses)
-        stacked = log_weights[:, None] + parts
-        return _logsumexp_rows(stacked)
-
-
-def _logsumexp_rows(stacked):
-    mx = np.max(stacked, axis=0)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    with np.errstate(divide="ignore"):  # a column of -inf sums to log(0) = -inf
-        return mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
+            return self.template.prior_predictive().lpdf_grid(grid)
+        # plug-in new-cluster term: one prior draw per record
+        scratch.state = self.template.prior.sample(rng)
+        return scratch.lpdf_grid(grid)
 
 
 class Neal2Algorithm(_MarginalAlgorithm):
@@ -372,7 +391,7 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def _new_candidates(self, rng):
         n, n_aux, data = self.n, self.n_aux, self.data
         block = max(1, _AUX_BATCH_CELLS // (n_aux * data.shape[1] ** 2))
-        like = self._scratch_likelihood()
+        like = self.template.likelihood.clone_empty()
         rows, log_naux = self._rows, math.log(n_aux)
         scores = []
 
@@ -403,54 +422,32 @@ class BlockedGibbsAlgorithm(_BaseAlgorithm):
     algo_id = "BlockedGibbs"
     requires_conditional_mixing = True
 
-    def _initialize(self, rng):
-        n = self.n
-        m = self.mixing.num_components
-        k0 = min(self.init_num_clusters, m, n)
-        self.components = []
-        self.allocations = np.array([i % k0 for i in range(n)], dtype=int)
-        for _ in range(m):
-            comp = self.template.clone()
-            comp.sample_prior(rng)
-            self.components.append(comp)
-        for i in range(n):
-            self.components[self.allocations[i]].add_datum(i, self._rows[i])
-
-    def _component_list(self):
-        return self.components
+    def _initial_num_clusters(self):
+        return self.mixing.num_components
 
     def step(self, rng):
         n = self.n
         m = self.mixing.num_components
-        log_w = self.mixing.get_weights(log=True)
+        log_w = self.mixing.get_weights()
         logits = np.empty((m, n))
-        for h, comp in enumerate(self.components):
-            logits[h] = log_w[h] + comp.like_lpdf_grid(self.data)
+        for h, comp in enumerate(self.clusters):
+            logits[h] = log_w[h] + comp.likelihood.lpdf_grid(self.data)
         mx = logits.max(axis=0)
         probs = np.exp(logits - mx)
         probs /= probs.sum(axis=0)
         cum = np.cumsum(probs, axis=0)
         new_alloc = np.minimum((cum < rng.random(n)).sum(axis=0), m - 1)
         for i in np.nonzero(new_alloc != self.allocations)[0]:
-            self.components[self.allocations[i]].remove_datum(int(i), self._rows[i])
-            self.components[new_alloc[i]].add_datum(int(i), self._rows[i])
+            self.clusters[self.allocations[i]].remove_datum(int(i), self._rows[i])
+            self.clusters[new_alloc[i]].add_datum(int(i), self._rows[i])
             self.allocations[i] = new_alloc[i]
         counts = np.bincount(self.allocations, minlength=m)
         self.mixing.update_state(counts, n, rng)
-        for comp in self.components:
+        for comp in self.clusters:
             comp.sample_full_cond(rng)
 
-    def _record_lpdf_grid(self, record, grid, scratch, state_cls, mixing, rng):
-        with np.errstate(divide="ignore"):
-            log_w = mixing.get_weights(log=True)
-        m = len(record.cluster_states)
-        parts = np.full((m, grid.shape[0]), -np.inf)
-        for h, cs in enumerate(record.cluster_states):
-            if not np.isfinite(log_w[h]):
-                continue
-            scratch.state = state_cls.from_params(cs.params)
-            parts[h] = log_w[h] + scratch.lpdf_grid(grid)
-        return _logsumexp_rows(parts)
+    def _record_log_weights(self, record, mixing):
+        return mixing.get_weights()
 
 
 _ALGORITHM_CLASSES = {

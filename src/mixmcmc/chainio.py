@@ -158,9 +158,6 @@ class MemoryCollector:
     def collect(self, state):
         self._states.append(state)
 
-    def get_size(self):
-        return len(self._states)
-
     def reset(self):
         """Discard all collected states."""
         self._states = []
@@ -210,9 +207,6 @@ class FileCollector:
         self._handle.write(encode_state(state))
         self._handle.write("\n")
         self._size += 1
-
-    def get_size(self):
-        return self._size
 
     def _read_records(self):
         if self._handle is not None:

@@ -85,11 +85,12 @@ def _run_mcmc(args):
         collector = FileCollector(args.coll_name)
     rng = np.random.default_rng(params.rng_seed)
     algorithm.run(data, params.iterations, params.burnin, collector, rng)
+    records = list(collector)  # the one replay of the chain
 
     if args.grid_file and args.dens_file:
         grid = read_csv_matrix(args.grid_file)
         eval_rng = np.random.default_rng([params.rng_seed, 1])
-        lpdf = algorithm.eval_lpdf_grid(collector, grid, rng=eval_rng)
+        lpdf = algorithm.eval_lpdf_grid(records, grid, rng=eval_rng)
         write_csv_matrix(args.dens_file, lpdf)
         if args.dens_mean == "mean":
             summary = postprocess.log_mean_density(lpdf)
@@ -97,11 +98,11 @@ def _run_mcmc(args):
             summary = postprocess.mean_log_density(lpdf)
         write_csv_matrix(_mean_sibling_path(args.dens_file), summary.reshape(1, -1))
     if args.n_cl_file:
-        write_csv_matrix(args.n_cl_file, postprocess.num_clusters_chain(collector))
+        write_csv_matrix(args.n_cl_file, postprocess.num_clusters_chain(records))
     if args.clus_file:
-        write_csv_matrix(args.clus_file, postprocess.allocation_matrix(collector))
+        write_csv_matrix(args.clus_file, postprocess.allocation_matrix(records))
     if args.best_clus_file:
-        best = postprocess.binder_best_clustering(collector)
+        best = postprocess.binder_best_clustering(records)
         write_csv_matrix(args.best_clus_file, best.reshape(1, -1))
     return 0
 

@@ -25,6 +25,7 @@ from .exceptions import ConfigError
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CHARS = _IDENT_START | set("0123456789")
 _NUMBER_CHARS = set("0123456789+-.eE")
+_EXACT_INT_LIMIT = 2 ** 53
 
 
 @dataclass
@@ -68,6 +69,9 @@ class ConfigTree:
 
     def get_int(self, key, default=None):
         v = self.get_float(key, None if default is None else float(default))
+        if abs(v) >= _EXACT_INT_LIMIT:
+            # a float this large may not be the integer written in the file
+            raise ConfigError(f"key '{key}' must be an integer of magnitude below 2**53, got {v!r}")
         if v != int(v):
             raise ConfigError(f"key '{key}' must be integer-valued, got {v}")
         return int(v)

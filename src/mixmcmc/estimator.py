@@ -8,8 +8,6 @@ or build pipelines. ``fit`` runs the configured chain on the data;
 ``predict`` assigns new points to the clusters of that same partition.
 """
 
-import copy
-
 import numpy as np
 
 from . import postprocess
@@ -206,26 +204,11 @@ class BayesianMixture:
         self._check_fitted()
         X = check_data_matrix(X, "X")
         record = self.best_record_
-        template = self.algorithm_.template
-        scratch = template.likelihood.clone_empty()
-        state_cls = type(template.state)
-        n = record.allocations.shape[0]
-        k = len(record.cluster_states)
-        mixing = copy.copy(self.algorithm_.mixing)
-        mixing.set_state_params(record.mixing_params)
-        if mixing.is_conditional():
-            log_w = mixing.get_weights(log=True)
-        scores = np.full((k, X.shape[0]), -np.inf)
-        for h, cs in enumerate(record.cluster_states):
-            if cs.cardinality == 0:
-                continue
-            if mixing.is_conditional():
-                log_mass = log_w[h]
-            else:
-                log_mass = mixing.mass_existing_cluster(n, cs.cardinality, k, log=True)
-            scratch.state = state_cls.from_params(cs.params)
-            scores[h] = log_mass + scratch.lpdf_grid(X)
-        return scores.argmax(axis=0)
+        rows = next(self.algorithm_._record_rows([record], X, np.random.default_rng(0)))
+        # argmax over the record's non-empty clusters, without a new-cluster row
+        rows = rows[:len(record.cluster_states)]
+        rows[[cs.cardinality == 0 for cs in record.cluster_states]] = -np.inf
+        return rows.argmax(axis=0)
 
     def score_samples(self, X):
         """Posterior-mean predictive log density at the rows of X."""

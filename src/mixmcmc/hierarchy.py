@@ -77,12 +77,6 @@ class Hierarchy:
             self.likelihood.clone_empty(), self.prior, self.updater, self.name
         )
 
-    def get_like_lpdf(self, datum):
-        return self.likelihood.lpdf(datum)
-
-    def like_lpdf_grid(self, grid):
-        return self.likelihood.lpdf_grid(grid)
-
     def add_datum(self, datum_id, datum):
         self.likelihood.add_datum(datum_id, datum)
 
@@ -218,13 +212,13 @@ def build_hierarchy(hier_type, args):
         prior = GammaPrior(hypers)
         like = GammaLikelihood(hypers.shape)
 
-    updater_name = args.get("updater")
+    updater_name = args.get_str("updater") if args.has("updater") else None
     if updater_name is None and hier_type == "LapNIG":
         updater_name = "rwmh"
     if updater_name is None:
         updater = _default_updater(hier_type)
     else:
-        step_size = args.get("step_size")
+        step_size = args.get_float("step_size") if args.has("step_size") else None
         num_steps = args.get_int("num_steps", 1)
         updater = build_metropolis_updater(updater_name, step_size, num_steps)
     return Hierarchy(like, prior, updater, name=hier_type)

@@ -1,9 +1,9 @@
 """Priors on mixture weights and the partition masses they induce.
 
 Marginal mixings (Dirichlet process, Pitman-Yor) expose the unnormalized
-masses assigned to joining an existing cluster or opening a new one; the
-truncated stick-breaking mixing instead carries explicit weights for a
-fixed number of components. ``update_state`` resamples whatever part of the
+log masses assigned to joining an existing cluster or opening a new one;
+the truncated stick-breaking mixing instead carries explicit weights for a
+fixed number of components, given as log weights. ``update_state`` resamples whatever part of the
 mixing state has a full conditional (stick fractions; the concentration
 under its optional Gamma hyperprior) and is a no-op otherwise.
 
@@ -40,11 +40,11 @@ class DirichletMixing:
     def is_conditional(self):
         return False
 
-    def mass_existing_cluster(self, n, n_h, k, log=False):
-        return math.log(n_h) if log else float(n_h)
+    def mass_existing_cluster(self, n, n_h, k):
+        return math.log(n_h)
 
-    def mass_new_cluster(self, n, k, log=False):
-        return math.log(self.totalmass) if log else self.totalmass
+    def mass_new_cluster(self, n, k):
+        return math.log(self.totalmass)
 
     def update_state(self, cluster_sizes, n, rng):
         if self.gamma_prior is None:
@@ -78,13 +78,11 @@ class PitYorMixing:
     def is_conditional(self):
         return False
 
-    def mass_existing_cluster(self, n, n_h, k, log=False):
-        mass = n_h - self.discount
-        return math.log(mass) if log else mass
+    def mass_existing_cluster(self, n, n_h, k):
+        return math.log(n_h - self.discount)
 
-    def mass_new_cluster(self, n, k, log=False):
-        mass = self.strength + self.discount * k
-        return math.log(mass) if log else mass
+    def mass_new_cluster(self, n, k):
+        return math.log(self.strength + self.discount * k)
 
     def update_state(self, cluster_sizes, n, rng):
         pass
@@ -114,22 +112,21 @@ class TruncatedSBMixing:
     def is_conditional(self):
         return True
 
-    def mass_existing_cluster(self, n, n_h, k, log=False):
+    def mass_existing_cluster(self, n, n_h, k):
         raise CapabilityError("truncated stick-breaking has no marginal masses")
 
-    def mass_new_cluster(self, n, k, log=False):
+    def mass_new_cluster(self, n, k):
         raise CapabilityError("truncated stick-breaking has no marginal masses")
 
-    def get_weights(self, log=False):
+    def get_weights(self):
+        """Log weights of the m components (-inf where a weight underflows)."""
         v = self.sticks
         remain = np.concatenate(([1.0], np.cumprod(1.0 - v)))
         weights = np.empty(self.num_components)
         weights[:-1] = v * remain[:-1]
         weights[-1] = remain[-1]
-        if log:
-            with np.errstate(divide="ignore"):
-                return np.log(weights)
-        return weights
+        with np.errstate(divide="ignore"):
+            return np.log(weights)
 
     def update_state(self, cluster_sizes, n, rng):
         counts = np.asarray(cluster_sizes, dtype=float)

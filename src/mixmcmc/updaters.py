@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
+from ._validation import check_positive_int
 from .exceptions import CapabilityError
 from .likelihoods import squared_norm_rows, whiten_rows
 from .priors import GammaPriorHypers, NIGHypers, NWHypers
@@ -274,7 +275,7 @@ class RandomWalkUpdater:
         if step_size <= 0:
             raise ValueError("step_size must be positive")
         self.step_size = step_size
-        self.num_steps = num_steps
+        self.num_steps = check_positive_int(num_steps, "num_steps")
 
     def is_conjugate(self):
         return False
@@ -309,7 +310,7 @@ class MALAUpdater:
         if step_size <= 0:
             raise ValueError("step_size must be positive")
         self.step_size = step_size
-        self.num_steps = num_steps
+        self.num_steps = check_positive_int(num_steps, "num_steps")
 
     def is_conjugate(self):
         return False

@@ -5,11 +5,17 @@ synthetic set, and the hash of its encoded records must match the pinned
 value. A refactor that should not change the sampler keeps every hash; a
 change that moves chain bits must update the hashes here and say so.
 
+The post-processing of the same chains is pinned too: the per-record
+density grid of ``eval_lpdf_grid`` on a fixed grid with a fixed generator
+(``GRID_SHA256``), and the labels ``BayesianMixture.predict`` gives the
+grid points (``PREDICT_SHA256``).
+
 The hashes depend on the floating-point results of the numpy build (libm,
 BLAS/LAPACK for the NNW cells), so another build may need them recorded
-again: ``python tests/test_chain_hashes.py`` prints the current table.
+again: ``python tests/test_chain_hashes.py`` prints the current tables.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,6 +23,7 @@ import pytest
 
 from mixmcmc import (
     ALGORITHM_IDS,
+    BayesianMixture,
     HIERARCHY_TYPES,
     MIXING_TYPES,
     MemoryCollector,
@@ -75,6 +82,64 @@ CHAIN_SHA256 = {
     "BlockedGibbs/NNW/TruncSB": "fed3f8fc087b03ae3771e9f7f61f16905d5d05e9d80a0d376faaa80e4554ad11",
     "BlockedGibbs/GammaGamma/TruncSB": "bf33779065a9f61dd32667a4e48ccc9c8de37285d8e0f103873efaa6149d3057",
 }
+GRID_SHA256 = {
+    "Neal2/NNIG/DP": "c8293f9df0c9b6fdaeb8d37b63f066e057339c80e122bf06ab7b9e6b76fab568",
+    "Neal2/NNIG/PY": "0804fb1c81ecd8c744d542705f9e0209f39e1aea547f348a27cb6ddc79556af9",
+    "Neal2/NNW/DP": "4e9b8887b98e8ed12d6a8e2ff9c18f8f383a920f581872fbb6f2d545e3f5ace8",
+    "Neal2/NNW/PY": "fa0360a1b0ae52befffbf3cd1eb61ae5f0c5c06729a2fd5e6f2745139d729e88",
+    "Neal2/GammaGamma/DP": "10d9e37b1f49addc284cad92f2a8928d59c8f642b4c4ae9aab13b840bd4f032b",
+    "Neal2/GammaGamma/PY": "c76a40f59166da94dd344617dacc2158c981064ab0964ec3e2529399701401af",
+    "Neal3/NNIG/DP": "56349ff851152ac36c01a9f830d4ddc722974ae04c072d32fd40effde523fd4b",
+    "Neal3/NNIG/PY": "16a14d33632596ebb9291ff992d836e9ce55738d943802ff65fc766458b1a591",
+    "Neal3/NNW/DP": "685506090d404c805980c20ae82bd4c31f3b6123ea4d9a837442fd8aececa01a",
+    "Neal3/NNW/PY": "d6e3225b9f8e7189a6c47d5aae80b3cfa97ebb9cffd48e91e66bb9c7a02a70b0",
+    "Neal3/GammaGamma/DP": "7b3247ca4eed24fd70d6a0a900b6d5f2bcee780e61653ab0e1a9a18f32375acc",
+    "Neal3/GammaGamma/PY": "9a374defed08c230a19f3d6e2f2eef81c62b1d78c0b8287bd7983b89f5c48947",
+    "Neal8/NNIG/DP": "f14310c72ad43d9d6a777c3c334aedfb6ba075526d5b6d8fabf29e9148479258",
+    "Neal8/NNIG/PY": "7f13e8ad3e69f232e8b9e74dc8b94a67e48b8e6b3acd50f44e09e2b84cf1cc98",
+    "Neal8/NNxIG/DP": "a0d06614f60ffabe8092532b8edaebae51024c42c4392b00f664befc9958019f",
+    "Neal8/NNxIG/PY": "ccacb274f17a32f6b1c602d22d6cb85dfdb7c9b452f221c8d928bd2fe4293d0a",
+    "Neal8/LapNIG/DP": "ec11269e490e6feaecdf527a6d2ca31775bd93093825b9ba65face4340c2a203",
+    "Neal8/LapNIG/PY": "c8e6ba8b6ca68c1ec25e8a2c77b862e699d7282ba2764a594ef2fb6d4468f0db",
+    "Neal8/NNW/DP": "42de2d7ac772bc64427bdf1c78ce45f0c6c4e2eef3ab180ac823b86c192e2bca",
+    "Neal8/NNW/PY": "dc42cb9d83c49aaa5dc0839064a744a3f2e609268b769fee1d134c4d08a115ab",
+    "Neal8/GammaGamma/DP": "e64a21746e6409aee93f0178563965320110bd773c383707ca0ad6efebe8b3a3",
+    "Neal8/GammaGamma/PY": "255acd6858c72f27fd911a3201f96bc15732f5f989932a61a2a6b7e39a45ac43",
+    "BlockedGibbs/NNIG/TruncSB": "8e5ff1cdb7290dfbdb3d4c5f932aae089f17837783637242bee119d8565809c1",
+    "BlockedGibbs/NNxIG/TruncSB": "9acf3c459d352741794a741c4864cc37b7bc4b50d7525dcc700e2eff0c5164bc",
+    "BlockedGibbs/LapNIG/TruncSB": "a6d2b3ce5ababd8c2c0e6b5b5729619141a4fc833c3daf185930e54feb5fef7f",
+    "BlockedGibbs/NNW/TruncSB": "26389504ca0a4b1c69a01a68979233ff2c7155e66dcfaac24a1dc24a7a23bfc4",
+    "BlockedGibbs/GammaGamma/TruncSB": "d65ab2240e57175ace78cd3469e836273301ba725d7ed10d90791e59482c78a9",
+}
+PREDICT_SHA256 = {
+    "Neal2/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal2/NNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal2/NNW/DP": "f2be067d8b41772673890a47e2dc8fd9b9ad0ebe2a99e6c9409cbbc240f79e27",
+    "Neal2/NNW/PY": "1ee4e91e158ccc9c92977656f544e62bf7702f4ae5def917b23831b4b70a88ac",
+    "Neal2/GammaGamma/DP": "e7e7fff181e5c907f937402faf531cb7b699f65242285fe2176338738567c7ae",
+    "Neal2/GammaGamma/PY": "e1c6b98eab91f0ea9fed2aa4417c854e5d96ae45822a6d1c19eecbc10c329c92",
+    "Neal3/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal3/NNIG/PY": "dd937b4fcede1ba4df9e6aa747b1032d9b444170744440f9c8297fd472046eb8",
+    "Neal3/NNW/DP": "0b8244d88200c50763af3987c03f908841c86127ad78363fd4f9fab15919c52b",
+    "Neal3/NNW/PY": "8d92e7cfac9f22a06a6cb11b3d73f9d5e95602dc4fdf4a68b3e45371a0274669",
+    "Neal3/GammaGamma/DP": "e7e7fff181e5c907f937402faf531cb7b699f65242285fe2176338738567c7ae",
+    "Neal3/GammaGamma/PY": "0ad9287a2e910b771bc1e57410cff9316ed0148606715c0cb1aa265e968c4723",
+    "Neal8/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal8/NNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal8/NNxIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal8/NNxIG/PY": "e49e118cd938ad5116cbeb8c1cccc8fc6016147a3ca450b7356b4c852a719e0f",
+    "Neal8/LapNIG/DP": "b3c7c6e8a96a7f04dcb610002e52b129a0477e30c2dcbe92ebea30b3bacc9f47",
+    "Neal8/LapNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+    "Neal8/NNW/DP": "3422751cffd8c91c8fd428ec487017403069eaa76162cd0e6a2e9670f2f2847f",
+    "Neal8/NNW/PY": "245c361f5178a21e20d67f4b227d420e95044e3cd46348918fea47f864d105db",
+    "Neal8/GammaGamma/DP": "0ad9287a2e910b771bc1e57410cff9316ed0148606715c0cb1aa265e968c4723",
+    "Neal8/GammaGamma/PY": "67ba52b817976d5651a44f483acbd1dd39cd20aa9100965669054b04cb52f0b1",
+    "BlockedGibbs/NNIG/TruncSB": "f7bccb807955f639344c2bb293637009f85814d7eae0ec770078a2843f3bfe9f",
+    "BlockedGibbs/NNxIG/TruncSB": "e49e118cd938ad5116cbeb8c1cccc8fc6016147a3ca450b7356b4c852a719e0f",
+    "BlockedGibbs/LapNIG/TruncSB": "d7c418549aac76e9cd783d49262ffc17c75e6d52a6890fa5a416133ee5ae4e25",
+    "BlockedGibbs/NNW/TruncSB": "a8081fd051686287dd846ce5d7c2636b589e7d0e2a2c72c6896f87fcce6fa659",
+    "BlockedGibbs/GammaGamma/TruncSB": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
+}
 
 
 def _data(hier_type):
@@ -114,9 +179,40 @@ def chain_sha256(cell):
     return digest.hexdigest()
 
 
+def _grid(hier_type):
+    if hier_type == "NNW":
+        axis = np.linspace(-4.0, 4.0, 4)
+        return np.array([[x, y] for x in axis for y in axis])
+    if hier_type == "GammaGamma":
+        return np.linspace(0.1, 3.0, 15).reshape(-1, 1)
+    return np.linspace(-7.0, 7.0, 15).reshape(-1, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted(cell):
+    """The estimator fitted on the cell's chain (the same chain as chain_sha256's)."""
+    algo, hier_type, mix_type = cell.split("/")
+    est = BayesianMixture(hier_type, HIER_ARGS[hier_type], mix_type, MIX_ARGS[mix_type],
+                          algo, ITERATIONS, BURNIN, random_state=SEED)
+    return est.fit(_data(hier_type))
+
+
+def grid_sha256(cell):
+    est = _fitted(cell)
+    lpdf = est.algorithm_.eval_lpdf_grid(est.collector_, _grid(cell.split("/")[1]),
+                                         rng=np.random.default_rng([SEED, 1]))
+    return hashlib.sha256(np.ascontiguousarray(lpdf, dtype=np.float64).tobytes()).hexdigest()
+
+
+def predict_sha256(cell):
+    labels = _fitted(cell).predict(_grid(cell.split("/")[1]))
+    return hashlib.sha256(np.asarray(labels, dtype=np.int64).tobytes()).hexdigest()
+
+
 def test_every_valid_cell_is_pinned():
     assert sorted(_valid_cells()) == sorted(CHAIN_SHA256)
     assert len(CHAIN_SHA256) == 27
+    assert sorted(GRID_SHA256) == sorted(PREDICT_SHA256) == sorted(CHAIN_SHA256)
 
 
 @pytest.mark.parametrize("cell", sorted(CHAIN_SHA256))
@@ -124,8 +220,20 @@ def test_chain_bits_are_unchanged(cell):
     assert chain_sha256(cell) == CHAIN_SHA256[cell]
 
 
+@pytest.mark.parametrize("cell", sorted(GRID_SHA256))
+def test_density_grid_bits_are_unchanged(cell):
+    assert grid_sha256(cell) == GRID_SHA256[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(PREDICT_SHA256))
+def test_predict_labels_are_unchanged(cell):
+    assert predict_sha256(cell) == PREDICT_SHA256[cell]
+
+
 if __name__ == "__main__":
-    print("CHAIN_SHA256 = {")
-    for name in _valid_cells():
-        print(f'    "{name}": "{chain_sha256(name)}",')
-    print("}")
+    for table, fn in (("CHAIN_SHA256", chain_sha256), ("GRID_SHA256", grid_sha256),
+                      ("PREDICT_SHA256", predict_sha256)):
+        print(f"{table} = {{")
+        for name in _valid_cells():
+            print(f'    "{name}": "{fn(name)}",')
+        print("}")

@@ -91,11 +91,11 @@ def test_memory_collector_basics():
     for s in states:
         col.collect(s)
     col.finish_collecting()
-    assert col.get_size() == 3
+    assert len(col) == 3
     assert list(col) == states
     assert list(col) == states  # every pass replays from the start
     col.reset()
-    assert col.get_size() == 0
+    assert len(col) == 0
     assert list(col) == []
 
 
@@ -112,13 +112,13 @@ def test_file_collector_round_trip(tmp_path):
     for s in states:
         col.collect(s)
     col.finish_collecting()
-    assert col.get_size() == 20
+    assert len(col) == 20
     # replay from the same collector, twice
     assert list(col) == states
     assert list(col) == states
     # reopening the file yields the same chain
     fresh = FileCollector(path)
-    assert fresh.get_size() == 20
+    assert len(fresh) == 20
     assert list(fresh) == states
 
 
@@ -133,7 +133,7 @@ def test_file_collector_reading_keeps_collected_records(tmp_path):
     assert list(col) == states[:3]
     col.collect(states[3])
     col.finish_collecting()
-    assert col.get_size() == 4
+    assert len(col) == 4
     assert list(col) == states
     assert list(FileCollector(path)) == states
     # a collect after the chain is closed appends to it
@@ -181,7 +181,7 @@ def test_file_collector_reset_truncates(tmp_path):
     col.collect(random_state(np.random.default_rng(55), 0))
     col.finish_collecting()
     col.reset()
-    assert col.get_size() == 0
+    assert len(col) == 0
     assert path.read_text() == ""
 
 

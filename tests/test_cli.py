@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mixmcmc import svgplot
+from mixmcmc import chainio, svgplot
 from mixmcmc.chainio import read_csv_matrix
 from mixmcmc.cli import main
 
@@ -119,6 +119,47 @@ def test_byte_identical_outputs_across_runs(tmp_path):
         assert main(args) == 0
     for name in ("chains.chain", "dens.csv", "dens.mean.csv", "ncl.csv", "clus.csv", "best.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_file_chain_is_decoded_once(tmp_path, monkeypatch):
+    # every output reads the one decoded list: one decode per record
+    decoded = []
+    decode = chainio.decode_state
+
+    def counting_decode(line, record_index=None):
+        decoded.append(record_index)
+        return decode(line, record_index)
+
+    monkeypatch.setattr(chainio, "decode_state", counting_decode)
+    file_out, memory_out = tmp_path / "file", tmp_path / "memory"
+    for out, chain in ((file_out, str(file_out / "chains.chain")), (memory_out, "memory")):
+        out.mkdir()
+        _write_run_inputs(out)
+        args = _full_run_args(out)
+        args[args.index("--coll-name") + 1] = chain
+        assert main(args) == 0
+    assert decoded == list(range(1, 201))
+    for name in ("dens.csv", "dens.mean.csv", "ncl.csv", "clus.csv", "best.csv"):
+        assert (file_out / name).read_bytes() == (memory_out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("extra", [
+    "updater: \"rwmh\"\nnum_steps: 0\n",
+    "updater: \"mala\"\nnum_steps: -3\n",
+    "updater: \"rwmh\"\nstep_size: \"abc\"\n",
+    "updater: \"mala\"\nstep_size: true\n",
+    "updater: [1.0]\n",
+])
+def test_bad_metropolis_arguments_exit_with_an_error_line(tmp_path, capsys, extra):
+    _write_run_inputs(tmp_path, algo_text=ALGO_TEXT.replace('"Neal2"', '"Neal8"'))
+    (tmp_path / "lap.txt").write_text(
+        "fixed_values {\n mean: 0.0\n var: 25.0\n shape: 2.0\n scale: 2.0\n}\n" + extra
+    )
+    args = _full_run_args(tmp_path)
+    args[args.index("NNIG")] = "LapNIG"
+    args[args.index("--hier-args") + 1] = str(tmp_path / "lap.txt")
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gamma_density_on_a_grid_reaching_zero_is_written(tmp_path):

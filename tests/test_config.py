@@ -180,6 +180,19 @@ def test_algo_params_unknown_algorithm():
         )
 
 
+def test_integers_beyond_exact_floats_are_rejected():
+    # 2**53 + 1 reads as the float 2**53: the value in the file would be lost
+    tree = parse_config("seed: 9007199254740993\nlow: -9007199254740992\nok: 9007199254740991\n")
+    for key in ("seed", "low"):
+        with pytest.raises(ConfigError, match=key):
+            tree.get_int(key)
+    assert tree.get_int("ok") == 2 ** 53 - 1
+    with pytest.raises(ConfigError, match="rng_seed"):
+        parse_algo_params(parse_config(
+            'algo_id: "Neal2"\nrng_seed: 9007199254740993\niterations: 10\n'
+            "burnin: 1\ninit_num_clusters: 1\n"))
+
+
 def test_algo_params_missing_key():
     with pytest.raises(ConfigError):
         parse_algo_params(parse_config('algo_id: "Neal2"\nrng_seed: 1\n'))

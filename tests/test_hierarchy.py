@@ -28,13 +28,6 @@ def _nnig():
     return build_hierarchy("NNIG", NNIG_ARGS)
 
 
-def test_get_like_lpdf_delegates():
-    h = _nnig()
-    h.state = UniLSState(0.0, 1.0)
-    assert h.get_like_lpdf(0.0) == h.likelihood.lpdf(0.0)
-    assert h.get_like_lpdf(0.0) == pytest.approx(-0.5 * math.log(2 * math.pi))
-
-
 def test_build_from_config_text():
     text = """
     fixed_values {
@@ -212,6 +205,18 @@ def test_clone_shares_no_mutable_state():
     assert h.card == 1
     assert h.likelihood.data_sum == 2.0
     assert h.state == UniLSState(5.0, 2.0)
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"updater": "rwmh", "num_steps": 0}, "num_steps"),
+    ({"updater": "mala", "num_steps": -1}, "num_steps"),
+    ({"updater": "rwmh", "step_size": "abc"}, "step_size"),
+    ({"updater": "mala", "step_size": True}, "step_size"),
+    ({"updater": [1.0]}, "updater"),
+])
+def test_bad_metropolis_arguments_are_rejected(extra, key):
+    with pytest.raises((ConfigError, ValueError), match=key):
+        build_hierarchy("LapNIG", {**LAP_ARGS, **extra})
 
 
 def test_metropolis_updater_from_config():

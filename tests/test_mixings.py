@@ -16,17 +16,18 @@ from mixmcmc.mixings import (
 
 
 def test_dp_masses():
+    # the masses are given on the log scale
     dp = DirichletMixing(totalmass=1.0)
-    assert dp.mass_existing_cluster(10, 5, 2) == 5.0
-    assert dp.mass_new_cluster(10, 2) == 1.0
-    assert dp.mass_new_cluster(10, 7) == 1.0
-    assert dp.mass_existing_cluster(10, 5, 2, log=True) == pytest.approx(math.log(5.0))
+    assert dp.mass_existing_cluster(10, 5, 2) == math.log(5.0)
+    assert math.exp(dp.mass_existing_cluster(10, 5, 2)) == pytest.approx(5.0)
+    assert dp.mass_new_cluster(10, 2) == 0.0
+    assert dp.mass_new_cluster(10, 7) == 0.0
 
 
 def test_py_masses():
     py = PitYorMixing(strength=1.0, discount=0.2)
-    assert py.mass_existing_cluster(10, 5, 3) == pytest.approx(4.8)
-    assert py.mass_new_cluster(10, 3) == pytest.approx(1.6)
+    assert math.exp(py.mass_existing_cluster(10, 5, 3)) == pytest.approx(4.8)
+    assert math.exp(py.mass_new_cluster(10, 3)) == pytest.approx(1.6)
 
 
 def test_py_zero_discount_equals_dp():
@@ -48,8 +49,8 @@ def test_py_masses_positive_for_valid_parameters():
         py = PitYorMixing(strength, discount)
         n_h = int(rng.integers(1, 50))
         k = int(rng.integers(1, 20))
-        assert py.mass_existing_cluster(100, n_h, k) > 0
-        assert py.mass_new_cluster(100, k) > 0
+        assert math.exp(py.mass_existing_cluster(100, n_h, k)) > 0
+        assert math.exp(py.mass_new_cluster(100, k)) > 0
 
 
 def test_dp_exchangeability_identity_exact():
@@ -60,8 +61,8 @@ def test_dp_exchangeability_identity_exact():
         k = int(rng.integers(1, 8))
         sizes = rng.integers(1, 10, size=k)
         n = int(sizes.sum())
-        total = sum(dp.mass_existing_cluster(n, int(s), k) for s in sizes)
-        total += dp.mass_new_cluster(n, k)
+        total = sum(math.exp(dp.mass_existing_cluster(n, int(s), k)) for s in sizes)
+        total += math.exp(dp.mass_new_cluster(n, k))
         assert total == pytest.approx(n + alpha, rel=1e-14)
 
 
@@ -73,8 +74,8 @@ def test_py_mass_total_identity():
         k = int(rng.integers(1, 8))
         sizes = rng.integers(1, 10, size=k)
         n = int(sizes.sum())
-        total = sum(py.mass_existing_cluster(n, int(s), k) for s in sizes)
-        total += py.mass_new_cluster(n, k)
+        total = sum(math.exp(py.mass_existing_cluster(n, int(s), k)) for s in sizes)
+        total += math.exp(py.mass_new_cluster(n, k))
         assert total == pytest.approx(n + 1.0, rel=1e-14)
 
 
@@ -92,13 +93,13 @@ def test_parameter_validation():
 def test_stick_weights_worked_example():
     mix = TruncatedSBMixing(3)
     mix.sticks = np.array([0.5, 0.5])
-    assert np.allclose(mix.get_weights(), [0.5, 0.25, 0.25], atol=1e-15)
+    assert np.allclose(np.exp(mix.get_weights()), [0.5, 0.25, 0.25], atol=1e-15)
 
 
 def test_stick_weights_degenerate_first_stick():
     mix = TruncatedSBMixing(4)
     mix.sticks = np.array([1.0, 0.3, 0.9])
-    w = mix.get_weights()
+    w = np.exp(mix.get_weights())
     assert w[0] == 1.0
     assert np.all(w[1:] == 0.0)
 
@@ -109,7 +110,7 @@ def test_stick_weights_sum_to_one():
         m = int(rng.integers(2, 30))
         mix = TruncatedSBMixing(m)
         mix.sticks = rng.random(m - 1) * 0.999 + 5e-4
-        w = mix.get_weights(log=False)
+        w = np.exp(mix.get_weights())
         assert w.shape == (m,)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-12
@@ -117,7 +118,7 @@ def test_stick_weights_sum_to_one():
 
 def test_initial_sticks_give_uniform_weights():
     mix = TruncatedSBMixing(7)
-    assert np.allclose(mix.get_weights(), np.full(7, 1.0 / 7.0), atol=1e-12)
+    assert np.allclose(np.exp(mix.get_weights()), np.full(7, 1.0 / 7.0), atol=1e-12)
 
 
 def test_fixed_dp_and_py_update_state_noop():

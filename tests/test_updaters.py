@@ -332,3 +332,11 @@ def test_step_size_validation():
         RandomWalkUpdater(step_size=0.0)
     with pytest.raises(ValueError):
         MALAUpdater(step_size=-1.0)
+
+
+@pytest.mark.parametrize("cls", [RandomWalkUpdater, MALAUpdater])
+@pytest.mark.parametrize("num_steps", [0, -2, 1.5])
+def test_num_steps_must_be_a_positive_integer(cls, num_steps):
+    # an updater that never moves would leave its clusters at their prior draw
+    with pytest.raises(ValueError, match="num_steps"):
+        cls(num_steps=num_steps)

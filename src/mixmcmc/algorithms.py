@@ -115,6 +115,13 @@ class _BaseAlgorithm:
         """
         raise NotImplementedError
 
+    def _new_cluster_lpdf(self, grid, scratch, rng):
+        """A function giving, record by record, a new cluster's log density on the grid.
+
+        None here: a conditional sampler's records carry no new-cluster weight.
+        """
+        return None
+
     def _record_rows(self, records, grid, rng):
         """Yield, per record, its rows log w_h + log f_h(grid), one per weight.
 
@@ -124,6 +131,7 @@ class _BaseAlgorithm:
         scratch = self.template.likelihood.clone_empty()
         state_cls = type(self.template.state)
         mixing = copy.copy(self.mixing)
+        new_cluster_lpdf = self._new_cluster_lpdf(grid, scratch, rng)
         for record in records:
             mixing.set_state_params(record.mixing_params)
             log_w = self._record_log_weights(record, mixing)
@@ -135,7 +143,7 @@ class _BaseAlgorithm:
                 else:
                     rows[h] = -np.inf
             if len(log_w) > len(record.cluster_states):
-                rows[-1] = self._new_cluster_lpdf(grid, scratch, rng)
+                rows[-1] = new_cluster_lpdf()
             rows += log_w[:, None]
             yield rows
 
@@ -339,12 +347,15 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         return log_masses - logsumexp(log_masses)
 
     def _new_cluster_lpdf(self, grid, scratch, rng):
-        """Log density of a new cluster on the grid, for one record."""
         if self.template.is_conjugate():
-            return self.template.prior_predictive().lpdf_grid(grid)
-        # plug-in new-cluster term: one prior draw per record
-        scratch.state = self.template.prior.sample(rng)
-        return scratch.lpdf_grid(grid)
+            row = self.template.prior_predictive().lpdf_grid(grid)  # the same for every record
+            return lambda: row
+
+        def plug_in():  # one prior draw per record
+            scratch.state = self.template.prior.sample(rng)
+            return scratch.lpdf_grid(grid)
+
+        return plug_in
 
 
 class Neal2Algorithm(_MarginalAlgorithm):

@@ -100,13 +100,6 @@ def log(x):
     return math.log(x)
 
 
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = math.sqrt(x.val)
-        return Dual(r, 0.5 / r * x.grad)
-    return math.sqrt(x)
-
-
 def abs_dev_sum(ys, x):
     """Sum of |y - x| over the floats ys; one Dual when x is one.
 
@@ -128,29 +121,6 @@ def abs_dev_sum(ys, x):
     if isinstance(x, Dual):
         return Dual(total, slope * x.grad)
     return total
-
-
-def _digamma(x):
-    # recurrence to push x above 10, then the standard asymptotic expansion
-    out = 0.0
-    while x < 10.0:
-        out -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    out += (
-        math.log(x)
-        - 0.5 * inv
-        - inv2
-        * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 / 240)))
-    )
-    return out
-
-
-def lgamma(x):
-    if isinstance(x, Dual):
-        return Dual(math.lgamma(x.val), _digamma(x.val) * x.grad)
-    return math.lgamma(x)
 
 
 def gradient(fn, point):

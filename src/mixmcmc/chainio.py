@@ -112,10 +112,19 @@ def encode_state(state):
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _check_integral(values, name):
+    """Raise a ValueError if a number in the list has a fractional part."""
+    if type(sum(values)) is not int:  # a float among them; a sum of ints is an int
+        arr = np.asarray(values, dtype=float)
+        if not (np.isfinite(arr).all() and (arr == np.floor(arr)).all()):
+            raise ValueError(f"non-integral {name} entry")
+
+
 def decode_state(line, record_index=None):
     """Parse one serialized record; validates allocation/cardinality consistency."""
     try:
         doc = json.loads(line)
+        _check_integral([cs["cardinality"] for cs in doc["cluster_states"]], "cardinality")
         clusters = [
             ClusterParams(
                 cs["cardinality"],
@@ -126,6 +135,7 @@ def decode_state(line, record_index=None):
         mixing = {}
         for key, value in doc["mixing_state"].items():
             mixing[key] = _decode_array(value) if isinstance(value, dict) else float(value)
+        _check_integral(doc["cluster_allocs"], "cluster_allocs")
         state = ChainState(doc["iteration_num"], clusters, doc["cluster_allocs"], mixing)
     except (KeyError, TypeError, ValueError) as err:
         raise DecodeError(f"malformed chain record: {err}", record_index) from None

@@ -50,9 +50,6 @@ class ConfigTree:
                 return v
         return default
 
-    def get_all(self, key):
-        return [v for k, v in self.entries if k == key]
-
     def require(self, key):
         for k, v in self.entries:
             if k == key:

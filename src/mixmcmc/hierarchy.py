@@ -3,7 +3,7 @@
 A :class:`Hierarchy` is a cloneable prototype. Marginal algorithms hold a
 template and clone it whenever a new cluster is born; conditional
 algorithms clone it once per component. Conjugate hierarchies additionally
-expose the prior-predictive and posterior-predictive densities that
+expose the prior predictive and the posterior-predictive scorer that
 marginal samplers need.
 """
 
@@ -42,6 +42,9 @@ from .updaters import (
 )
 
 HIERARCHY_TYPES = ("NNIG", "NNxIG", "LapNIG", "NNW", "GammaGamma")
+# the families with an unconstrained parameterization, which a Metropolis
+# updater moves
+METROPOLIS_TYPES = ("NNIG", "NNxIG", "LapNIG")
 
 
 class Hierarchy:
@@ -104,19 +107,6 @@ class Hierarchy:
             self._prior_pred = self.updater.predictive(self.prior.hypers)
         return self._prior_pred
 
-    def posterior_predictive(self):
-        self._require_predictive()
-        hypers = self.updater.compute_posterior_hypers(self.likelihood, self.prior)
-        return self.updater.predictive(hypers)
-
-    def prior_pred_lpdf(self, datum):
-        """log of the prior marginal density of one datum."""
-        return self.prior_predictive().lpdf(datum)
-
-    def conditional_pred_lpdf(self, datum):
-        """log predictive density given the cluster's current members."""
-        return self.posterior_predictive().lpdf(datum)
-
     def conditional_pred_scorer(self, card, stats):
         """Scorer y -> log predictive density given a cluster of this size and statistics."""
         self._require_predictive()
@@ -162,7 +152,8 @@ def build_hierarchy(hier_type, args):
 
     ``args`` carries the ``fixed_values`` block with the hyperparameters,
     plus the optional ``updater`` ('rwmh' or 'mala'), ``step_size`` and
-    ``num_steps`` keys selecting a Metropolis updater.
+    ``num_steps`` keys selecting a Metropolis updater, which only the
+    ``METROPOLIS_TYPES`` families take.
     """
     if hier_type not in HIERARCHY_TYPES:
         raise ConfigError(
@@ -213,6 +204,11 @@ def build_hierarchy(hier_type, args):
         like = GammaLikelihood(hypers.shape)
 
     updater_name = args.get_str("updater") if args.has("updater") else None
+    if updater_name is not None and hier_type not in METROPOLIS_TYPES:
+        raise ConfigError(
+            f"'{hier_type}' takes no Metropolis updater; 'updater' is accepted by "
+            + ", ".join(METROPOLIS_TYPES)
+        )
     if updater_name is None and hier_type == "LapNIG":
         updater_name = "rwmh"
     if updater_name is None:

@@ -19,6 +19,11 @@ For Neal8's auxiliary states, ``score_batch(batch, rows)`` scores a
 row i of the batch at datum i. It and ``lpdf_grid`` go through one
 per-family formula that reads the state's fields by name, so a state and a
 batch of states share it.
+
+The normal and Laplace kernels also give the whole-cluster log density at
+an unconstrained state vector (``cluster_lpdf_from_unconstrained``), which
+the Metropolis updater targets; the other kernels raise
+:class:`~mixmcmc.exceptions.CapabilityError` there.
 """
 
 import math
@@ -123,7 +128,6 @@ class UniNormLikelihood(_BaseLikelihood):
     """Univariate normal kernel N(y | mean, var) over a UniLSState."""
 
     is_multivariate = False
-    supports_unconstrained = True
 
     def __init__(self, state=None):
         # stats: [sum of y, sum of y^2]
@@ -183,7 +187,6 @@ class MultiNormLikelihood(_BaseLikelihood):
     """Multivariate normal kernel N_d(y | mean, cov) over a MultiLSState."""
 
     is_multivariate = True
-    supports_unconstrained = False
 
     def __init__(self, state):
         d = state.dim
@@ -254,7 +257,6 @@ class LaplaceLikelihood(_BaseLikelihood):
     """
 
     is_multivariate = False
-    supports_unconstrained = True
 
     def __init__(self, state=None):
         # stats: [{datum id: y}], in the order the data joined
@@ -304,28 +306,22 @@ class GammaLikelihood(_BaseLikelihood):
     """Gamma kernel with fixed shape and random rate, for positive data.
 
     lpdf(y) = shape*log(rate) - lgamma(shape) + (shape-1)*log(y) - rate*y
-    for y > 0 and -inf otherwise. Tracks (data_sum, data_log_sum) and the
-    size; the log-sum makes the whole-cluster density exact when the shape
-    coordinate of the unconstrained vector moves.
+    for y > 0 and -inf otherwise. Tracks the data sum and the size, all the
+    conjugate rate update reads.
     """
 
     is_multivariate = False
-    supports_unconstrained = True
 
     def __init__(self, shape, state=None):
         if shape <= 0:
             raise ValueError("shape must be positive")
-        # stats: [sum of y, sum of log y]
-        super().__init__(state if state is not None else GammaState(shape, 1.0), [0.0, 0.0])
+        # stats: [sum of y]
+        super().__init__(state if state is not None else GammaState(shape, 1.0), [0.0])
         self.shape = float(shape)
 
     @property
     def data_sum(self):
         return self.stats[0]
-
-    @property
-    def data_log_sum(self):
-        return self.stats[1]
 
     def clone_empty(self):
         return GammaLikelihood(self.shape, self.state.copy())
@@ -339,10 +335,8 @@ class GammaLikelihood(_BaseLikelihood):
     def update_stats(stats, datum_id, y, add):
         if add:
             stats[0] += y
-            stats[1] += math.log(y)
         else:
             stats[0] -= y
-            stats[1] -= math.log(y)
 
     def scorer(self):
         s, r = self.state.shape, self.state.rate
@@ -362,15 +356,3 @@ class GammaLikelihood(_BaseLikelihood):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = s * np.log(r) - math.lgamma(s) + (s - 1.0) * np.log(y) - r * y
         return np.where(y > 0, out, -np.inf)
-
-    def cluster_lpdf_from_unconstrained(self, u):
-        n = self.card
-        if n == 0:
-            return 0.0
-        shape = ad.exp(u[0])
-        rate = ad.exp(u[1])
-        return (
-            n * (shape * u[1] - ad.lgamma(shape))
-            + (shape - 1.0) * self.data_log_sum
-            - rate * self.data_sum
-        )

@@ -1,10 +1,11 @@
 """Base measures over component states: densities and sampling.
 
 Every prior evaluates its log density at a state, draws states (optionally
-from supplied posterior hyperparameters), draws a batch of states from
-itself as arrays (``sample_batch``), and, where an unconstrained
-parameterization exists, evaluates the change-of-variables corrected log
-density used by Metropolis updaters.
+from supplied posterior hyperparameters) and draws a batch of states from
+itself as arrays (``sample_batch``). The NIG and N x IG priors also
+evaluate the change-of-variables corrected log density of an unconstrained
+state vector (``lpdf_from_unconstrained``), which the Metropolis updater
+targets.
 """
 
 import math
@@ -15,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from ._util import LOG_2PI
 from ._validation import check_positive, check_spd_matrix
-from .exceptions import CapabilityError
 from .states import GammaState, MultiLSState, StateBatch, UniLSState
 
 
@@ -35,11 +35,11 @@ def _invgamma_lpdf(x, shape, scale):
 
 
 def _gamma_lpdf(x, shape, rate):
-    """log Gamma(x | shape, rate); generic over floats and duals."""
+    """log Gamma(x | shape, rate)."""
     return (
         shape * math.log(rate)
         - math.lgamma(shape)
-        + (shape - 1.0) * ad.log(x)
+        + (shape - 1.0) * math.log(x)
         - rate * x
     )
 
@@ -119,8 +119,6 @@ class GammaPriorHypers:
 class NIGPrior:
     """Normal-inverse-gamma: var ~ IG(shape, scale), mean | var ~ N(mean0, var/var_scaling)."""
 
-    supports_unconstrained = True
-
     def __init__(self, hypers):
         self.hypers = hypers
 
@@ -161,8 +159,6 @@ class NxIGPrior:
     Also serves the Laplace kernel, whose ``var`` field holds the scale.
     """
 
-    supports_unconstrained = True
-
     def __init__(self, hypers):
         self.hypers = hypers
 
@@ -200,8 +196,6 @@ class NWPrior:
 
     E[cov] = scale / (deg_free - dim - 1) when deg_free > dim + 1.
     """
-
-    supports_unconstrained = False
 
     def __init__(self, hypers):
         self.hypers = hypers
@@ -272,9 +266,6 @@ class NWPrior:
         return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov,
                           chol_inv=np.linalg.inv(chol), log_det=log_det)
 
-    def lpdf_from_unconstrained(self, u):
-        raise CapabilityError("NWPrior has no unconstrained parameterization")
-
 
 def _inverse_wishart(rng, chol_inv_scale, deg_free, size):
     """Covariances ~ IW(deg_free, scale), stacked over the shape ``size``.
@@ -296,8 +287,6 @@ def _inverse_wishart(rng, chol_inv_scale, deg_free, size):
 
 class GammaPrior:
     """Gamma prior on the kernel rate; kernel shape is a fixed hyperparameter."""
-
-    supports_unconstrained = True
 
     def __init__(self, hypers):
         self.hypers = hypers
@@ -322,8 +311,3 @@ class GammaPrior:
         h = self.hypers
         rate = rng.gamma(h.rate_alpha, size=size) / h.rate_beta
         return StateBatch(GammaState, ("shape", "rate"), shape=h.shape, rate=rate)
-
-    def lpdf_from_unconstrained(self, u):
-        rate = ad.exp(u[1])
-        h = self.hypers
-        return _gamma_lpdf(rate, h.rate_alpha, h.rate_beta) + GammaState.log_det_jacobian(u)

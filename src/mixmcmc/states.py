@@ -1,9 +1,10 @@
 """Parameter containers for mixture components.
 
-Each state knows how to copy itself, serialize to/from a flat ``params``
-map (name -> array + shape), and, where supported, map between its
-constrained and unconstrained representations with the associated
-log-Jacobian term for change-of-variables corrections. A
+Each state knows how to copy itself and serialize to/from a flat
+``params`` map (name -> array + shape). :class:`UniLSState` also maps
+between its constrained and unconstrained representations, with the
+log-Jacobian term for change-of-variables corrections; the other states
+raise :class:`~mixmcmc.exceptions.CapabilityError` when asked for one. A
 :class:`StateBatch` holds many states of one class as arrays.
 """
 
@@ -125,7 +126,8 @@ class MultiLSState:
 class GammaState:
     """Gamma kernel parameters (shape, rate), both positive.
 
-    Unconstrained representation is (log shape, log rate).
+    The family is conjugate and fixes the shape, so no unconstrained
+    transform is provided.
     """
 
     __slots__ = ("shape", "rate")
@@ -138,20 +140,7 @@ class GammaState:
         return GammaState(self.shape, self.rate)
 
     def to_unconstrained(self):
-        return np.array([math.log(self.shape), math.log(self.rate)])
-
-    @classmethod
-    def from_unconstrained(cls, u):
-        if len(u) != 2:
-            raise ValueError(f"expected 2 coordinates, got {len(u)}")
-        return cls(math.exp(u[0]), math.exp(u[1]))
-
-    @staticmethod
-    def log_det_jacobian(u):
-        """log |d(shape, rate)/d(u)| = u[0] + u[1]."""
-        if len(u) != 2:
-            raise ValueError(f"expected 2 coordinates, got {len(u)}")
-        return u[0] + u[1]
+        raise CapabilityError("GammaState has no unconstrained representation")
 
     def to_params(self):
         return {

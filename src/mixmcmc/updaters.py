@@ -3,8 +3,9 @@
 The conjugate updater computes posterior hyperparameters from the cluster's
 sufficient statistics and draws through the prior's sampler; it also exposes
 the matching marginal (predictive) densities used by marginal algorithms.
-The random-walk and Langevin updaters work with any likelihood/prior pair
-that supports an unconstrained parameterization.
+The Metropolis updater, random-walk or Langevin, works with any
+likelihood/prior pair that has an unconstrained parameterization: the
+normal and Laplace kernels under the NIG and N x IG priors.
 """
 
 import math
@@ -13,8 +14,7 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
-from ._validation import check_positive_int
-from .exceptions import CapabilityError
+from ._validation import check_positive, check_positive_int
 from .likelihoods import squared_norm_rows, whiten_rows
 from .priors import GammaPriorHypers, NIGHypers, NWHypers
 
@@ -257,113 +257,75 @@ class NNxIGUpdater:
         return state
 
 
-def _check_unconstrained(like, prior):
-    if not getattr(like, "supports_unconstrained", False):
-        raise CapabilityError(
-            f"{type(like).__name__} does not support Metropolis updates"
-        )
-    if not getattr(prior, "supports_unconstrained", False):
-        raise CapabilityError(
-            f"{type(prior).__name__} does not support Metropolis updates"
-        )
+class MetropolisUpdater:
+    """Metropolis on the unconstrained parameterization of the cluster's state.
 
-
-class RandomWalkUpdater:
-    """Random-walk Metropolis on the unconstrained parameterization."""
-
-    def __init__(self, step_size=0.25, num_steps=1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.num_steps = check_positive_int(num_steps, "num_steps")
-
-    def is_conjugate(self):
-        return False
-
-    def draw(self, like, prior, rng):
-        _check_unconstrained(like, prior)
-        u = like.state.to_unconstrained()
-        dim = u.shape[0]
-        logp = like.cluster_lpdf_from_unconstrained(u) + prior.lpdf_from_unconstrained(u)
-        eps = self.step_size
-        for _ in range(self.num_steps):
-            prop = u + eps * rng.standard_normal(dim)
-            logp_prop = like.cluster_lpdf_from_unconstrained(
-                prop
-            ) + prior.lpdf_from_unconstrained(prop)
-            if math.log(rng.random()) < logp_prop - logp:
-                u, logp = prop, logp_prop
-        state = type(like.state).from_unconstrained(u)
-        like.state = state
-        return state
-
-
-class MALAUpdater:
-    """Metropolis-adjusted Langevin on the unconstrained parameterization.
-
-    Gradients come from forward-mode dual numbers, so any likelihood/prior
-    pair whose unconstrained log densities are written against
+    Without ``langevin`` the proposal is a Gaussian random walk and the
+    target is evaluated on floats. With it the proposal drifts along the
+    gradient (MALA) and carries the matching correction; gradients come
+    from forward-mode dual numbers, so any likelihood/prior pair whose
+    unconstrained log densities are written against
     :mod:`mixmcmc.autodiff` works without extra code.
     """
 
-    def __init__(self, step_size=0.1, num_steps=1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
+    def __init__(self, step_size, num_steps, langevin):
+        self.step_size = check_positive(step_size, "step_size")
         self.num_steps = check_positive_int(num_steps, "num_steps")
+        self.langevin = langevin
 
     def is_conjugate(self):
         return False
 
-    def _value_and_grad(self, like, prior, u):
-        def target(du):
-            return like.cluster_lpdf_from_unconstrained(
-                du
-            ) + prior.lpdf_from_unconstrained(du)
+    def _evaluate(self, like, prior, u):
+        """The target at ``u``, with its gradient when the proposal needs one."""
+        def target(v):
+            return like.cluster_lpdf_from_unconstrained(v) + prior.lpdf_from_unconstrained(v)
 
-        return ad.gradient(target, u)
+        if self.langevin:
+            return ad.gradient(target, u)
+        return target(u), None
 
     def draw(self, like, prior, rng):
-        _check_unconstrained(like, prior)
         u = like.state.to_unconstrained()
-        dim = u.shape[0]
         eps = self.step_size
         half = 0.5 * eps * eps
-        logp, grad = self._value_and_grad(like, prior, u)
+        logp, grad = self._evaluate(like, prior, u)
         for _ in range(self.num_steps):
-            if not np.all(np.isfinite(grad)):
+            if self.langevin and not np.all(np.isfinite(grad)):
                 warnings.warn(
                     "non-finite gradient at current state; rejecting move",
                     RuntimeWarning,
                 )
                 break
-            fwd_mean = u + half * grad
-            prop = fwd_mean + eps * rng.standard_normal(dim)
-            logp_prop, grad_prop = self._value_and_grad(like, prior, prop)
-            if not np.all(np.isfinite(grad_prop)):
-                warnings.warn(
-                    "non-finite gradient at proposal; rejecting move",
-                    RuntimeWarning,
-                )
-                continue
-            rev_mean = prop + half * grad_prop
-            log_fwd = -float(np.sum((prop - fwd_mean) ** 2)) / (2.0 * eps * eps)
-            log_rev = -float(np.sum((u - rev_mean) ** 2)) / (2.0 * eps * eps)
-            if math.log(rng.random()) < logp_prop - logp + log_rev - log_fwd:
+            fwd_mean = u + half * grad if self.langevin else u
+            prop = fwd_mean + eps * rng.standard_normal(u.shape[0])
+            logp_prop, grad_prop = self._evaluate(like, prior, prop)
+            log_ratio = logp_prop - logp
+            if self.langevin:
+                if not np.all(np.isfinite(grad_prop)):
+                    warnings.warn(
+                        "non-finite gradient at proposal; rejecting move",
+                        RuntimeWarning,
+                    )
+                    continue
+                rev_mean = prop + half * grad_prop
+                log_fwd = -float(np.sum((prop - fwd_mean) ** 2)) / (2.0 * eps * eps)
+                log_rev = -float(np.sum((u - rev_mean) ** 2)) / (2.0 * eps * eps)
+                log_ratio = log_ratio + log_rev - log_fwd
+            if math.log(rng.random()) < log_ratio:
                 u, logp, grad = prop, logp_prop, grad_prop
         state = type(like.state).from_unconstrained(u)
         like.state = state
         return state
 
 
-_METROPOLIS_KINDS = {"rwmh": RandomWalkUpdater, "mala": MALAUpdater}
+# config name -> (langevin, default step size)
+_METROPOLIS_KINDS = {"rwmh": (False, 0.25), "mala": (True, 0.1)}
 
 
 def build_metropolis_updater(kind, step_size=None, num_steps=1):
     """Create a Metropolis updater by config name ('rwmh' or 'mala')."""
     if kind not in _METROPOLIS_KINDS:
         raise ValueError(f"unknown updater '{kind}'; expected 'rwmh' or 'mala'")
-    cls = _METROPOLIS_KINDS[kind]
-    if step_size is None:
-        return cls(num_steps=num_steps)
-    return cls(step_size=step_size, num_steps=num_steps)
+    langevin, default_step = _METROPOLIS_KINDS[kind]
+    return MetropolisUpdater(default_step if step_size is None else step_size, num_steps, langevin)

@@ -476,4 +476,5 @@ def test_cluster_store_matches_a_recount(algo_id, hier_type):
         if algo_id == "Neal3":
             # the store's predictive scorer is the cluster's own predictive
             y = algo._rows[0]
-            assert algo._scorers[h](y) == cluster.conditional_pred_lpdf(y)
+            assert algo._scorers[h](y) == cluster.conditional_pred_scorer(
+                cluster.card, cluster.likelihood.stats)(y)

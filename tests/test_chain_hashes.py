@@ -8,7 +8,8 @@ change that moves chain bits must update the hashes here and say so.
 The post-processing of the same chains is pinned too: the per-record
 density grid of ``eval_lpdf_grid`` on a fixed grid with a fixed generator
 (``GRID_SHA256``), and the labels ``BayesianMixture.predict`` gives the
-grid points (``PREDICT_SHA256``).
+grid points (``PREDICT_SHA256``). ``METROPOLIS_SHA256`` pins Neal8's
+chains under each Metropolis updater, for every family that takes one.
 
 The hashes depend on the floating-point results of the numpy build (libm,
 BLAS/LAPACK for the NNW cells), so another build may need them recorded
@@ -52,6 +53,9 @@ MIX_ARGS = {
     "PY": {"fixed_values": {"strength": 1.0, "discount": 0.1}},
     "TruncSB": {"num_components": 25, "totalmass": 1.0},
 }
+METROPOLIS_ARGS = {"step_size": 0.5, "num_steps": 3}
+METROPOLIS_CELLS = [f"Neal8/{hier_type}/DP/{updater}" for hier_type in ("NNIG", "NNxIG", "LapNIG")
+                    for updater in ("rwmh", "mala")]
 
 CHAIN_SHA256 = {
     "Neal2/NNIG/DP": "0ff0059ee4f07c253fca1137915b73bd99a3c39c867905c9d540a655dbdadb07",
@@ -141,6 +145,15 @@ PREDICT_SHA256 = {
     "BlockedGibbs/GammaGamma/TruncSB": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
 }
 
+METROPOLIS_SHA256 = {
+    "Neal8/NNIG/DP/rwmh": "55593219fea3ed59926eaacfbd363bd6c02d7bb454ee38e4628e1e113f4e317a",
+    "Neal8/NNIG/DP/mala": "63b8bc449b879fe4f908dcb10803ecbb6419222c57ddadbe1492eadc742df9ec",
+    "Neal8/NNxIG/DP/rwmh": "168de2fdde3081fb293fa013aa5e219b194a7b52b3b737784162efbc4687927e",
+    "Neal8/NNxIG/DP/mala": "4a6d3e5b3df005a58ac9fc0944d1bf0ddac3342ab5c8eb173fe830bb695d43e5",
+    "Neal8/LapNIG/DP/rwmh": "33b5c9ff4b1c82753a971903e18cc2bb148fe7517d81242d23d951403013d675",
+    "Neal8/LapNIG/DP/mala": "bbb896ccd20d2e555a2e3544b40be1d2cbc8196e6bc4cdeba5203a2161eca86b",
+}
+
 
 def _data(hier_type):
     if hier_type == "NNW":
@@ -167,8 +180,12 @@ def _valid_cells():
 
 
 def chain_sha256(cell):
-    algo, hier_type, mix_type = cell.split("/")
-    algorithm = build_algorithm(algo, build_hierarchy(hier_type, HIER_ARGS[hier_type]),
+    """Hash of the cell's chain; a fourth field names a Metropolis updater."""
+    algo, hier_type, mix_type, *updater = cell.split("/")
+    hier_args = HIER_ARGS[hier_type]
+    if updater:
+        hier_args = {**hier_args, "updater": updater[0], **METROPOLIS_ARGS}
+    algorithm = build_algorithm(algo, build_hierarchy(hier_type, hier_args),
                                 build_mixing(mix_type, MIX_ARGS[mix_type]))
     collector = MemoryCollector()
     algorithm.run(_data(hier_type), ITERATIONS, BURNIN, collector, np.random.default_rng(SEED))
@@ -213,11 +230,17 @@ def test_every_valid_cell_is_pinned():
     assert sorted(_valid_cells()) == sorted(CHAIN_SHA256)
     assert len(CHAIN_SHA256) == 27
     assert sorted(GRID_SHA256) == sorted(PREDICT_SHA256) == sorted(CHAIN_SHA256)
+    assert sorted(METROPOLIS_SHA256) == sorted(METROPOLIS_CELLS)
 
 
 @pytest.mark.parametrize("cell", sorted(CHAIN_SHA256))
 def test_chain_bits_are_unchanged(cell):
     assert chain_sha256(cell) == CHAIN_SHA256[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(METROPOLIS_SHA256))
+def test_metropolis_chain_bits_are_unchanged(cell):
+    assert chain_sha256(cell) == METROPOLIS_SHA256[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(GRID_SHA256))
@@ -231,9 +254,12 @@ def test_predict_labels_are_unchanged(cell):
 
 
 if __name__ == "__main__":
-    for table, fn in (("CHAIN_SHA256", chain_sha256), ("GRID_SHA256", grid_sha256),
-                      ("PREDICT_SHA256", predict_sha256)):
+    cells = _valid_cells()
+    for table, fn, names in (("CHAIN_SHA256", chain_sha256, cells),
+                             ("GRID_SHA256", grid_sha256, cells),
+                             ("PREDICT_SHA256", predict_sha256, cells),
+                             ("METROPOLIS_SHA256", chain_sha256, METROPOLIS_CELLS)):
         print(f"{table} = {{")
-        for name in _valid_cells():
+        for name in names:
             print(f'    "{name}": "{fn(name)}",')
         print("}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,27 @@ def test_decode_reports_index_of_negative_allocation():
     with pytest.raises(DecodeError, match="out of range") as err:
         decode_state(encode_state(state), record_index=7)
     assert err.value.record_index == 7
+
+
+@pytest.mark.parametrize("field, bad", [("cluster_allocs", [0.7]), ("cardinality", 1.9)])
+def test_decode_rejects_non_integral_counts(field, bad):
+    # a fraction used to be truncated: [0.7] read as allocation 0, 1.9 as cardinality 1
+    state = ChainState(
+        0,
+        [ClusterParams(1, {"mean": np.array([0.0]), "var": np.array([1.0])})],
+        np.array([0]),
+        {"totalmass": 1.0},
+    )
+    doc = json.loads(encode_state(state))
+    if field == "cluster_allocs":
+        doc["cluster_allocs"] = bad
+    else:
+        doc["cluster_states"][0]["cardinality"] = bad
+    with pytest.raises(DecodeError, match="non-integral") as err:
+        decode_state(json.dumps(doc), record_index=4)
+    assert err.value.record_index == 4
+    doc["cluster_allocs"], doc["cluster_states"][0]["cardinality"] = [0.0], 1.0
+    assert decode_state(json.dumps(doc)) == state  # integral floats still decode
 
 
 def test_memory_collector_basics():

@@ -162,6 +162,32 @@ def test_bad_metropolis_arguments_exit_with_an_error_line(tmp_path, capsys, extr
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_metropolis_updater_on_nnw_stops_before_the_chain_file(tmp_path, capsys):
+    # NNW has no unconstrained parameterization: the run must stop at setup,
+    # not after a sweep that has already truncated the chain file
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path)) == 0
+    chain = tmp_path / "chains.chain"
+    before = chain.read_bytes()
+    assert before
+    (tmp_path / "algo.txt").write_text(ALGO_TEXT.replace('"Neal2"', '"Neal8"'))
+    rng = np.random.default_rng(2)
+    (tmp_path / "data.csv").write_text(
+        "".join(f"{a!r},{b!r}\n" for a, b in rng.normal(size=(40, 2)).tolist()))
+    (tmp_path / "nnw.txt").write_text(
+        "fixed_values {\n mean { size: 2 data: [0.0, 0.0] }\n var_scaling: 0.1\n"
+        " deg_free: 5.0\n scale { rows: 2 cols: 2 data: [1.0, 0.0, 0.0, 1.0] }\n}\n"
+        'updater: "mala"\n')
+    args = _full_run_args(tmp_path)
+    args = args[:args.index("--grid-file")] + ["--n-cl-file", str(tmp_path / "ncl.csv")]
+    args[args.index("NNIG")] = "NNW"
+    args[args.index("--hier-args") + 1] = str(tmp_path / "nnw.txt")
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert chain.read_bytes() == before
+
+
 def test_gamma_density_on_a_grid_reaching_zero_is_written(tmp_path):
     # the Gamma kernel has log density -inf at y <= 0; the run must still finish
     _write_run_inputs(tmp_path)

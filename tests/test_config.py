@@ -96,7 +96,7 @@ def test_duplicate_scalar_key_rejected():
 
 def test_repeated_tree_keys_allowed():
     tree = parse_config("b { x: 1 }\nb { x: 2 }\n")
-    assert len(tree.get_all("b")) == 2
+    assert [sub.get_float("x") for key, sub in tree.entries if key == "b"] == [1.0, 2.0]
 
 
 def test_mixed_scalar_tree_duplicate_rejected():

@@ -28,6 +28,11 @@ def _nnig():
     return build_hierarchy("NNIG", NNIG_ARGS)
 
 
+def _conditional_pred_lpdf(h, y):
+    """log predictive density of y given the hierarchy's current members."""
+    return h.conditional_pred_scorer(h.card, h.likelihood.stats)(y)
+
+
 def test_build_from_config_text():
     text = """
     fixed_values {
@@ -104,12 +109,12 @@ def test_full_cond_kernel_preserves_exact_posterior():
 def test_prior_pred_lpdf_matches_quadrature():
     h = _nnig()
     oracle = nnig_quadrature([0.0], 0.0, 0.1, 2.0, 2.0)
-    assert h.prior_pred_lpdf(0.0) == pytest.approx(oracle["log_marginal"], abs=1e-6)
+    assert h.prior_predictive().lpdf(0.0) == pytest.approx(oracle["log_marginal"], abs=1e-6)
     rng = np.random.default_rng(9)
     for _ in range(8):
         y = float(rng.normal() * 3)
         oracle = nnig_quadrature([y], 0.0, 0.1, 2.0, 2.0)
-        assert h.prior_pred_lpdf(y) == pytest.approx(oracle["log_marginal"], abs=1e-6)
+        assert h.prior_predictive().lpdf(y) == pytest.approx(oracle["log_marginal"], abs=1e-6)
 
 
 def test_prior_pred_symmetry_about_prior_mean():
@@ -117,8 +122,9 @@ def test_prior_pred_symmetry_about_prior_mean():
         "NNIG",
         {"fixed_values": {"mean": 1.5, "var_scaling": 0.2, "shape": 2.0, "scale": 1.0}},
     )
+    pred = h.prior_predictive()
     for y in (0.0, 2.2, -3.0):
-        assert h.prior_pred_lpdf(y) == pytest.approx(h.prior_pred_lpdf(3.0 - y), abs=1e-12)
+        assert pred.lpdf(y) == pytest.approx(pred.lpdf(3.0 - y), abs=1e-12)
 
 
 def test_prior_pred_integrates_to_one():
@@ -145,7 +151,7 @@ def test_prior_pred_integrates_to_one():
 def test_conditional_pred_empty_equals_prior_pred():
     h = _nnig()
     for y in (-1.0, 0.0, 2.5):
-        assert h.conditional_pred_lpdf(y) == h.prior_pred_lpdf(y)
+        assert _conditional_pred_lpdf(h, y) == h.prior_predictive().lpdf(y)
 
 
 def test_conditional_pred_matches_marginal_ratio_quadrature():
@@ -157,7 +163,7 @@ def test_conditional_pred_matches_marginal_ratio_quadrature():
     log_m_data = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)["log_marginal"]
     for y in (-0.5, 0.9, 2.0):
         log_m_joint = nnig_quadrature(data + [y], 0.0, 0.1, 2.0, 2.0)["log_marginal"]
-        assert h.conditional_pred_lpdf(y) == pytest.approx(
+        assert _conditional_pred_lpdf(h, y) == pytest.approx(
             log_m_joint - log_m_data, abs=1e-6
         )
 
@@ -165,18 +171,18 @@ def test_conditional_pred_matches_marginal_ratio_quadrature():
 def test_conditional_pred_mode_follows_new_datum():
     h = _nnig()
     h.add_datum(0, 0.0)
-    base = h.conditional_pred_lpdf(8.0)
+    base = _conditional_pred_lpdf(h, 8.0)
     h.add_datum(1, 8.0)
-    pulled = h.conditional_pred_lpdf(8.0)
+    pulled = _conditional_pred_lpdf(h, 8.0)
     assert pulled > base
 
 
 def test_predictive_capability_error_for_non_conjugate():
     lap = build_hierarchy("LapNIG", LAP_ARGS)
     with pytest.raises(CapabilityError):
-        lap.prior_pred_lpdf(0.0)
+        lap.prior_predictive()
     with pytest.raises(CapabilityError):
-        lap.conditional_pred_lpdf(0.0)
+        lap.conditional_pred_scorer(0, lap.likelihood.stats)
 
 
 def test_membership_tracks_card():
@@ -213,10 +219,18 @@ def test_clone_shares_no_mutable_state():
     ({"updater": "rwmh", "step_size": "abc"}, "step_size"),
     ({"updater": "mala", "step_size": True}, "step_size"),
     ({"updater": [1.0]}, "updater"),
+    ({"updater": "rwmh", "step_size": float("nan")}, "step_size"),
 ])
 def test_bad_metropolis_arguments_are_rejected(extra, key):
     with pytest.raises((ConfigError, ValueError), match=key):
         build_hierarchy("LapNIG", {**LAP_ARGS, **extra})
+
+
+@pytest.mark.parametrize("hier_type, args", [("NNW", NNW_ARGS), ("GammaGamma", GAMMA_ARGS)])
+@pytest.mark.parametrize("updater", ["rwmh", "mala"])
+def test_conjugate_only_families_take_no_metropolis_updater(hier_type, args, updater):
+    with pytest.raises(ConfigError, match="Metropolis"):
+        build_hierarchy(hier_type, {**args, "updater": updater})
 
 
 def test_metropolis_updater_from_config():

@@ -81,7 +81,6 @@ def test_add_remove_permutation_returns_stats_to_zero():
             assert abs(like.data_sum_squares) < 1e-9
         if isinstance(like, GammaLikelihood):
             assert abs(like.data_sum) < 1e-9
-            assert abs(like.data_log_sum) < 1e-9
         if isinstance(like, MultiNormLikelihood):
             assert np.all(np.abs(like.data_sum) < 1e-9)
             assert np.all(np.abs(like.data_sum_outer) < 1e-9)
@@ -117,16 +116,12 @@ def test_cluster_lpdf_single_standard_normal_point():
 def test_cluster_lpdf_matches_brute_force_sum():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        for like, draw, state_cls in [
-            (UniNormLikelihood(), lambda: float(rng.normal()), UniLSState),
-            (LaplaceLikelihood(), lambda: float(rng.normal()), UniLSState),
-            (GammaLikelihood(2.0), lambda: float(rng.gamma(2.0)), GammaState),
-        ]:
-            data = [draw() for _ in range(rng.integers(1, 12))]
+        for like in (UniNormLikelihood(), LaplaceLikelihood()):
+            data = [float(rng.normal()) for _ in range(rng.integers(1, 12))]
             for i, y in enumerate(data):
                 like.add_datum(i, y)
             u = rng.normal(size=2) * 0.7
-            like.state = state_cls.from_unconstrained(u)
+            like.state = UniLSState.from_unconstrained(u)
             direct = sum(like.lpdf(y) for y in data)
             assert like.cluster_lpdf_from_unconstrained(u) == pytest.approx(
                 direct, abs=1e-9
@@ -134,9 +129,9 @@ def test_cluster_lpdf_matches_brute_force_sum():
 
 
 def test_multinorm_has_no_unconstrained_cluster_lpdf():
-    like = MultiNormLikelihood(MultiLSState([0.0], [[1.0]]))
-    with pytest.raises(CapabilityError):
-        like.cluster_lpdf_from_unconstrained(np.zeros(2))
+    for like in (MultiNormLikelihood(MultiLSState([0.0], [[1.0]])), GammaLikelihood(2.0)):
+        with pytest.raises(CapabilityError):
+            like.cluster_lpdf_from_unconstrained(np.zeros(2))
 
 
 def test_lpdf_grid_matches_loop_exactly():

@@ -21,12 +21,11 @@ from mixmcmc.priors import (
     NxIGHypers,
     NxIGPrior,
 )
-from mixmcmc.states import MultiLSState, UniLSState
+from mixmcmc.states import GammaState, MultiLSState, UniLSState
 from mixmcmc.updaters import (
     ConjugateUpdater,
-    MALAUpdater,
     NNxIGUpdater,
-    RandomWalkUpdater,
+    build_metropolis_updater,
     gamma_gamma_posterior_hypers,
     gamma_gamma_predictive,
     nnig_posterior_hypers,
@@ -240,8 +239,8 @@ def test_is_conjugate_flags():
     assert _nnw_updater().is_conjugate()
     assert _gamma_gamma_updater().is_conjugate()
     assert not NNxIGUpdater().is_conjugate()
-    assert not RandomWalkUpdater().is_conjugate()
-    assert not MALAUpdater().is_conjugate()
+    assert not build_metropolis_updater("rwmh").is_conjugate()
+    assert not build_metropolis_updater("mala").is_conjugate()
 
 
 def test_random_walk_tiny_step_acceptance():
@@ -249,7 +248,7 @@ def test_random_walk_tiny_step_acceptance():
     like = _normal_cluster([0.5, -0.5, 1.0])
     like.state = UniLSState(0.2, 1.3)
     start = like.state.to_unconstrained()
-    updater = RandomWalkUpdater(step_size=1e-8)
+    updater = build_metropolis_updater("rwmh", step_size=1e-8)
     rng = np.random.default_rng(30)
     accepted = 0
     for _ in range(1000):
@@ -270,12 +269,12 @@ def test_mala_gradient_matches_finite_differences():
     for i, y in enumerate([0.5, -0.7, 2.0]):
         lap.add_datum(i, y)
     cases.append((NxIGPrior(NxIGHypers(0.0, 2.0, 2.0, 2.0)), lap))
-    updater = MALAUpdater()
+    updater = build_metropolis_updater("mala")
     rng = np.random.default_rng(31)
     for prior, like in cases:
         for _ in range(100):
             u = rng.normal(size=2)
-            val, grad = updater._value_and_grad(like, prior, u)
+            val, grad = updater._evaluate(like, prior, u)
 
             def target(v):
                 return like.cluster_lpdf_from_unconstrained(
@@ -302,7 +301,7 @@ def _run_metropolis_chain(updater, like, prior, steps, seed):
 
 @pytest.mark.parametrize(
     "updater,seed",
-    [(RandomWalkUpdater(step_size=0.5), 32), (MALAUpdater(step_size=0.35), 33)],
+    [(build_metropolis_updater("rwmh", 0.5), 32), (build_metropolis_updater("mala", 0.35), 33)],
 )
 def test_metropolis_matches_conjugate_posterior(updater, seed):
     data = [0.4, -0.3, 1.2, 0.8, 0.1]
@@ -319,24 +318,28 @@ def test_metropolis_matches_conjugate_posterior(updater, seed):
 
 
 def test_metropolis_requires_unconstrained_support():
-    like = MultiNormLikelihood(MultiLSState(np.zeros(2), np.eye(2)))
-    prior = NWPrior(NWHypers(np.zeros(2), 1.0, 5.0, np.eye(2)))
-    with pytest.raises(CapabilityError):
-        RandomWalkUpdater().draw(like, prior, np.random.default_rng(0))
-    with pytest.raises(CapabilityError):
-        MALAUpdater().draw(like, prior, np.random.default_rng(0))
+    pairs = [
+        (MultiNormLikelihood(MultiLSState(np.zeros(2), np.eye(2))),
+         NWPrior(NWHypers(np.zeros(2), 1.0, 5.0, np.eye(2)))),
+        (GammaLikelihood(2.0, GammaState(2.0, 1.0)), GammaPrior(GammaPriorHypers(2.0, 2.0, 2.0))),
+    ]
+    for like, prior in pairs:
+        for kind in ("rwmh", "mala"):
+            with pytest.raises(CapabilityError):
+                build_metropolis_updater(kind).draw(like, prior, np.random.default_rng(0))
 
 
 def test_step_size_validation():
     with pytest.raises(ValueError):
-        RandomWalkUpdater(step_size=0.0)
+        build_metropolis_updater("rwmh", step_size=0.0)
     with pytest.raises(ValueError):
-        MALAUpdater(step_size=-1.0)
+        build_metropolis_updater("mala", step_size=-1.0)
 
 
-@pytest.mark.parametrize("cls", [RandomWalkUpdater, MALAUpdater])
+# the ids name the random-walk and Langevin flavours of the one updater
+@pytest.mark.parametrize("kind", ["rwmh", "mala"], ids=["RandomWalkUpdater", "MALAUpdater"])
 @pytest.mark.parametrize("num_steps", [0, -2, 1.5])
-def test_num_steps_must_be_a_positive_integer(cls, num_steps):
+def test_num_steps_must_be_a_positive_integer(kind, num_steps):
     # an updater that never moves would leave its clusters at their prior draw
     with pytest.raises(ValueError, match="num_steps"):
-        cls(num_steps=num_steps)
+        build_metropolis_updater(kind, num_steps=num_steps)

@@ -1,11 +1,13 @@
 """Input validation helpers."""
 
+import math
+
 import numpy as np
 
 
 def check_positive(value, name):
-    if not np.isscalar(value) or not value > 0:
-        raise ValueError(f"'{name}' must be a positive scalar, got {value!r}")
+    if not np.isscalar(value) or not 0 < value < math.inf:
+        raise ValueError(f"'{name}' must be a positive finite scalar, got {value!r}")
     return float(value)
 
 

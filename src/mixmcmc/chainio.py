@@ -136,6 +136,7 @@ def decode_state(line, record_index=None):
         for key, value in doc["mixing_state"].items():
             mixing[key] = _decode_array(value) if isinstance(value, dict) else float(value)
         _check_integral(doc["cluster_allocs"], "cluster_allocs")
+        _check_integral([doc["iteration_num"]], "iteration_num")
         state = ChainState(doc["iteration_num"], clusters, doc["cluster_allocs"], mixing)
     except (KeyError, TypeError, ValueError) as err:
         raise DecodeError(f"malformed chain record: {err}", record_index) from None
@@ -167,10 +168,6 @@ class MemoryCollector:
 
     def collect(self, state):
         self._states.append(state)
-
-    def reset(self):
-        """Discard all collected states."""
-        self._states = []
 
     def __iter__(self):
         return iter(list(self._states))
@@ -228,12 +225,6 @@ class FileCollector:
                     continue
                 index += 1
                 yield decode_state(line, record_index=index)
-
-    def reset(self):
-        """Discard the stored chain (truncates the file)."""
-        self.finish_collecting()
-        open(self.path, "w", encoding="utf-8").close()
-        self._size = 0
 
     def __iter__(self):
         return self._read_records()

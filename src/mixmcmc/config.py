@@ -38,9 +38,6 @@ class ConfigTree:
 
     entries: list = field(default_factory=list)
 
-    def keys(self):
-        return [k for k, _ in self.entries]
-
     def has(self, key):
         return any(k == key for k, _ in self.entries)
 

@@ -1,11 +1,14 @@
-"""Base measures over component states: densities and sampling.
+"""Base measures over component states: sampling, and a density where a
+Metropolis updater needs one.
 
-Every prior evaluates its log density at a state, draws states (optionally
-from supplied posterior hyperparameters) and draws a batch of states from
-itself as arrays (``sample_batch``). The NIG and N x IG priors also
-evaluate the change-of-variables corrected log density of an unconstrained
-state vector (``lpdf_from_unconstrained``), which the Metropolis updater
-targets.
+A prior writes its draw once, as ``_draw(rng, size, hypers)``, which
+returns a :class:`~mixmcmc.states.StateBatch` of ``size`` draws at the
+given hyperparameters (``size=None`` gives one draw of floats). The base
+:class:`_Prior` turns it into ``sample`` (one state, optionally from
+supplied posterior hyperparameters) and ``sample_batch`` (a batch from the
+prior itself). The NIG and N x IG priors also evaluate the
+change-of-variables corrected log density of an unconstrained state vector
+(``lpdf_from_unconstrained``), which the Metropolis updater targets.
 """
 
 import math
@@ -32,23 +35,6 @@ def _invgamma_lpdf(x, shape, scale):
         - (shape + 1.0) * ad.log(x)
         - scale / x
     )
-
-
-def _gamma_lpdf(x, shape, rate):
-    """log Gamma(x | shape, rate)."""
-    return (
-        shape * math.log(rate)
-        - math.lgamma(shape)
-        + (shape - 1.0) * math.log(x)
-        - rate * x
-    )
-
-
-def _multigammaln(a, d):
-    out = 0.25 * d * (d - 1) * math.log(math.pi)
-    for j in range(d):
-        out += math.lgamma(a - 0.5 * j)
-    return out
 
 
 @dataclass(frozen=True)
@@ -84,13 +70,13 @@ class NxIGHypers:
 class NWHypers:
     """Normal-inverse-Wishart hyperparameters (mean, var_scaling, deg_free, scale)."""
 
-    __slots__ = ("mean", "var_scaling", "deg_free", "scale", "scale_chol")
+    __slots__ = ("mean", "var_scaling", "deg_free", "scale")
 
     def __init__(self, mean, var_scaling, deg_free, scale):
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
         self.var_scaling = check_positive(var_scaling, "var_scaling")
         self.deg_free = float(deg_free)
-        self.scale, self.scale_chol = check_spd_matrix(scale, "scale")
+        self.scale, _ = check_spd_matrix(scale, "scale")
         d = self.mean.shape[0]
         if self.scale.shape[0] != d:
             raise ValueError("mean and scale dimensions disagree")
@@ -116,29 +102,25 @@ class GammaPriorHypers:
         check_positive(self.rate_beta, "rate_beta")
 
 
-class NIGPrior:
-    """Normal-inverse-gamma: var ~ IG(shape, scale), mean | var ~ N(mean0, var/var_scaling)."""
+class _Prior:
+    """A prior's two samplers, both through the subclass's one ``_draw``."""
 
     def __init__(self, hypers):
         self.hypers = hypers
 
-    def lpdf(self, state):
-        if not isinstance(state, UniLSState):
-            raise ValueError(f"NIGPrior expects a UniLSState, got {type(state).__name__}")
-        h = self.hypers
-        return _norm_lpdf(state.mean, h.mean, state.var / h.var_scaling) + _invgamma_lpdf(
-            state.var, h.shape, h.scale
-        )
-
     def sample(self, rng, hypers=None):
-        h = hypers if hypers is not None else self.hypers
-        var = h.scale / rng.gamma(h.shape)
-        mean = h.mean + math.sqrt(var / h.var_scaling) * rng.standard_normal()
-        return UniLSState(mean, var)
+        """One state, drawn at ``hypers`` (default: the prior's own)."""
+        return self._draw(rng, None, self.hypers if hypers is None else hypers).state(())
 
     def sample_batch(self, rng, size):
         """``size`` independent prior draws, as a :class:`StateBatch`."""
-        h = self.hypers
+        return self._draw(rng, size, self.hypers)
+
+
+class NIGPrior(_Prior):
+    """Normal-inverse-gamma: var ~ IG(shape, scale), mean | var ~ N(mean0, var/var_scaling)."""
+
+    def _draw(self, rng, size, h):
         var = h.scale / rng.gamma(h.shape, size=size)
         mean = h.mean + np.sqrt(var / h.var_scaling) * rng.standard_normal(size)
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
@@ -153,32 +135,13 @@ class NIGPrior:
         return lpdf + logvar
 
 
-class NxIGPrior:
+class NxIGPrior(_Prior):
     """Independent prior: mean ~ N(mean0, var0), var ~ IG(shape, scale).
 
     Also serves the Laplace kernel, whose ``var`` field holds the scale.
     """
 
-    def __init__(self, hypers):
-        self.hypers = hypers
-
-    def lpdf(self, state):
-        if not isinstance(state, UniLSState):
-            raise ValueError(f"NxIGPrior expects a UniLSState, got {type(state).__name__}")
-        h = self.hypers
-        return _norm_lpdf(state.mean, h.mean, h.var) + _invgamma_lpdf(
-            state.var, h.shape, h.scale
-        )
-
-    def sample(self, rng, hypers=None):
-        h = hypers if hypers is not None else self.hypers
-        mean = h.mean + math.sqrt(h.var) * rng.standard_normal()
-        var = h.scale / rng.gamma(h.shape)
-        return UniLSState(mean, var)
-
-    def sample_batch(self, rng, size):
-        """``size`` independent prior draws, as a :class:`StateBatch`."""
-        h = self.hypers
+    def _draw(self, rng, size, h):
         mean = h.mean + math.sqrt(h.var) * rng.standard_normal(size)
         var = h.scale / rng.gamma(h.shape, size=size)
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
@@ -191,14 +154,14 @@ class NxIGPrior:
         return lpdf + logvar
 
 
-class NWPrior:
+class NWPrior(_Prior):
     """Normal-inverse-Wishart: cov ~ IW(deg_free, scale), mean | cov ~ N(mean0, cov/var_scaling).
 
     E[cov] = scale / (deg_free - dim - 1) when deg_free > dim + 1.
     """
 
     def __init__(self, hypers):
-        self.hypers = hypers
+        super().__init__(hypers)
         self._prior_bartlett = self._bartlett_factor(hypers)
 
     @staticmethod
@@ -208,60 +171,21 @@ class NWPrior:
         inv = 0.5 * (inv + inv.T)
         return np.linalg.cholesky(inv)
 
-    def lpdf(self, state):
-        if not isinstance(state, MultiLSState):
-            raise ValueError(f"NWPrior expects a MultiLSState, got {type(state).__name__}")
-        h = self.hypers
-        d = h.dim
-        nu = h.deg_free
-        # log N_d(mean | mean0, cov / var_scaling)
-        diff = state.mean - h.mean
-        z = np.linalg.solve(state.chol, diff)
-        log_norm = -0.5 * (
-            d * LOG_2PI + state.log_det - d * math.log(h.var_scaling)
-        ) - 0.5 * h.var_scaling * float(z @ z)
-        # log IW(cov | nu, scale)
-        sign, logdet_scale = np.linalg.slogdet(h.scale)
-        sol = np.linalg.solve(state.chol, h.scale)
-        sol = np.linalg.solve(state.chol.T, sol)  # cov^-1 @ scale, via two solves
-        trace_term = float(np.trace(sol))
-        log_iw = (
-            0.5 * nu * logdet_scale
-            - 0.5 * nu * d * math.log(2.0)
-            - _multigammaln(0.5 * nu, d)
-            - 0.5 * (nu + d + 1.0) * state.log_det
-            - 0.5 * trace_term
-        )
-        return log_norm + log_iw
-
-    def sample(self, rng, hypers=None):
-        h = hypers if hypers is not None else self.hypers
-        chol_inv_scale = (
-            self._prior_bartlett if h is self.hypers else self._bartlett_factor(h)
-        )
-        d = h.dim
-        cov = _inverse_wishart(rng, chol_inv_scale, h.deg_free, ())
-        state = MultiLSState(np.zeros(d), cov)
-        # mean | cov ~ N(mean0, cov / var_scaling), through the state's own factor
-        state.mean = h.mean + (state.chol @ rng.standard_normal(d)) / math.sqrt(
-            h.var_scaling
-        )
-        return state
-
-    def sample_batch(self, rng, size):
-        """``size`` independent prior draws, as a :class:`StateBatch`.
-
-        Besides ``mean`` and ``cov`` the batch holds each covariance's
-        ``chol_inv`` and ``log_det``, which the kernel's batch score reads.
-        """
-        h = self.hypers
-        cov = _inverse_wishart(rng, self._prior_bartlett, h.deg_free, size)
+    def _draw(self, rng, size, h):
+        """Besides ``mean`` and ``cov``, a batch holds each covariance's
+        ``chol_inv`` and ``log_det``, which the kernel's batch score reads;
+        a single draw leaves them to the state's constructor."""
+        shape = () if size is None else size
+        bartlett = self._prior_bartlett if h is self.hypers else self._bartlett_factor(h)
+        cov = _inverse_wishart(rng, bartlett, h.deg_free, shape)
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as err:
             raise ValueError("a drawn 'cov' is not positive definite") from err
-        z = rng.standard_normal(size + (h.dim, 1))
+        z = rng.standard_normal(shape + (h.dim, 1))
         mean = h.mean + (chol @ z)[..., 0] / math.sqrt(h.var_scaling)
+        if size is None:
+            return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov)
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
         return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov,
                           chol_inv=np.linalg.inv(chol), log_det=log_det)
@@ -285,29 +209,10 @@ def _inverse_wishart(rng, chol_inv_scale, deg_free, size):
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-class GammaPrior:
+class GammaPrior(_Prior):
     """Gamma prior on the kernel rate; kernel shape is a fixed hyperparameter."""
 
-    def __init__(self, hypers):
-        self.hypers = hypers
-
-    @property
-    def shape(self):
-        return self.hypers.shape
-
-    def lpdf(self, state):
-        if not isinstance(state, GammaState):
-            raise ValueError(f"GammaPrior expects a GammaState, got {type(state).__name__}")
-        h = self.hypers
-        return _gamma_lpdf(state.rate, h.rate_alpha, h.rate_beta)
-
-    def sample(self, rng, hypers=None):
-        h = hypers if hypers is not None else self.hypers
-        rate = rng.gamma(h.rate_alpha) / h.rate_beta
-        return GammaState(h.shape, rate)
-
-    def sample_batch(self, rng, size):
-        """``size`` independent prior draws, as a :class:`StateBatch`; all share the shape."""
-        h = self.hypers
+    def _draw(self, rng, size, h):
         rate = rng.gamma(h.rate_alpha, size=size) / h.rate_beta
+        # every draw shares the kernel shape
         return StateBatch(GammaState, ("shape", "rate"), shape=h.shape, rate=rate)

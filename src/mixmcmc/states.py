@@ -2,9 +2,9 @@
 
 Each state knows how to copy itself and serialize to/from a flat
 ``params`` map (name -> array + shape). :class:`UniLSState` also maps
-between its constrained and unconstrained representations, with the
-log-Jacobian term for change-of-variables corrections; the other states
-raise :class:`~mixmcmc.exceptions.CapabilityError` when asked for one. A
+between its constrained and unconstrained representations (the priors add
+the log-Jacobian, ``log var``, to their unconstrained densities); the other
+states raise :class:`~mixmcmc.exceptions.CapabilityError` when asked for one. A
 :class:`StateBatch` holds many states of one class as arrays.
 """
 
@@ -19,7 +19,8 @@ from .exceptions import CapabilityError
 class UniLSState:
     """Univariate location-scale parameters (mean, var), var > 0.
 
-    The unconstrained representation is (mean, log var).
+    The unconstrained representation is (mean, log var); the log-Jacobian
+    of the map back is log var.
     """
 
     __slots__ = ("mean", "var")
@@ -39,13 +40,6 @@ class UniLSState:
         if len(u) != 2:
             raise ValueError(f"expected 2 coordinates, got {len(u)}")
         return cls(u[0], math.exp(u[1]))
-
-    @staticmethod
-    def log_det_jacobian(u):
-        """log |d(mean, var)/d(u)| = log var = u[1]."""
-        if len(u) != 2:
-            raise ValueError(f"expected 2 coordinates, got {len(u)}")
-        return u[1]
 
     def to_params(self):
         return {
@@ -167,7 +161,8 @@ class StateBatch:
     """Many states of one class, held as arrays.
 
     Each field is an array whose leading axes are the batch shape, or a
-    scalar that every state in the batch shares. The fields carry the
+    scalar that every state in the batch shares; a batch of one draw
+    (shape ``()``) holds that state's own fields. The fields carry the
     state's attribute names, so a formula that reads ``st.mean`` and
     ``st.var`` works on a state and on a batch alike. ``args`` names the
     fields the state's constructor takes, in order.
@@ -180,5 +175,5 @@ class StateBatch:
 
     def state(self, index):
         """The state at ``index``, built through its constructor and checks."""
-        values = (getattr(self, name) for name in self.args)
-        return self.state_cls(*(v[index] if np.ndim(v) else v for v in values))
+        values = [getattr(self, name) for name in self.args]
+        return self.state_cls(*[v[index] if isinstance(v, np.ndarray) else v for v in values])

@@ -299,7 +299,13 @@ class MetropolisUpdater:
                 break
             fwd_mean = u + half * grad if self.langevin else u
             prop = fwd_mean + eps * rng.standard_normal(u.shape[0])
-            logp_prop, grad_prop = self._evaluate(like, prior, prop)
+            try:
+                logp_prop, grad_prop = self._evaluate(like, prior, prop)
+            except (ArithmeticError, ValueError) as err:
+                # a proposal whose target overflows or leaves the log's domain is rejected
+                if isinstance(err, ValueError) and str(err) != "math domain error":
+                    raise
+                continue
             log_ratio = logp_prop - logp
             if self.langevin:
                 if not np.all(np.isfinite(grad_prop)):

@@ -85,9 +85,11 @@ def test_decode_reports_index_of_negative_allocation():
     assert err.value.record_index == 7
 
 
-@pytest.mark.parametrize("field, bad", [("cluster_allocs", [0.7]), ("cardinality", 1.9)])
+@pytest.mark.parametrize("field, bad", [
+    ("cluster_allocs", [0.7]), ("cardinality", 1.9), ("iteration_num", 2.6)])
 def test_decode_rejects_non_integral_counts(field, bad):
-    # a fraction used to be truncated: [0.7] read as allocation 0, 1.9 as cardinality 1
+    # a fraction used to be truncated: [0.7] read as allocation 0, 1.9 as
+    # cardinality 1, 2.6 as iteration 2
     state = ChainState(
         0,
         [ClusterParams(1, {"mean": np.array([0.0]), "var": np.array([1.0])})],
@@ -95,16 +97,16 @@ def test_decode_rejects_non_integral_counts(field, bad):
         {"totalmass": 1.0},
     )
     doc = json.loads(encode_state(state))
-    if field == "cluster_allocs":
-        doc["cluster_allocs"] = bad
-    else:
+    if field == "cardinality":
         doc["cluster_states"][0]["cardinality"] = bad
-    with pytest.raises(DecodeError, match="non-integral") as err:
+    else:
+        doc[field] = bad
+    with pytest.raises(DecodeError, match=f"non-integral {field}") as err:
         decode_state(json.dumps(doc), record_index=4)
     assert err.value.record_index == 4
     doc["cluster_allocs"], doc["cluster_states"][0]["cardinality"] = [0.0], 1.0
+    doc["iteration_num"] = 0.0
     assert decode_state(json.dumps(doc)) == state  # integral floats still decode
-
 
 def test_memory_collector_basics():
     col = MemoryCollector()
@@ -117,9 +119,6 @@ def test_memory_collector_basics():
     assert len(col) == 3
     assert list(col) == states
     assert list(col) == states  # every pass replays from the start
-    col.reset()
-    assert len(col) == 0
-    assert list(col) == []
 
 
 def test_empty_collector_signals_end_immediately():
@@ -195,17 +194,6 @@ def test_truncated_final_record_reports_index(tmp_path):
     with pytest.raises(DecodeError) as err:
         next(replay)
     assert err.value.record_index == 2
-
-
-def test_file_collector_reset_truncates(tmp_path):
-    path = tmp_path / "r.chain"
-    col = FileCollector(path)
-    col.start_collecting()
-    col.collect(random_state(np.random.default_rng(55), 0))
-    col.finish_collecting()
-    col.reset()
-    assert len(col) == 0
-    assert path.read_text() == ""
 
 
 def test_read_csv_single_column(tmp_path):

@@ -188,6 +188,26 @@ def test_metropolis_updater_on_nnw_stops_before_the_chain_file(tmp_path, capsys)
     assert chain.read_bytes() == before
 
 
+@pytest.mark.parametrize("file_name, text", [
+    ("g0.txt", G0_TEXT + 'updater: "rwmh"\nstep_size: 1e400\n'),
+    ("dp.txt", "fixed_value { totalmass: 1e400 }\n"),
+], ids=["step_size", "totalmass"])
+def test_infinite_positive_value_stops_before_the_chain_file(tmp_path, capsys, file_name, text):
+    # 1e400 parses to inf, which is not a positive finite scalar; the run must
+    # stop at setup, before it truncates the chain file
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path)) == 0
+    chain = tmp_path / "chains.chain"
+    before = chain.read_bytes()
+    (tmp_path / "algo.txt").write_text(ALGO_TEXT.replace('"Neal2"', '"Neal8"'))
+    (tmp_path / file_name).write_text(text)
+    capsys.readouterr()
+    assert main(_full_run_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert chain.read_bytes() == before
+
+
 def test_gamma_density_on_a_grid_reaching_zero_is_written(tmp_path):
     # the Gamma kernel has log density -inf at y <= 0; the run must still finish
     _write_run_inputs(tmp_path)

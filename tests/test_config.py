@@ -52,7 +52,7 @@ fixed_values {
 
 def test_parse_nested_scalar():
     tree = parse_config(DP_TEXT)
-    assert tree.keys() == ["fixed_value"]
+    assert [key for key, _ in tree.entries] == ["fixed_value"]
     assert tree.child("fixed_value").get_float("totalmass") == 1.0
 
 

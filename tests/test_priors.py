@@ -14,65 +14,39 @@ from mixmcmc.priors import (
     NxIGHypers,
     NxIGPrior,
 )
-from mixmcmc.states import GammaState, MultiLSState, UniLSState
+from mixmcmc.states import MultiLSState, UniLSState
 
 NIG_REF = NIGHypers(0.0, 0.1, 2.0, 2.0)
 
 
+def _state_lpdf(prior, u):
+    """The prior's log density at the state ``u`` maps to: the unconstrained
+    density less its log-Jacobian, log var = u[1]."""
+    return prior.lpdf_from_unconstrained(u) - u[1]
+
+
 def test_nig_lpdf_against_scipy():
     prior = NIGPrior(NIG_REF)
-    state = UniLSState(0.0, 1.0)
-    expected = stats.norm.logpdf(0.0, 0.0, math.sqrt(1.0 / 0.1)) + stats.invgamma.logpdf(
-        1.0, 2.0, scale=2.0
-    )
-    assert prior.lpdf(state) == pytest.approx(float(expected), abs=1e-10)
     rng = np.random.default_rng(0)
     for _ in range(25):
-        s = UniLSState(rng.normal(), rng.gamma(2.0) + 0.05)
+        u = np.array([rng.normal(), math.log(rng.gamma(2.0) + 0.05)])
+        s = UniLSState.from_unconstrained(u)
         expected = stats.norm.logpdf(
             s.mean, 0.0, math.sqrt(s.var / 0.1)
         ) + stats.invgamma.logpdf(s.var, 2.0, scale=2.0)
-        assert prior.lpdf(s) == pytest.approx(float(expected), abs=1e-10)
-
-
-def test_gamma_prior_lpdf_value():
-    prior = GammaPrior(GammaPriorHypers(1.0, 2.0, 2.0))
-    # Gamma(2, 2) density at 1: 4 * 1 * e^{-2}
-    expected = math.log(4.0) - 2.0
-    assert prior.lpdf(GammaState(1.0, 1.0)) == pytest.approx(expected, abs=1e-12)
-
-
-def test_state_kind_mismatch_raises():
-    with pytest.raises(ValueError):
-        GammaPrior(GammaPriorHypers(1.0, 2.0, 2.0)).lpdf(UniLSState(0.0, 1.0))
-    with pytest.raises(ValueError):
-        NIGPrior(NIG_REF).lpdf(GammaState(1.0, 1.0))
+        assert _state_lpdf(prior, u) == pytest.approx(float(expected), abs=1e-10)
 
 
 def test_nxig_lpdf_against_scipy():
     prior = NxIGPrior(NxIGHypers(1.0, 4.0, 3.0, 2.0))
     rng = np.random.default_rng(1)
     for _ in range(25):
-        s = UniLSState(rng.normal(), rng.gamma(2.0) + 0.05)
+        u = np.array([rng.normal(), math.log(rng.gamma(2.0) + 0.05)])
+        s = UniLSState.from_unconstrained(u)
         expected = stats.norm.logpdf(s.mean, 1.0, 2.0) + stats.invgamma.logpdf(
             s.var, 3.0, scale=2.0
         )
-        assert prior.lpdf(s) == pytest.approx(float(expected), abs=1e-10)
-
-
-def test_nw_lpdf_against_scipy():
-    hypers = NWHypers([0.5, -0.5], 0.5, 6.0, np.array([[2.0, 0.3], [0.3, 1.0]]))
-    prior = NWPrior(hypers)
-    rng = np.random.default_rng(2)
-    for _ in range(15):
-        a = rng.normal(size=(2, 2))
-        cov = a @ a.T + np.eye(2)
-        mean = rng.normal(size=2)
-        state = MultiLSState(mean, cov)
-        expected = stats.invwishart.logpdf(
-            cov, df=6.0, scale=hypers.scale
-        ) + stats.multivariate_normal.logpdf(mean, mean=hypers.mean, cov=cov / 0.5)
-        assert prior.lpdf(state) == pytest.approx(float(expected), rel=1e-9)
+        assert _state_lpdf(prior, u) == pytest.approx(float(expected), abs=1e-10)
 
 
 def test_nig_sample_monte_carlo_moments():
@@ -126,24 +100,13 @@ def test_nw_sample_mean_of_cov_matches_analytic():
     assert np.allclose(acc / n, scale / 4.0, atol=0.03)
 
 
-def test_lpdf_from_unconstrained_composition_oracle():
-    rng = np.random.default_rng(7)
-    nig = NIGPrior(NIG_REF)
-    nxig = NxIGPrior(NxIGHypers(0.0, 2.0, 2.0, 2.0))
-    for _ in range(50):
-        u = rng.normal(size=2)
-        for prior in (nig, nxig):
-            state = UniLSState.from_unconstrained(u)
-            expected = prior.lpdf(state) + UniLSState.log_det_jacobian(u)
-            assert prior.lpdf_from_unconstrained(u) == pytest.approx(expected, abs=1e-12)
-
-
 def test_nig_unconstrained_zero_point():
+    # at u = 0 the state is (0, 1) and the log-Jacobian is 0
     prior = NIGPrior(NIG_REF)
-    u = np.zeros(2)
-    assert prior.lpdf_from_unconstrained(u) == pytest.approx(
-        prior.lpdf(UniLSState(0.0, 1.0)), abs=1e-12
+    expected = stats.norm.logpdf(0.0, 0.0, math.sqrt(10.0)) + stats.invgamma.logpdf(
+        1.0, 2.0, scale=2.0
     )
+    assert prior.lpdf_from_unconstrained(np.zeros(2)) == pytest.approx(float(expected), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -243,3 +206,19 @@ def test_nw_batch_draw_matches_the_scalar_sampler_and_the_analytic_mean():
         assert isinstance(state, MultiLSState)
         assert np.allclose(state.chol_inv, batch.chol_inv[index])
         assert state.log_det == pytest.approx(batch.log_det[index], abs=1e-10)
+
+
+@pytest.mark.parametrize("prior", [
+    NIGPrior(NIGHypers(1.0, 0.5, 2.5, 3.0)),
+    NxIGPrior(NxIGHypers(-1.0, 2.0, 2.5, 3.0)),
+    NWPrior(NWHypers([1.0, -1.0, 0.0], 2.0, 6.0, np.diag([2.0, 1.0, 1.5]))),
+    GammaPrior(GammaPriorHypers(2.0, 3.0, 2.0)),
+], ids=["NIG", "NxIG", "NW", "Gamma"])
+def test_single_draw_equals_a_batch_of_one(prior):
+    # one draw formula: a single state is the batch's only row, bit for bit
+    for seed in range(2_000):
+        single = prior.sample(np.random.default_rng(seed))
+        row = prior.sample_batch(np.random.default_rng(seed), (1,)).state((0,))
+        assert type(single) is type(row)
+        want, got = single.to_params(), row.to_params()
+        assert all(want[k].tobytes() == got[k].tobytes() for k in want), seed

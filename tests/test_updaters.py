@@ -334,6 +334,26 @@ def test_step_size_validation():
         build_metropolis_updater("rwmh", step_size=0.0)
     with pytest.raises(ValueError):
         build_metropolis_updater("mala", step_size=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        build_metropolis_updater("rwmh", step_size=math.inf)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["rwmh", "mala"])
+def test_proposal_whose_target_cannot_be_evaluated_is_rejected(kind):
+    # a step this large proposes log scales whose exp overflows, or underflows
+    # to a 0 whose log fails; such a proposal is a rejected move
+    prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
+    like = LaplaceLikelihood(UniLSState(0.0, 1.0))
+    for i, y in enumerate([0.5, -0.7, 2.0]):
+        like.add_datum(i, y)
+    updater = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        before = like.state
+        state = updater.draw(like, prior, rng)
+        # a move to a far-away state would be accepted with negligible probability
+        assert state == before
 
 
 # the ids name the random-walk and Langevin flavours of the one updater

@@ -96,6 +96,28 @@ class _BaseAlgorithm:
         for i in range(n):
             self.clusters[self.allocations[i]].add_datum(i, self._rows[i])
 
+    def _draw_cluster_params(self, rng):
+        """Draw every cluster's parameters from its full conditional.
+
+        An empty cluster draws from the prior. An updater with a
+        ``draw_batch`` (the Metropolis one) then moves all non-empty
+        clusters in one batch; any other draws them one at a time, in list
+        order.
+        """
+        draw_batch = getattr(self.template.updater, "draw_batch", None)
+        if draw_batch is None:
+            for cluster in self.clusters:
+                cluster.sample_full_cond(rng)
+            return
+        occupied = []
+        for cluster in self.clusters:
+            if cluster.card:
+                occupied.append(cluster.likelihood)
+            else:
+                cluster.sample_prior(rng)
+        if occupied:
+            draw_batch(occupied, self.template.prior, rng)
+
     def _snapshot(self, iteration):
         cluster_states = [
             ClusterParams(cl.card, cl.state.to_params()) for cl in self.clusters
@@ -335,8 +357,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             cluster.likelihood.set_members(ids)
 
     def _refresh_clusters(self, rng):
-        for cluster in self.clusters:
-            cluster.sample_full_cond(rng)
+        self._draw_cluster_params(rng)
         self.mixing.update_state(self._counts(), self.n, rng)
 
     def _record_log_weights(self, record, mixing):
@@ -454,8 +475,7 @@ class BlockedGibbsAlgorithm(_BaseAlgorithm):
             self.allocations[i] = new_alloc[i]
         counts = np.bincount(self.allocations, minlength=m)
         self.mixing.update_state(counts, n, rng)
-        for comp in self.clusters:
-            comp.sample_full_cond(rng)
+        self._draw_cluster_params(rng)
 
     def _record_log_weights(self, record, mixing):
         return mixing.get_weights()

@@ -1,11 +1,17 @@
 """Forward-mode dual numbers for gradients of unconstrained log densities.
 
 Density code written against :mod:`mixmcmc.autodiff`'s generic math functions
-works unchanged on plain floats and on :class:`Dual` values, so the same
-implementation serves both plain evaluation and gradient computation.
-"""
+works unchanged on plain floats, on numpy arrays and on :class:`Dual` values,
+so one implementation serves plain evaluation and gradient computation, for
+one cluster or for a batch of clusters.
 
-import math
+A :class:`Dual` holds a value of shape ``()`` (one cluster) or ``(k,)`` (k
+clusters) and its gradient with respect to the p seed variables, of shape
+``(p,)`` or ``(p, k)``. The seed axis comes first, so a value broadcasts
+against its gradient without indexing. Arithmetic follows numpy: a division
+by zero or an overflow gives an infinity or a NaN, which the caller may
+silence with ``np.errstate`` and test with ``np.isfinite``.
+"""
 
 import numpy as np
 
@@ -14,10 +20,13 @@ class Dual:
     """Value together with its gradient with respect to the seed variables."""
 
     __slots__ = ("val", "grad")
+    # numpy arrays and scalars defer to the reflected operators below,
+    # instead of making an object array of duals
+    __array_ufunc__ = None
 
     def __init__(self, val, grad):
-        self.val = float(val)
-        self.grad = np.asarray(grad, dtype=float)
+        self.val = val
+        self.grad = grad
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -53,83 +62,60 @@ class Dual:
             )
         return Dual(self.val / other, self.grad / other)
 
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        return Dual(other * inv, -other * inv * inv * self.grad)
-
-    def __pow__(self, p):
-        return Dual(self.val**p, p * self.val ** (p - 1) * self.grad)
-
     def __neg__(self):
         return Dual(-self.val, -self.grad)
-
-    def __abs__(self):
-        s = 1.0 if self.val >= 0 else -1.0
-        return Dual(abs(self.val), s * self.grad)
-
-    def __lt__(self, other):
-        return self.val < _value(other)
-
-    def __le__(self, other):
-        return self.val <= _value(other)
-
-    def __gt__(self, other):
-        return self.val > _value(other)
-
-    def __ge__(self, other):
-        return self.val >= _value(other)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, grad={self.grad!r})"
-
-
-def _value(x):
-    return x.val if isinstance(x, Dual) else x
 
 
 def exp(x):
     if isinstance(x, Dual):
-        e = math.exp(x.val)
+        e = np.exp(x.val)
         return Dual(e, e * x.grad)
-    return math.exp(x)
+    return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
-        return Dual(math.log(x.val), x.grad / x.val)
-    return math.log(x)
+        return Dual(np.log(x.val), x.grad / x.val)
+    return np.log(x)
 
 
-def abs_dev_sum(ys, x):
-    """Sum of |y - x| over the floats ys; one Dual when x is one.
+def abs_dev_sum(ys, x, groups=None):
+    """Sum of |y - x| over the array ys; a Dual when x is one.
 
-    The slope of |y - x| in x is -1 where y >= x and +1 below, the sign
-    ``Dual.__abs__`` takes at a tie, so the result equals the per-datum sum
-    of ``abs(y - x)`` while building a single Dual.
+    Without ``groups`` x is one value. With it, x holds k values, y_i is
+    measured from x[groups[i]], and the result holds the k group sums, in
+    O(len(ys)) through ``np.bincount``.
+    The slope of |y - x| in x is -1 where y >= x (ties included) and +1
+    below.
     """
     xv = x.val if isinstance(x, Dual) else x
-    total = 0.0
-    slope = 0
-    for y in ys:
-        d = y - xv
-        if d >= 0:
-            total += d
-            slope -= 1
-        else:
-            total -= d
-            slope += 1
+    if groups is None:
+        d = ys - xv
+        total = np.sum
+    else:
+        d = ys - xv[groups]
+
+        def total(weights):
+            return np.bincount(groups, weights, len(xv))
+
+    sign = np.where(d >= 0, -1.0, 1.0)
+    dev = total(-sign * d)
     if isinstance(x, Dual):
-        return Dual(total, slope * x.grad)
-    return total
+        return Dual(dev, total(sign) * x.grad)
+    return dev
 
 
 def gradient(fn, point):
-    """Evaluate ``fn`` at ``point`` (1-d array) and return (value, gradient)."""
+    """Evaluate ``fn`` at ``point``, of shape (p,) or (p, k); return (value, gradient).
+
+    The value has shape () or (k,), the gradient that of ``point``.
+    """
     point = np.asarray(point, dtype=float)
-    n = point.shape[0]
-    seeds = np.eye(n)
-    duals = [Dual(point[i], seeds[i]) for i in range(n)]
-    out = fn(duals)
+    p = point.shape[0]
+    # seed i has gradient e_i, for every cluster of a batch
+    seeds = np.zeros((p,) + point.shape)
+    seeds[range(p), range(p)] = 1.0
+    out = fn([Dual(point[i], seeds[i]) for i in range(p)])
     if isinstance(out, Dual):
         return out.val, out.grad
-    return float(out), np.zeros(n)
+    return out, np.zeros(point.shape)

@@ -21,11 +21,17 @@ per-family formula that reads the state's fields by name, so a state and a
 batch of states share it.
 
 The normal and Laplace kernels also give the whole-cluster log density at
-an unconstrained state vector (``cluster_lpdf_from_unconstrained``), which
-the Metropolis updater targets; the other kernels raise
-:class:`~mixmcmc.exceptions.CapabilityError` there.
+an unconstrained state vector, which the Metropolis updater targets. The
+static ``unconstrained_lpdf(stats, u)`` is its one formula, written against
+:mod:`mixmcmc.autodiff`. ``stats`` is what ``unconstrained_stats()`` returns
+for one cluster (floats, with u of shape (p,)), or what
+``stack_unconstrained_stats(likes)`` returns for k clusters (arrays over the
+clusters, with u of shape (p, k)); the value then holds the k clusters'
+densities. ``cluster_lpdf_from_unconstrained(u)`` evaluates one cluster. The
+other kernels raise :class:`~mixmcmc.exceptions.CapabilityError` there.
 """
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -118,10 +124,16 @@ class _BaseLikelihood:
         """log f(rows[i] | batch state (i, j)) for a batch of shape (n, m) and n rows."""
         return self._log_density(batch, rows[:, :1])
 
-    def cluster_lpdf_from_unconstrained(self, u):
+    def unconstrained_stats(self):
+        """The statistics ``unconstrained_lpdf`` reads, for this one cluster."""
         raise CapabilityError(
             f"{type(self).__name__} has no unconstrained parameterization"
         )
+
+    def cluster_lpdf_from_unconstrained(self, u):
+        """Sum of log f(y_i | state) over the cluster at the unconstrained u; 0 when empty."""
+        stats = self.unconstrained_stats()
+        return self.unconstrained_lpdf(stats, u) if self.card else 0.0
 
 
 class UniNormLikelihood(_BaseLikelihood):
@@ -168,19 +180,22 @@ class UniNormLikelihood(_BaseLikelihood):
         d = y - st.mean
         return -0.5 * (LOG_2PI + np.log(st.var)) - d * d / (2.0 * st.var)
 
-    def cluster_lpdf_from_unconstrained(self, u):
-        """Sum of log N(y_i | mean, var) over the cluster, from (mean, log var).
+    def unconstrained_stats(self):
+        return self.card, self.stats[0], self.stats[1]
 
-        Computed from (data_sum, data_sum_squares, card); works on floats
-        and dual numbers alike.
-        """
-        n = self.card
-        if n == 0:
-            return 0.0
+    @staticmethod
+    def stack_unconstrained_stats(likes):
+        """(size, sum of y, sum of y^2) of k clusters, each a (k,) array."""
+        columns = zip(*[like.unconstrained_stats() for like in likes])
+        return tuple(np.array(column) for column in columns)
+
+    @staticmethod
+    def unconstrained_lpdf(stats, u):
+        """Sum of log N(y_i | mean, var) over a cluster, from (mean, log var)."""
+        n, data_sum, data_sum_squares = stats
         mean, logvar = u[0], u[1]
-        var = ad.exp(logvar)
-        quad = self.data_sum_squares - 2.0 * mean * self.data_sum + n * mean * mean
-        return -0.5 * n * (LOG_2PI + logvar) - quad / (2.0 * var)
+        quad = data_sum_squares + mean * (n * mean - 2.0 * data_sum)
+        return -0.5 * (n * (LOG_2PI + logvar) + quad * ad.exp(-logvar))
 
 
 class MultiNormLikelihood(_BaseLikelihood):
@@ -292,13 +307,24 @@ class LaplaceLikelihood(_BaseLikelihood):
         scale = st.var
         return -np.log(2.0 * scale) - np.abs(y - st.mean) / scale
 
-    def cluster_lpdf_from_unconstrained(self, u):
-        n = self.card
-        if n == 0:
-            return 0.0
+    def unconstrained_stats(self):
+        return self.card, np.fromiter(self.data.values(), float, self.card), None
+
+    @staticmethod
+    def stack_unconstrained_stats(likes):
+        """Sizes (k,), every member datum (N,), and the cluster index of each datum."""
+        sizes = np.array([like.card for like in likes])
+        data = np.fromiter(itertools.chain.from_iterable(like.data.values() for like in likes),
+                           float, int(sizes.sum()))
+        return sizes, data, np.repeat(np.arange(len(likes)), sizes)
+
+    @staticmethod
+    def unconstrained_lpdf(stats, u):
+        """Sum of log Laplace(y_i | mean, scale) over a cluster, from (mean, log scale)."""
+        n, data, groups = stats
         mean, logscale = u[0], u[1]
         scale = ad.exp(logscale)
-        abs_sum = ad.abs_dev_sum(self.data.values(), mean)
+        abs_sum = ad.abs_dev_sum(data, mean, groups)
         return -n * (math.log(2.0) + logscale) - abs_sum / scale
 
 

@@ -8,7 +8,9 @@ given hyperparameters (``size=None`` gives one draw of floats). The base
 supplied posterior hyperparameters) and ``sample_batch`` (a batch from the
 prior itself). The NIG and N x IG priors also evaluate the
 change-of-variables corrected log density of an unconstrained state vector
-(``lpdf_from_unconstrained``), which the Metropolis updater targets.
+(``lpdf_from_unconstrained``), which the Metropolis updater targets. Written
+against :mod:`mixmcmc.autodiff`, it takes u of shape (p,) for one state or
+(p, k) for k states, as floats, arrays or dual numbers.
 """
 
 import math
@@ -22,19 +24,9 @@ from ._validation import check_positive, check_spd_matrix
 from .states import GammaState, MultiLSState, StateBatch, UniLSState
 
 
-def _norm_lpdf(x, mean, var):
-    """log N(x | mean, var); generic over floats and duals."""
-    return -0.5 * (LOG_2PI + ad.log(var)) - (x - mean) ** 2 / (2.0 * var)
-
-
-def _invgamma_lpdf(x, shape, scale):
-    """log IG(x | shape, scale), density scale^shape/Gamma(shape) x^-(shape+1) e^(-scale/x)."""
-    return (
-        shape * math.log(scale)
-        - math.lgamma(shape)
-        - (shape + 1.0) * ad.log(x)
-        - scale / x
-    )
+def _invgamma_log_norm(shape, scale):
+    """log of IG(shape, scale)'s normalizer scale^shape / Gamma(shape)."""
+    return shape * math.log(scale) - math.lgamma(shape)
 
 
 @dataclass(frozen=True)
@@ -126,13 +118,19 @@ class NIGPrior(_Prior):
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
     def lpdf_from_unconstrained(self, u):
+        """log N(mean | mean0, var / var_scaling) + log IG(var | shape, scale) + log var.
+
+        Collected in u = (mean, log var), the density's exponent is
+        -(scale + var_scaling (mean - mean0)^2 / 2) / var, and log var's
+        coefficient -(shape + 1/2) holds the log-Jacobian.
+        """
         mean, logvar = u[0], u[1]
-        var = ad.exp(logvar)
         h = self.hypers
-        lpdf = _norm_lpdf(mean, h.mean, var / h.var_scaling) + _invgamma_lpdf(
-            var, h.shape, h.scale
-        )
-        return lpdf + logvar
+        dev = mean - h.mean
+        log_norm = 0.5 * (math.log(h.var_scaling) - LOG_2PI) + _invgamma_log_norm(
+            h.shape, h.scale)
+        return (log_norm - (h.shape + 0.5) * logvar
+                - (h.scale + 0.5 * h.var_scaling * dev * dev) * ad.exp(-logvar))
 
 
 class NxIGPrior(_Prior):
@@ -147,11 +145,17 @@ class NxIGPrior(_Prior):
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
     def lpdf_from_unconstrained(self, u):
+        """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var.
+
+        In u = (mean, log var), log var's coefficient -shape holds the
+        log-Jacobian.
+        """
         mean, logvar = u[0], u[1]
-        var = ad.exp(logvar)
         h = self.hypers
-        lpdf = _norm_lpdf(mean, h.mean, h.var) + _invgamma_lpdf(var, h.shape, h.scale)
-        return lpdf + logvar
+        dev = mean - h.mean
+        log_norm = -0.5 * (LOG_2PI + math.log(h.var)) + _invgamma_log_norm(h.shape, h.scale)
+        return (log_norm - dev * dev / (2.0 * h.var) - h.shape * logvar
+                - h.scale * ad.exp(-logvar))
 
 
 class NWPrior(_Prior):

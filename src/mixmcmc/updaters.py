@@ -5,11 +5,14 @@ sufficient statistics and draws through the prior's sampler; it also exposes
 the matching marginal (predictive) densities used by marginal algorithms.
 The Metropolis updater, random-walk or Langevin, works with any
 likelihood/prior pair that has an unconstrained parameterization: the
-normal and Laplace kernels under the NIG and N x IG priors.
+normal and Laplace kernels under the NIG and N x IG priors. It moves one
+cluster (``draw``) or all of a sampler's non-empty clusters at once
+(``draw_batch``), through one routine on the likelihood's and the prior's
+unconstrained densities, which take one cluster's floats or k clusters'
+arrays.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -258,7 +261,7 @@ class NNxIGUpdater:
 
 
 class MetropolisUpdater:
-    """Metropolis on the unconstrained parameterization of the cluster's state.
+    """Metropolis on the unconstrained parameterization of the clusters' states.
 
     Without ``langevin`` the proposal is a Gaussian random walk and the
     target is evaluated on floats. With it the proposal drifts along the
@@ -266,6 +269,16 @@ class MetropolisUpdater:
     from forward-mode dual numbers, so any likelihood/prior pair whose
     unconstrained log densities are written against
     :mod:`mixmcmc.autodiff` works without extra code.
+
+    ``draw`` moves one cluster, on a state vector u of shape (p,) and the
+    likelihood's ``unconstrained_stats``. ``draw_batch`` moves k clusters
+    of one family together, on u of shape (p, k) and the stacked
+    statistics: each step draws one (p, k) normal block and k uniforms and
+    accepts or rejects each cluster's proposal on its own, so a batch of
+    one is the same kernel as ``draw``. Both run ``_move``. A proposal whose
+    target or gradient is not finite (an overflowing or underflowing scale)
+    is rejected; the target is evaluated with numpy's floating-point
+    warnings silenced.
     """
 
     def __init__(self, step_size, num_steps, langevin):
@@ -276,53 +289,74 @@ class MetropolisUpdater:
     def is_conjugate(self):
         return False
 
-    def _evaluate(self, like, prior, u):
-        """The target at ``u``, with its gradient when the proposal needs one."""
-        def target(v):
-            return like.cluster_lpdf_from_unconstrained(v) + prior.lpdf_from_unconstrained(v)
-
-        if self.langevin:
-            return ad.gradient(target, u)
-        return target(u), None
-
     def draw(self, like, prior, rng):
         u = like.state.to_unconstrained()
-        eps = self.step_size
-        half = 0.5 * eps * eps
-        logp, grad = self._evaluate(like, prior, u)
-        for _ in range(self.num_steps):
-            if self.langevin and not np.all(np.isfinite(grad)):
-                warnings.warn(
-                    "non-finite gradient at current state; rejecting move",
-                    RuntimeWarning,
-                )
-                break
-            fwd_mean = u + half * grad if self.langevin else u
-            prop = fwd_mean + eps * rng.standard_normal(u.shape[0])
-            try:
-                logp_prop, grad_prop = self._evaluate(like, prior, prop)
-            except (ArithmeticError, ValueError) as err:
-                # a proposal whose target overflows or leaves the log's domain is rejected
-                if isinstance(err, ValueError) and str(err) != "math domain error":
-                    raise
-                continue
-            log_ratio = logp_prop - logp
-            if self.langevin:
-                if not np.all(np.isfinite(grad_prop)):
-                    warnings.warn(
-                        "non-finite gradient at proposal; rejecting move",
-                        RuntimeWarning,
-                    )
-                    continue
-                rev_mean = prop + half * grad_prop
-                log_fwd = -float(np.sum((prop - fwd_mean) ** 2)) / (2.0 * eps * eps)
-                log_rev = -float(np.sum((u - rev_mean) ** 2)) / (2.0 * eps * eps)
-                log_ratio = log_ratio + log_rev - log_fwd
-            if math.log(rng.random()) < log_ratio:
-                u, logp, grad = prop, logp_prop, grad_prop
-        state = type(like.state).from_unconstrained(u)
+        target = _log_target(type(like).unconstrained_lpdf, like.unconstrained_stats(), prior)
+        state = type(like.state).from_unconstrained(self._move(target, u, rng))
         like.state = state
         return state
+
+    def draw_batch(self, likes, prior, rng):
+        """Move the clusters whose likelihoods are ``likes`` (one family, none empty)."""
+        like_cls, state_cls = type(likes[0]), type(likes[0].state)
+        u = np.stack([like.state.to_unconstrained() for like in likes], axis=1)
+        target = _log_target(like_cls.unconstrained_lpdf,
+                             like_cls.stack_unconstrained_stats(likes), prior)
+        for like, col in zip(likes, self._move(target, u, rng).T):
+            like.state = state_cls.from_unconstrained(col)
+
+    def _evaluate(self, target, u):
+        """The target at u, -inf where it or its gradient is not finite, and the gradient."""
+        if self.langevin:
+            logp, grad = ad.gradient(target, u)
+            finite = np.isfinite(logp) & np.isfinite(grad).all(axis=0)
+        else:
+            logp, grad = target(u), None
+            finite = np.isfinite(logp)
+        return _select(finite, logp, -np.inf), grad
+
+    def _move(self, target, u, rng):
+        """``num_steps`` Metropolis steps from u, (p,) or (p, k); returns the new u."""
+        eps = self.step_size
+        half = 0.5 * eps * eps
+        batch = u.shape[1:] or None  # the uniforms' shape: one per cluster
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logp, grad = self._evaluate(target, u)
+            for _ in range(self.num_steps):
+                fwd_mean = u + half * grad if self.langevin else u
+                prop = fwd_mean + eps * rng.standard_normal(u.shape)
+                logp_prop, grad_prop = self._evaluate(target, prop)
+                log_ratio = logp_prop - logp
+                if self.langevin:
+                    rev_mean = prop + half * grad_prop
+                    log_ratio += (np.sum((prop - fwd_mean) ** 2, axis=0)
+                                  - np.sum((u - rev_mean) ** 2, axis=0)) / (2.0 * eps * eps)
+                # a NaN ratio (a rejected proposal from a rejected state) compares False
+                accept = np.log(rng.random(batch)) < log_ratio
+                u = _select(accept, prop, u)
+                logp = _select(accept, logp_prop, logp)
+                if self.langevin:
+                    grad = _select(accept, grad_prop, grad)
+        return u
+
+
+def _select(take, new, old):
+    """``new`` where ``take``, else ``old``: per cluster (the last axis) for a batch.
+
+    One cluster's ``take`` is a numpy bool, and a plain branch is much
+    cheaper than ``np.where``.
+    """
+    if isinstance(take, np.ndarray):
+        return np.where(take, new, old)
+    return new if take else old
+
+
+def _log_target(unconstrained_lpdf, stats, prior):
+    """u -> the clusters' log posterior at u: likelihood plus prior, both unconstrained."""
+    def target(u):
+        return unconstrained_lpdf(stats, u) + prior.lpdf_from_unconstrained(u)
+
+    return target
 
 
 # config name -> (langevin, default step size)

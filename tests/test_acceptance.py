@@ -37,6 +37,7 @@ from mixmcmc.postprocess import (
 from mixmcmc.priors import GammaPriorHypers, NIGHypers
 from mixmcmc.states import UniLSState
 from mixmcmc.updaters import (
+    _log_target,
     build_metropolis_updater,
     gamma_gamma_posterior_hypers,
     nnig_posterior_hypers,
@@ -168,7 +169,8 @@ def test_criterion_3_metropolis_conjugate_agreement():
     worst = 0.0
     for _ in range(100):
         u = rng.normal(size=2)
-        _, grad = mala._evaluate(like, prior, u)
+        _, grad = mala._evaluate(
+            _log_target(type(like).unconstrained_lpdf, like.unconstrained_stats(), prior), u)
 
         def target(v):
             return like.cluster_lpdf_from_unconstrained(v) + prior.lpdf_from_unconstrained(v)

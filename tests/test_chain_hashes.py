@@ -74,15 +74,15 @@ CHAIN_SHA256 = {
     "Neal8/NNIG/PY": "af9302374c2d76d660597ea9bca2e550ac03296d2b5744a2784acd99f4eeb3a1",
     "Neal8/NNxIG/DP": "4d33ebd7c20e19442d6542780077e62c2f5f28f544a7179d9af1451ec8f5391f",
     "Neal8/NNxIG/PY": "a17a43a95c136c5dd1d771d3f36cd45a1e2cceddbbf18cc8633acd37118d8bae",
-    "Neal8/LapNIG/DP": "8dfe6d4436baca1325fb1e983ce7cdff204707603cf78c55a08d2a894ff6a8e1",
-    "Neal8/LapNIG/PY": "c0b7e4bad59571827aae8dcc2fd05915f46fc8e49e8444b464fd9df2c5b733e8",
+    "Neal8/LapNIG/DP": "936a2b9ec4d5b934f29d8ce58cee833051a8afc8d43b4dde7455cadd34ca71bb",
+    "Neal8/LapNIG/PY": "8c053fb162c1c8967a2deff67b8adbd202c7d4276315c9155278731c519239c2",
     "Neal8/NNW/DP": "119fc45dd997a038ccf35cd280d769b64e08d46a776cbf3356c56af22916674b",
     "Neal8/NNW/PY": "664fac94d45b121660d56d2dac750870584503f7f74847a6bea73cec9a9fcf45",
     "Neal8/GammaGamma/DP": "2e94316431f3172f42300f8c9f6693101396d28e0a8e957f15cce8a5368ee722",
     "Neal8/GammaGamma/PY": "29a201bc1fa952f42db7762098c2298adbbe762140002b07e8c5068cdd44480a",
     "BlockedGibbs/NNIG/TruncSB": "e63173758671bd95aa04a7070f886491722a6565dcc33b16ecaa126fc3e4e1c3",
     "BlockedGibbs/NNxIG/TruncSB": "9af07d6a5d1e8cdb7005ffb00800e26f893280e21563ab5dfe4f3340c323a818",
-    "BlockedGibbs/LapNIG/TruncSB": "f76e1e89871b0d0146fb3c075e448484b0a5cbaef7a98a5bcc28ec95a735ae20",
+    "BlockedGibbs/LapNIG/TruncSB": "94da1838e38d1908f7055b31c8ae46201f7202b8d9c8ed437af1b2e2a5a58d0b",
     "BlockedGibbs/NNW/TruncSB": "fed3f8fc087b03ae3771e9f7f61f16905d5d05e9d80a0d376faaa80e4554ad11",
     "BlockedGibbs/GammaGamma/TruncSB": "bf33779065a9f61dd32667a4e48ccc9c8de37285d8e0f103873efaa6149d3057",
 }
@@ -103,15 +103,15 @@ GRID_SHA256 = {
     "Neal8/NNIG/PY": "7f13e8ad3e69f232e8b9e74dc8b94a67e48b8e6b3acd50f44e09e2b84cf1cc98",
     "Neal8/NNxIG/DP": "a0d06614f60ffabe8092532b8edaebae51024c42c4392b00f664befc9958019f",
     "Neal8/NNxIG/PY": "ccacb274f17a32f6b1c602d22d6cb85dfdb7c9b452f221c8d928bd2fe4293d0a",
-    "Neal8/LapNIG/DP": "ec11269e490e6feaecdf527a6d2ca31775bd93093825b9ba65face4340c2a203",
-    "Neal8/LapNIG/PY": "c8e6ba8b6ca68c1ec25e8a2c77b862e699d7282ba2764a594ef2fb6d4468f0db",
+    "Neal8/LapNIG/DP": "48211ab0406de366edb2af66bdc3678dc77d55f50c3d407409e6b31f1ee80252",
+    "Neal8/LapNIG/PY": "1932b86028c72a74d062c187f092ac0f953bfe2501d1e6e73121d7de06ef88a3",
     "Neal8/NNW/DP": "42de2d7ac772bc64427bdf1c78ce45f0c6c4e2eef3ab180ac823b86c192e2bca",
     "Neal8/NNW/PY": "dc42cb9d83c49aaa5dc0839064a744a3f2e609268b769fee1d134c4d08a115ab",
     "Neal8/GammaGamma/DP": "e64a21746e6409aee93f0178563965320110bd773c383707ca0ad6efebe8b3a3",
     "Neal8/GammaGamma/PY": "255acd6858c72f27fd911a3201f96bc15732f5f989932a61a2a6b7e39a45ac43",
     "BlockedGibbs/NNIG/TruncSB": "8e5ff1cdb7290dfbdb3d4c5f932aae089f17837783637242bee119d8565809c1",
     "BlockedGibbs/NNxIG/TruncSB": "9acf3c459d352741794a741c4864cc37b7bc4b50d7525dcc700e2eff0c5164bc",
-    "BlockedGibbs/LapNIG/TruncSB": "a6d2b3ce5ababd8c2c0e6b5b5729619141a4fc833c3daf185930e54feb5fef7f",
+    "BlockedGibbs/LapNIG/TruncSB": "28d95445d034ce094e788f99610685772dba90794d4896f562e032f46504e0e5",
     "BlockedGibbs/NNW/TruncSB": "26389504ca0a4b1c69a01a68979233ff2c7155e66dcfaac24a1dc24a7a23bfc4",
     "BlockedGibbs/GammaGamma/TruncSB": "d65ab2240e57175ace78cd3469e836273301ba725d7ed10d90791e59482c78a9",
 }
@@ -132,7 +132,7 @@ PREDICT_SHA256 = {
     "Neal8/NNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
     "Neal8/NNxIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
     "Neal8/NNxIG/PY": "e49e118cd938ad5116cbeb8c1cccc8fc6016147a3ca450b7356b4c852a719e0f",
-    "Neal8/LapNIG/DP": "b3c7c6e8a96a7f04dcb610002e52b129a0477e30c2dcbe92ebea30b3bacc9f47",
+    "Neal8/LapNIG/DP": "e7e7fff181e5c907f937402faf531cb7b699f65242285fe2176338738567c7ae",
     "Neal8/LapNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
     "Neal8/NNW/DP": "3422751cffd8c91c8fd428ec487017403069eaa76162cd0e6a2e9670f2f2847f",
     "Neal8/NNW/PY": "245c361f5178a21e20d67f4b227d420e95044e3cd46348918fea47f864d105db",
@@ -140,18 +140,18 @@ PREDICT_SHA256 = {
     "Neal8/GammaGamma/PY": "67ba52b817976d5651a44f483acbd1dd39cd20aa9100965669054b04cb52f0b1",
     "BlockedGibbs/NNIG/TruncSB": "f7bccb807955f639344c2bb293637009f85814d7eae0ec770078a2843f3bfe9f",
     "BlockedGibbs/NNxIG/TruncSB": "e49e118cd938ad5116cbeb8c1cccc8fc6016147a3ca450b7356b4c852a719e0f",
-    "BlockedGibbs/LapNIG/TruncSB": "d7c418549aac76e9cd783d49262ffc17c75e6d52a6890fa5a416133ee5ae4e25",
+    "BlockedGibbs/LapNIG/TruncSB": "054424987599a8457e456ed7ecb174a4b0df66f62fd518b6ab4a0662e962c6d5",
     "BlockedGibbs/NNW/TruncSB": "a8081fd051686287dd846ce5d7c2636b589e7d0e2a2c72c6896f87fcce6fa659",
     "BlockedGibbs/GammaGamma/TruncSB": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
 }
 
 METROPOLIS_SHA256 = {
-    "Neal8/NNIG/DP/rwmh": "55593219fea3ed59926eaacfbd363bd6c02d7bb454ee38e4628e1e113f4e317a",
-    "Neal8/NNIG/DP/mala": "63b8bc449b879fe4f908dcb10803ecbb6419222c57ddadbe1492eadc742df9ec",
-    "Neal8/NNxIG/DP/rwmh": "168de2fdde3081fb293fa013aa5e219b194a7b52b3b737784162efbc4687927e",
-    "Neal8/NNxIG/DP/mala": "4a6d3e5b3df005a58ac9fc0944d1bf0ddac3342ab5c8eb173fe830bb695d43e5",
-    "Neal8/LapNIG/DP/rwmh": "33b5c9ff4b1c82753a971903e18cc2bb148fe7517d81242d23d951403013d675",
-    "Neal8/LapNIG/DP/mala": "bbb896ccd20d2e555a2e3544b40be1d2cbc8196e6bc4cdeba5203a2161eca86b",
+    "Neal8/NNIG/DP/rwmh": "5b5fac57f8f216b5efdae54da2b12edb67737921637e24b65243888f29e80626",
+    "Neal8/NNIG/DP/mala": "c836c1cc75b66790c57b6390b746c26ec20662071c0cbdf0dceb65c152420573",
+    "Neal8/NNxIG/DP/rwmh": "469a70dc68addd7a42186ca688bc5107c03288321a598a961884480334f32298",
+    "Neal8/NNxIG/DP/mala": "a21ceb2a875a229254656d4e30cd6a092908b924b6453fd1d65b4685d75120ba",
+    "Neal8/LapNIG/DP/rwmh": "957cd9affaf723a943963786e25493d830537e380ac57edb29e138a754a561ef",
+    "Neal8/LapNIG/DP/mala": "8be6b6138be90f2ef6502c43e28f5e4b03557f8d62d75b7682a41ba94d7d6fcf",
 }
 
 

@@ -122,7 +122,7 @@ def test_params_round_trip():
 
 def test_dual_gradient_matches_finite_differences():
     def fn(u):
-        return ad.exp(u[0]) * u[1] + ad.log(u[1] ** 2 + 1.0) - 1.0 / (u[0] ** 2 + 3.0)
+        return ad.exp(u[0]) * u[1] + ad.log(u[1] * u[1] + 1.0) - u[0] / (u[1] * u[1] + 3.0)
 
     rng = np.random.default_rng(8)
     for _ in range(30):
@@ -138,65 +138,20 @@ def test_dual_gradient_matches_finite_differences():
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-def test_dual_abs_and_comparisons():
-    val, grad = ad.gradient(lambda u: abs(u[0] - 2.0) * 3.0, np.array([1.0]))
-    assert val == pytest.approx(3.0)
-    assert grad[0] == pytest.approx(-3.0)
-    assert ad.Dual(1.0, np.array([1.0])) < 2.0
-    assert ad.Dual(3.0, np.array([1.0])) >= 3.0
+def test_batched_duals_equal_one_dual_per_column():
+    def fn(u):
+        return ad.exp(u[0]) * u[1] + ad.log(u[1] * u[1] + 1.0) - u[0] / (u[1] * u[1] + 3.0)
 
-
-def _abs_sum_per_datum(ys, x):
-    # the per-datum Dual loop that ad.abs_dev_sum replaces
-    total = 0.0
-    for y in ys:
-        total = total + abs(y - x)
-    return total
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64).tolist()
-
-
-def test_abs_dev_sum_equals_the_per_datum_dual_loop():
-    rng = np.random.default_rng(14)
-    x = 0.37
-    cases = [
-        [x],  # a tie only
-        [x, x, 1.0, -2.0],  # ties count as y >= x, as Dual.__abs__ does
-        [1.0, 2.0, 3.0],
-        [-1.0, -2.0, -3.0],
-        rng.normal(size=25).tolist() + [x] * 3,
-        list(np.float64(v) for v in rng.normal(size=15)) + [np.float64(x)],
-    ]
-    for ys in cases:
-        for seed in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            want = _abs_sum_per_datum(ys, ad.Dual(x, seed))
-            got = ad.abs_dev_sum(ys, ad.Dual(x, seed))
-            assert isinstance(got, ad.Dual)
-            assert _bits(got.val) == _bits(want.val)
-            # equal as numbers: only the sign of a zero slope may differ
-            assert np.array_equal(got.grad, want.grad)
-        assert _bits(ad.abs_dev_sum(ys, x)) == _bits(_abs_sum_per_datum(ys, x))
-
-
-def test_laplace_target_is_bitwise_unchanged_by_the_one_dual_sum():
-    from mixmcmc.likelihoods import LaplaceLikelihood
-
-    rng = np.random.default_rng(15)
-    for n in (1, 2, 9, 40):
-        like = LaplaceLikelihood()
-        data = rng.normal(size=n).tolist()
-        for i, y in enumerate(data):
-            like.add_datum(i, y)
-        # the current mean on a datum, and away from all of them
-        for u in (np.array([data[0], 0.3]), rng.normal(size=2)):
-
-            def per_datum(v, n=n, data=data):
-                return -n * (math.log(2.0) + v[1]) - _abs_sum_per_datum(data, v[0]) / ad.exp(v[1])
-
-            want_val, want_grad = ad.gradient(per_datum, u)
-            got_val, got_grad = ad.gradient(like.cluster_lpdf_from_unconstrained, u)
-            assert _bits(got_val) == _bits(want_val)
-            assert _bits(got_grad) == _bits(want_grad)
-            assert _bits(like.cluster_lpdf_from_unconstrained(u)) == _bits(per_datum(u))
+    points = np.random.default_rng(9).normal(size=(2, 7))
+    val, grad = ad.gradient(fn, points)
+    assert val.shape == (7,) and grad.shape == (2, 7)
+    for c in range(7):
+        one_val, one_grad = ad.gradient(fn, points[:, c])
+        assert val[c] == pytest.approx(one_val, rel=1e-14)
+        assert grad[:, c] == pytest.approx(one_grad, rel=1e-14)
+    ys, groups = np.array([0.5, -1.0, 2.0, 0.5, 3.0]), np.array([0, 0, 1, 2, 2])
+    mean = ad.Dual(np.array([0.5, 1.0, 4.0]), np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+    dev = ad.abs_dev_sum(ys, mean, groups)
+    assert dev.val.tolist() == [1.5, 1.0, 4.5]
+    # the tie y == mean counts as y >= mean, slope -1
+    assert dev.grad.tolist() == [[0.0, -1.0, 2.0], [0.0, 0.0, 0.0]]

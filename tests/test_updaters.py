@@ -25,6 +25,7 @@ from mixmcmc.states import GammaState, MultiLSState, UniLSState
 from mixmcmc.updaters import (
     ConjugateUpdater,
     NNxIGUpdater,
+    _log_target,
     build_metropolis_updater,
     gamma_gamma_posterior_hypers,
     gamma_gamma_predictive,
@@ -48,6 +49,10 @@ def _nnw_updater():
 
 def _gamma_gamma_updater():
     return ConjugateUpdater(gamma_gamma_posterior_hypers, gamma_gamma_predictive)
+
+
+def _target(like, prior):
+    return _log_target(type(like).unconstrained_lpdf, like.unconstrained_stats(), prior)
 
 
 def _normal_cluster(data):
@@ -274,7 +279,7 @@ def test_mala_gradient_matches_finite_differences():
     for prior, like in cases:
         for _ in range(100):
             u = rng.normal(size=2)
-            val, grad = updater._evaluate(like, prior, u)
+            val, grad = updater._evaluate(_target(like, prior), u)
 
             def target(v):
                 return like.cluster_lpdf_from_unconstrained(
@@ -338,7 +343,7 @@ def test_step_size_validation():
         build_metropolis_updater("rwmh", step_size=math.inf)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["rwmh", "mala"])
 def test_proposal_whose_target_cannot_be_evaluated_is_rejected(kind):
     # a step this large proposes log scales whose exp overflows, or underflows
@@ -363,3 +368,112 @@ def test_num_steps_must_be_a_positive_integer(kind, num_steps):
     # an updater that never moves would leave its clusters at their prior draw
     with pytest.raises(ValueError, match="num_steps"):
         build_metropolis_updater(kind, num_steps=num_steps)
+
+
+# the Metropolis families: (kernel, prior) of NNIG, NNxIG and LapNIG
+_METROPOLIS_FAMILIES = {
+    "NNIG": (UniNormLikelihood, NIGPrior(NIGHypers(0.3, 0.5, 2.5, 1.5))),
+    "NNxIG": (UniNormLikelihood, NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))),
+    "LapNIG": (LaplaceLikelihood, NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))),
+}
+
+
+def _clusters(like_cls, sizes, rng):
+    """Clusters of the given sizes, and their data."""
+    likes, data = [], []
+    for h, size in enumerate(sizes):
+        like = like_cls(UniLSState(0.0, 1.0))
+        ys = rng.normal(h - 2.0, 1.5, size=size).tolist()
+        for i, y in enumerate(ys):
+            like.add_datum(i, y)
+        likes.append(like)
+        data.append(ys)
+    return likes, data
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("family", sorted(_METROPOLIS_FAMILIES))
+def test_batched_target_equals_the_per_cluster_targets(family, k):
+    like_cls, prior = _METROPOLIS_FAMILIES[family]
+    rng = np.random.default_rng(40 + k)
+    # the first cluster holds a single datum
+    likes, data = _clusters(like_cls, [1] + rng.integers(1, 9, size=k - 1).tolist(), rng)
+    batch = _log_target(like_cls.unconstrained_lpdf, like_cls.stack_unconstrained_stats(likes),
+                        prior)
+    singles = [_target(like, prior) for like in likes]
+    updater = build_metropolis_updater("mala")
+    h = 1e-6
+    for trial in range(20):
+        u = np.vstack([rng.normal(size=k), rng.normal(scale=0.7, size=k)])
+        # on even trials the last cluster's mean sits on one of its data: for
+        # Laplace a tie, where the slope of |y - mean| is -1 (y >= mean)
+        kink = family == "LapNIG" and trial % 2 == 0
+        if trial % 2 == 0:
+            u[0, -1] = data[-1][-1]
+        val, grad = updater._evaluate(batch, u)
+        assert val.shape == (k,) and grad.shape == (2, k)
+        for c, single in enumerate(singles):
+            want = single(u[:, c])
+            assert val[c] == pytest.approx(want, rel=1e-12)
+            for j in range(2):
+                up, dn = u[:, c].copy(), u[:, c].copy()
+                up[j] += h
+                dn[j] -= h
+                if kink and j == 0 and c == k - 1:
+                    # the derivative from below, which the tie convention takes
+                    fd = (want - single(dn)) / h
+                    assert grad[j, c] == pytest.approx(fd, rel=1e-4, abs=1e-5)
+                else:
+                    fd = (single(up) - single(dn)) / (2 * h)
+                    assert grad[j, c] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind,step_size,seed", [("rwmh", 0.5, 35), ("mala", 0.35, 36)])
+def test_batched_metropolis_matches_conjugate_posterior(kind, step_size, seed):
+    # 64 copies of one five-point NNIG cluster, moved together
+    data = [0.4, -0.3, 1.2, 0.8, 0.1]
+    prior = NIGPrior(NIG_REF)
+    likes = [_normal_cluster(data) for _ in range(64)]
+    post = nnig_posterior_hypers(likes[0], prior.hypers)
+    target_mean = post.mean
+    target_var = post.scale / ((post.shape - 1.0) * post.var_scaling)
+    for like in likes:
+        like.state = UniLSState(post.mean, post.scale / post.shape)
+    updater = build_metropolis_updater(kind, step_size)
+    rng = np.random.default_rng(seed)
+    burnin, steps = 500, 3000
+    chains = np.empty((steps, len(likes)))
+    for t in range(burnin + steps):
+        updater.draw_batch(likes, prior, rng)
+        if t >= burnin:
+            chains[t - burnin] = [like.state.mean for like in likes]
+    # the copies are independent chains, so their per-row statistics are iid
+    row_means = chains.mean(axis=0)
+    pooled_mean = row_means.mean()
+    row_vars = ((chains - pooled_mean) ** 2).mean(axis=0)
+    root_k = math.sqrt(len(likes))
+    assert abs(pooled_mean - target_mean) < 3 * row_means.std(ddof=1) / root_k
+    assert abs(row_vars.mean() - target_var) < 3 * row_vars.std(ddof=1) / root_k
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["rwmh", "mala"])
+def test_batch_accepts_or_rejects_each_cluster_on_its_own(kind):
+    prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
+    likes, _ = _clusters(LaplaceLikelihood, [3, 4, 2, 5], np.random.default_rng(37))
+    rng = np.random.default_rng(38)
+    # a step this large proposes scales that overflow or underflow: every
+    # proposal is rejected, without a floating-point warning
+    huge = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
+    for _ in range(50):
+        before = [like.state for like in likes]
+        huge.draw_batch(likes, prior, rng)
+        assert [like.state for like in likes] == before
+    # at a moderate step some clusters move while others stay
+    moderate = build_metropolis_updater(kind, step_size=0.8)
+    patterns = set()
+    for _ in range(40):
+        before = [like.state for like in likes]
+        moderate.draw_batch(likes, prior, rng)
+        patterns.add(tuple(like.state != b for like, b in zip(likes, before)))
+    assert any(0 < sum(p) < len(likes) for p in patterns)

@@ -8,6 +8,8 @@ or build pipelines. ``fit`` runs the configured chain on the data;
 ``predict`` assigns new points to the clusters of that same partition.
 """
 
+import numbers
+
 import numpy as np
 
 from . import postprocess
@@ -56,7 +58,8 @@ class BayesianMixture:
     n_aux : int, default=3
         Auxiliary draws per datum (Neal8 only).
     random_state : int, default=0
-        Seed of the sampling generator.
+        Seed of the sampling generator, a non-negative integer; ``fit``
+        rejects anything else.
 
     Attributes
     ----------
@@ -158,6 +161,10 @@ class BayesianMixture:
 
     def fit(self, X, y=None):
         """Run the chain on X and derive the point clustering."""
+        if (not isinstance(self.random_state, numbers.Integral)
+                or isinstance(self.random_state, bool) or self.random_state < 0):
+            raise ValueError(
+                f"'random_state' must be a non-negative integer, got {self.random_state!r}")
         if self.algorithm not in ALGORITHM_IDS:
             raise ValueError(f"unknown algorithm '{self.algorithm}'")
         if self.hier_type not in HIERARCHY_TYPES:
@@ -183,9 +190,10 @@ class BayesianMixture:
         self.n_features_in_ = X.shape[1]
         records = list(self.collector_)  # the one replay of the chain
         allocs = postprocess.allocation_matrix(records)
-        self.similarity_matrix_ = postprocess._coclustering(allocs)
+        counts = postprocess._coclustering(allocs)
+        self.similarity_matrix_ = counts / len(records)
         self.num_clusters_chain_ = postprocess.num_clusters_chain(records)
-        self.best_record_ = records[postprocess._binder_argmin(allocs, self.similarity_matrix_)]
+        self.best_record_ = records[postprocess._binder_argmin(allocs, counts)]
         self.labels_ = self.best_record_.allocations.copy()
         self.n_clusters_ = len(set(self.labels_.tolist()))
         return self

@@ -1,4 +1,10 @@
-"""Chain-derived summaries: clustering point estimates and MCMC diagnostics."""
+"""Chain-derived summaries: clustering point estimates and MCMC diagnostics.
+
+The Binder point estimate is computed from the integer co-clustering counts
+of the T retained records on n data. Every intermediate is an integer of
+magnitude at most T * n^2, exact in float64 while T * n^2 < 2^53, so the
+losses are exact and the earliest record wins an exact tie.
+"""
 
 import numpy as np
 
@@ -20,32 +26,43 @@ def num_clusters_chain(collector):
 
 def similarity_matrix(collector):
     """Posterior co-clustering frequencies: pi[i, j] = mean of 1{c_i == c_j}."""
-    return _coclustering(allocation_matrix(collector))
+    allocs = allocation_matrix(collector)
+    return _coclustering(allocs) / allocs.shape[0]
 
 
 # one-hot entries per block of records (1 MB): bounds the working memory
 _ONE_HOT_BLOCK = 1 << 17
 
 
-def _coclustering(allocs):
-    """Co-clustering frequencies of a (T, n) allocation matrix.
+def _one_hot_blocks(allocs):
+    """One-hot encode a (T, n) allocation matrix, a block of records at a time.
 
-    Each block of records is one-hot encoded, record t's label h in column
-    t * k + h, and one matrix product counts the records in which two data
-    share a label. The counts are integers, exact in floating point, so the
-    result does not depend on the block size.
+    Yields each block's rows and its (n, rows * k) one-hot matrix, with
+    record t's label h in column t * k + h, k the largest label plus one.
     """
     t, n = allocs.shape
     k = int(allocs.max()) + 1
     block = max(1, _ONE_HOT_BLOCK // (n * k))
-    counts = np.zeros((n, n))
     for start in range(0, t, block):
         rows = allocs[start:start + block]
         one_hot = np.zeros((n, rows.shape[0] * k))
-        cols = rows + k * np.arange(rows.shape[0])[:, None]
-        one_hot[np.arange(n), cols] = 1.0
+        one_hot[np.arange(n), rows + k * np.arange(rows.shape[0])[:, None]] = 1.0
+        yield rows, one_hot
+
+
+def _coclustering(allocs):
+    """Co-clustering counts of a (T, n) allocation matrix.
+
+    N[i, j] is the number of records in which data i and j share a label
+    (N[i, i] = T), summed over one-hot blocks by one matrix product each.
+    The counts are integers, exact in floating point, so they do not
+    depend on the block size.
+    """
+    n = allocs.shape[1]
+    counts = np.zeros((n, n))
+    for _, one_hot in _one_hot_blocks(allocs):
         counts += one_hot @ one_hot.T
-    return counts / t
+    return counts
 
 
 def binder_loss(labels, similarity):
@@ -57,18 +74,35 @@ def binder_loss(labels, similarity):
     return float(np.sum(np.where(same[iu], 1.0 - pi, pi)))
 
 
-def _binder_argmin(allocs, similarity):
-    """Index of the allocation row minimizing expected Binder loss; earliest wins ties."""
-    best, best_loss = None, np.inf
-    for t, row in enumerate(allocs):
-        loss = binder_loss(row, similarity)
-        if loss < best_loss:
-            best, best_loss = t, loss
-    return best
+def _binder_argmin(allocs, counts):
+    """Index of the allocation row minimizing expected Binder loss; earliest wins ties.
+
+    ``counts`` are the co-clustering counts N of the T records. With
+    S = sum_{i<j} N_ij, record t's loss times T is
+
+        S + T*n + T * sum_h C(n_th, 2) - q_t,    q_t = sum_h 1_h' N 1_h,
+
+    over its clusters h of sizes n_th, and q_t comes from one product of
+    N with each one-hot block. Every term is an integer at most T * n^2,
+    exact in float64 while T * n^2 < 2^53, so equal losses compare equal
+    and ``argmin`` returns the earliest exact minimum.
+    """
+    t, n = allocs.shape
+    pairs = (counts.sum() - t * n) / 2
+    losses = []
+    for rows, one_hot in _one_hot_blocks(allocs):
+        sizes = one_hot.sum(axis=0)
+        per_label = t * sizes * (sizes - 1) / 2 - ((counts @ one_hot) * one_hot).sum(axis=0)
+        losses.append(per_label.reshape(rows.shape[0], -1).sum(axis=1))
+    return int(np.argmin(pairs + t * n + np.concatenate(losses)))
 
 
 def binder_best_clustering(collector):
-    """Visited partition minimizing expected Binder loss; earliest wins ties."""
+    """Visited partition minimizing expected Binder loss; earliest wins ties.
+
+    The loss is exact (see ``_binder_argmin``): it is computed from the
+    integer co-clustering counts, so exact ties go to the earliest record.
+    """
     allocs = allocation_matrix(collector)
     return allocs[_binder_argmin(allocs, _coclustering(allocs))].copy()
 

@@ -178,10 +178,13 @@ class NWPrior(_Prior):
     def _draw(self, rng, size, h):
         """Besides ``mean`` and ``cov``, a batch holds each covariance's
         ``chol_inv`` and ``log_det``, which the kernel's batch score reads;
-        a single draw leaves them to the state's constructor."""
+        a single draw hands its Cholesky factor to the state's constructor,
+        as the drawn covariance is exactly symmetric."""
         shape = () if size is None else size
         bartlett = self._prior_bartlett if h is self.hypers else self._bartlett_factor(h)
         cov = _inverse_wishart(rng, bartlett, h.deg_free, shape)
+        if not np.isfinite(cov).all():
+            raise ValueError("a drawn 'cov' contains non-finite entries")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as err:
@@ -189,7 +192,7 @@ class NWPrior(_Prior):
         z = rng.standard_normal(shape + (h.dim, 1))
         mean = h.mean + (chol @ z)[..., 0] / math.sqrt(h.var_scaling)
         if size is None:
-            return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov)
+            return StateBatch(MultiLSState, ("mean", "cov", "chol"), mean=mean, cov=cov, chol=chol)
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
         return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov,
                           chol_inv=np.linalg.inv(chol), log_det=log_det)

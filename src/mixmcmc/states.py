@@ -67,14 +67,17 @@ class MultiLSState:
 
     The Cholesky factor, its inverse and the covariance log-determinant are
     computed once at construction and cached; no unconstrained transform is
-    provided.
+    provided. A caller that already holds the lower Cholesky factor of an
+    exactly symmetric ``cov`` passes it as ``chol``, and ``cov`` is then
+    taken without the checks.
     """
 
     __slots__ = ("mean", "cov", "chol", "chol_inv", "log_det")
 
-    def __init__(self, mean, cov):
+    def __init__(self, mean, cov, chol=None):
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov, chol = check_spd_matrix(cov, "cov")
+        if chol is None:
+            cov, chol = check_spd_matrix(cov, "cov")
         if cov.shape[0] != self.mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
         self.cov = cov

@@ -4,6 +4,7 @@ from oracles import adjusted_rand_index
 
 from mixmcmc.chainio import MemoryCollector
 from mixmcmc.estimator import BayesianMixture
+from mixmcmc.postprocess import binder_best_clustering, similarity_matrix
 
 
 def _two_blob_data(seed=0, n=60):
@@ -60,6 +61,14 @@ def test_fit_replays_the_chain_once(monkeypatch):
     assert len(replays) == 1
     assert est.num_clusters_chain_.shape == (40,)
     assert est.labels_.tolist() == est.best_record_.allocations.tolist()
+
+
+def test_fit_post_processing_equals_the_public_functions():
+    x, _ = _two_blob_data(seed=3, n=30)
+    est = BayesianMixture(iterations=60, burnin=20, random_state=4).fit(x)
+    records = list(est.collector_)
+    assert est.similarity_matrix_.tobytes() == similarity_matrix(records).tobytes()
+    assert est.labels_.tolist() == binder_best_clustering(records).tolist()
 
 
 def test_fit_predict_matches_labels():
@@ -146,3 +155,20 @@ def test_invalid_configuration_raises():
         BayesianMixture(hier_type="Nope").fit([[0.0], [1.0]])
     with pytest.raises(ValueError):
         BayesianMixture(mix_type="Nope").fit([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("seed", [None, np.random.default_rng(0), -1, 1.0, True],
+                         ids=["None", "Generator", "negative", "float", "bool"])
+def test_random_state_must_be_a_non_negative_integer(seed):
+    est = BayesianMixture(iterations=20, burnin=5, random_state=seed)
+    with pytest.raises(ValueError, match="random_state"):
+        est.fit([[0.0], [1.0]])
+    assert not est.__sklearn_is_fitted__()  # stopped before the chain ran
+
+
+def test_numpy_integer_random_state_fits_the_same_chain():
+    x, _ = _two_blob_data(seed=6, n=30)
+    a = BayesianMixture(iterations=60, burnin=20, random_state=11).fit(x)
+    b = BayesianMixture(iterations=60, burnin=20, random_state=np.int64(11)).fit(x)
+    assert np.array_equal(a.labels_, b.labels_)
+    assert a.score(x) == b.score(x)

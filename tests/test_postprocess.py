@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +133,100 @@ def test_binder_tie_broken_by_earliest_iteration():
     # two relabelings of the same partition tie; the first visited wins
     chain = [_rec([1, 0], 0), _rec([0, 1], 1)]
     assert binder_best_clustering(chain).tolist() == [1, 0]
+
+
+def _exact_losses(allocs):
+    """Each record's expected Binder loss as a Fraction, pair by pair."""
+    t, n = allocs.shape
+    counts = [[sum(int(row[i] == row[j]) for row in allocs) for j in range(n)] for i in range(n)]
+    return [sum((Fraction(t - counts[i][j], t) if row[i] == row[j] else Fraction(counts[i][j], t))
+                for i in range(n) for j in range(i + 1, n))
+            for row in allocs]
+
+
+def _tie_chains():
+    """Seeded small chains (n <= 6, T <= 12) with repeated partitions and exact
+    ties between distinct ones.
+
+    Half are drawn from a pool of a few partitions. The others are closed
+    under a permutation of the data: each base partition comes with all its
+    images, so the co-clustering counts are invariant and the images tie.
+    """
+    rng = np.random.default_rng(65)
+    chains = []
+    for c in range(300):
+        n = int(rng.integers(2, 7))
+        if c % 2:
+            pool = rng.integers(0, 3, size=(int(rng.integers(1, 5)), n))
+            rows = pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 13)))]
+        else:
+            perm = rng.permutation(n)
+            rows = []
+            while len(rows) < 12:
+                orbit, part = [], rng.integers(0, 3, size=n)
+                while not orbit or not np.array_equal(part, orbit[0]):
+                    orbit.append(part)
+                    part = part[perm]
+                if len(rows) + len(orbit) > 12:
+                    break
+                rows.extend(orbit)
+            if not rows:
+                continue
+            rows = np.array(rows)[rng.permutation(len(rows))]
+        chains.append(np.asarray(rows))
+    return chains
+
+
+def test_binder_choice_is_the_earliest_exact_minimum():
+    distinct_ties = 0
+    for allocs in _tie_chains():
+        losses = _exact_losses(allocs)
+        best = losses.index(min(losses))
+        # a partition as the first index of each datum's cluster
+        winners = {tuple(row.tolist().index(label) for label in row)
+                   for row, loss in zip(allocs, losses) if loss == losses[best]}
+        distinct_ties += len(winners) > 1
+        chain = [_rec(row, it=t) for t, row in enumerate(allocs)]
+        assert binder_best_clustering(chain).tolist() == allocs[best].tolist()
+        assert postprocess._binder_argmin(allocs, postprocess._coclustering(allocs)) == best
+    assert distinct_ties >= 20
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_binder_three_cycle_tie_goes_to_the_first_record(order):
+    # the three rotations of [0, 0, 1] tie exactly: each loss is 4/3
+    cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])[list(order)]
+    assert _exact_losses(cycle) == [Fraction(4, 3)] * 3
+    chain = [_rec(row, it=t) for t, row in enumerate(cycle)]
+    assert binder_best_clustering(chain).tolist() == cycle[0].tolist()
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])
+def test_binder_choice_does_not_depend_on_the_block_size(monkeypatch, block):
+    chains = _tie_chains()[:60]
+    rng = np.random.default_rng(66)
+    chains.append(rng.integers(0, 6, size=(120, 25)))
+    expected = [postprocess._binder_argmin(a, postprocess._coclustering(a)) for a in chains]
+    monkeypatch.setattr(postprocess, "_ONE_HOT_BLOCK", block)
+    assert [postprocess._binder_argmin(a, postprocess._coclustering(a)) for a in chains] == expected
+
+
+def test_similarity_matrix_is_the_blocked_float_sum_over_t():
+    # bit for bit: the block products summed in float, then divided by T
+    rng = np.random.default_rng(67)
+    for t, n, k in ((1, 1, 1), (37, 9, 5), (400, 60, 12), (1000, 200, 10)):
+        allocs = rng.integers(0, k, size=(t, n))
+        block = max(1, postprocess._ONE_HOT_BLOCK // (n * k))
+        counts = np.zeros((n, n))
+        for start in range(0, t, block):
+            rows = allocs[start:start + block]
+            one_hot = np.zeros((n, rows.shape[0] * k))
+            one_hot[np.arange(n), rows + k * np.arange(rows.shape[0])[:, None]] = 1.0
+            counts += one_hot @ one_hot.T
+        chain = [_rec(row, it=i) for i, row in enumerate(allocs)]
+        pi = similarity_matrix(chain)
+        assert pi.tobytes() == (counts / t).tobytes()
+        assert np.array_equal(postprocess._coclustering(allocs), counts)
 
 
 def test_binder_empty_chain_raises():

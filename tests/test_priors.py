@@ -222,3 +222,26 @@ def test_single_draw_equals_a_batch_of_one(prior):
         assert type(single) is type(row)
         want, got = single.to_params(), row.to_params()
         assert all(want[k].tobytes() == got[k].tobytes() for k in want), seed
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 10])
+def test_nw_draw_hands_the_state_the_factor_it_would_compute(d):
+    # the drawn covariance is exactly symmetric, so the state built from the
+    # draw's own Cholesky factor equals the one that checks and factors it
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d))
+    prior = NWPrior(NWHypers(rng.normal(size=d), 0.3, d + 1.5, a @ a.T + d * np.eye(d)))
+    for seed in range(2_000):
+        state = prior.sample(np.random.default_rng(seed))
+        assert np.array_equal(state.cov, state.cov.T)
+        ref = MultiLSState(state.mean, state.cov)
+        for field in ("mean", "cov", "chol", "chol_inv"):
+            assert getattr(state, field).tobytes() == getattr(ref, field).tobytes(), (seed, field)
+        assert state.log_det == ref.log_det, seed
+
+
+def test_nw_draw_with_a_non_finite_covariance_raises():
+    prior = NWPrior(NWHypers(np.zeros(2), 1.0, 3.0, np.eye(2) * 1e307))
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        for seed in range(200):
+            prior.sample(np.random.default_rng(seed))

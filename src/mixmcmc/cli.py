@@ -67,6 +67,8 @@ def _mean_sibling_path(dens_path):
 
 
 def _run_mcmc(args):
+    if args.dens_file and not args.grid_file:
+        raise MixError("--dens-file needs --grid-file")
     params = parse_algo_params(read_config(args.algo_params_file))
     hierarchy = build_hierarchy(args.hier_type, read_config(args.hier_args))
     mix_args = read_config(args.mix_args) if args.mix_args else None
@@ -87,7 +89,7 @@ def _run_mcmc(args):
     algorithm.run(data, params.iterations, params.burnin, collector, rng)
     records = list(collector)  # the one replay of the chain
 
-    if args.grid_file and args.dens_file:
+    if args.dens_file:
         grid = read_csv_matrix(args.grid_file)
         eval_rng = np.random.default_rng([params.rng_seed, 1])
         lpdf = algorithm.eval_lpdf_grid(records, grid, rng=eval_rng)

@@ -11,20 +11,36 @@ assignment or a nested block::
     }
 
 Grammar: file := entry*; entry := key ':' scalar | key '{' entry* '}';
-scalar := number | quoted-string | '[' number (',' number)* ']'.
-``#`` starts a line comment; whitespace is insignificant outside quotes.
-All numbers are parsed as 64-bit floats; integer-valued fields are
-validated by their consumers.
+scalar := number | quoted-string | 'true' | 'false' | '[' number (',' number)* ']'.
+
+One compiled pattern, ``_TOKEN``, is the token table. After any run of
+whitespace (``str.isspace``) and ``#`` line comments it matches one of
+four alternatives: punctuation ``:{}[],``; a quoted string, in which a
+backslash escapes the next character (``\\n`` and ``\\t`` are a newline and
+a tab, anything else stands for itself); an identifier of ASCII letters,
+digits and ``_``; or a number, a run of ``0-9+-.eE`` that starts with a
+digit, sign or point and that ``float`` must accept. ``_tokens`` walks the text with it and yields
+``(kind, value, line, column)`` one token at a time, so the first error in
+text order is the one reported. All numbers are 64-bit floats; the typed
+getters reject non-finite ones, and integer-valued fields are validated by
+their consumers.
 """
 
+import math
+import re
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHM_IDS
 from .exceptions import ConfigError
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
-_NUMBER_CHARS = set("0123456789+-.eE")
+_TOKEN = re.compile(r"""
+    (?:\s|\#[^\n]*)*
+    (?:(?P<punct>[:{}\[\],])
+      |(?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+      |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<number>[0-9+.-][0-9+.eE-]*))?""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 _EXACT_INT_LIMIT = 2 ** 53
 
 
@@ -42,23 +58,28 @@ class ConfigTree:
         return any(k == key for k, _ in self.entries)
 
     def get(self, key, default=None):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
+        return next((v for k, v in self.entries if k == key), default)
 
-    def require(self, key):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise ConfigError(f"missing required key '{key}'")
+    def _typed(self, key, default, kind, expected):
+        """The value at ``key`` (or ``default``), which must be a ``kind``.
 
-    def get_float(self, key, default=None):
+        ``expected`` completes "key '...' must be "; ``{}`` in it stands for
+        the type found.
+        """
         v = self.get(key, default)
         if v is None:
             raise ConfigError(f"missing required key '{key}'")
-        if not isinstance(v, float):
-            raise ConfigError(f"key '{key}' must be a number, got {type(v).__name__}")
+        if not isinstance(v, kind):
+            raise ConfigError(f"key '{key}' must be " + expected.format(type(v).__name__))
+        return v
+
+    def require(self, key):
+        return self._typed(key, None, object, "")
+
+    def get_float(self, key, default=None):
+        v = self._typed(key, default, float, "a number, got {}")
+        if not math.isfinite(v):
+            raise ConfigError(f"key '{key}' must be a finite number, got {v!r}")
         return v
 
     def get_int(self, key, default=None):
@@ -71,32 +92,19 @@ class ConfigTree:
         return int(v)
 
     def get_str(self, key, default=None):
-        v = self.get(key, default)
-        if v is None:
-            raise ConfigError(f"missing required key '{key}'")
-        if not isinstance(v, str):
-            raise ConfigError(f"key '{key}' must be a string, got {type(v).__name__}")
-        return v
+        return self._typed(key, default, str, "a string, got {}")
 
     def get_bool(self, key, default=None):
-        v = self.get(key, default)
-        if v is None:
-            raise ConfigError(f"missing required key '{key}'")
-        if not isinstance(v, bool):
-            raise ConfigError(f"key '{key}' must be true or false")
-        return v
+        return self._typed(key, default, bool, "true or false")
 
     def get_list(self, key):
-        v = self.require(key)
-        if not isinstance(v, list):
-            raise ConfigError(f"key '{key}' must be a numeric list")
+        v = self._typed(key, None, list, "a numeric list")
+        if not all(map(math.isfinite, v)):
+            raise ConfigError(f"key '{key}' must hold finite numbers, got {v!r}")
         return list(v)
 
     def child(self, key):
-        v = self.require(key)
-        if not isinstance(v, ConfigTree):
-            raise ConfigError(f"key '{key}' must be a nested block")
-        return v
+        return self._typed(key, None, ConfigTree, "a nested block")
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -114,172 +122,86 @@ class ConfigTree:
         return tree
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch.isspace():
-                self._advance()
-            else:
-                return
-
-    def next(self):
-        """Return (kind, value, line, col); kind 'eof' at end of input."""
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return ("eof", None, line, col)
-        ch = self.text[self.pos]
-        if ch in ":{}[],":
-            self._advance()
-            return (ch, ch, line, col)
-        if ch == '"':
-            return self._string(line, col)
-        if ch in _IDENT_START:
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-                self._advance()
-            return ("ident", self.text[start:self.pos], line, col)
-        if ch.isdigit() or ch in "+-.":
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] in _NUMBER_CHARS:
-                self._advance()
-            raw = self.text[start:self.pos]
+def _tokens(text):
+    """Yield ``(kind, value, line, column)`` per token, ending with ``'eof'``."""
+    line, line_start, last, pos = 1, 0, 0, 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        start = m.start(kind) if kind else pos
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last, col = start, start - line_start + 1
+        raw = m[kind] if kind else text[start:start + 1]
+        if kind == "punct":
+            yield raw, raw, line, col
+        elif kind == "string":
+            yield kind, _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), raw[1:-1]), line, col
+        elif kind == "ident":
+            yield kind, raw, line, col
+        elif kind == "number":
             try:
-                return ("number", float(raw), line, col)
+                value = float(raw)
             except ValueError:
                 raise ConfigError(f"invalid number '{raw}'", line, col) from None
-        raise ConfigError(f"unexpected character {ch!r}", line, col)
-
-    def _string(self, line, col):
-        self._advance()  # opening quote
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self._advance()
-                if self.pos >= len(self.text):
-                    break
-                esc = self.text[self.pos]
-                out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                self._advance()
-            elif ch == '"':
-                self._advance()
-                return ("string", "".join(out), line, col)
-            elif ch == "\n":
-                raise ConfigError("unterminated string", line, col)
-            else:
-                out.append(ch)
-                self._advance()
-        raise ConfigError("unterminated string", line, col)
+            yield kind, value, line, col
+        elif not raw:
+            yield "eof", None, line, col
+            return
+        elif raw == '"':
+            raise ConfigError("unterminated string", line, col)
+        elif raw.isdigit():  # a digit outside 0-9, such as '\u00b2'
+            raise ConfigError("invalid number ''", line, col)
+        else:
+            raise ConfigError(f"unexpected character {raw!r}", line, col)
 
 
-class _Parser:
-    def __init__(self, text):
-        self._tok = _Tokenizer(text)
-        self._peeked = None
-
-    def _next(self):
-        if self._peeked is not None:
-            tok, self._peeked = self._peeked, None
-            return tok
-        return self._tok.next()
-
-    def _peek(self):
-        if self._peeked is None:
-            self._peeked = self._tok.next()
-        return self._peeked
-
-    def parse(self):
-        tree = self._entries(top_level=True)
-        kind, _, line, col = self._next()
-        if kind != "eof":
-            raise ConfigError(f"unexpected '{kind}'", line, col)
-        return tree
-
-    def _entries(self, top_level):
-        tree = ConfigTree()
-        scalar_keys = set()
-        tree_keys = set()
-        while True:
-            kind, value, line, col = self._peek()
-            if kind == "eof":
-                if not top_level:
-                    raise ConfigError("unbalanced braces: missing '}'", line, col)
+def _entries(tokens, top_level):
+    tree, seen = ConfigTree(), {}
+    for kind, key, line, col in tokens:
+        if kind in ("eof", "}"):
+            if (kind == "eof") == top_level:
                 return tree
-            if kind == "}":
-                if top_level:
-                    raise ConfigError("unbalanced braces: extra '}'", line, col)
-                self._next()
-                return tree
-            if kind != "ident":
-                raise ConfigError(f"expected a key, got '{kind}'", line, col)
-            self._next()
-            key = value
-            kind2, _, line2, col2 = self._next()
-            if kind2 == ":":
-                if key in scalar_keys or key in tree_keys:
-                    raise ConfigError(f"duplicate key '{key}'", line, col)
-                scalar_keys.add(key)
-                tree.entries.append((key, self._scalar()))
-            elif kind2 == "{":
-                if key in scalar_keys:
-                    raise ConfigError(f"duplicate key '{key}'", line, col)
-                tree_keys.add(key)
-                tree.entries.append((key, self._entries(top_level=False)))
-            else:
-                raise ConfigError(
-                    f"expected ':' or '{{' after key '{key}'", line2, col2
-                )
+            raise ConfigError("unbalanced braces: "
+                              + ("missing '}'" if kind == "eof" else "extra '}'"), line, col)
+        if kind != "ident":
+            raise ConfigError(f"expected a key, got '{kind}'", line, col)
+        sep, _, line2, col2 = next(tokens)
+        if sep not in (":", "{"):
+            raise ConfigError(f"expected ':' or '{{' after key '{key}'", line2, col2)
+        if key in seen and ":" in (sep, seen[key]):  # only nested blocks repeat
+            raise ConfigError(f"duplicate key '{key}'", line, col)
+        seen[key] = sep
+        tree.entries.append((key, _value(tokens) if sep == ":" else _entries(tokens, False)))
 
-    def _scalar(self):
-        kind, value, line, col = self._next()
-        if kind in ("number", "string"):
-            return value
-        if kind == "ident" and value in ("true", "false"):
-            return value == "true"
-        if kind == "[":
-            return self._number_list(line, col)
+
+def _value(tokens):
+    kind, value, line, col = next(tokens)
+    if kind in ("number", "string"):
+        return value
+    if kind == "ident" and value in ("true", "false"):
+        return value == "true"
+    if kind != "[":
         raise ConfigError(f"expected a value, got '{kind}'", line, col)
-
-    def _number_list(self, line, col):
-        items = []
-        kind, value, l2, c2 = self._next()
+    items = []
+    for kind, value, line, col in tokens:
+        if kind == "]" and not items:
+            return items
+        if kind != "number":
+            raise ConfigError("lists may contain only numbers", line, col)
+        items.append(value)
+        kind, _, line, col = next(tokens)
         if kind == "]":
             return items
-        while True:
-            if kind != "number":
-                raise ConfigError("lists may contain only numbers", l2, c2)
-            items.append(value)
-            kind, value, l2, c2 = self._next()
-            if kind == "]":
-                return items
-            if kind != ",":
-                raise ConfigError("expected ',' or ']' in list", l2, c2)
-            kind, value, l2, c2 = self._next()
+        if kind != ",":
+            raise ConfigError("expected ',' or ']' in list", line, col)
 
 
 def parse_config(text):
     """Parse a parameter file into a :class:`ConfigTree`."""
-    return _Parser(text).parse()
+    return _entries(_tokens(text), top_level=True)
 
 
 def read_config(path):

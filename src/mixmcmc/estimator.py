@@ -59,7 +59,8 @@ class BayesianMixture:
         Auxiliary draws per datum (Neal8 only).
     random_state : int, default=0
         Seed of the sampling generator, a non-negative integer; ``fit``
-        rejects anything else.
+        rejects anything else. ``score_samples`` draws with the seed of the
+        last ``fit``, whatever ``random_state`` holds since.
 
     Attributes
     ----------
@@ -184,6 +185,7 @@ class BayesianMixture:
             n_aux=self.n_aux,
         )
         self.collector_ = MemoryCollector()
+        self._seed = int(self.random_state)  # score_samples reads the seed of this fit
         rng = np.random.default_rng(self.random_state)
         self.algorithm_.run(X, self.iterations, self.burnin, self.collector_, rng)
 
@@ -223,7 +225,7 @@ class BayesianMixture:
         self._check_fitted()
         X = check_data_matrix(X, "X")
         lpdf = self.algorithm_.eval_lpdf_grid(
-            self.collector_, X, rng=np.random.default_rng([int(self.random_state), 1])
+            self.collector_, X, rng=np.random.default_rng([self._seed, 1])
         )
         return postprocess.log_mean_density(lpdf)
 

@@ -114,10 +114,18 @@ class Hierarchy:
         return self.updater.predictive(hypers).lpdf
 
 
+def _block_data(sub, key):
+    """The ``data`` list of block ``key``; an error names the block."""
+    try:
+        return sub.get_list("data")
+    except ConfigError as err:
+        raise ConfigError(f"'{key}': {err}") from None
+
+
 def _read_vector(tree, key):
     sub = tree.child(key)
     size = sub.get_int("size")
-    data = sub.get_list("data")
+    data = _block_data(sub, key)
     if len(data) != size:
         raise ConfigError(f"'{key}' declares size {size} but has {len(data)} entries")
     return np.asarray(data, dtype=float)
@@ -127,7 +135,7 @@ def _read_matrix(tree, key):
     sub = tree.child(key)
     rows = sub.get_int("rows")
     cols = sub.get_int("cols")
-    data = sub.get_list("data")
+    data = _block_data(sub, key)
     if len(data) != rows * cols:
         raise ConfigError(
             f"'{key}' declares {rows}x{cols} but has {len(data)} entries"

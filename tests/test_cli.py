@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mixmcmc import chainio, svgplot
+from mixmcmc import chainio, postprocess, svgplot
 from mixmcmc.chainio import read_csv_matrix
 from mixmcmc.cli import main
 
@@ -347,3 +347,55 @@ def test_svg_renderers_reject_empty_series():
         svgplot.traceplot_svg(np.array([]))
     with pytest.raises(ValueError):
         svgplot.density_curve_svg(np.array([0.0, 1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("hier_type, text", [
+    ("NNIG", G0_TEXT.replace("mean: 0.0", "mean: 1e999")),
+    ("NNW", "fixed_values {\n mean { size: 2 data: [0.0, 1e999] }\n var_scaling: 0.1\n"
+            " deg_free: 5.0\n scale { rows: 2 cols: 2 data: [1.0, 0.0, 0.0, 1.0] }\n}\n"),
+], ids=["NNIG", "NNW"])
+def test_infinite_mean_stops_before_the_chain_file(tmp_path, capsys, hier_type, text):
+    # 1e999 parses to inf; the run must name the key at setup, not die in its
+    # first sweep after emptying the chain file
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path)) == 0
+    chain = tmp_path / "chains.chain"
+    before = chain.read_bytes()
+    (tmp_path / "hier.txt").write_text(text)
+    if hier_type == "NNW":
+        rng = np.random.default_rng(2)
+        (tmp_path / "data.csv").write_text(
+            "".join(f"{a!r},{b!r}\n" for a, b in rng.normal(size=(40, 2)).tolist()))
+    args = _full_run_args(tmp_path)
+    args = args[:args.index("--grid-file")] + ["--n-cl-file", str(tmp_path / "ncl.csv")]
+    args[args.index("NNIG")] = hier_type
+    args[args.index("--hier-args") + 1] = str(tmp_path / "hier.txt")
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'mean'" in err
+    assert chain.read_bytes() == before
+
+
+def test_dens_file_without_grid_file_is_an_error(tmp_path, capsys):
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path)) == 0
+    chain = tmp_path / "chains.chain"
+    before = chain.read_bytes()
+    (tmp_path / "dens.csv").unlink()
+    args = _full_run_args(tmp_path)
+    del args[args.index("--grid-file"):args.index("--grid-file") + 2]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --dens-file needs --grid-file\n"
+    assert chain.read_bytes() == before
+    assert not (tmp_path / "dens.csv").exists()
+
+
+def test_exp_mean_log_summary_is_the_mean_of_the_log_densities(tmp_path):
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path) + ["--dens-mean", "exp-mean-log"]) == 0
+    dens = read_csv_matrix(tmp_path / "dens.csv")
+    mean = read_csv_matrix(tmp_path / "dens.mean.csv")
+    assert mean.shape == (1, dens.shape[1])
+    assert mean[0].tobytes() == postprocess.mean_log_density(dens).tobytes()

@@ -196,3 +196,73 @@ def test_integers_beyond_exact_floats_are_rejected():
 def test_algo_params_missing_key():
     with pytest.raises(ConfigError):
         parse_algo_params(parse_config('algo_id: "Neal2"\nrng_seed: 1\n'))
+
+
+# Each input with its outcome as the character-by-character parser gave it:
+# the parsed tree as a mapping, or the ConfigError's (message, line, column).
+PARSE_TABLE = [
+    # one case per error the scanner raises
+    ("a: 1e\n", ("invalid number '1e'", 1, 4)),
+    ("a: +-1\n", ("invalid number '+-1'", 1, 4)),
+    ("a: \u00b2\n", ("invalid number ''", 1, 4)),  # isdigit() holds, but not 0-9
+    ("a: $\n", ("unexpected character '$'", 1, 4)),
+    ('a: "x\ny"\n', ("unterminated string", 1, 4)),
+    ('a: "abc', ("unterminated string", 1, 4)),
+    ('a: "abc\\', ("unterminated string", 1, 4)),
+    # one case per error the parser raises
+    ("a {\n  b: 1\n", ("unbalanced braces: missing '}'", 3, 1)),
+    ("a: 1\n}\n", ("unbalanced braces: extra '}'", 2, 1)),
+    ("a: 1\n: 2\n", ("expected a key, got ':'", 2, 1)),
+    ("a: 1\na: 2\n", ("duplicate key 'a'", 2, 1)),
+    ("a { }\na: 1\n", ("duplicate key 'a'", 2, 1)),
+    ("a: 1\na { }\n", ("duplicate key 'a'", 2, 1)),
+    ("a 1\n", ("expected ':' or '{' after key 'a'", 1, 3)),
+    ("a: }\n", ("expected a value, got '}'", 1, 4)),
+    ("a:", ("expected a value, got 'eof'", 1, 3)),
+    ('a: ["x"]\n', ("lists may contain only numbers", 1, 5)),
+    ("a: [1,\n", ("lists may contain only numbers", 2, 1)),
+    ("a: [1 2]\n", ("expected ',' or ']' in list", 1, 7)),
+    # a backslash before a literal newline escapes it, and the lines still count
+    ('label: "x\\\ny"\nb: 1\n', {"label": "x\ny", "b": 1.0}),
+    ('label: "x\\\ny" $\n', ("unexpected character '$'", 2, 4)),
+    # str.isspace() whitespace; only '\n' starts a new line
+    ("a:\x1c1\xa0b:\u20282\n", {"a": 1.0, "b": 2.0}),
+    ("a: 1\u2028$\n", ("unexpected character '$'", 1, 6)),
+    ("a: 1\xa0\x1c$", ("unexpected character '$'", 1, 7)),
+    # number edges
+    ("a: 1.0abc\n", ("expected ':' or '{' after key 'abc'", 2, 1)),
+    ("a: +.5e3\n", {"a": 500.0}),
+    ("a: []\n", {"a": []}),
+    ("a: [1,]\n", ("lists may contain only numbers", 1, 7)),
+    # the first error in text order wins over a later unterminated string
+    ('a 1\nb: "open\n', ("expected ':' or '{' after key 'a'", 1, 3)),
+    ('a: 1 # comment "open\nb: [1, -2.5e-3] c { d: true }\n',
+     {"a": 1.0, "b": [1.0, -0.0025], "c": {"d": True}}),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_TABLE)
+def test_parse_table(text, expected):
+    if isinstance(expected, dict):
+        # serialized text tells a float from a bool, which == does not
+        assert serialize_config(parse_config(text)) == serialize_config(
+            ConfigTree.from_mapping(expected))
+        return
+    message, line, column = expected
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{message} (line {line}, column {column})", line, column)
+
+
+def test_non_finite_numbers_are_rejected_with_their_key():
+    # 1e999 parses to inf: the tree holds it, the typed getters refuse it
+    tree = parse_config("a: 1e999\nb: -1e999\nc: [0.0, 1e999]\n")
+    for key, getter in (("a", tree.get_float), ("b", tree.get_int), ("c", tree.get_list)):
+        with pytest.raises(ConfigError, match=f"key '{key}' must .*finite"):
+            getter(key)
+    mapped = ConfigTree.from_mapping({"mean": float("nan"), "data": [1.0, float("inf")]})
+    with pytest.raises(ConfigError, match="'mean'"):
+        mapped.get_float("mean")
+    with pytest.raises(ConfigError, match="'data'"):
+        mapped.get_list("data")

@@ -172,3 +172,13 @@ def test_numpy_integer_random_state_fits_the_same_chain():
     b = BayesianMixture(iterations=60, burnin=20, random_state=np.int64(11)).fit(x)
     assert np.array_equal(a.labels_, b.labels_)
     assert a.score(x) == b.score(x)
+
+
+def test_score_uses_the_seed_of_the_fit():
+    # score_samples draws with the seed fit ran at, whatever random_state says now
+    x, _ = _two_blob_data(seed=8, n=40)
+    est = BayesianMixture(hier_type="NNxIG", algorithm="Neal8", iterations=80, burnin=20,
+                          random_state=3).fit(x)
+    score = est.score(x)
+    assert est.set_params(random_state=4).score(x) == score
+    assert est.set_params(random_state=None).score(x) == score

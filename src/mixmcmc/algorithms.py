@@ -2,13 +2,25 @@
 
 The marginal samplers sweep the allocations one datum at a time against
 the masses induced by the mixing's partition prior, then refresh every
-cluster's parameters from its full conditional. The blocked Gibbs sampler
-keeps a fixed number of components with explicit stick-breaking weights.
-All normalizations happen on the log scale with max subtraction.
+cluster's parameters from its full conditional. A datum's draw reads its
+row of a score table: exp(log score - reference) for every existing
+cluster and then every new-cluster candidate, the reference being the
+row's largest log score when the table was built (Neal3: the prior
+predictive's). The row times the
+linear masses exp(log mass) gives the weights, and one uniform picks a
+category from their running sums. A datum whose total weight is zero,
+subnormal or not finite is drawn from its log weights with max
+subtraction instead. The blocked Gibbs sampler keeps a fixed number of
+components with explicit stick-breaking weights and normalizes on the
+log scale.
 """
 
 import copy
 import math
+import sys
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -22,6 +34,13 @@ ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
 # Neal8 draws its auxiliary states in blocks of data of about this many
 # n_aux * d * d cells, so that the batch's memory stays bounded at large n
 _AUX_BATCH_CELLS = 1 << 16
+# a marginal sampler's score table holds at most this many rows at a time
+_TABLE_ROWS = 4096
+# uniforms a sweep draws from the generator in one call
+_UNIFORMS_AHEAD = 128
+# a datum whose total linear weight is below this (or not finite) is drawn
+# in log space: a subnormal total has lost its relative precision
+_TINY = sys.float_info.min
 
 
 class _BaseAlgorithm:
@@ -203,6 +222,37 @@ class _Memo(dict):
         return value
 
 
+class _Uniforms:
+    """``rng.random()``, drawn ahead ``_UNIFORMS_AHEAD`` at a time.
+
+    Calling the object gives the next uniform. One call of the generator
+    for many uniforms gives the numbers that as many single calls would,
+    but it leaves the generator ahead of the uniforms handed out, so
+    ``sync()`` must come before anything else draws from it: it goes back
+    to the state before the batch and draws the uniforms taken again,
+    leaving the generator where single calls would have.
+    """
+
+    __slots__ = ("_rng", "_batch", "_taken", "_state")
+
+    def __init__(self, rng):
+        self._rng, self._batch, self._taken, self._state = rng, [], 0, None
+
+    def __call__(self):
+        taken = self._taken
+        if taken == len(self._batch):
+            self._state = self._rng.bit_generator.state
+            self._batch, taken = self._rng.random(_UNIFORMS_AHEAD).tolist(), 0
+        self._taken = taken + 1
+        return self._batch[taken]
+
+    def sync(self):
+        if self._taken < len(self._batch):
+            self._rng.bit_generator.state = self._state
+            self._rng.random(self._taken)
+        self._batch, self._taken = [], 0
+
+
 class _MarginalAlgorithm(_BaseAlgorithm):
     """One allocation sweep for every marginal sampler.
 
@@ -210,63 +260,116 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     and every new-cluster candidate, and joins the one drawn. The sweep runs
     on a flat cluster store, parallel lists kept in step with
     ``self.clusters``: each cluster's size, its likelihood's statistic list
-    (updated in place on every move), its log mass (looked up again when its
-    size changes) and its scorer ``y -> log score``. The allocations are a
-    Python list during the sweep. The store is built at the start of each
-    sweep; before the refresh the allocations go back to the array and the
-    member ids to the likelihoods. Births and deaths go through the cluster
-    objects (``_open_cluster``, ``_remove_datum``).
+    (updated in place on every move) and its linear mass exp(log mass),
+    memoised by size. The allocations are a Python list during the sweep.
+    The store is built at the start of each sweep; before the refresh the
+    allocations go back to the array and the member ids to the likelihoods.
+    Births and deaths go through the cluster objects (``_open_cluster``,
+    ``_remove_datum``).
 
-    A sampler supplies the scorer of an existing cluster
-    (:meth:`_cluster_scorer`) and its new-cluster candidates; the default
-    candidate is the prior predictive, born from the single-datum full
-    conditional.
+    The scores sit in a table, built when the sweep reaches a block of data
+    (:meth:`_start_block`): each cluster scores the whole block in one
+    ``lpdf_grid`` call, and the new-cluster candidates are scored beside
+    them (:meth:`_candidate_scores`). A datum's row is a list of
+    exp(score - reference), clusters first and then candidates, where the
+    reference is the row's largest log score. A birth inserts its column
+    into the rows still to be drawn, scored in one ``lpdf_grid`` call; a
+    death swap-pops its column, as the store's lists do. The cluster states
+    do not change during a sweep, so the rows stay exact.
+
+    A datum is drawn by one uniform against the running sums of its row
+    times the linear masses. Where that total is zero, subnormal or not
+    finite (a newborn scoring far above a row's reference overflows it; the
+    row's top cluster died and the rest underflowed), that datum is drawn by
+    ``sample_log_categorical`` from its log weights instead, again with one
+    uniform. The uniforms come from the generator in batches
+    (:class:`_Uniforms`), which leaves its stream as single draws would.
+
+    The default candidate is the prior predictive, born from the
+    single-datum full conditional. Its hyperparameters are fixed, so its
+    scores are computed once per run.
     """
 
     requires_conditional_mixing = False
-    # True when a cluster's scorer depends on its members: rebuilt after a
-    # move, once the next datum has left, as that datum often leaves the same
-    # cluster again
-    _scorer_uses_members = False
+    # new-cluster candidates offered to each datum
+    _num_candidates = 1
+    # whether starting a block of the score table draws from the generator
+    _blocks_draw = False
 
     def step(self, rng):
-        n = self.n
         self._build_store()
-        new_candidates = self._new_candidates(rng)
         rows, labels, sizes, stats = self._rows, self._labels, self._sizes, self._stats
-        log_masses, scorers, update_stats = self._log_masses, self._scorers, self._update_stats
-        log_new_mass = _Memo(lambda k: self.mixing.mass_new_cluster(n, k))
-        for i in range(n):
-            stashed = self._remove_datum(i)
-            if self._dirty:
-                self._rescore_dirty()
-            y = rows[i]
-            k = len(scorers)
-            logs = [mass + score(y) for mass, score in zip(log_masses, scorers)]
-            logs += new_candidates(i, log_new_mass[k], stashed)
-            choice = sample_log_categorical(logs, rng)
+        masses, mass_of_size, dirty = self._masses, self._mass_of_size, self._dirty
+        update_stats, last_candidate = self._update_stats, self._num_candidates - 1
+        uniforms, tiny, inf = _Uniforms(rng), _TINY, math.inf
+        table, start, stop = (), 0, 0
+        for i in range(self.n):
+            # the size and mass upkeep of a move is written out here and
+            # below, as the hottest lines of the sampler
+            y, h = rows[i], labels[i]
+            size = sizes[h] - 1
+            if size:
+                update_stats(stats[h], i, y, False)
+                sizes[h] = size
+                masses[h] = mass_of_size[size]
+                if dirty is not None:
+                    dirty.add(h)
+                stashed = None
+            else:
+                stashed = self._remove_datum(i)
+            if i == stop:
+                if self._blocks_draw:
+                    uniforms.sync()
+                table, start, stop = self._start_block(i, rng)
+            row = table[i - start]
+            k = len(sizes)
+            if stashed is not None:
+                self._take_back(i, stashed, row, k)
+            cum = list(accumulate(map(mul, masses, row)))
+            total = cum[-1]
+            if tiny <= total < inf:
+                choice = bisect_right(cum, uniforms() * total, 0, k + last_candidate)
+            else:
+                uniforms.sync()
+                choice = sample_log_categorical(self._log_weights(i, stashed), rng)
             if choice < k:
                 labels[i] = choice
                 update_stats(stats[choice], i, y, True)
-                self._resized(choice, sizes[choice] + 1)
+                size = sizes[choice] + 1
+                sizes[choice] = size
+                masses[choice] = mass_of_size[size]
+                if dirty is not None:
+                    dirty.add(choice)
             else:
+                uniforms.sync()
                 state = self._candidate_state(i, choice - k, stashed)
                 self._open_cluster(i, rng, state=state)
-        self._rescore_dirty()
+        uniforms.sync()
         self._sync_members()
         self._refresh_clusters(rng)
 
-    def _cluster_scorer(self, h):
-        """Scorer of existing cluster h: its kernel at the current state."""
-        return self.clusters[h].likelihood.scorer()
+    def _initialize(self, rng):
+        super()._initialize(rng)
+        if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
+            self._prior_scores = self.template.prior_predictive().lpdf_grid(self.data)
 
-    def _new_candidates(self, rng):
-        """Per-sweep function (i, log_new, stashed) -> candidate log masses of datum i.
+    def _block_rows(self):
+        """Rows of a block of the score table."""
+        return _TABLE_ROWS
 
-        ``stashed`` is the state of the cluster datum i just emptied, or None.
+    def _candidate_scores(self, start, stop, rng):
+        """Log scores of data start..stop-1 under their candidates, shape (stop - start, c)."""
+        return self._prior_scores[start:stop, None]
+
+    def _candidate_log_scores(self, i, stashed):
+        """Datum i's candidate log scores, for the guard's draw."""
+        return [self.template.prior_predictive().lpdf(self._rows[i])]
+
+    def _take_back(self, i, stashed, row, k):
+        """Offer datum i the state of its cluster, which just died, as candidate row[k].
+
+        Only Neal8 does; the other samplers draw a new cluster afresh.
         """
-        score, rows = self.template.prior_predictive().lpdf, self._rows
-        return lambda i, log_new, stashed: [log_new + score(rows[i])]
 
     def _candidate_state(self, i, j, stashed):
         """State of datum i's chosen candidate j; None draws it from the full conditional."""
@@ -284,53 +387,88 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._update_stats = type(self.template.likelihood).update_stats
         self._sizes = sizes = self._counts()
         self._stats = [cl.likelihood.stats for cl in self.clusters]
-        # the existing-cluster mass depends on n and the size only, and the
-        # mixing state is fixed during a sweep
-        self._mass_of_size = _Memo(
-            lambda size: mixing.mass_existing_cluster(n, size, len(sizes)))
-        self._log_masses = [self._mass_of_size[size] for size in sizes]
-        self._scorers = [self._cluster_scorer(h) for h in range(len(sizes))]
-        self._dirty = set()  # clusters whose member-dependent scorer is stale
+        # an existing cluster's mass depends on n and its size only, a new
+        # one's on n and the number of clusters, and the mixing state is
+        # fixed during a sweep
+        k0, log_c = len(sizes), math.log(self._num_candidates)
+        self._log_mass_of_size = _Memo(lambda size: mixing.mass_existing_cluster(n, size, k0))
+        self._mass_of_size = _Memo(lambda size: math.exp(self._log_mass_of_size[size]))
+        self._log_new_mass = _Memo(lambda k: mixing.mass_new_cluster(n, k) - log_c)
+        # the linear masses of the c candidates when there are k clusters
+        self._new_masses = _Memo(
+            lambda k: [math.exp(self._log_new_mass[k])] * self._num_candidates)
+        # the linear masses in a row's order: the k clusters', then the candidates'
+        self._masses = [self._mass_of_size[size] for size in sizes] + self._new_masses[k0]
+        self._table, self._block_start, self._block_stop = [], 0, 0
+        self._dirty = None  # clusters whose scores depend on their members (Neal3)
 
-    def _resized(self, h, size):
-        self._sizes[h] = size
-        self._log_masses[h] = self._mass_of_size[size]
-        if self._scorer_uses_members:
-            self._dirty.add(h)
+    def _start_block(self, start, rng):
+        """Build the score table's rows of data start.. on; returns (table, start, stop)."""
+        stop = min(start + self._block_rows(), self.n)
+        data, k = self.data[start:stop], len(self.clusters)
+        candidates = self._candidate_scores(start, stop, rng)
+        # one line per category, so that the reduction runs along the data
+        scores = np.empty((k + candidates.shape[1], stop - start))
+        for h, cluster in enumerate(self.clusters):
+            scores[h] = cluster.likelihood.lpdf_grid(data)
+        scores[k:] = candidates.T
+        self._ref = ref = scores.max(axis=0)
+        with np.errstate(invalid="ignore"):  # a row of -inf is left to the guard
+            self._table = np.exp(scores - ref).T.tolist()
+        self._block_start, self._block_stop = start, stop
+        return self._table, start, stop
 
-    def _rescore_dirty(self):
-        for h in self._dirty:
-            self._scorers[h] = self._cluster_scorer(h)
-        self._dirty.clear()
+    def _add_column(self, i, cluster):
+        """Insert a newborn's column into the rows after datum i's."""
+        lo = i + 1 - self._block_start
+        rest = self._table[lo:]
+        if rest:
+            scores = cluster.likelihood.lpdf_grid(self.data[i + 1:self._block_stop])
+            with np.errstate(over="ignore", invalid="ignore"):  # left to the guard
+                column = np.exp(scores - self._ref[lo:]).tolist()
+            h = len(self.clusters) - 1
+            for row, value in zip(rest, column):
+                row.insert(h, value)
+
+    def _drop_column(self, i, h, last):
+        """Swap-pop column h out of the rows still to be drawn, datum i's included."""
+        for row in self._table[i - self._block_start:]:
+            row[h] = row[last]
+            del row[last]
+
+    def _cluster_log_scores(self, y):
+        return [cluster.likelihood.lpdf(y) for cluster in self.clusters]
+
+    def _log_weights(self, i, stashed):
+        """Datum i's log weights in the row's order, for the guard's draw."""
+        logs = [self._log_mass_of_size[size] + score
+                for size, score in zip(self._sizes, self._cluster_log_scores(self._rows[i]))]
+        log_new = self._log_new_mass[len(self._sizes)]
+        return logs + [log_new + score for score in self._candidate_log_scores(i, stashed)]
 
     def _remove_datum(self, i):
-        """Detach datum i; returns the state of its cluster if it died."""
+        """Detach datum i, its cluster's last member; returns the cluster's state.
+
+        The death goes through the cluster object, holding just this datum.
+        """
         labels = self._labels
         h = labels[i]
         labels[i] = -1
-        y = self._rows[i]
-        size = self._sizes[h] - 1
-        if size:
-            self._update_stats(self._stats[h], i, y, False)
-            self._resized(h, size)
-            return None
-        # a death goes through the cluster object, holding just this datum
         cluster = self.clusters[h]
         cluster.likelihood.set_members((i,))
-        cluster.remove_datum(i, y)
+        cluster.remove_datum(i, self._rows[i])
         last = len(self.clusters) - 1
-        self._dirty.discard(h)
         if h != last:
             for j, label in enumerate(labels):
                 if label == last:
                     labels[j] = h
-            if last in self._dirty:
-                self._dirty.remove(last)
-                self._dirty.add(h)
-        for column in (self.clusters, self._sizes, self._stats, self._log_masses,
-                       self._scorers):
+        self._drop_column(i, h, last)
+        for column in (self.clusters, self._sizes, self._stats):
             column[h] = column[last]
             column.pop()
+        masses = self._masses
+        masses[h] = masses[last]
+        masses[last:] = self._new_masses[last]
         return cluster.state
 
     def _open_cluster(self, i, rng, state=None):
@@ -345,8 +483,9 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self.clusters.append(cluster)
         self._sizes.append(1)
         self._stats.append(cluster.likelihood.stats)
-        self._log_masses.append(self._mass_of_size[1])
-        self._scorers.append(self._cluster_scorer(len(self.clusters) - 1))
+        k = len(self._sizes)
+        self._masses[k - 1:] = [self._mass_of_size[1]] + self._new_masses[k]
+        self._add_column(i, cluster)
 
     def _sync_members(self):
         self.allocations[:] = self._labels
@@ -387,60 +526,112 @@ class Neal2Algorithm(_MarginalAlgorithm):
 
 
 class Neal3Algorithm(_MarginalAlgorithm):
-    """Marginal sampler for conjugate hierarchies with predictive evaluations."""
+    """Marginal sampler for conjugate hierarchies with predictive evaluations.
+
+    A cluster scores a datum by its posterior predictive, which changes with
+    its members, so each block of the score table is one datum's row, built
+    from the clusters' predictive scorers when the sweep reaches it. Its
+    reference is the prior predictive, so the candidate's entry is 1. A
+    scorer is rebuilt after its cluster changes, once the next datum has
+    left, as that datum often leaves the same cluster again.
+    """
 
     algo_id = "Neal3"
     requires_conjugate = True
-    _scorer_uses_members = True
+
+    def _build_store(self):
+        super()._build_store()
+        self._scorers = [self._cluster_scorer(h) for h in range(len(self._sizes))]
+        self._dirty = set()  # clusters whose scorer is stale
 
     def _cluster_scorer(self, h):
         return self.clusters[h].conditional_pred_scorer(self._sizes[h], self._stats[h])
+
+    def _rescore_dirty(self):
+        for h in self._dirty:
+            self._scorers[h] = self._cluster_scorer(h)
+        self._dirty.clear()
+
+    def _start_block(self, start, rng):
+        self._rescore_dirty()
+        y, ref = self._rows[start], float(self._prior_scores[start])
+        try:
+            row = [math.exp(score(y) - ref) for score in self._scorers] + [1.0]
+        except OverflowError:  # left to the guard
+            row = [math.inf] * (len(self._scorers) + 1)
+        return [row], start, start + 1
+
+    def _cluster_log_scores(self, y):
+        return [score(y) for score in self._scorers]
+
+    def _add_column(self, i, cluster):
+        self._scorers.append(self._cluster_scorer(len(self.clusters) - 1))
+
+    def _drop_column(self, i, h, last):
+        dirty = self._dirty
+        dirty.discard(h)
+        if last in dirty:
+            dirty.remove(last)
+            dirty.add(h)
+        self._scorers[h] = self._scorers[last]
+        self._scorers.pop()
+
+    def _sync_members(self):
+        self._rescore_dirty()
+        super()._sync_members()
 
 
 class Neal8Algorithm(_MarginalAlgorithm):
     """Auxiliary-parameter marginal sampler; works with any hierarchy.
 
-    The sweep draws every datum's ``n_aux`` auxiliary states from the
-    prior in one batch and scores them in one array expression, when it
-    reaches the datum's block (all data at once unless n is large). They
-    do not depend on the chain state, so drawing them ahead of the datum
-    leaves the kernel as it is. Slot 0 of a datum whose cluster just died
-    takes back that cluster's state instead. A state object is built only
-    for the candidate a datum joins.
+    When the sweep reaches a block of the score table (all data at once
+    unless n is large), it draws the block's ``n_aux`` auxiliary states per
+    datum from the prior in one batch and scores them in one array
+    expression. They do not depend on the chain state, so drawing them ahead
+    of the datum leaves the kernel as it is. Slot 0 of a datum whose cluster
+    just died takes back that cluster's state instead. A state object is
+    built only for the candidate a datum joins.
     """
 
     algo_id = "Neal8"
     requires_conjugate = False
+    _blocks_draw = True
 
     def __init__(self, hierarchy, mixing, init_num_clusters=3, n_aux=3):
         super().__init__(hierarchy, mixing, init_num_clusters)
-        self.n_aux = check_positive_int(n_aux, "n_aux")
+        self.n_aux = self._num_candidates = check_positive_int(n_aux, "n_aux")
+        self._like = hierarchy.likelihood.clone_empty()
         # the current block's auxiliary states, a StateBatch of shape
-        # (block size, n_aux), and the index of its first datum
-        self._aux = None
+        # (block size, n_aux), their log scores, and the block's first datum
+        self._aux = self._aux_scores = None
         self._aux_start = 0
 
-    def _new_candidates(self, rng):
-        n, n_aux, data = self.n, self.n_aux, self.data
-        block = max(1, _AUX_BATCH_CELLS // (n_aux * data.shape[1] ** 2))
-        like = self.template.likelihood.clone_empty()
-        rows, log_naux = self._rows, math.log(n_aux)
-        scores = []
+    def _block_rows(self):
+        # a block's auxiliary states hold about _AUX_BATCH_CELLS numbers
+        return max(1, _AUX_BATCH_CELLS // (self.n_aux * self.data.shape[1] ** 2))
 
-        def candidates(i, log_new, stashed):
-            # the sweep visits the data in order
-            if i % block == 0:
-                self._aux = self.template.prior.sample_batch(rng, (min(block, n - i), n_aux))
-                self._aux_start = i
-                scores[:] = like.score_batch(self._aux, data[i:i + block]).tolist()
-            row = scores[i - self._aux_start]
-            if stashed is not None:
-                like.state = stashed
-                row[0] = like.lpdf(rows[i])
-            log_new -= log_naux
-            return [log_new + score for score in row]
+    def _candidate_scores(self, start, stop, rng):
+        self._aux = self.template.prior.sample_batch(rng, (stop - start, self.n_aux))
+        self._aux_start = start
+        self._aux_scores = self._like.score_batch(self._aux, self.data[start:stop])
+        return self._aux_scores
 
-        return candidates
+    def _stashed_score(self, i, stashed):
+        self._like.state = stashed
+        return self._like.lpdf(self._rows[i])
+
+    def _take_back(self, i, stashed, row, k):
+        excess = self._stashed_score(i, stashed) - self._ref[i - self._block_start]
+        try:
+            row[k] = math.exp(excess)
+        except OverflowError:  # left to the guard
+            row[k] = math.inf
+
+    def _candidate_log_scores(self, i, stashed):
+        scores = self._aux_scores[i - self._aux_start].tolist()
+        if stashed is not None:
+            scores[0] = self._stashed_score(i, stashed)
+        return scores
 
     def _candidate_state(self, i, j, stashed):
         if j == 0 and stashed is not None:

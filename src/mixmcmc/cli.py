@@ -69,6 +69,8 @@ def _mean_sibling_path(dens_path):
 def _run_mcmc(args):
     if args.dens_file and not args.grid_file:
         raise MixError("--dens-file needs --grid-file")
+    if args.grid_file and not args.dens_file:
+        raise MixError("--grid-file needs --dens-file")
     params = parse_algo_params(read_config(args.algo_params_file))
     hierarchy = build_hierarchy(args.hier_type, read_config(args.hier_args))
     mix_args = read_config(args.mix_args) if args.mix_args else None

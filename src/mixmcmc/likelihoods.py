@@ -6,13 +6,15 @@ evaluate the whole-cluster log density and to feed posterior updates.
 Univariate kernels accept a scalar or a length-1 row as datum; the
 multivariate normal accepts a length-d row.
 
-Each family supplies the two pieces the marginal sweep's cluster store
-works with. ``scorer()`` returns a function ``y -> log f(y | state)`` with
-the state's constants computed once; ``lpdf`` goes through it, so the two
-share one formula. ``stats`` is a list holding the sufficient statistics,
-and ``update_stats(stats, datum_id, y, add)`` changes such a list in place
-for one datum; the store calls it directly and hands the member ids back
-with ``set_members`` once per sweep.
+The marginal sweep's score table reads a cluster's scores as one
+``lpdf_grid`` column: every datum of a block in one array call. Its
+cluster store works with two more pieces of each family: ``stats`` is a
+list holding the sufficient statistics, and
+``update_stats(stats, datum_id, y, add)`` changes such a list in place for
+one datum; the store calls it directly and hands the member ids back with
+``set_members`` once per sweep. ``lpdf`` scores one datum; the sweep
+calls it only for a datum it draws from its log weights and for the state
+Neal8 takes back from a datum's dead cluster.
 
 For Neal8's auxiliary states, ``score_batch(batch, rows)`` scores a
 :class:`~mixmcmc.states.StateBatch` of shape (n, m) against n data rows,
@@ -107,7 +109,7 @@ class _BaseLikelihood:
         self._ids = set(ids)
 
     def lpdf(self, datum):
-        return self.scorer()(self._as_datum(datum))
+        return self._score(self._as_datum(datum))
 
     def lpdf_grid(self, grid):
         grid = np.asarray(grid, dtype=float)
@@ -165,15 +167,10 @@ class UniNormLikelihood(_BaseLikelihood):
             stats[0] -= y
             stats[1] -= y * y
 
-    def scorer(self):
-        mean, two_var = self.state.mean, 2.0 * self.state.var
-        log_norm = -0.5 * (LOG_2PI + math.log(self.state.var))
-
-        def score(y):
-            d = y - mean
-            return log_norm - d * d / two_var
-
-        return score
+    def _score(self, y):
+        st = self.state
+        d = y - st.mean
+        return -0.5 * (LOG_2PI + math.log(st.var)) - d * d / (2.0 * st.var)
 
     @staticmethod
     def _log_density(st, y):
@@ -241,9 +238,8 @@ class MultiNormLikelihood(_BaseLikelihood):
     def _constants(self, st):
         return st.mean, st.chol_inv, self.dim * LOG_2PI + st.log_det
 
-    def scorer(self):
-        constants = self._constants(self.state)
-        return lambda y: float(_mvn_lpdf_rows(y.reshape(1, -1), *constants)[0])
+    def _score(self, y):
+        return float(_mvn_lpdf_rows(y.reshape(1, -1), *self._constants(self.state))[0])
 
     def _lpdf_rows(self, grid):
         if grid.shape[1] != self.dim:
@@ -297,10 +293,9 @@ class LaplaceLikelihood(_BaseLikelihood):
             raise ValueError(f"datum id {datum_id} was added with a different value")
         super().remove_datum(datum_id, datum)
 
-    def scorer(self):
-        mean, scale = self.state.mean, self.state.var
-        log_norm = -math.log(2.0 * scale)
-        return lambda y: log_norm - abs(y - mean) / scale
+    def _score(self, y):
+        scale = self.state.var
+        return -math.log(2.0 * scale) - abs(y - self.state.mean) / scale
 
     @staticmethod
     def _log_density(st, y):
@@ -364,17 +359,11 @@ class GammaLikelihood(_BaseLikelihood):
         else:
             stats[0] -= y
 
-    def scorer(self):
+    def _score(self, y):
+        if y <= 0:
+            return -math.inf
         s, r = self.state.shape, self.state.rate
-        log_norm = s * math.log(r) - math.lgamma(s)
-        s1 = s - 1.0
-
-        def score(y):
-            if y <= 0:
-                return -math.inf
-            return log_norm + s1 * math.log(y) - r * y
-
-        return score
+        return s * math.log(r) - math.lgamma(s) + (s - 1.0) * math.log(y) - r * y
 
     @staticmethod
     def _log_density(st, y):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -414,6 +415,36 @@ def test_allocation_sampling_survives_huge_masses():
     assert abs(counts[0] / 2000 - expected[0]) < 0.05
     with pytest.raises(ValueError):
         sample_log_categorical([-np.inf, -np.inf], rng)
+
+
+def test_allocation_guard_keeps_the_log_space_chain(monkeypatch):
+    # a tiny prior scale makes every Laplace kernel sharp: a cluster born at
+    # one of two tight groups far apart outscores the references of that
+    # group's later rows by more than exp can hold, so those data are drawn
+    # from their log weights, the rest from the table; the chain is the one
+    # drawn in log space throughout (pinned from a sweep that drew every
+    # datum by sample_log_categorical)
+    calls = []
+    real_draw = algorithms.sample_log_categorical
+
+    def counted_draw(logs, rng):
+        calls.append(len(logs))
+        return real_draw(logs, rng)
+
+    monkeypatch.setattr(algorithms, "sample_log_categorical", counted_draw)
+    rng = np.random.default_rng(5)
+    data = np.concatenate([-50.0 + 0.01 * rng.normal(size=10), 50.0 + 0.01 * rng.normal(size=10)])
+    hier = build_hierarchy("LapNIG", {
+        "fixed_values": {"mean": 0.0, "var": 1e4, "shape": 2.0, "scale": 1e-3}})
+    algo = build_algorithm("Neal8", hier, DirichletMixing(1.0), n_aux=2)
+    collector = _run(algo, data.reshape(-1, 1), 10, 0, seed=6)
+    assert 0 < len(calls) < 10 * len(data)
+    digest = hashlib.sha256()
+    for record in collector:
+        digest.update(encode_state(record).encode("utf-8"))
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "723f725c88ecd5491e72defd09faddb78e1bd835791312849ab91c6d5a49201e")
 
 
 def test_neal8_promoted_auxiliary_state_is_fresh():

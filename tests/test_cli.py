@@ -392,6 +392,19 @@ def test_dens_file_without_grid_file_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "dens.csv").exists()
 
 
+def test_grid_file_without_dens_file_is_an_error(tmp_path, capsys):
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path)) == 0
+    chain = tmp_path / "chains.chain"
+    before = chain.read_bytes()
+    args = _full_run_args(tmp_path)
+    del args[args.index("--dens-file"):args.index("--dens-file") + 2]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --grid-file needs --dens-file\n"
+    assert chain.read_bytes() == before
+
+
 def test_exp_mean_log_summary_is_the_mean_of_the_log_densities(tmp_path):
     _write_run_inputs(tmp_path)
     assert main(_full_run_args(tmp_path) + ["--dens-mean", "exp-mean-log"]) == 0

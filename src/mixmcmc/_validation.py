@@ -11,9 +11,19 @@ def check_positive(value, name):
     return float(value)
 
 
+def check_int(value, name):
+    try:
+        iv = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, a string, inf, nan
+        iv = None
+    if iv is None or iv != value:
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return iv
+
+
 def check_positive_int(value, name):
-    iv = int(value)
-    if iv != value or iv < 1:
+    iv = check_int(value, name)
+    if iv < 1:
         raise ValueError(f"'{name}' must be a positive integer, got {value!r}")
     return iv
 

@@ -25,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from ._util import logsumexp, sample_log_categorical
-from ._validation import check_data_matrix, check_positive_int
+from ._validation import check_data_matrix, check_int, check_positive_int
 from .chainio import ChainState, ClusterParams
 from .exceptions import ConfigError
 
@@ -88,6 +88,7 @@ class _BaseAlgorithm:
     def run(self, data, iterations, burnin, collector, rng):
         """Run the chain, collecting the (iterations - burnin) retained states."""
         iterations = check_positive_int(iterations, "iterations")
+        burnin = check_int(burnin, "burnin")
         if burnin < 0 or burnin >= iterations:
             raise ValueError("need 0 <= burnin < iterations")
         self._prepare_data(data)
@@ -262,8 +263,9 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     ``self.clusters``: each cluster's size, its likelihood's statistic list
     (updated in place on every move) and its linear mass exp(log mass),
     memoised by size. The allocations are a Python list during the sweep.
-    The store is built at the start of each sweep; before the refresh the
-    allocations go back to the array and the member ids to the likelihoods.
+    The labels are the one record of membership: the store is built at the
+    start of each sweep, and before the refresh the labels go back to the
+    allocations and each size to its cluster's ``card``.
     Births and deaths go through the cluster objects (``_open_cluster``,
     ``_remove_datum``).
 
@@ -299,7 +301,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def step(self, rng):
         self._build_store()
         rows, labels, sizes, stats = self._rows, self._labels, self._sizes, self._stats
-        masses, mass_of_size, dirty = self._masses, self._mass_of_size, self._dirty
+        masses, mass_of_size = self._masses, self._mass_of_size
         update_stats, last_candidate = self._update_stats, self._num_candidates - 1
         uniforms, tiny, inf = _Uniforms(rng), _TINY, math.inf
         table, start, stop = (), 0, 0
@@ -312,8 +314,6 @@ class _MarginalAlgorithm(_BaseAlgorithm):
                 update_stats(stats[h], i, y, False)
                 sizes[h] = size
                 masses[h] = mass_of_size[size]
-                if dirty is not None:
-                    dirty.add(h)
                 stashed = None
             else:
                 stashed = self._remove_datum(i)
@@ -338,8 +338,6 @@ class _MarginalAlgorithm(_BaseAlgorithm):
                 size = sizes[choice] + 1
                 sizes[choice] = size
                 masses[choice] = mass_of_size[size]
-                if dirty is not None:
-                    dirty.add(choice)
             else:
                 uniforms.sync()
                 state = self._candidate_state(i, choice - k, stashed)
@@ -378,14 +376,11 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def _initial_num_clusters(self):
         return min(self.init_num_clusters, self.n)
 
-    def _counts(self):
-        return [cl.card for cl in self.clusters]
-
     def _build_store(self):
         n, mixing = self.n, self.mixing
         self._labels = self.allocations.tolist()
         self._update_stats = type(self.template.likelihood).update_stats
-        self._sizes = sizes = self._counts()
+        self._sizes = sizes = [cl.card for cl in self.clusters]
         self._stats = [cl.likelihood.stats for cl in self.clusters]
         # an existing cluster's mass depends on n and its size only, a new
         # one's on n and the number of clusters, and the mixing state is
@@ -400,7 +395,6 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         # the linear masses in a row's order: the k clusters', then the candidates'
         self._masses = [self._mass_of_size[size] for size in sizes] + self._new_masses[k0]
         self._table, self._block_start, self._block_stop = [], 0, 0
-        self._dirty = None  # clusters whose scores depend on their members (Neal3)
 
     def _start_block(self, start, rng):
         """Build the score table's rows of data start.. on; returns (table, start, stop)."""
@@ -455,7 +449,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         h = labels[i]
         labels[i] = -1
         cluster = self.clusters[h]
-        cluster.likelihood.set_members((i,))
+        cluster.likelihood.card = 1  # its store size: card is written back once per sweep
         cluster.remove_datum(i, self._rows[i])
         last = len(self.clusters) - 1
         if h != last:
@@ -489,15 +483,12 @@ class _MarginalAlgorithm(_BaseAlgorithm):
 
     def _sync_members(self):
         self.allocations[:] = self._labels
-        members = [[] for _ in self.clusters]
-        for i, h in enumerate(self._labels):
-            members[h].append(i)
-        for cluster, ids in zip(self.clusters, members):
-            cluster.likelihood.set_members(ids)
+        for cluster, size in zip(self.clusters, self._sizes):
+            cluster.likelihood.card = size
 
     def _refresh_clusters(self, rng):
         self._draw_cluster_params(rng)
-        self.mixing.update_state(self._counts(), self.n, rng)
+        self.mixing.update_state(self._sizes, self.n, rng)
 
     def _record_log_weights(self, record, mixing):
         n, k = record.allocations.shape[0], len(record.cluster_states)
@@ -533,7 +524,9 @@ class Neal3Algorithm(_MarginalAlgorithm):
     from the clusters' predictive scorers when the sweep reaches it. Its
     reference is the prior predictive, so the candidate's entry is 1. A
     scorer is rebuilt after its cluster changes, once the next datum has
-    left, as that datum often leaves the same cluster again.
+    left, as that datum often leaves the same cluster again. The labels
+    tell which: the cluster the previous datum joined and the one this
+    datum left.
     """
 
     algo_id = "Neal3"
@@ -542,18 +535,20 @@ class Neal3Algorithm(_MarginalAlgorithm):
     def _build_store(self):
         super()._build_store()
         self._scorers = [self._cluster_scorer(h) for h in range(len(self._sizes))]
-        self._dirty = set()  # clusters whose scorer is stale
 
     def _cluster_scorer(self, h):
         return self.clusters[h].conditional_pred_scorer(self._sizes[h], self._stats[h])
 
-    def _rescore_dirty(self):
-        for h in self._dirty:
-            self._scorers[h] = self._cluster_scorer(h)
-        self._dirty.clear()
+    def _rescore(self, *clusters):
+        for h in set(clusters):
+            if h >= 0:
+                self._scorers[h] = self._cluster_scorer(h)
 
     def _start_block(self, start, rng):
-        self._rescore_dirty()
+        # since the last block, datum start - 1 joined its cluster and datum
+        # start left its own (-1 if that cluster died)
+        labels = self._labels
+        self._rescore(labels[start - 1] if start else -1, labels[start])
         y, ref = self._rows[start], float(self._prior_scores[start])
         try:
             row = [math.exp(score(y) - ref) for score in self._scorers] + [1.0]
@@ -568,16 +563,11 @@ class Neal3Algorithm(_MarginalAlgorithm):
         self._scorers.append(self._cluster_scorer(len(self.clusters) - 1))
 
     def _drop_column(self, i, h, last):
-        dirty = self._dirty
-        dirty.discard(h)
-        if last in dirty:
-            dirty.remove(last)
-            dirty.add(h)
         self._scorers[h] = self._scorers[last]
         self._scorers.pop()
 
     def _sync_members(self):
-        self._rescore_dirty()
+        self._rescore(self._labels[-1])
         super()._sync_members()
 
 

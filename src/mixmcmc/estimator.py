@@ -177,17 +177,19 @@ class BayesianMixture:
         mix_params = self.mix_params or self._default_mix_params()
         hierarchy = build_hierarchy(self.hier_type, hier_params)
         mixing = build_mixing(self.mix_type, mix_params)
-        self.algorithm_ = build_algorithm(
+        algorithm = build_algorithm(
             self.algorithm,
             hierarchy,
             mixing,
             init_num_clusters=self.init_num_clusters,
             n_aux=self.n_aux,
         )
-        self.collector_ = MemoryCollector()
+        collector = MemoryCollector()
+        algorithm.run(X, self.iterations, self.burnin, collector,
+                      np.random.default_rng(self.random_state))
+        # set once the chain has run, so that a rejected fit does not look fitted
+        self.algorithm_, self.collector_ = algorithm, collector
         self._seed = int(self.random_state)  # score_samples reads the seed of this fit
-        rng = np.random.default_rng(self.random_state)
-        self.algorithm_.run(X, self.iterations, self.burnin, self.collector_, rng)
 
         self.n_features_in_ = X.shape[1]
         records = list(self.collector_)  # the one replay of the chain

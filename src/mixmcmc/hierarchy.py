@@ -1,4 +1,4 @@
-"""One mixture component: likelihood + prior + updater + membership.
+"""One mixture component: likelihood (with its size) + prior + updater.
 
 A :class:`Hierarchy` is a cloneable prototype. Marginal algorithms hold a
 template and clone it whenever a new cluster is born; conditional
@@ -66,10 +66,6 @@ class Hierarchy:
     @property
     def card(self):
         return self.likelihood.card
-
-    @property
-    def members(self):
-        return self.likelihood.ids
 
     def is_conjugate(self):
         return self.updater.is_conjugate()

@@ -1,7 +1,7 @@
 """Component kernels f(y | state) with sufficient-statistic bookkeeping.
 
-A likelihood owns the current component state, tracks which datum ids
-belong to the cluster, and maintains whatever statistics it needs to
+A likelihood owns the current component state, counts the data in the
+cluster (``card``), and maintains whatever statistics it needs to
 evaluate the whole-cluster log density and to feed posterior updates.
 Univariate kernels accept a scalar or a length-1 row as datum; the
 multivariate normal accepts a length-d row.
@@ -11,8 +11,8 @@ The marginal sweep's score table reads a cluster's scores as one
 cluster store works with two more pieces of each family: ``stats`` is a
 list holding the sufficient statistics, and
 ``update_stats(stats, datum_id, y, add)`` changes such a list in place for
-one datum; the store calls it directly and hands the member ids back with
-``set_members`` once per sweep. ``lpdf`` scores one datum; the sweep
+one datum; the store calls it directly and writes each ``card`` back once
+per sweep. ``lpdf`` scores one datum; the sweep
 calls it only for a datum it draws from its log weights and for the state
 Neal8 takes back from a datum's dead cluster.
 
@@ -81,32 +81,18 @@ class _BaseLikelihood:
     def __init__(self, state, stats):
         self.state = state
         self.stats = stats
-        self._ids = set()
-
-    @property
-    def card(self):
-        return len(self._ids)
-
-    @property
-    def ids(self):
-        return frozenset(self._ids)
+        self.card = 0
 
     def add_datum(self, datum_id, datum):
-        if datum_id in self._ids:
-            raise ValueError(f"datum id {datum_id} is already in the cluster")
-        # may reject the datum; ids stay clean
+        # may reject the datum; the count stays clean
         self.update_stats(self.stats, datum_id, self._as_datum(datum), True)
-        self._ids.add(datum_id)
+        self.card += 1
 
     def remove_datum(self, datum_id, datum):
-        if datum_id not in self._ids:
-            raise ValueError(f"datum id {datum_id} is not in the cluster")
+        if not self.card:
+            raise ValueError(f"cannot remove datum id {datum_id} from an empty cluster")
         self.update_stats(self.stats, datum_id, self._as_datum(datum), False)
-        self._ids.remove(datum_id)
-
-    def set_members(self, ids):
-        """Replace the member ids; ``stats`` must already describe exactly them."""
-        self._ids = set(ids)
+        self.card -= 1
 
     def lpdf(self, datum):
         return self._score(self._as_datum(datum))
@@ -287,9 +273,15 @@ class LaplaceLikelihood(_BaseLikelihood):
         else:
             del stats[0][datum_id]
 
+    def add_datum(self, datum_id, datum):
+        if datum_id in self.data:  # a second copy would leave card above len(data)
+            raise ValueError(f"datum id {datum_id} is already in the cluster")
+        super().add_datum(datum_id, datum)
+
     def remove_datum(self, datum_id, datum):
-        y = _as_scalar(datum)
-        if datum_id in self.data and self.data[datum_id] != y:
+        if datum_id not in self.data:
+            raise ValueError(f"datum id {datum_id} is not in the cluster")
+        if self.data[datum_id] != _as_scalar(datum):
             raise ValueError(f"datum id {datum_id} was added with a different value")
         super().remove_datum(datum_id, datum)
 

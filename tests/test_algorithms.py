@@ -483,8 +483,8 @@ STORE_CELLS = [
 
 @pytest.mark.parametrize("algo_id,hier_type", STORE_CELLS)
 def test_cluster_store_matches_a_recount(algo_id, hier_type):
-    # the sweep updates statistics in place and hands members back once per
-    # sweep: after a run every cluster must equal one rebuilt from the labels
+    # the sweep updates statistics in place and writes each size back once
+    # per sweep: after a run every cluster must equal one rebuilt from the labels
     algo = build_algorithm(algo_id, build_hierarchy(hier_type, HIER_ARGS[hier_type]),
                            DirichletMixing(1.0))
     _run(algo, _data(hier_type), 15, 10, seed=11)
@@ -494,7 +494,6 @@ def test_cluster_store_matches_a_recount(algo_id, hier_type):
     for h, cluster in enumerate(algo.clusters):
         members = [i for i, label in enumerate(labels) if label == h]
         assert cluster.card == len(members)
-        assert cluster.members == frozenset(members)
         assert algo._stats[h] is cluster.likelihood.stats
         recount = algo.template.likelihood.clone_empty()
         for i in members:
@@ -509,3 +508,55 @@ def test_cluster_store_matches_a_recount(algo_id, hier_type):
             y = algo._rows[0]
             assert algo._scorers[h](y) == cluster.conditional_pred_scorer(
                 cluster.card, cluster.likelihood.stats)(y)
+
+
+@pytest.mark.parametrize("hier_type", ["NNIG", "NNW", "GammaGamma"])
+def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
+    # each datum's row is scored by the clusters' predictive scorers, which
+    # must be those of the clusters' current sizes and statistics
+    algo = build_algorithm("Neal3", build_hierarchy(hier_type, HIER_ARGS[hier_type]),
+                           DirichletMixing(1.0))
+    start_block, open_cluster, remove_datum = (
+        algo._start_block, algo._open_cluster, algo._remove_datum)
+    seen = {"blocks": 0, "births": 0, "deaths": 0}
+
+    def checked_start_block(start, rng):
+        out = start_block(start, rng)
+        y = algo._rows[start]
+        for h, cluster in enumerate(algo.clusters):
+            assert algo._scorers[h](y) == cluster.conditional_pred_scorer(
+                algo._sizes[h], algo._stats[h])(y)
+        seen["blocks"] += 1
+        return out
+
+    def counted(key, f):
+        def wrapped(*args, **kwargs):
+            seen[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    algo._start_block = checked_start_block
+    algo._open_cluster = counted("births", open_cluster)
+    algo._remove_datum = counted("deaths", remove_datum)
+    data = _data(hier_type)
+    _run(algo, data, 15, 10, seed=11)
+    assert seen["blocks"] == 15 * len(data)
+    assert seen["births"] > 0 and seen["deaths"] > 0
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, None, "3", 2.5, 0])
+def test_count_arguments_name_themselves(value):
+    with pytest.raises(ValueError, match="iterations"):
+        _run(build_algorithm("Neal2", _nnig(), DirichletMixing(1.0)), [[0.0], [1.0]],
+             value, 0, seed=0)
+    with pytest.raises(ValueError, match="n_aux"):
+        build_algorithm("Neal8", _nnig(), DirichletMixing(1.0), n_aux=value)
+    with pytest.raises(ValueError, match="init_num_clusters"):
+        build_algorithm("Neal2", _nnig(), DirichletMixing(1.0), init_num_clusters=value)
+
+
+@pytest.mark.parametrize("burnin", [2.5, math.nan, math.inf, None, "2"])
+def test_burnin_must_be_an_integer(burnin):
+    algo = build_algorithm("Neal2", _nnig(), DirichletMixing(1.0))
+    with pytest.raises(ValueError, match="'burnin' must be an integer"):
+        _run(algo, [[0.0], [1.0]], 20, burnin, seed=0)

@@ -157,6 +157,18 @@ def test_invalid_configuration_raises():
         BayesianMixture(mix_type="Nope").fit([[0.0], [1.0]])
 
 
+@pytest.mark.parametrize("name", ["iterations", "n_aux", "burnin"])
+def test_non_integer_counts_are_rejected_by_name(name):
+    # an infinite count used to overflow, a fractional burnin to keep 17 records
+    kwargs = {"algorithm": "Neal8", "iterations": 20, "burnin": 2, name: float("inf")}
+    if name == "burnin":
+        kwargs[name] = 2.5
+    est = BayesianMixture(**kwargs)
+    with pytest.raises(ValueError, match=name):
+        est.fit([[0.0], [1.0]])
+    assert not est.__sklearn_is_fitted__()
+
+
 @pytest.mark.parametrize("seed", [None, np.random.default_rng(0), -1, 1.0, True],
                          ids=["None", "Generator", "negative", "float", "bool"])
 def test_random_state_must_be_a_non_negative_integer(seed):

@@ -186,16 +186,19 @@ def test_predictive_capability_error_for_non_conjugate():
 
 
 def test_membership_tracks_card():
+    # card is the count of data; the samplers' labels say which data they are
     h = _nnig()
     h.add_datum(3, 1.0)
     h.add_datum(7, -1.0)
     assert h.card == 2
-    assert h.members == frozenset({3, 7})
     h.remove_datum(3, 1.0)
     assert h.card == 1
-    assert h.members == frozenset({7})
-    with pytest.raises(ValueError):
-        h.remove_datum(3, 1.0)
+    h.remove_datum(7, -1.0)
+    assert h.card == 0
+    assert h.likelihood.stats == [0.0, 0.0]
+    with pytest.raises(ValueError, match="empty"):
+        h.remove_datum(7, -1.0)
+    assert h.card == 0
 
 
 def test_clone_shares_no_mutable_state():

@@ -44,13 +44,23 @@ def test_uninorm_stat_arithmetic():
     assert like.card == 1
 
 
-def test_double_add_and_absent_remove_raise():
+def test_empty_and_absent_removes_raise():
     like = UniNormLikelihood()
-    like.add_datum(0, 1.0)
-    with pytest.raises(ValueError):
-        like.add_datum(0, 2.0)
-    with pytest.raises(ValueError):
-        like.remove_datum(5, 1.0)
+    with pytest.raises(ValueError, match="empty"):
+        like.remove_datum(0, 1.0)
+    assert like.card == 0 and like.stats == [0.0, 0.0]
+    # the Laplace kernel keeps its data by id, so it also checks the ids and value
+    lap = LaplaceLikelihood()
+    lap.add_datum(0, 1.0)
+    with pytest.raises(ValueError, match="already in the cluster"):
+        lap.add_datum(0, 2.0)
+    with pytest.raises(ValueError, match="not in the cluster"):
+        lap.remove_datum(5, 1.0)
+    with pytest.raises(ValueError, match="different value"):
+        lap.remove_datum(0, 2.0)
+    assert lap.card == 1 and lap.data == {0: 1.0}
+    lap.remove_datum(0, 1.0)
+    assert lap.card == 0 and lap.data == {}
 
 
 def _make_likelihoods(rng):

@@ -28,6 +28,7 @@ from ._util import logsumexp, sample_log_categorical
 from ._validation import check_data_matrix, check_int, check_positive_int
 from .chainio import ChainState, ClusterParams
 from .exceptions import ConfigError
+from .states import stack_states
 
 ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
 
@@ -121,8 +122,8 @@ class _BaseAlgorithm:
 
         An empty cluster draws from the prior. An updater with a
         ``draw_batch`` (the Metropolis one) then moves all non-empty
-        clusters in one batch; any other draws them one at a time, in list
-        order.
+        clusters in one batch, on the data and the allocations renumbered
+        over them; any other draws them one at a time, in list order.
         """
         draw_batch = getattr(self.template.updater, "draw_batch", None)
         if draw_batch is None:
@@ -136,7 +137,10 @@ class _BaseAlgorithm:
             else:
                 cluster.sample_prior(rng)
         if occupied:
-            draw_batch(occupied, self.template.prior, rng)
+            # the batch numbers the occupied clusters 0..k-1 in list order
+            renumber = np.cumsum([cluster.card > 0 for cluster in self.clusters]) - 1
+            draw_batch(occupied, self.template.prior, rng, self.data,
+                       renumber[self.allocations])
 
     def _snapshot(self, iteration):
         cluster_states = [
@@ -262,19 +266,20 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     on a flat cluster store, parallel lists kept in step with
     ``self.clusters``: each cluster's size, its likelihood's statistic list
     (updated in place on every move) and its linear mass exp(log mass),
-    memoised by size. The allocations are a Python list during the sweep.
-    The labels are the one record of membership: the store is built at the
-    start of each sweep, and before the refresh the labels go back to the
-    allocations and each size to its cluster's ``card``.
+    memoised by size for the whole run. The allocations are a Python list
+    during the sweep. The labels are the one record of membership: the
+    store is built at the start of each sweep, and before the refresh the
+    labels go back to the allocations and each size to its cluster's
+    ``card``; a Metropolis refresh reads each cluster's data from them.
     Births and deaths go through the cluster objects (``_open_cluster``,
     ``_remove_datum``).
 
     The scores sit in a table, built when the sweep reaches a block of data
-    (:meth:`_start_block`): each cluster scores the whole block in one
-    ``lpdf_grid`` call, and the new-cluster candidates are scored beside
-    them (:meth:`_candidate_scores`). A datum's row is a list of
-    exp(score - reference), clusters first and then candidates, where the
-    reference is the row's largest log score. A birth inserts its column
+    (:meth:`_start_block`): the clusters' states, stacked into one batch,
+    score the whole block in one ``score_batch`` call, and the new-cluster
+    candidates are scored beside them (:meth:`_candidate_scores`). A
+    datum's row is a list of exp(score - reference), clusters first and
+    then candidates, where the reference is the row's largest log score. A birth inserts its column
     into the rows still to be drawn, scored in one ``lpdf_grid`` call; a
     death swap-pops its column, as the store's lists do. The cluster states
     do not change during a sweep, so the rows stay exact.
@@ -348,6 +353,11 @@ class _MarginalAlgorithm(_BaseAlgorithm):
 
     def _initialize(self, rng):
         super()._initialize(rng)
+        n, mixing = self.n, self.mixing
+        # an existing cluster's mass depends on n and its size only (see
+        # mixings), so these last the run
+        self._log_mass_of_size = _Memo(lambda size: mixing.mass_existing_cluster(n, size, None))
+        self._mass_of_size = _Memo(lambda size: math.exp(self._log_mass_of_size[size]))
         if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
             self._prior_scores = self.template.prior_predictive().lpdf_grid(self.data)
 
@@ -382,12 +392,9 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._update_stats = type(self.template.likelihood).update_stats
         self._sizes = sizes = [cl.card for cl in self.clusters]
         self._stats = [cl.likelihood.stats for cl in self.clusters]
-        # an existing cluster's mass depends on n and its size only, a new
-        # one's on n and the number of clusters, and the mixing state is
-        # fixed during a sweep
+        # a new cluster's mass depends on n and the number of clusters, and
+        # on the mixing state, which is fixed during a sweep but not a run
         k0, log_c = len(sizes), math.log(self._num_candidates)
-        self._log_mass_of_size = _Memo(lambda size: mixing.mass_existing_cluster(n, size, k0))
-        self._mass_of_size = _Memo(lambda size: math.exp(self._log_mass_of_size[size]))
         self._log_new_mass = _Memo(lambda k: mixing.mass_new_cluster(n, k) - log_c)
         # the linear masses of the c candidates when there are k clusters
         self._new_masses = _Memo(
@@ -399,16 +406,17 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def _start_block(self, start, rng):
         """Build the score table's rows of data start.. on; returns (table, start, stop)."""
         stop = min(start + self._block_rows(), self.n)
-        data, k = self.data[start:stop], len(self.clusters)
         candidates = self._candidate_scores(start, stop, rng)
-        # one line per category, so that the reduction runs along the data
-        scores = np.empty((k + candidates.shape[1], stop - start))
-        for h, cluster in enumerate(self.clusters):
-            scores[h] = cluster.likelihood.lpdf_grid(data)
-        scores[k:] = candidates.T
-        self._ref = ref = scores.max(axis=0)
+        k = len(self.clusters)
+        # column-major, one column per category, so that the reduction runs along the data
+        scores = np.empty((stop - start, k + candidates.shape[1]), order="F")
+        scores[:, k:] = candidates
+        if k:  # none when the one datum of the data has left its cluster
+            batch = stack_states([cluster.state for cluster in self.clusters])
+            scores[:, :k] = self.template.likelihood.score_batch(batch, self.data[start:stop])
+        self._ref = ref = scores.max(axis=1)
         with np.errstate(invalid="ignore"):  # a row of -inf is left to the guard
-            self._table = np.exp(scores - ref).T.tolist()
+            self._table = np.exp(scores - ref[:, None]).tolist()
         self._block_start, self._block_stop = start, stop
         return self._table, start, stop
 

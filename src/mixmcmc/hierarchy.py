@@ -88,6 +88,12 @@ class Hierarchy:
     def sample_full_cond(self, rng):
         if self.card == 0:
             self.sample_prior(rng)
+        elif hasattr(self.updater, "draw_batch"):
+            # the Metropolis target reads the member data from the sampler's labels
+            raise CapabilityError(
+                f"{type(self.updater).__name__} moves non-empty clusters only through "
+                "draw_batch, with the sampler's data and labels"
+            )
         else:
             self.updater.draw(self.likelihood, self.prior, rng)
 

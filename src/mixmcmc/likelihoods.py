@@ -6,42 +6,39 @@ evaluate the whole-cluster log density and to feed posterior updates.
 Univariate kernels accept a scalar or a length-1 row as datum; the
 multivariate normal accepts a length-d row.
 
-The marginal sweep's score table reads a cluster's scores as one
-``lpdf_grid`` column: every datum of a block in one array call. Its
-cluster store works with two more pieces of each family: ``stats`` is a
-list holding the sufficient statistics, and
+The marginal sweep's cluster store works with two more pieces of each
+family: ``stats`` is a list holding the sufficient statistics, and
 ``update_stats(stats, datum_id, y, add)`` changes such a list in place for
 one datum; the store calls it directly and writes each ``card`` back once
 per sweep. ``lpdf`` scores one datum; the sweep
 calls it only for a datum it draws from its log weights and for the state
 Neal8 takes back from a datum's dead cluster.
 
-For Neal8's auxiliary states, ``score_batch(batch, rows)`` scores a
-:class:`~mixmcmc.states.StateBatch` of shape (n, m) against n data rows,
-row i of the batch at datum i. It and ``lpdf_grid`` go through one
-per-family formula that reads the state's fields by name, so a state and a
-batch of states share it.
+``score_batch(batch, rows)`` scores a
+:class:`~mixmcmc.states.StateBatch` against n data rows: a batch of shape
+(n, m) row by row, datum i against the states of row i (Neal8's auxiliary
+states), and one of shape (1, k) every datum against all k states (the
+score table of the marginal sweep, all its clusters in one call). It and
+``lpdf_grid`` go through one per-family formula that reads the state's
+fields by name, so a state and a batch of states share it, and a batch's
+score of (datum, state) has the bits of that state's own ``lpdf_grid``.
 
 The normal and Laplace kernels also give the whole-cluster log density at
-an unconstrained state vector, which the Metropolis updater targets. The
-static ``unconstrained_lpdf(stats, u)`` is its one formula, written against
-:mod:`mixmcmc.autodiff`. ``stats`` is what ``unconstrained_stats()`` returns
-for one cluster (floats, with u of shape (p,)), or what
-``stack_unconstrained_stats(likes)`` returns for k clusters (arrays over the
-clusters, with u of shape (p, k)); the value then holds the k clusters'
-densities. ``cluster_lpdf_from_unconstrained(u)`` evaluates one cluster. The
-other kernels raise :class:`~mixmcmc.exceptions.CapabilityError` there.
+unconstrained states, which the Metropolis updater targets, in closed form
+with its gradient. The static ``unconstrained_stats(likes, rows, labels)``
+collects what k clusters' densities read: the data ``rows`` and their
+``labels`` in 0..k-1 indexing ``likes``. The static
+``unconstrained_lpdf(stats, u)`` takes u of shape (p, k) and returns the
+k clusters' densities and their gradient, of shape (p, k). The other
+kernels have neither.
 """
 
-import itertools
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from . import autodiff as ad
 from ._util import LOG_2PI
-from .exceptions import CapabilityError
 from .states import GammaState, MultiLSState, UniLSState
 
 
@@ -109,19 +106,8 @@ class _BaseLikelihood:
         return self._log_density(self.state, grid[:, 0])
 
     def score_batch(self, batch, rows):
-        """log f(rows[i] | batch state (i, j)) for a batch of shape (n, m) and n rows."""
+        """log f(rows[i] | batch state (i, j)) for a batch of shape (n, m) or (1, m), n rows."""
         return self._log_density(batch, rows[:, :1])
-
-    def unconstrained_stats(self):
-        """The statistics ``unconstrained_lpdf`` reads, for this one cluster."""
-        raise CapabilityError(
-            f"{type(self).__name__} has no unconstrained parameterization"
-        )
-
-    def cluster_lpdf_from_unconstrained(self, u):
-        """Sum of log f(y_i | state) over the cluster at the unconstrained u; 0 when empty."""
-        stats = self.unconstrained_stats()
-        return self.unconstrained_lpdf(stats, u) if self.card else 0.0
 
 
 class UniNormLikelihood(_BaseLikelihood):
@@ -163,22 +149,26 @@ class UniNormLikelihood(_BaseLikelihood):
         d = y - st.mean
         return -0.5 * (LOG_2PI + np.log(st.var)) - d * d / (2.0 * st.var)
 
-    def unconstrained_stats(self):
-        return self.card, self.stats[0], self.stats[1]
-
     @staticmethod
-    def stack_unconstrained_stats(likes):
-        """(size, sum of y, sum of y^2) of k clusters, each a (k,) array."""
-        columns = zip(*[like.unconstrained_stats() for like in likes])
-        return tuple(np.array(column) for column in columns)
+    def unconstrained_stats(likes, rows, labels):
+        """Rows (size, sum of y, sum of y^2) over k clusters, a (3, k) array of running sums."""
+        return np.array([(like.card, *like.stats) for like in likes]).T
 
     @staticmethod
     def unconstrained_lpdf(stats, u):
-        """Sum of log N(y_i | mean, var) over a cluster, from (mean, log var)."""
+        """Sum of log N(y_i | mean, var) per cluster at u = (mean, log var), with gradient.
+
+        With e = 1/var and q = sum (y_i - mean)^2, the value is
+        -(n (log 2 pi + log var) + q e) / 2 and the gradient
+        (e (sum y_i - n mean), (q e - n) / 2).
+        """
         n, data_sum, data_sum_squares = stats
-        mean, logvar = u[0], u[1]
-        quad = data_sum_squares + mean * (n * mean - 2.0 * data_sum)
-        return -0.5 * (n * (LOG_2PI + logvar) + quad * ad.exp(-logvar))
+        mean, logvar = u
+        e = np.exp(-logvar)
+        n_mean = n * mean
+        quad_e = (data_sum_squares + mean * (n_mean - 2.0 * data_sum)) * e
+        value = -0.5 * (n * (LOG_2PI + logvar) + quad_e)
+        return value, np.array([e * (data_sum - n_mean), 0.5 * (quad_e - n)])
 
 
 class MultiNormLikelihood(_BaseLikelihood):
@@ -250,40 +240,21 @@ class LaplaceLikelihood(_BaseLikelihood):
 
     Reuses UniLSState with ``var`` holding the scale. The summed absolute
     deviation has no fixed-size sufficient statistic, so the cluster keeps
-    its raw data keyed by id and re-sums when needed.
+    none: it counts its data, and the Metropolis target reads the member
+    data from the sampler's rows and labels.
     """
 
     is_multivariate = False
 
     def __init__(self, state=None):
-        # stats: [{datum id: y}], in the order the data joined
-        super().__init__(state if state is not None else UniLSState(0.0, 1.0), [{}])
-
-    @property
-    def data(self):
-        return self.stats[0]
+        super().__init__(state if state is not None else UniLSState(0.0, 1.0), [])
 
     def clone_empty(self):
         return LaplaceLikelihood(self.state.copy())
 
     @staticmethod
     def update_stats(stats, datum_id, y, add):
-        if add:
-            stats[0][datum_id] = y
-        else:
-            del stats[0][datum_id]
-
-    def add_datum(self, datum_id, datum):
-        if datum_id in self.data:  # a second copy would leave card above len(data)
-            raise ValueError(f"datum id {datum_id} is already in the cluster")
-        super().add_datum(datum_id, datum)
-
-    def remove_datum(self, datum_id, datum):
-        if datum_id not in self.data:
-            raise ValueError(f"datum id {datum_id} is not in the cluster")
-        if self.data[datum_id] != _as_scalar(datum):
-            raise ValueError(f"datum id {datum_id} was added with a different value")
-        super().remove_datum(datum_id, datum)
+        pass
 
     def _score(self, y):
         scale = self.state.var
@@ -294,25 +265,29 @@ class LaplaceLikelihood(_BaseLikelihood):
         scale = st.var
         return -np.log(2.0 * scale) - np.abs(y - st.mean) / scale
 
-    def unconstrained_stats(self):
-        return self.card, np.fromiter(self.data.values(), float, self.card), None
-
     @staticmethod
-    def stack_unconstrained_stats(likes):
-        """Sizes (k,), every member datum (N,), and the cluster index of each datum."""
-        sizes = np.array([like.card for like in likes])
-        data = np.fromiter(itertools.chain.from_iterable(like.data.values() for like in likes),
-                           float, int(sizes.sum()))
-        return sizes, data, np.repeat(np.arange(len(likes)), sizes)
+    def unconstrained_stats(likes, rows, labels):
+        """The k clusters' sizes, every datum (N,), and the cluster of each datum."""
+        return np.bincount(labels, minlength=len(likes)), rows[:, 0], labels
 
     @staticmethod
     def unconstrained_lpdf(stats, u):
-        """Sum of log Laplace(y_i | mean, scale) over a cluster, from (mean, log scale)."""
-        n, data, groups = stats
-        mean, logscale = u[0], u[1]
-        scale = ad.exp(logscale)
-        abs_sum = ad.abs_dev_sum(data, mean, groups)
-        return -n * (math.log(2.0) + logscale) - abs_sum / scale
+        """Sum of log Laplace(y_i | mean, scale) per cluster at u = (mean, log scale).
+
+        With e = 1/scale, A = sum |y_i - mean| and S its slope in mean, the
+        value is -n (log 2 + log scale) - A e and the gradient
+        (-S e, A e - n). The slope of |y - mean| is -1 where y >= mean (ties
+        included) and +1 below; A and S are summed per cluster by
+        ``np.bincount``.
+        """
+        n, data, labels = stats
+        mean, logscale = u
+        dev = data - mean[labels]
+        e = np.exp(-logscale)
+        abs_sum_e = np.bincount(labels, np.abs(dev), len(n)) * e
+        slope_sum = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), len(n))
+        value = -n * (math.log(2.0) + logscale) - abs_sum_e
+        return value, np.array([-slope_sum * e, abs_sum_e - n])
 
 
 class GammaLikelihood(_BaseLikelihood):

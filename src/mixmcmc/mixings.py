@@ -82,6 +82,10 @@ class PitYorMixing:
         return math.log(n_h - self.discount)
 
     def mass_new_cluster(self, n, k):
+        if not k:
+            # the new cluster is the only category, so any finite mass will
+            # do; a negative strength has no log
+            return 0.0
         return math.log(self.strength + self.discount * k)
 
     def update_state(self, cluster_sizes, n, rng):

@@ -7,10 +7,10 @@ given hyperparameters (``size=None`` gives one draw of floats). The base
 :class:`_Prior` turns it into ``sample`` (one state, optionally from
 supplied posterior hyperparameters) and ``sample_batch`` (a batch from the
 prior itself). The NIG and N x IG priors also evaluate the
-change-of-variables corrected log density of an unconstrained state vector
-(``lpdf_from_unconstrained``), which the Metropolis updater targets. Written
-against :mod:`mixmcmc.autodiff`, it takes u of shape (p,) for one state or
-(p, k) for k states, as floats, arrays or dual numbers.
+change-of-variables corrected log density of unconstrained state vectors
+(``lpdf_from_unconstrained``), which the Metropolis updater targets: in
+closed form, on u of shape (p, k) for k states, it returns the k densities
+and their gradient, of shape (p, k).
 """
 
 import math
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from ._util import LOG_2PI
 from ._validation import check_positive, check_spd_matrix
 from .states import GammaState, MultiLSState, StateBatch, UniLSState
@@ -122,15 +121,18 @@ class NIGPrior(_Prior):
 
         Collected in u = (mean, log var), the density's exponent is
         -(scale + var_scaling (mean - mean0)^2 / 2) / var, and log var's
-        coefficient -(shape + 1/2) holds the log-Jacobian.
+        coefficient -(shape + 1/2) holds the log-Jacobian. Returns the
+        density and its gradient.
         """
-        mean, logvar = u[0], u[1]
+        mean, logvar = u
         h = self.hypers
         dev = mean - h.mean
         log_norm = 0.5 * (math.log(h.var_scaling) - LOG_2PI) + _invgamma_log_norm(
             h.shape, h.scale)
-        return (log_norm - (h.shape + 0.5) * logvar
-                - (h.scale + 0.5 * h.var_scaling * dev * dev) * ad.exp(-logvar))
+        e = np.exp(-logvar)
+        rate = (h.scale + 0.5 * h.var_scaling * dev * dev) * e
+        value = log_norm - (h.shape + 0.5) * logvar - rate
+        return value, np.array([-h.var_scaling * dev * e, rate - (h.shape + 0.5)])
 
 
 class NxIGPrior(_Prior):
@@ -145,17 +147,18 @@ class NxIGPrior(_Prior):
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
     def lpdf_from_unconstrained(self, u):
-        """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var.
+        """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var, and its gradient.
 
         In u = (mean, log var), log var's coefficient -shape holds the
         log-Jacobian.
         """
-        mean, logvar = u[0], u[1]
+        mean, logvar = u
         h = self.hypers
         dev = mean - h.mean
         log_norm = -0.5 * (LOG_2PI + math.log(h.var)) + _invgamma_log_norm(h.shape, h.scale)
-        return (log_norm - dev * dev / (2.0 * h.var) - h.shape * logvar
-                - h.scale * ad.exp(-logvar))
+        rate = h.scale * np.exp(-logvar)
+        value = log_norm - dev * dev / (2.0 * h.var) - h.shape * logvar - rate
+        return value, np.array([-dev / h.var, rate - h.shape])
 
 
 class NWPrior(_Prior):

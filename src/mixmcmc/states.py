@@ -124,10 +124,11 @@ class GammaState:
     """Gamma kernel parameters (shape, rate), both positive.
 
     The family is conjugate and fixes the shape, so no unconstrained
-    transform is provided.
+    transform is provided, and a batch of states shares one shape.
     """
 
     __slots__ = ("shape", "rate")
+    shared = ("shape",)
 
     def __init__(self, shape, rate):
         self.shape = check_positive(shape, "shape")
@@ -168,7 +169,8 @@ class StateBatch:
     (shape ``()``) holds that state's own fields. The fields carry the
     state's attribute names, so a formula that reads ``st.mean`` and
     ``st.var`` works on a state and on a batch alike. ``args`` names the
-    fields the state's constructor takes, in order.
+    fields the state's constructor takes, in order (None for a batch that
+    is only scored).
     """
 
     def __init__(self, state_cls, args, **fields):
@@ -180,3 +182,17 @@ class StateBatch:
         """The state at ``index``, built through its constructor and checks."""
         values = [getattr(self, name) for name in self.args]
         return self.state_cls(*[v[index] if isinstance(v, np.ndarray) else v for v in values])
+
+
+def stack_states(states):
+    """States of one class as a :class:`StateBatch` of shape (1, k), to be scored.
+
+    Each slot becomes an array of shape (1, k) + the slot's shape; a slot
+    the class lists in ``shared`` keeps the first state's value.
+    """
+    cls = type(states[0])
+    shared = getattr(cls, "shared", ())
+    fields = {name: getattr(states[0], name) if name in shared
+              else np.array([getattr(st, name) for st in states])[None]
+              for name in cls.__slots__}
+    return StateBatch(cls, None, **fields)

@@ -5,18 +5,17 @@ sufficient statistics and draws through the prior's sampler; it also exposes
 the matching marginal (predictive) densities used by marginal algorithms.
 The Metropolis updater, random-walk or Langevin, works with any
 likelihood/prior pair that has an unconstrained parameterization: the
-normal and Laplace kernels under the NIG and N x IG priors. It moves one
-cluster (``draw``) or all of a sampler's non-empty clusters at once
-(``draw_batch``), through one routine on the likelihood's and the prior's
-unconstrained densities, which take one cluster's floats or k clusters'
-arrays.
+normal and Laplace kernels under the NIG and N x IG priors. It moves all
+of a sampler's non-empty clusters at once (``draw_batch``), on the
+likelihood's and the prior's unconstrained densities, each written in
+closed form with its gradient over k clusters' arrays. The clusters'
+member data come from the sampler's rows and labels.
 """
 
 import math
 
 import numpy as np
 
-from . import autodiff as ad
 from ._validation import check_positive, check_positive_int
 from .likelihoods import squared_norm_rows, whiten_rows
 from .priors import GammaPriorHypers, NIGHypers, NWHypers
@@ -263,20 +262,17 @@ class NNxIGUpdater:
 class MetropolisUpdater:
     """Metropolis on the unconstrained parameterization of the clusters' states.
 
-    Without ``langevin`` the proposal is a Gaussian random walk and the
-    target is evaluated on floats. With it the proposal drifts along the
-    gradient (MALA) and carries the matching correction; gradients come
-    from forward-mode dual numbers, so any likelihood/prior pair whose
-    unconstrained log densities are written against
-    :mod:`mixmcmc.autodiff` works without extra code.
+    Without ``langevin`` the proposal is a Gaussian random walk. With it the
+    proposal drifts along the gradient (MALA) and carries the matching
+    correction. The target is the likelihood's ``unconstrained_lpdf`` plus
+    the prior's ``lpdf_from_unconstrained``, each giving a value and a
+    gradient in closed form; the random walk ignores the gradient.
 
-    ``draw`` moves one cluster, on a state vector u of shape (p,) and the
-    likelihood's ``unconstrained_stats``. ``draw_batch`` moves k clusters
-    of one family together, on u of shape (p, k) and the stacked
-    statistics: each step draws one (p, k) normal block and k uniforms and
+    ``draw_batch`` moves k clusters of one family together, on u of shape
+    (p, k): each step draws one (p, k) normal block and k uniforms and
     accepts or rejects each cluster's proposal on its own, so a batch of
-    one is the same kernel as ``draw``. Both run ``_move``. A proposal whose
-    target or gradient is not finite (an overflowing or underflowing scale)
+    one is the single-cluster kernel. A proposal whose target (or, for
+    MALA, gradient) is not finite (an overflowing or underflowing scale)
     is rejected; the target is evaluated with numpy's floating-point
     warnings silenced.
     """
@@ -289,72 +285,60 @@ class MetropolisUpdater:
     def is_conjugate(self):
         return False
 
-    def draw(self, like, prior, rng):
-        u = like.state.to_unconstrained()
-        target = _log_target(type(like).unconstrained_lpdf, like.unconstrained_stats(), prior)
-        state = type(like.state).from_unconstrained(self._move(target, u, rng))
-        like.state = state
-        return state
+    def draw_batch(self, likes, prior, rng, rows, labels):
+        """Move the clusters whose likelihoods are ``likes`` (one family, none empty).
 
-    def draw_batch(self, likes, prior, rng):
-        """Move the clusters whose likelihoods are ``likes`` (one family, none empty)."""
+        ``rows`` are the sampler's data and ``labels`` their clusters, in
+        0..k-1 indexing ``likes``.
+        """
         like_cls, state_cls = type(likes[0]), type(likes[0].state)
-        u = np.stack([like.state.to_unconstrained() for like in likes], axis=1)
+        u = np.array([like.state.to_unconstrained() for like in likes]).T
         target = _log_target(like_cls.unconstrained_lpdf,
-                             like_cls.stack_unconstrained_stats(likes), prior)
-        for like, col in zip(likes, self._move(target, u, rng).T):
+                             like_cls.unconstrained_stats(likes, rows, labels), prior)
+        self._move(target, u, rng)
+        for like, col in zip(likes, u.T):
             like.state = state_cls.from_unconstrained(col)
 
     def _evaluate(self, target, u):
-        """The target at u, -inf where it or its gradient is not finite, and the gradient."""
+        """The target at u, -inf where it (MALA: or its gradient) is not finite; the gradient."""
+        logp, grad = target(u)
+        finite = np.isfinite(logp)
         if self.langevin:
-            logp, grad = ad.gradient(target, u)
-            finite = np.isfinite(logp) & np.isfinite(grad).all(axis=0)
-        else:
-            logp, grad = target(u), None
-            finite = np.isfinite(logp)
-        return _select(finite, logp, -np.inf), grad
+            finite &= np.isfinite(grad).all(axis=0)
+        np.copyto(logp, -np.inf, where=~finite)
+        return logp, grad
 
     def _move(self, target, u, rng):
-        """``num_steps`` Metropolis steps from u, (p,) or (p, k); returns the new u."""
+        """``num_steps`` Metropolis steps from u, of shape (p, k), which it updates in place."""
         eps = self.step_size
         half = 0.5 * eps * eps
-        batch = u.shape[1:] or None  # the uniforms' shape: one per cluster
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logp, grad = self._evaluate(target, u)
             for _ in range(self.num_steps):
                 fwd_mean = u + half * grad if self.langevin else u
-                prop = fwd_mean + eps * rng.standard_normal(u.shape)
+                z = rng.standard_normal(u.shape)
+                prop = fwd_mean + eps * z
                 logp_prop, grad_prop = self._evaluate(target, prop)
                 log_ratio = logp_prop - logp
                 if self.langevin:
-                    rev_mean = prop + half * grad_prop
-                    log_ratio += (np.sum((prop - fwd_mean) ** 2, axis=0)
-                                  - np.sum((u - rev_mean) ** 2, axis=0)) / (2.0 * eps * eps)
+                    # the proposal densities' exponents; prop - fwd_mean is eps z
+                    rev_dev = u - prop - half * grad_prop
+                    log_ratio += ((eps * eps) * (z * z).sum(axis=0)
+                                  - (rev_dev * rev_dev).sum(axis=0)) / (2.0 * eps * eps)
                 # a NaN ratio (a rejected proposal from a rejected state) compares False
-                accept = np.log(rng.random(batch)) < log_ratio
-                u = _select(accept, prop, u)
-                logp = _select(accept, logp_prop, logp)
+                accept = np.log(rng.random(u.shape[1])) < log_ratio
+                np.copyto(u, prop, where=accept)
+                np.copyto(logp, logp_prop, where=accept)
                 if self.langevin:
-                    grad = _select(accept, grad_prop, grad)
-        return u
-
-
-def _select(take, new, old):
-    """``new`` where ``take``, else ``old``: per cluster (the last axis) for a batch.
-
-    One cluster's ``take`` is a numpy bool, and a plain branch is much
-    cheaper than ``np.where``.
-    """
-    if isinstance(take, np.ndarray):
-        return np.where(take, new, old)
-    return new if take else old
+                    np.copyto(grad, grad_prop, where=accept)
 
 
 def _log_target(unconstrained_lpdf, stats, prior):
-    """u -> the clusters' log posterior at u: likelihood plus prior, both unconstrained."""
+    """u -> the clusters' log posterior at u and its gradient: likelihood plus prior."""
     def target(u):
-        return unconstrained_lpdf(stats, u) + prior.lpdf_from_unconstrained(u)
+        like_value, like_grad = unconstrained_lpdf(stats, u)
+        prior_value, prior_grad = prior.lpdf_from_unconstrained(u)
+        return like_value + prior_value, like_grad + prior_grad
 
     return target
 

@@ -141,13 +141,16 @@ def test_criterion_3_metropolis_conjugate_agreement():
     target_var = post.scale / ((post.shape - 1.0) * post.var_scaling)
     prior = build_hierarchy("NNIG", NNIG_REF_ARGS).prior
 
+    # the cluster moves as a batch of one
+    rows, labels = np.reshape(data, (-1, 1)), np.zeros(len(data), dtype=int)
     for label, step_size, seed in [("rwmh", 0.5, 21), ("mala", 0.35, 22)]:
         updater = build_metropolis_updater(label, step_size)
         like = make_cluster()
         rng = np.random.default_rng(seed)
         chain = np.empty(100_000)
         for t in range(chain.size):
-            chain[t] = updater.draw(like, prior, rng).mean
+            updater.draw_batch([like], prior, rng, rows, labels)
+            chain[t] = like.state.mean
         mean_se = monte_carlo_se(chain)
         mean_err = abs(chain.mean() - target_mean)
         sq_dev = (chain - chain.mean()) ** 2
@@ -163,25 +166,21 @@ def test_criterion_3_metropolis_conjugate_agreement():
             failures.append(f"{label} variance off")
 
     # MALA gradients against central finite differences
-    mala = build_metropolis_updater("mala")
     like = make_cluster()
+    target = _log_target(UniNormLikelihood.unconstrained_lpdf,
+                         UniNormLikelihood.unconstrained_stats([like], rows, labels), prior)
     rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(100):
-        u = rng.normal(size=2)
-        _, grad = mala._evaluate(
-            _log_target(type(like).unconstrained_lpdf, like.unconstrained_stats(), prior), u)
-
-        def target(v):
-            return like.cluster_lpdf_from_unconstrained(v) + prior.lpdf_from_unconstrained(v)
-
+        u = rng.normal(size=(2, 1))
+        _, grad = target(u)
         h = 1e-6
         for j in range(2):
             up, dn = u.copy(), u.copy()
             up[j] += h
             dn[j] -= h
-            fd = (target(up) - target(dn)) / (2 * h)
-            rel = abs(grad[j] - fd) / max(abs(fd), 1e-8)
+            fd = (target(up)[0][0] - target(dn)[0][0]) / (2 * h)
+            rel = abs(grad[j, 0] - fd) / max(abs(fd), 1e-8)
             worst = max(worst, rel)
     if worst > 1e-5:
         failures.append(f"gradient off by {worst:.2e}")

@@ -147,11 +147,11 @@ PREDICT_SHA256 = {
 
 METROPOLIS_SHA256 = {
     "Neal8/NNIG/DP/rwmh": "5b5fac57f8f216b5efdae54da2b12edb67737921637e24b65243888f29e80626",
-    "Neal8/NNIG/DP/mala": "c836c1cc75b66790c57b6390b746c26ec20662071c0cbdf0dceb65c152420573",
+    "Neal8/NNIG/DP/mala": "e3ab2e7a3d23afed6a25bb6de020a14e1a118cbe1249d547618cb131a89bf7c7",
     "Neal8/NNxIG/DP/rwmh": "469a70dc68addd7a42186ca688bc5107c03288321a598a961884480334f32298",
-    "Neal8/NNxIG/DP/mala": "a21ceb2a875a229254656d4e30cd6a092908b924b6453fd1d65b4685d75120ba",
+    "Neal8/NNxIG/DP/mala": "42637833efe05d266a20d34cbb11daf5f14c9d985ec31bde0b32c46fc607c638",
     "Neal8/LapNIG/DP/rwmh": "957cd9affaf723a943963786e25493d830537e380ac57edb29e138a754a561ef",
-    "Neal8/LapNIG/DP/mala": "8be6b6138be90f2ef6502c43e28f5e4b03557f8d62d75b7682a41ba94d7d6fcf",
+    "Neal8/LapNIG/DP/mala": "a84c53cfbf28784239425dd6baef2bc70585c07a324952e2556eefb1843a0161",
 }
 
 

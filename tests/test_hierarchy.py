@@ -243,3 +243,14 @@ def test_metropolis_updater_from_config():
     h = build_hierarchy("NNIG", args)
     assert not h.is_conjugate()
     assert h.updater.step_size == 0.05
+
+
+@pytest.mark.parametrize("updater", ["rwmh", "mala"])
+def test_metropolis_cluster_with_data_moves_only_in_a_batch(updater):
+    # the Metropolis target reads the member data from a sampler's labels,
+    # which one cluster does not have
+    h = build_hierarchy("LapNIG", {**LAP_ARGS, "updater": updater})
+    h.sample_full_cond(np.random.default_rng(0))  # an empty cluster draws from the prior
+    h.add_datum(0, 0.5)
+    with pytest.raises(CapabilityError, match="draw_batch"):
+        h.sample_full_cond(np.random.default_rng(0))

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mixmcmc.exceptions import CapabilityError
 from mixmcmc.likelihoods import (
     GammaLikelihood,
     LaplaceLikelihood,
     MultiNormLikelihood,
     UniNormLikelihood,
 )
-from mixmcmc.states import GammaState, MultiLSState, UniLSState
+from mixmcmc.states import GammaState, MultiLSState, UniLSState, stack_states
 
 
 def test_uninorm_lpdf_standard_normal_mode():
@@ -49,18 +48,16 @@ def test_empty_and_absent_removes_raise():
     with pytest.raises(ValueError, match="empty"):
         like.remove_datum(0, 1.0)
     assert like.card == 0 and like.stats == [0.0, 0.0]
-    # the Laplace kernel keeps its data by id, so it also checks the ids and value
+    # the Laplace kernel keeps no member data: it counts them
     lap = LaplaceLikelihood()
     lap.add_datum(0, 1.0)
-    with pytest.raises(ValueError, match="already in the cluster"):
-        lap.add_datum(0, 2.0)
-    with pytest.raises(ValueError, match="not in the cluster"):
-        lap.remove_datum(5, 1.0)
-    with pytest.raises(ValueError, match="different value"):
-        lap.remove_datum(0, 2.0)
-    assert lap.card == 1 and lap.data == {0: 1.0}
+    lap.add_datum(1, 2.0)
+    assert lap.card == 2 and lap.stats == []
     lap.remove_datum(0, 1.0)
-    assert lap.card == 0 and lap.data == {}
+    lap.remove_datum(1, 2.0)
+    with pytest.raises(ValueError, match="empty"):
+        lap.remove_datum(0, 1.0)
+    assert lap.card == 0
 
 
 def _make_likelihoods(rng):
@@ -111,37 +108,50 @@ def test_stat_updates_are_order_independent():
     assert stats[0][1] == pytest.approx(stats[1][1], abs=1e-9)
 
 
+def _unconstrained_lpdf(like_cls, members, u):
+    """The k clusters' values and gradient at u (2, k); cluster h holds the data members[h]."""
+    likes, rows, labels = [], [], []
+    for h, ys in enumerate(members):
+        like = like_cls()
+        for y in ys:
+            like.add_datum(len(rows), y)
+            rows.append(y)
+            labels.append(h)
+        likes.append(like)
+    rows, labels = np.array(rows, dtype=float).reshape(-1, 1), np.array(labels, dtype=int)
+    stats = like_cls.unconstrained_stats(likes, rows, labels)
+    return like_cls.unconstrained_lpdf(stats, u)
+
+
 def test_cluster_lpdf_from_unconstrained_empty_cluster_is_zero():
-    like = UniNormLikelihood(UniLSState(0.0, 1.0))
-    assert like.cluster_lpdf_from_unconstrained(np.zeros(2)) == 0.0
+    for like_cls in (UniNormLikelihood, LaplaceLikelihood):
+        value, grad = _unconstrained_lpdf(like_cls, [[], [0.5]], np.zeros((2, 2)))
+        assert value[0] == 0.0 and grad[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_cluster_lpdf_single_standard_normal_point():
-    like = UniNormLikelihood(UniLSState(0.0, 1.0))
-    like.add_datum(0, 0.0)
-    val = like.cluster_lpdf_from_unconstrained(np.zeros(2))
-    assert val == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+    value, _ = _unconstrained_lpdf(UniNormLikelihood, [[0.0]], np.zeros((2, 1)))
+    assert value[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_cluster_lpdf_matches_brute_force_sum():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        for like in (UniNormLikelihood(), LaplaceLikelihood()):
-            data = [float(rng.normal()) for _ in range(rng.integers(1, 12))]
-            for i, y in enumerate(data):
-                like.add_datum(i, y)
-            u = rng.normal(size=2) * 0.7
-            like.state = UniLSState.from_unconstrained(u)
-            direct = sum(like.lpdf(y) for y in data)
-            assert like.cluster_lpdf_from_unconstrained(u) == pytest.approx(
-                direct, abs=1e-9
-            )
+        for like_cls in (UniNormLikelihood, LaplaceLikelihood):
+            members = [rng.normal(size=rng.integers(1, 12)).tolist()
+                       for _ in range(rng.integers(1, 6))]
+            u = rng.normal(size=(2, len(members))) * 0.7
+            value, _ = _unconstrained_lpdf(like_cls, members, u)
+            for h, ys in enumerate(members):
+                like = like_cls(UniLSState.from_unconstrained(u[:, h]))
+                assert value[h] == pytest.approx(sum(like.lpdf(y) for y in ys), abs=1e-9)
 
 
 def test_multinorm_has_no_unconstrained_cluster_lpdf():
-    for like in (MultiNormLikelihood(MultiLSState([0.0], [[1.0]])), GammaLikelihood(2.0)):
-        with pytest.raises(CapabilityError):
-            like.cluster_lpdf_from_unconstrained(np.zeros(2))
+    # the families without a Metropolis updater
+    for like_cls in (MultiNormLikelihood, GammaLikelihood):
+        assert not hasattr(like_cls, "unconstrained_lpdf")
+        assert not hasattr(like_cls, "unconstrained_stats")
 
 
 def test_lpdf_grid_matches_loop_exactly():
@@ -206,13 +216,6 @@ def test_gamma_rejects_nonpositive_data():
     assert like.card == 1
 
 
-def test_laplace_remove_checks_value():
-    like = LaplaceLikelihood()
-    like.add_datum(0, 1.0)
-    with pytest.raises(ValueError):
-        like.remove_datum(0, 2.0)
-
-
 def test_batch_score_matches_the_scalar_scorer_of_each_built_state():
     from mixmcmc.priors import (
         GammaPrior,
@@ -244,3 +247,33 @@ def test_batch_score_matches_the_scalar_scorer_of_each_built_state():
             for j in range(m):
                 like.state = batch.state((i, j))
                 assert np.allclose(scores[i, j], like.lpdf(rows[i]), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["NNIG", "LapNIG", "GammaGamma", "NNW-1", "NNW-2", "NNW-4",
+                                    "NNW-10"])
+def test_stacked_batch_scores_have_the_bits_of_each_cluster_grid(family):
+    # the marginal sweep scores all its clusters in one score_batch call on
+    # their stacked states: each column must be that cluster's lpdf_grid, bit for bit
+    rng = np.random.default_rng(19)
+    for trial in range(5):
+        k, n = int(rng.integers(1, 30)), int(rng.integers(1, 300))
+        if family.startswith("NNW"):
+            d = int(family.split("-")[1])
+            states = []
+            for _ in range(k):
+                a = rng.normal(size=(d, d))
+                states.append(MultiLSState(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d)))
+            like, rows = MultiNormLikelihood(states[0]), rng.normal(size=(n, d))
+        elif family == "GammaGamma":
+            states = [GammaState(2.5, r) for r in rng.gamma(2.0, size=k)]
+            like, rows = GammaLikelihood(2.5), rng.gamma(2.0, size=(n, 1))
+            rows[0, 0] = -1.0  # outside the support
+        else:
+            states = [UniLSState(m, v) for m, v in zip(rng.normal(size=k), rng.gamma(2.0, size=k))]
+            like = UniNormLikelihood() if family == "NNIG" else LaplaceLikelihood()
+            rows = rng.normal(size=(n, 1))
+        scores = like.score_batch(stack_states(states), rows)
+        assert scores.shape == (n, k)
+        for h, state in enumerate(states):
+            like.state = state
+            assert np.array_equal(scores[:, h], like.lpdf_grid(rows))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mixmcmc import autodiff as ad
 from mixmcmc.exceptions import CapabilityError
 from mixmcmc.states import GammaState, MultiLSState, UniLSState
 
@@ -118,40 +117,3 @@ def test_params_round_trip():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
     s3 = MultiLSState([0.5, -0.5], cov)
     assert MultiLSState.from_params(s3.to_params()) == s3
-
-
-def test_dual_gradient_matches_finite_differences():
-    def fn(u):
-        return ad.exp(u[0]) * u[1] + ad.log(u[1] * u[1] + 1.0) - u[0] / (u[1] * u[1] + 3.0)
-
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        point = rng.normal(size=2)
-        val, grad = ad.gradient(fn, point)
-        h = 1e-6
-        for j in range(2):
-            up = point.copy()
-            dn = point.copy()
-            up[j] += h
-            dn[j] -= h
-            fd = (fn(up) - fn(dn)) / (2 * h)
-            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_batched_duals_equal_one_dual_per_column():
-    def fn(u):
-        return ad.exp(u[0]) * u[1] + ad.log(u[1] * u[1] + 1.0) - u[0] / (u[1] * u[1] + 3.0)
-
-    points = np.random.default_rng(9).normal(size=(2, 7))
-    val, grad = ad.gradient(fn, points)
-    assert val.shape == (7,) and grad.shape == (2, 7)
-    for c in range(7):
-        one_val, one_grad = ad.gradient(fn, points[:, c])
-        assert val[c] == pytest.approx(one_val, rel=1e-14)
-        assert grad[:, c] == pytest.approx(one_grad, rel=1e-14)
-    ys, groups = np.array([0.5, -1.0, 2.0, 0.5, 3.0]), np.array([0, 0, 1, 2, 2])
-    mean = ad.Dual(np.array([0.5, 1.0, 4.0]), np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
-    dev = ad.abs_dev_sum(ys, mean, groups)
-    assert dev.val.tolist() == [1.5, 1.0, 4.5]
-    # the tie y == mean counts as y >= mean, slope -1
-    assert dev.grad.tolist() == [[0.0, -1.0, 2.0], [0.0, 0.0, 0.0]]

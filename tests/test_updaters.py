@@ -51,15 +51,18 @@ def _gamma_gamma_updater():
     return ConjugateUpdater(gamma_gamma_posterior_hypers, gamma_gamma_predictive)
 
 
-def _target(like, prior):
-    return _log_target(type(like).unconstrained_lpdf, like.unconstrained_stats(), prior)
-
-
 def _normal_cluster(data):
     like = UniNormLikelihood(UniLSState(0.0, 1.0))
     for i, y in enumerate(data):
         like.add_datum(i, float(y))
     return like
+
+
+def _metropolis_draw(updater, like, prior, rng, data):
+    """One Metropolis draw of the cluster ``like``, which holds ``data``, as a batch of one."""
+    rows = np.asarray(data, dtype=float).reshape(-1, 1)
+    updater.draw_batch([like], prior, rng, rows, np.zeros(len(rows), dtype=int))
+    return like.state
 
 
 def test_nnig_empty_cluster_returns_prior_hypers():
@@ -250,7 +253,8 @@ def test_is_conjugate_flags():
 
 def test_random_walk_tiny_step_acceptance():
     prior = NIGPrior(NIG_REF)
-    like = _normal_cluster([0.5, -0.5, 1.0])
+    data = [0.5, -0.5, 1.0]
+    like = _normal_cluster(data)
     like.state = UniLSState(0.2, 1.3)
     start = like.state.to_unconstrained()
     updater = build_metropolis_updater("rwmh", step_size=1e-8)
@@ -258,49 +262,60 @@ def test_random_walk_tiny_step_acceptance():
     accepted = 0
     for _ in range(1000):
         before = like.state.to_unconstrained()
-        after = updater.draw(like, prior, rng).to_unconstrained()
+        after = _metropolis_draw(updater, like, prior, rng, data).to_unconstrained()
         if not np.array_equal(before, after):
             accepted += 1
     assert accepted / 1000 > 0.999
     assert np.max(np.abs(like.state.to_unconstrained() - start)) < 1e-6
 
 
+# every (kernel, prior) pair the unconstrained densities compose
+_TARGET_PAIRS = [(like_cls, prior) for like_cls in (UniNormLikelihood, LaplaceLikelihood)
+                 for prior in (NIGPrior(NIG_REF), NxIGPrior(NxIGHypers(0.0, 2.0, 2.0, 2.0)))]
+
+
 def test_mala_gradient_matches_finite_differences():
-    cases = [
-        (NIGPrior(NIG_REF), _normal_cluster([0.3, -1.0, 0.7])),
-        (NxIGPrior(NxIGHypers(0.0, 2.0, 2.0, 2.0)), _normal_cluster([0.3, -1.0])),
-    ]
-    lap = LaplaceLikelihood(UniLSState(0.0, 1.0))
-    for i, y in enumerate([0.5, -0.7, 2.0]):
-        lap.add_datum(i, y)
-    cases.append((NxIGPrior(NxIGHypers(0.0, 2.0, 2.0, 2.0)), lap))
-    updater = build_metropolis_updater("mala")
+    # the closed-form gradients of k clusters' targets, on u of shape (2, k)
+    # with log scales out to +-8, against central differences; a Laplace
+    # cluster whose mean sits on one of its data (a tie) takes the slope -1
+    # of |y - mean| there, the derivative from below
     rng = np.random.default_rng(31)
-    for prior, like in cases:
-        for _ in range(100):
-            u = rng.normal(size=2)
-            val, grad = updater._evaluate(_target(like, prior), u)
-
-            def target(v):
-                return like.cluster_lpdf_from_unconstrained(
-                    v
-                ) + prior.lpdf_from_unconstrained(v)
-
-            assert val == pytest.approx(target(u), rel=1e-12)
-            h = 1e-6
+    h = 1e-6
+    for like_cls, prior in _TARGET_PAIRS:
+        for trial in range(30):
+            k = int(rng.integers(1, 9))
+            likes, data, rows, labels = _clusters(like_cls, rng.integers(1, 7, size=k), rng)
+            target = _log_target(like_cls.unconstrained_lpdf,
+                                 like_cls.unconstrained_stats(likes, rows, labels), prior)
+            u = np.vstack([rng.normal(scale=2.0, size=k), rng.uniform(-8.0, 8.0, size=k)])
+            tie = like_cls is LaplaceLikelihood and trial % 2 == 0
+            if tie:
+                u[0, -1] = data[-1][0]
+            val, grad = target(u)
+            assert val.shape == (k,) and grad.shape == (2, k)
             for j in range(2):
                 up, dn = u.copy(), u.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (target(up) - target(dn)) / (2 * h)
+                fd = (target(up)[0] - target(dn)[0]) / (2 * h)
+                if tie and j == 0:
+                    fd[-1] = (val[-1] - target(dn)[0][-1]) / h
                 assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+    # the tie y == mean counts as y >= mean, slope -1: exact values at log scale 0
+    ys, groups = np.array([[0.5], [-1.0], [2.0], [0.5], [3.0]]), np.array([0, 0, 1, 2, 2])
+    stats = LaplaceLikelihood.unconstrained_stats([LaplaceLikelihood()] * 3, ys, groups)
+    val, grad = LaplaceLikelihood.unconstrained_lpdf(stats, np.array([[0.5, 1.0, 4.0], [0.0] * 3]))
+    assert val.tolist() == [-2 * math.log(2.0) - 1.5, -math.log(2.0) - 1.0,
+                            -2 * math.log(2.0) - 4.5]
+    # d/d mean = -(sum of slopes) / scale; d/d log scale = -n + (sum of |y - mean|) / scale
+    assert grad.tolist() == [[0.0, 1.0, -2.0], [-0.5, 0.0, 2.5]]
 
 
-def _run_metropolis_chain(updater, like, prior, steps, seed):
+def _run_metropolis_chain(updater, like, prior, steps, seed, data):
     rng = np.random.default_rng(seed)
     means = np.empty(steps)
     for t in range(steps):
-        means[t] = updater.draw(like, prior, rng).mean
+        means[t] = _metropolis_draw(updater, like, prior, rng, data).mean
     return means
 
 
@@ -316,22 +331,47 @@ def test_metropolis_matches_conjugate_posterior(updater, seed):
     # marginal posterior of the mean is Student-t centered at post.mean
     target_mean = post.mean
     like.state = UniLSState(post.mean, post.scale / post.shape)
-    chain = _run_metropolis_chain(updater, like, prior, 20_000, seed)
+    chain = _run_metropolis_chain(updater, like, prior, 20_000, seed, data)
     chain = chain[2000:]
     se = monte_carlo_se(chain)
     assert abs(chain.mean() - target_mean) < 3 * se
 
 
+def test_laplace_metropolis_matches_quadrature_posterior():
+    # one LapNIG cluster, moved as a batch of one: the chain's means of the
+    # kernel's mean and scale against the quadrature posterior's
+    data = [-0.4, 0.9, 1.3, 0.2, 2.1, 0.6]
+    prior = NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))
+    oracle = nxig_quadrature(data, 0.3, 4.0, 2.5, 1.5, kernel="laplace")
+    for kind, step_size, seed in [("rwmh", 0.7, 44), ("mala", 0.5, 45)]:
+        like = LaplaceLikelihood(UniLSState(0.7, 0.8))
+        for i, y in enumerate(data):
+            like.add_datum(i, y)
+        updater = build_metropolis_updater(kind, step_size)
+        rng = np.random.default_rng(seed)
+        burnin, steps = 1000, 10_000
+        draws = np.empty((steps, 2))
+        for t in range(burnin + steps):
+            state = _metropolis_draw(updater, like, prior, rng, data)
+            if t >= burnin:
+                draws[t - burnin] = state.mean, state.var
+        for chain, want in zip(draws.T, (oracle["e_mean"], oracle["e_var"])):
+            assert abs(chain.mean() - want) < 3 * monte_carlo_se(chain), kind
+
+
 def test_metropolis_requires_unconstrained_support():
     pairs = [
         (MultiNormLikelihood(MultiLSState(np.zeros(2), np.eye(2))),
-         NWPrior(NWHypers(np.zeros(2), 1.0, 5.0, np.eye(2)))),
-        (GammaLikelihood(2.0, GammaState(2.0, 1.0)), GammaPrior(GammaPriorHypers(2.0, 2.0, 2.0))),
+         NWPrior(NWHypers(np.zeros(2), 1.0, 5.0, np.eye(2))), np.ones((1, 2))),
+        (GammaLikelihood(2.0, GammaState(2.0, 1.0)), GammaPrior(GammaPriorHypers(2.0, 2.0, 2.0)),
+         np.ones((1, 1))),
     ]
-    for like, prior in pairs:
+    for like, prior, rows in pairs:
+        like.add_datum(0, rows[0])
         for kind in ("rwmh", "mala"):
             with pytest.raises(CapabilityError):
-                build_metropolis_updater(kind).draw(like, prior, np.random.default_rng(0))
+                build_metropolis_updater(kind).draw_batch(
+                    [like], prior, np.random.default_rng(0), rows, np.zeros(1, dtype=int))
 
 
 def test_step_size_validation():
@@ -349,14 +389,15 @@ def test_proposal_whose_target_cannot_be_evaluated_is_rejected(kind):
     # a step this large proposes log scales whose exp overflows, or underflows
     # to a 0 whose log fails; such a proposal is a rejected move
     prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
+    data = [0.5, -0.7, 2.0]
     like = LaplaceLikelihood(UniLSState(0.0, 1.0))
-    for i, y in enumerate([0.5, -0.7, 2.0]):
+    for i, y in enumerate(data):
         like.add_datum(i, y)
     updater = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
     rng = np.random.default_rng(34)
     for _ in range(50):
         before = like.state
-        state = updater.draw(like, prior, rng)
+        state = _metropolis_draw(updater, like, prior, rng, data)
         # a move to a far-away state would be accepted with negligible probability
         assert state == before
 
@@ -379,53 +420,51 @@ _METROPOLIS_FAMILIES = {
 
 
 def _clusters(like_cls, sizes, rng):
-    """Clusters of the given sizes, and their data."""
-    likes, data = [], []
+    """Clusters of the given sizes; their data, per cluster and as rows with labels."""
+    likes, data, labels = [], [], []
     for h, size in enumerate(sizes):
         like = like_cls(UniLSState(0.0, 1.0))
         ys = rng.normal(h - 2.0, 1.5, size=size).tolist()
-        for i, y in enumerate(ys):
-            like.add_datum(i, y)
+        for y in ys:
+            like.add_datum(len(labels), y)
+            labels.append(h)
         likes.append(like)
         data.append(ys)
-    return likes, data
+    rows = np.concatenate(data).reshape(-1, 1)
+    # the rows in a shuffled order, as a sampler's labels interleave the clusters
+    order = rng.permutation(len(labels))
+    return likes, data, rows[order], np.array(labels)[order]
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("family", sorted(_METROPOLIS_FAMILIES))
 def test_batched_target_equals_the_per_cluster_targets(family, k):
+    # a batch of k clusters is k batches of one: the same values and gradients
     like_cls, prior = _METROPOLIS_FAMILIES[family]
     rng = np.random.default_rng(40 + k)
     # the first cluster holds a single datum
-    likes, data = _clusters(like_cls, [1] + rng.integers(1, 9, size=k - 1).tolist(), rng)
-    batch = _log_target(like_cls.unconstrained_lpdf, like_cls.stack_unconstrained_stats(likes),
-                        prior)
-    singles = [_target(like, prior) for like in likes]
-    updater = build_metropolis_updater("mala")
-    h = 1e-6
+    likes, data, rows, labels = _clusters(
+        like_cls, [1] + rng.integers(1, 9, size=k - 1).tolist(), rng)
+    batch = _log_target(like_cls.unconstrained_lpdf,
+                        like_cls.unconstrained_stats(likes, rows, labels), prior)
+    singles = []
+    for like, ys in zip(likes, data):
+        one_rows, one_labels = np.reshape(ys, (-1, 1)), np.zeros(len(ys), dtype=int)
+        singles.append(_log_target(like_cls.unconstrained_lpdf,
+                                   like_cls.unconstrained_stats([like], one_rows, one_labels),
+                                   prior))
     for trial in range(20):
         u = np.vstack([rng.normal(size=k), rng.normal(scale=0.7, size=k)])
         # on even trials the last cluster's mean sits on one of its data: for
-        # Laplace a tie, where the slope of |y - mean| is -1 (y >= mean)
-        kink = family == "LapNIG" and trial % 2 == 0
+        # Laplace a tie
         if trial % 2 == 0:
             u[0, -1] = data[-1][-1]
-        val, grad = updater._evaluate(batch, u)
+        val, grad = batch(u)
         assert val.shape == (k,) and grad.shape == (2, k)
         for c, single in enumerate(singles):
-            want = single(u[:, c])
-            assert val[c] == pytest.approx(want, rel=1e-12)
-            for j in range(2):
-                up, dn = u[:, c].copy(), u[:, c].copy()
-                up[j] += h
-                dn[j] -= h
-                if kink and j == 0 and c == k - 1:
-                    # the derivative from below, which the tie convention takes
-                    fd = (want - single(dn)) / h
-                    assert grad[j, c] == pytest.approx(fd, rel=1e-4, abs=1e-5)
-                else:
-                    fd = (single(up) - single(dn)) / (2 * h)
-                    assert grad[j, c] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+            one_val, one_grad = single(u[:, c:c + 1])
+            assert val[c] == pytest.approx(one_val[0], rel=1e-12)
+            assert grad[:, c] == pytest.approx(one_grad[:, 0], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,step_size,seed", [("rwmh", 0.5, 35), ("mala", 0.35, 36)])
@@ -434,6 +473,8 @@ def test_batched_metropolis_matches_conjugate_posterior(kind, step_size, seed):
     data = [0.4, -0.3, 1.2, 0.8, 0.1]
     prior = NIGPrior(NIG_REF)
     likes = [_normal_cluster(data) for _ in range(64)]
+    rows = np.tile(data, len(likes)).reshape(-1, 1)
+    labels = np.repeat(np.arange(len(likes)), len(data))
     post = nnig_posterior_hypers(likes[0], prior.hypers)
     target_mean = post.mean
     target_var = post.scale / ((post.shape - 1.0) * post.var_scaling)
@@ -444,7 +485,7 @@ def test_batched_metropolis_matches_conjugate_posterior(kind, step_size, seed):
     burnin, steps = 500, 3000
     chains = np.empty((steps, len(likes)))
     for t in range(burnin + steps):
-        updater.draw_batch(likes, prior, rng)
+        updater.draw_batch(likes, prior, rng, rows, labels)
         if t >= burnin:
             chains[t - burnin] = [like.state.mean for like in likes]
     # the copies are independent chains, so their per-row statistics are iid
@@ -460,20 +501,20 @@ def test_batched_metropolis_matches_conjugate_posterior(kind, step_size, seed):
 @pytest.mark.parametrize("kind", ["rwmh", "mala"])
 def test_batch_accepts_or_rejects_each_cluster_on_its_own(kind):
     prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
-    likes, _ = _clusters(LaplaceLikelihood, [3, 4, 2, 5], np.random.default_rng(37))
+    likes, _, rows, labels = _clusters(LaplaceLikelihood, [3, 4, 2, 5], np.random.default_rng(37))
     rng = np.random.default_rng(38)
     # a step this large proposes scales that overflow or underflow: every
     # proposal is rejected, without a floating-point warning
     huge = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
     for _ in range(50):
         before = [like.state for like in likes]
-        huge.draw_batch(likes, prior, rng)
+        huge.draw_batch(likes, prior, rng, rows, labels)
         assert [like.state for like in likes] == before
     # at a moderate step some clusters move while others stay
     moderate = build_metropolis_updater(kind, step_size=0.8)
     patterns = set()
     for _ in range(40):
         before = [like.state for like in likes]
-        moderate.draw_batch(likes, prior, rng)
+        moderate.draw_batch(likes, prior, rng, rows, labels)
         patterns.add(tuple(like.state != b for like, b in zip(likes, before)))
     assert any(0 < sum(p) < len(likes) for p in patterns)

@@ -12,7 +12,8 @@ category from their running sums. A datum whose total weight is zero,
 subnormal or not finite is drawn from its log weights with max
 subtraction instead. The blocked Gibbs sampler keeps a fixed number of
 components with explicit stick-breaking weights and normalizes on the
-log scale.
+log scale. Before its refresh every sampler recounts each cluster's size
+and statistics from the allocations.
 """
 
 import copy
@@ -35,10 +36,9 @@ ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
 # Neal8 draws its auxiliary states in blocks of data of about this many
 # n_aux * d * d cells, so that the batch's memory stays bounded at large n
 _AUX_BATCH_CELLS = 1 << 16
-# a marginal sampler's score table holds at most this many rows at a time
+# a marginal sampler's score table holds at most this many rows at a time,
+# and Neal3 draws at most this many uniforms ahead
 _TABLE_ROWS = 4096
-# uniforms a sweep draws from the generator in one call
-_UNIFORMS_AHEAD = 128
 # a datum whose total linear weight is below this (or not finite) is drawn
 # in log space: a subnormal total has lost its relative precision
 _TINY = sys.float_info.min
@@ -64,7 +64,7 @@ class _BaseAlgorithm:
         self.init_num_clusters = check_positive_int(init_num_clusters, "init_num_clusters")
         self.data = None
         self.allocations = None
-        self._rows = None
+        self._rows = self._stat_terms = None
 
     @property
     def n(self):
@@ -85,6 +85,8 @@ class _BaseAlgorithm:
             self._rows = [float(v) for v in data[:, 0]]
         else:
             self._rows = [data[i] for i in range(data.shape[0])]
+        # every datum's terms of the statistics; the Gamma kernel rejects data here
+        self._stat_terms = self.template.likelihood.stat_terms(data)
 
     def run(self, data, iterations, burnin, collector, rng):
         """Run the chain, collecting the (iterations - burnin) retained states."""
@@ -108,14 +110,26 @@ class _BaseAlgorithm:
         """Draw the starting clusters from the prior and stripe the data over them."""
         n, k0 = self.n, self._initial_num_clusters()
         stripes = min(self.init_num_clusters, k0, n)
-        self.allocations = np.array([i % stripes for i in range(n)], dtype=int)
+        self.allocations = np.arange(n) % stripes
         self.clusters = []
         for _ in range(k0):
             cluster = self.template.clone()
             cluster.sample_prior(rng)
             self.clusters.append(cluster)
-        for i in range(n):
-            self.clusters[self.allocations[i]].add_datum(i, self._rows[i])
+        self._recount()
+
+    def _recount(self):
+        """Write every cluster's size and its statistics, recounted from the allocations.
+
+        A cluster's statistics are the sums of its data's ``stat_terms`` in
+        index order, so they depend on the partition and the data alone.
+        """
+        k, labels = len(self.clusters), self.allocations
+        sizes = np.bincount(labels, minlength=k).tolist()
+        all_stats = self.template.likelihood.label_stats(self._stat_terms, labels, k)
+        for cluster, size, stats in zip(self.clusters, sizes, all_stats):
+            cluster.likelihood.card = size
+            cluster.likelihood.stats = stats
 
     def _draw_cluster_params(self, rng):
         """Draw every cluster's parameters from its full conditional.
@@ -228,51 +242,58 @@ class _Memo(dict):
 
 
 class _Uniforms:
-    """``rng.random()``, drawn ahead ``_UNIFORMS_AHEAD`` at a time.
+    """The sweep's uniforms, one ``rng.random()`` per datum, drawn ahead.
 
-    Calling the object gives the next uniform. One call of the generator
-    for many uniforms gives the numbers that as many single calls would,
-    but it leaves the generator ahead of the uniforms handed out, so
-    ``sync()`` must come before anything else draws from it: it goes back
-    to the state before the batch and draws the uniforms taken again,
+    ``ahead(start, stop)`` draws the uniforms of data start..stop-1 in one
+    call of the generator; datum i's is ``values[i - base]``, a list read.
+    One call for m uniforms gives the numbers m single calls would, but it
+    leaves the generator ahead of those the sweep has used, so ``rewind(i)``
+    must come before anything else draws from it: it goes back to the state
+    before the call and draws the uniforms of the data before i again,
     leaving the generator where single calls would have.
     """
 
-    __slots__ = ("_rng", "_batch", "_taken", "_state")
+    __slots__ = ("_rng", "_state", "values", "base")
 
     def __init__(self, rng):
-        self._rng, self._batch, self._taken, self._state = rng, [], 0, None
+        self._rng, self._state, self.values, self.base = rng, None, [], 0
 
-    def __call__(self):
-        taken = self._taken
-        if taken == len(self._batch):
+    @property
+    def stop(self):
+        """The first datum whose uniform is not drawn."""
+        return self.base + len(self.values)
+
+    def ahead(self, start, stop):
+        self.base, self.values = start, []
+        if stop > start:
             self._state = self._rng.bit_generator.state
-            self._batch, taken = self._rng.random(_UNIFORMS_AHEAD).tolist(), 0
-        self._taken = taken + 1
-        return self._batch[taken]
+            self.values = self._rng.random(stop - start).tolist()
 
-    def sync(self):
-        if self._taken < len(self._batch):
+    def rewind(self, i):
+        used = i - self.base
+        if used < len(self.values):
             self._rng.bit_generator.state = self._state
-            self._rng.random(self._taken)
-        self._batch, self._taken = [], 0
+            self._rng.random(used)
+        self.base, self.values = i, []
 
 
 class _MarginalAlgorithm(_BaseAlgorithm):
     """One allocation sweep for every marginal sampler.
 
     Each datum leaves its cluster, is scored against every existing cluster
-    and every new-cluster candidate, and joins the one drawn. The sweep runs
-    on a flat cluster store, parallel lists kept in step with
-    ``self.clusters``: each cluster's size, its likelihood's statistic list
-    (updated in place on every move) and its linear mass exp(log mass),
-    memoised by size for the whole run. The allocations are a Python list
-    during the sweep. The labels are the one record of membership: the
-    store is built at the start of each sweep, and before the refresh the
-    labels go back to the allocations and each size to its cluster's
-    ``card``; a Metropolis refresh reads each cluster's data from them.
+    and every new-cluster candidate, and joins the one drawn. The sweep moves
+    labels only. It runs on a flat cluster store, parallel lists kept in
+    step with ``self.clusters``: each cluster's size and its linear mass
+    exp(log mass), listed by size for the whole run. The allocations are
+    a Python list during the sweep. The labels are the one record of
+    membership: the store is built at the start of each sweep, and before
+    the refresh the labels go back to the allocations, each size to its
+    cluster's ``card``, and every cluster's statistics are recounted from
+    the labels (:meth:`_recount`), so they depend on the partition alone; a
+    Metropolis refresh reads each cluster's data from the labels too.
     Births and deaths go through the cluster objects (``_open_cluster``,
-    ``_remove_datum``).
+    ``_remove_datum``): a newborn's full conditional reads the statistics
+    of its one datum.
 
     The scores sit in a table, built when the sweep reaches a block of data
     (:meth:`_start_block`): the clusters' states, stacked into one batch,
@@ -289,8 +310,9 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     finite (a newborn scoring far above a row's reference overflows it; the
     row's top cluster died and the rest underflowed), that datum is drawn by
     ``sample_log_categorical`` from its log weights instead, again with one
-    uniform. The uniforms come from the generator in batches
-    (:class:`_Uniforms`), which leaves its stream as single draws would.
+    uniform. The uniforms are drawn ahead for a block of data in one call
+    (:class:`_Uniforms`), and rewound before a birth, a guard draw or a
+    block's draws, which leaves the generator's stream as single draws would.
 
     The default candidate is the prior predictive, born from the
     single-datum full conditional. Its hyperparameters are fixed, so its
@@ -300,66 +322,71 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     requires_conditional_mixing = False
     # new-cluster candidates offered to each datum
     _num_candidates = 1
-    # whether starting a block of the score table draws from the generator
-    _blocks_draw = False
 
     def step(self, rng):
-        self._build_store()
-        rows, labels, sizes, stats = self._rows, self._labels, self._sizes, self._stats
-        masses, mass_of_size = self._masses, self._mass_of_size
-        update_stats, last_candidate = self._update_stats, self._num_candidates - 1
-        uniforms, tiny, inf = _Uniforms(rng), _TINY, math.inf
-        table, start, stop = (), 0, 0
-        for i in range(self.n):
+        self._build_store(rng)
+        labels, sizes, masses, mass_of_size = (
+            self._labels, self._sizes, self._masses, self._mass_of_size)
+        uniforms, last_candidate = self._uniforms, self._num_candidates - 1
+        tiny, inf = _TINY, math.inf
+        table, start, stop, us, base = (), 0, 0, (), 0
+        # k clusters; a draw past the last category's cumulative sum (rounding) takes it
+        k = len(sizes)
+        hi = k + last_candidate
+        # a death renumbers labels in place, which the iteration sees
+        for i, h in enumerate(labels):
             # the size and mass upkeep of a move is written out here and
             # below, as the hottest lines of the sampler
-            y, h = rows[i], labels[i]
             size = sizes[h] - 1
             if size:
-                update_stats(stats[h], i, y, False)
                 sizes[h] = size
                 masses[h] = mass_of_size[size]
                 stashed = None
             else:
                 stashed = self._remove_datum(i)
+                k, hi = k - 1, hi - 1
             if i == stop:
-                if self._blocks_draw:
-                    uniforms.sync()
                 table, start, stop = self._start_block(i, rng)
+                us, base = uniforms.values, uniforms.base
             row = table[i - start]
-            k = len(sizes)
             if stashed is not None:
                 self._take_back(i, stashed, row, k)
             cum = list(accumulate(map(mul, masses, row)))
             total = cum[-1]
             if tiny <= total < inf:
-                choice = bisect_right(cum, uniforms() * total, 0, k + last_candidate)
+                choice = bisect_right(cum, us[i - base] * total, 0, hi)
             else:
-                uniforms.sync()
+                uniforms.rewind(i)
                 choice = sample_log_categorical(self._log_weights(i, stashed), rng)
+                uniforms.ahead(i + 1, stop)
+                us, base = uniforms.values, uniforms.base
             if choice < k:
                 labels[i] = choice
-                update_stats(stats[choice], i, y, True)
                 size = sizes[choice] + 1
                 sizes[choice] = size
                 masses[choice] = mass_of_size[size]
             else:
-                uniforms.sync()
-                state = self._candidate_state(i, choice - k, stashed)
-                self._open_cluster(i, rng, state=state)
-        uniforms.sync()
+                uniforms.rewind(i + 1)
+                self._open_cluster(i, rng, state=self._candidate_state(i, choice - k, stashed))
+                uniforms.ahead(i + 1, stop)
+                us, base, k, hi = uniforms.values, uniforms.base, k + 1, hi + 1
+        uniforms.rewind(self.n)
         self._sync_members()
         self._refresh_clusters(rng)
+
+    def _prepare_data(self, data):
+        super()._prepare_data(data)
+        if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
+            self._prior_scores = self.template.prior_predictive().lpdf_grid(self.data)
 
     def _initialize(self, rng):
         super()._initialize(rng)
         n, mixing = self.n, self.mixing
         # an existing cluster's mass depends on n and its size only (see
-        # mixings), so these last the run
-        self._log_mass_of_size = _Memo(lambda size: mixing.mass_existing_cluster(n, size, None))
-        self._mass_of_size = _Memo(lambda size: math.exp(self._log_mass_of_size[size]))
-        if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
-            self._prior_scores = self.template.prior_predictive().lpdf_grid(self.data)
+        # mixings), so these last the run: lists by size 1..n (0 is unused)
+        self._log_mass_of_size = [-math.inf] + [
+            mixing.mass_existing_cluster(n, size, None) for size in range(1, n + 1)]
+        self._mass_of_size = [math.exp(log_mass) for log_mass in self._log_mass_of_size]
 
     def _block_rows(self):
         """Rows of a block of the score table."""
@@ -386,12 +413,11 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def _initial_num_clusters(self):
         return min(self.init_num_clusters, self.n)
 
-    def _build_store(self):
+    def _build_store(self, rng):
         n, mixing = self.n, self.mixing
         self._labels = self.allocations.tolist()
-        self._update_stats = type(self.template.likelihood).update_stats
         self._sizes = sizes = [cl.card for cl in self.clusters]
-        self._stats = [cl.likelihood.stats for cl in self.clusters]
+        self._uniforms = _Uniforms(rng)
         # a new cluster's mass depends on n and the number of clusters, and
         # on the mixing state, which is fixed during a sweep but not a run
         k0, log_c = len(sizes), math.log(self._num_candidates)
@@ -404,8 +430,13 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._table, self._block_start, self._block_stop = [], 0, 0
 
     def _start_block(self, start, rng):
-        """Build the score table's rows of data start.. on; returns (table, start, stop)."""
+        """Build the score table's rows of data start.. on; returns (table, start, stop).
+
+        The block's uniforms are drawn ahead after its candidates, which may
+        draw from the generator.
+        """
         stop = min(start + self._block_rows(), self.n)
+        self._uniforms.rewind(start)
         candidates = self._candidate_scores(start, stop, rng)
         k = len(self.clusters)
         # column-major, one column per category, so that the reduction runs along the data
@@ -418,6 +449,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         with np.errstate(invalid="ignore"):  # a row of -inf is left to the guard
             self._table = np.exp(scores - ref[:, None]).tolist()
         self._block_start, self._block_stop = start, stop
+        self._uniforms.ahead(start, stop)
         return self._table, start, stop
 
     def _add_column(self, i, cluster):
@@ -465,7 +497,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
                 if label == last:
                     labels[j] = h
         self._drop_column(i, h, last)
-        for column in (self.clusters, self._sizes, self._stats):
+        for column in (self.clusters, self._sizes):
             column[h] = column[last]
             column.pop()
         masses = self._masses
@@ -484,15 +516,13 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._labels[i] = len(self.clusters)
         self.clusters.append(cluster)
         self._sizes.append(1)
-        self._stats.append(cluster.likelihood.stats)
         k = len(self._sizes)
         self._masses[k - 1:] = [self._mass_of_size[1]] + self._new_masses[k]
         self._add_column(i, cluster)
 
     def _sync_members(self):
         self.allocations[:] = self._labels
-        for cluster, size in zip(self.clusters, self._sizes):
-            cluster.likelihood.card = size
+        self._recount()
 
     def _refresh_clusters(self, rng):
         self._draw_cluster_params(rng)
@@ -530,22 +560,32 @@ class Neal3Algorithm(_MarginalAlgorithm):
     A cluster scores a datum by its posterior predictive, which changes with
     its members, so each block of the score table is one datum's row, built
     from the clusters' predictive scorers when the sweep reaches it. Its
-    reference is the prior predictive, so the candidate's entry is 1. A
-    scorer is rebuilt after its cluster changes, once the next datum has
-    left, as that datum often leaves the same cluster again. The labels
-    tell which: the cluster the previous datum joined and the one this
-    datum left.
+    reference is the prior predictive, so the candidate's entry is 1. It is
+    the one sampler that reads statistics during the sweep, so it moves
+    them itself, once the next datum has left, as that datum often leaves
+    the same cluster again: the labels tell which clusters changed, the one
+    the previous datum joined (a newborn counted its datum at birth) and
+    the one this datum left. Their scorers are rebuilt then. The uniforms
+    are drawn ahead for up to ``_TABLE_ROWS`` data, not per block.
     """
 
     algo_id = "Neal3"
     requires_conjugate = True
 
-    def _build_store(self):
-        super()._build_store()
+    def _build_store(self, rng):
+        super()._build_store(rng)
         self._scorers = [self._cluster_scorer(h) for h in range(len(self._sizes))]
+        self._newborn = -1  # the last datum that opened a cluster
 
     def _cluster_scorer(self, h):
-        return self.clusters[h].conditional_pred_scorer(self._sizes[h], self._stats[h])
+        cluster = self.clusters[h]
+        return cluster.conditional_pred_scorer(self._sizes[h], cluster.likelihood.stats)
+
+    def _move_stats(self, h, i, add):
+        """Add datum i to, or take it from, the statistics of cluster h."""
+        if h >= 0:
+            like = self.clusters[h].likelihood
+            like.update_stats(like.stats, self._rows[i] - like.ref, add)
 
     def _rescore(self, *clusters):
         for h in set(clusters):
@@ -555,8 +595,14 @@ class Neal3Algorithm(_MarginalAlgorithm):
     def _start_block(self, start, rng):
         # since the last block, datum start - 1 joined its cluster and datum
         # start left its own (-1 if that cluster died)
-        labels = self._labels
-        self._rescore(labels[start - 1] if start else -1, labels[start])
+        labels, uniforms = self._labels, self._uniforms
+        joined, left = (labels[start - 1] if start else -1), labels[start]
+        if start - 1 != self._newborn:
+            self._move_stats(joined, start - 1, True)
+        self._move_stats(left, start, False)
+        self._rescore(joined, left)
+        if start == uniforms.stop:
+            uniforms.ahead(start, min(start + _TABLE_ROWS, self.n))
         y, ref = self._rows[start], float(self._prior_scores[start])
         try:
             row = [math.exp(score(y) - ref) for score in self._scorers] + [1.0]
@@ -568,15 +614,12 @@ class Neal3Algorithm(_MarginalAlgorithm):
         return [score(y) for score in self._scorers]
 
     def _add_column(self, i, cluster):
+        self._newborn = i
         self._scorers.append(self._cluster_scorer(len(self.clusters) - 1))
 
     def _drop_column(self, i, h, last):
         self._scorers[h] = self._scorers[last]
         self._scorers.pop()
-
-    def _sync_members(self):
-        self._rescore(self._labels[-1])
-        super()._sync_members()
 
 
 class Neal8Algorithm(_MarginalAlgorithm):
@@ -593,7 +636,6 @@ class Neal8Algorithm(_MarginalAlgorithm):
 
     algo_id = "Neal8"
     requires_conjugate = False
-    _blocks_draw = True
 
     def __init__(self, hierarchy, mixing, init_num_clusters=3, n_aux=3):
         super().__init__(hierarchy, mixing, init_num_clusters)
@@ -657,13 +699,9 @@ class BlockedGibbsAlgorithm(_BaseAlgorithm):
         probs = np.exp(logits - mx)
         probs /= probs.sum(axis=0)
         cum = np.cumsum(probs, axis=0)
-        new_alloc = np.minimum((cum < rng.random(n)).sum(axis=0), m - 1)
-        for i in np.nonzero(new_alloc != self.allocations)[0]:
-            self.clusters[self.allocations[i]].remove_datum(int(i), self._rows[i])
-            self.clusters[new_alloc[i]].add_datum(int(i), self._rows[i])
-            self.allocations[i] = new_alloc[i]
-        counts = np.bincount(self.allocations, minlength=m)
-        self.mixing.update_state(counts, n, rng)
+        self.allocations = np.minimum((cum < rng.random(n)).sum(axis=0), m - 1)
+        self._recount()
+        self.mixing.update_state(np.bincount(self.allocations, minlength=m), n, rng)
         self._draw_cluster_params(rng)
 
     def _record_log_weights(self, record, mixing):

@@ -112,7 +112,8 @@ class Hierarchy:
     def conditional_pred_scorer(self, card, stats):
         """Scorer y -> log predictive density given a cluster of this size and statistics."""
         self._require_predictive()
-        hypers = self.updater.compute_posterior_hypers(ClusterStats(card, stats), self.prior)
+        hypers = self.updater.compute_posterior_hypers(
+            ClusterStats(card, stats, self.likelihood.ref), self.prior)
         return self.updater.predictive(hypers).lpdf
 
 
@@ -182,7 +183,7 @@ def build_hierarchy(hier_type, args):
             values.get_float("scale"),
         )
         prior = NIGPrior(hypers)
-        like = UniNormLikelihood()
+        like = UniNormLikelihood(ref=hypers.mean)
     elif hier_type in ("NNxIG", "LapNIG"):
         hypers = NxIGHypers(
             values.get_float("mean"),
@@ -191,7 +192,7 @@ def build_hierarchy(hier_type, args):
             values.get_float("scale"),
         )
         prior = NxIGPrior(hypers)
-        like = UniNormLikelihood() if hier_type == "NNxIG" else LaplaceLikelihood()
+        like = UniNormLikelihood(ref=hypers.mean) if hier_type == "NNxIG" else LaplaceLikelihood()
     elif hier_type == "NNW":
         mean = _read_vector(values, "mean")
         scale = _read_matrix(values, "scale")
@@ -203,7 +204,7 @@ def build_hierarchy(hier_type, args):
         )
         prior = NWPrior(hypers)
         d = mean.shape[0]
-        like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)))
+        like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)), ref=mean)
     else:  # GammaGamma
         hypers = GammaPriorHypers(
             values.get_float("shape"),

@@ -6,11 +6,18 @@ evaluate the whole-cluster log density and to feed posterior updates.
 Univariate kernels accept a scalar or a length-1 row as datum; the
 multivariate normal accepts a length-d row.
 
-The marginal sweep's cluster store works with two more pieces of each
-family: ``stats`` is a list holding the sufficient statistics, and
-``update_stats(stats, datum_id, y, add)`` changes such a list in place for
-one datum; the store calls it directly and writes each ``card`` back once
-per sweep. ``lpdf`` scores one datum; the sweep
+The statistics are sums over the cluster's data of z = y - ``ref``, a
+fixed reference: the prior mean for the normal kernels (set by
+``build_hierarchy``, copied by ``clone_empty``), 0 for the Gamma kernel,
+which sums y. Centred on the prior mean they keep their precision for data
+far from the origin. ``stats`` is a list holding them. The samplers
+recount them from their labels: ``stat_terms(data)`` gives every datum's
+terms once per run (z and z^2 for the normal kernel), and the static
+``label_stats(terms, labels, k)`` sums them for k clusters, each in index
+order, into k statistic lists. ``update_stats(stats, z, add)``
+changes a list in place for one datum; it serves ``add_datum`` and
+``remove_datum`` (a newborn cluster, whose full conditional reads its one
+datum) and Neal3's predictive scorers. ``lpdf`` scores one datum; the sweep
 calls it only for a datum it draws from its log weights and for the state
 Neal8 takes back from a datum's dead cluster.
 
@@ -26,10 +33,11 @@ score of (datum, state) has the bits of that state's own ``lpdf_grid``.
 The normal and Laplace kernels also give the whole-cluster log density at
 unconstrained states, which the Metropolis updater targets, in closed form
 with its gradient. The static ``unconstrained_stats(likes, rows, labels)``
-collects what k clusters' densities read: the data ``rows`` and their
-``labels`` in 0..k-1 indexing ``likes``. The static
-``unconstrained_lpdf(stats, u)`` takes u of shape (p, k) and returns the
-k clusters' densities and their gradient, of shape (p, k). The other
+collects what k clusters' densities read: the normal kernel's recounted
+statistics, or the data ``rows`` and their ``labels`` in 0..k-1 indexing
+``likes``. The static ``unconstrained_lpdf(stats, u, grad=True)`` takes u
+of shape (p, k) and returns the k clusters' densities and, unless ``grad``
+is false (the random walk), their gradient, of shape (p, k). The other
 kernels have neither.
 """
 
@@ -67,13 +75,16 @@ def squared_norm_rows(z):
     return np.einsum("...ki,...ki->...k", z, z)
 
 
-# What a conjugate posterior update reads of a cluster: its size and the
-# likelihood's statistic list. Likelihoods themselves have both attributes.
-ClusterStats = namedtuple("ClusterStats", ("card", "stats"))
+# What a conjugate posterior update reads of a cluster: its size, the
+# likelihood's statistic list and the reference the statistics are centred
+# on. Likelihoods themselves have all three attributes.
+ClusterStats = namedtuple("ClusterStats", ("card", "stats", "ref"))
 
 
 class _BaseLikelihood:
     _as_datum = staticmethod(_as_scalar)
+    # the statistics sum z = y - ref
+    ref = 0.0
 
     def __init__(self, state, stats):
         self.state = state
@@ -82,14 +93,23 @@ class _BaseLikelihood:
 
     def add_datum(self, datum_id, datum):
         # may reject the datum; the count stays clean
-        self.update_stats(self.stats, datum_id, self._as_datum(datum), True)
+        self.update_stats(self.stats, self._as_datum(datum) - self.ref, True)
         self.card += 1
 
     def remove_datum(self, datum_id, datum):
         if not self.card:
             raise ValueError(f"cannot remove datum id {datum_id} from an empty cluster")
-        self.update_stats(self.stats, datum_id, self._as_datum(datum), False)
+        self.update_stats(self.stats, self._as_datum(datum) - self.ref, False)
         self.card -= 1
+
+    @staticmethod
+    def label_stats(terms, labels, k):
+        """The statistic lists of k clusters: each row of ``stat_terms`` summed by label.
+
+        ``np.bincount`` adds a bin's weights in the order they come, so each
+        sum has the bits of a plain loop over the data in index order.
+        """
+        return list(map(list, zip(*[np.bincount(labels, row, k).tolist() for row in terms])))
 
     def lpdf(self, datum):
         return self._score(self._as_datum(datum))
@@ -115,29 +135,27 @@ class UniNormLikelihood(_BaseLikelihood):
 
     is_multivariate = False
 
-    def __init__(self, state=None):
-        # stats: [sum of y, sum of y^2]
+    def __init__(self, state=None, ref=0.0):
+        # stats: [sum of z, sum of z^2], z = y - ref
         super().__init__(state if state is not None else UniLSState(0.0, 1.0), [0.0, 0.0])
-
-    @property
-    def data_sum(self):
-        return self.stats[0]
-
-    @property
-    def data_sum_squares(self):
-        return self.stats[1]
+        self.ref = float(ref)
 
     def clone_empty(self):
-        return UniNormLikelihood(self.state.copy())
+        return UniNormLikelihood(self.state.copy(), self.ref)
+
+    def stat_terms(self, data):
+        """Every datum's z and z^2, shape (2, n)."""
+        z = data[:, 0] - self.ref
+        return np.array((z, z * z))
 
     @staticmethod
-    def update_stats(stats, datum_id, y, add):
+    def update_stats(stats, z, add):
         if add:
-            stats[0] += y
-            stats[1] += y * y
+            stats[0] += z
+            stats[1] += z * z
         else:
-            stats[0] -= y
-            stats[1] -= y * y
+            stats[0] -= z
+            stats[1] -= z * z
 
     def _score(self, y):
         st = self.state
@@ -151,24 +169,29 @@ class UniNormLikelihood(_BaseLikelihood):
 
     @staticmethod
     def unconstrained_stats(likes, rows, labels):
-        """Rows (size, sum of y, sum of y^2) over k clusters, a (3, k) array of running sums."""
-        return np.array([(like.card, *like.stats) for like in likes]).T
+        """The k clusters' sizes n, sums S of z and Q of z^2 (arrays of k), and the reference."""
+        n, centred_sum, centred_sum_squares = np.array(
+            [(like.card, *like.stats) for like in likes]).T
+        return n, centred_sum, centred_sum_squares, likes[0].ref
 
     @staticmethod
-    def unconstrained_lpdf(stats, u):
+    def unconstrained_lpdf(stats, u, grad=True):
         """Sum of log N(y_i | mean, var) per cluster at u = (mean, log var), with gradient.
 
-        With e = 1/var and q = sum (y_i - mean)^2, the value is
-        -(n (log 2 pi + log var) + q e) / 2 and the gradient
-        (e (sum y_i - n mean), (q e - n) / 2).
+        With e = 1/var, d = mean - ref and q = sum (y_i - mean)^2 =
+        Q + d (n d - 2 S), the value is -(n (log 2 pi + log var) + q e) / 2
+        and the gradient (e (S - n d), (q e - n) / 2); None without ``grad``.
         """
-        n, data_sum, data_sum_squares = stats
+        n, centred_sum, centred_sum_squares, ref = stats
         mean, logvar = u
         e = np.exp(-logvar)
-        n_mean = n * mean
-        quad_e = (data_sum_squares + mean * (n_mean - 2.0 * data_sum)) * e
+        dev = mean - ref
+        n_dev = n * dev
+        quad_e = (centred_sum_squares + dev * (n_dev - 2.0 * centred_sum)) * e
         value = -0.5 * (n * (LOG_2PI + logvar) + quad_e)
-        return value, np.array([e * (data_sum - n_mean), 0.5 * (quad_e - n)])
+        if not grad:
+            return value, None
+        return value, np.array([e * (centred_sum - n_dev), 0.5 * (quad_e - n)])
 
 
 class MultiNormLikelihood(_BaseLikelihood):
@@ -176,25 +199,18 @@ class MultiNormLikelihood(_BaseLikelihood):
 
     is_multivariate = True
 
-    def __init__(self, state):
+    def __init__(self, state, ref=None):
         d = state.dim
-        # stats: [sum of y, sum of y y^T]
+        # stats: [sum of z, sum of z z^T], z = y - ref
         super().__init__(state, [np.zeros(d), np.zeros((d, d))])
+        self.ref = np.zeros(d) if ref is None else np.asarray(ref, dtype=float).reshape(d)
 
     @property
     def dim(self):
         return self.state.dim
 
-    @property
-    def data_sum(self):
-        return self.stats[0]
-
-    @property
-    def data_sum_outer(self):
-        return self.stats[1]
-
     def clone_empty(self):
-        return MultiNormLikelihood(self.state.copy())
+        return MultiNormLikelihood(self.state.copy(), self.ref)
 
     def _as_datum(self, datum):
         y = np.asarray(datum, dtype=float).reshape(-1)
@@ -202,14 +218,28 @@ class MultiNormLikelihood(_BaseLikelihood):
             raise ValueError(f"expected dimension {self.dim}, got {y.shape[0]}")
         return y
 
+    def stat_terms(self, data):
+        """Every datum's z over z z^T, shape (n, d + 1, d)."""
+        z = data - self.ref
+        return np.concatenate((z[:, None, :], z[:, :, None] * z[:, None, :]), axis=1)
+
     @staticmethod
-    def update_stats(stats, datum_id, y, add):
+    def label_stats(terms, labels, k):
+        # one bincount over every entry, each entry's bins in index order
+        rows, d = terms.shape[1:]
+        m = rows * d
+        bins = (labels[:, None] * m + np.arange(m)).reshape(-1)
+        sums = np.bincount(bins, terms.reshape(-1), k * m).reshape(k, rows, d)
+        return [[cluster[0], cluster[1:]] for cluster in sums]
+
+    @staticmethod
+    def update_stats(stats, z, add):
         if add:
-            stats[0] += y
-            stats[1] += np.outer(y, y)
+            stats[0] += z
+            stats[1] += np.outer(z, z)
         else:
-            stats[0] -= y
-            stats[1] -= np.outer(y, y)
+            stats[0] -= z
+            stats[1] -= np.outer(z, z)
 
     def _constants(self, st):
         return st.mean, st.chol_inv, self.dim * LOG_2PI + st.log_det
@@ -252,8 +282,15 @@ class LaplaceLikelihood(_BaseLikelihood):
     def clone_empty(self):
         return LaplaceLikelihood(self.state.copy())
 
+    def stat_terms(self, data):
+        return None
+
     @staticmethod
-    def update_stats(stats, datum_id, y, add):
+    def label_stats(terms, labels, k):
+        return [[] for _ in range(k)]
+
+    @staticmethod
+    def update_stats(stats, z, add):
         pass
 
     def _score(self, y):
@@ -271,31 +308,36 @@ class LaplaceLikelihood(_BaseLikelihood):
         return np.bincount(labels, minlength=len(likes)), rows[:, 0], labels
 
     @staticmethod
-    def unconstrained_lpdf(stats, u):
+    def unconstrained_lpdf(stats, u, grad=True):
         """Sum of log Laplace(y_i | mean, scale) per cluster at u = (mean, log scale).
 
         With e = 1/scale, A = sum |y_i - mean| and S its slope in mean, the
         value is -n (log 2 + log scale) - A e and the gradient
-        (-S e, A e - n). The slope of |y - mean| is -1 where y >= mean (ties
-        included) and +1 below; A and S are summed per cluster by
-        ``np.bincount``.
+        (-S e, A e - n); None without ``grad``. The slope of |y - mean| is
+        -1 where y >= mean (ties included) and +1 below; A and S are summed
+        per cluster by ``np.bincount``.
         """
         n, data, labels = stats
         mean, logscale = u
         dev = data - mean[labels]
         e = np.exp(-logscale)
         abs_sum_e = np.bincount(labels, np.abs(dev), len(n)) * e
-        slope_sum = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), len(n))
         value = -n * (math.log(2.0) + logscale) - abs_sum_e
+        if not grad:
+            return value, None
+        slope_sum = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), len(n))
         return value, np.array([-slope_sum * e, abs_sum_e - n])
+
+
+_NOT_POSITIVE = "Gamma likelihood requires positive data"
 
 
 class GammaLikelihood(_BaseLikelihood):
     """Gamma kernel with fixed shape and random rate, for positive data.
 
     lpdf(y) = shape*log(rate) - lgamma(shape) + (shape-1)*log(y) - rate*y
-    for y > 0 and -inf otherwise. Tracks the data sum and the size, all the
-    conjugate rate update reads.
+    for y > 0 and -inf otherwise. Tracks the data sum (the reference is 0)
+    and the size, all the conjugate rate update reads.
     """
 
     is_multivariate = False
@@ -307,24 +349,26 @@ class GammaLikelihood(_BaseLikelihood):
         super().__init__(state if state is not None else GammaState(shape, 1.0), [0.0])
         self.shape = float(shape)
 
-    @property
-    def data_sum(self):
-        return self.stats[0]
-
     def clone_empty(self):
         return GammaLikelihood(self.shape, self.state.copy())
 
     def add_datum(self, datum_id, datum):
         if _as_scalar(datum) <= 0:
-            raise ValueError("Gamma likelihood requires positive data")
+            raise ValueError(_NOT_POSITIVE)
         super().add_datum(datum_id, datum)
 
+    def stat_terms(self, data):
+        """Every datum's y, shape (1, n)."""
+        if (data[:, 0] <= 0).any():
+            raise ValueError(_NOT_POSITIVE)
+        return data.T
+
     @staticmethod
-    def update_stats(stats, datum_id, y, add):
+    def update_stats(stats, z, add):
         if add:
-            stats[0] += y
+            stats[0] += z
         else:
-            stats[0] -= y
+            stats[0] -= z
 
     def _score(self, y):
         if y <= 0:

@@ -10,7 +10,7 @@ prior itself). The NIG and N x IG priors also evaluate the
 change-of-variables corrected log density of unconstrained state vectors
 (``lpdf_from_unconstrained``), which the Metropolis updater targets: in
 closed form, on u of shape (p, k) for k states, it returns the k densities
-and their gradient, of shape (p, k).
+and, unless ``grad`` is false, their gradient, of shape (p, k).
 """
 
 import math
@@ -116,13 +116,13 @@ class NIGPrior(_Prior):
         mean = h.mean + np.sqrt(var / h.var_scaling) * rng.standard_normal(size)
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
-    def lpdf_from_unconstrained(self, u):
+    def lpdf_from_unconstrained(self, u, grad=True):
         """log N(mean | mean0, var / var_scaling) + log IG(var | shape, scale) + log var.
 
         Collected in u = (mean, log var), the density's exponent is
         -(scale + var_scaling (mean - mean0)^2 / 2) / var, and log var's
         coefficient -(shape + 1/2) holds the log-Jacobian. Returns the
-        density and its gradient.
+        density and its gradient (None without ``grad``).
         """
         mean, logvar = u
         h = self.hypers
@@ -132,6 +132,8 @@ class NIGPrior(_Prior):
         e = np.exp(-logvar)
         rate = (h.scale + 0.5 * h.var_scaling * dev * dev) * e
         value = log_norm - (h.shape + 0.5) * logvar - rate
+        if not grad:
+            return value, None
         return value, np.array([-h.var_scaling * dev * e, rate - (h.shape + 0.5)])
 
 
@@ -146,11 +148,11 @@ class NxIGPrior(_Prior):
         var = h.scale / rng.gamma(h.shape, size=size)
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
-    def lpdf_from_unconstrained(self, u):
+    def lpdf_from_unconstrained(self, u, grad=True):
         """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var, and its gradient.
 
         In u = (mean, log var), log var's coefficient -shape holds the
-        log-Jacobian.
+        log-Jacobian. The gradient is None without ``grad``.
         """
         mean, logvar = u
         h = self.hypers
@@ -158,6 +160,8 @@ class NxIGPrior(_Prior):
         log_norm = -0.5 * (LOG_2PI + math.log(h.var)) + _invgamma_log_norm(h.shape, h.scale)
         rate = h.scale * np.exp(-logvar)
         value = log_norm - dev * dev / (2.0 * h.var) - h.shape * logvar - rate
+        if not grad:
+            return value, None
         return value, np.array([-dev / h.var, rate - h.shape])
 
 

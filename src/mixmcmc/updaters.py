@@ -21,49 +21,61 @@ from .likelihoods import squared_norm_rows, whiten_rows
 from .priors import GammaPriorHypers, NIGHypers, NWHypers
 
 
+# A cluster's statistics are sums of z = y - like.ref. These give the sums of
+# y - centre and of its square (outer product); they are the statistics
+# themselves when centre is like.ref, which build_hierarchy sets to the
+# prior mean that the posteriors centre on.
+
+def _sums_about(like, centre):
+    centred_sum, centred_sum_squares = like.stats
+    n, shift = like.card, centre - like.ref
+    return centred_sum - n * shift, centred_sum_squares - shift * (2.0 * centred_sum - n * shift)
+
+
+def _outer_sums_about(like, centre):
+    centred_sum, centred_sum_outer = like.stats
+    shift = centre - like.ref
+    about = centred_sum - like.card * shift
+    return about, centred_sum_outer - np.outer(shift, centred_sum) - np.outer(about, shift)
+
+
 def nnig_posterior_hypers(like, hypers):
     """Posterior normal-inverse-gamma hyperparameters for a normal cluster.
 
     Like the other posterior-hyperparameter functions, it reads only
-    ``like.card`` and ``like.stats``, so a likelihood or a
-    :class:`~mixmcmc.likelihoods.ClusterStats` will do.
+    ``like.card``, ``like.stats`` and ``like.ref``, so a likelihood or a
+    :class:`~mixmcmc.likelihoods.ClusterStats` will do. With S and Q the
+    sums of y - mean0 and its square, mean_n = mean0 + S / lam_n and
+    scale_n = scale + (Q - S^2 / lam_n) / 2.
     """
     n = like.card
     if n == 0:
         return hypers
-    data_sum, data_sum_squares = like.stats
-    ybar = data_sum / n
+    centred_sum, centred_sum_squares = _sums_about(like, hypers.mean)
     lam_n = hypers.var_scaling + n
-    mean_n = (hypers.var_scaling * hypers.mean + data_sum) / lam_n
-    shape_n = hypers.shape + 0.5 * n
-    ss = max(data_sum_squares - n * ybar * ybar, 0.0)
-    scale_n = (
-        hypers.scale
-        + 0.5 * ss
-        + 0.5 * hypers.var_scaling * n * (ybar - hypers.mean) ** 2 / lam_n
+    return NIGHypers(
+        hypers.mean + centred_sum / lam_n,
+        lam_n,
+        hypers.shape + 0.5 * n,
+        hypers.scale + 0.5 * max(centred_sum_squares - centred_sum * centred_sum / lam_n, 0.0),
     )
-    return NIGHypers(mean_n, lam_n, shape_n, scale_n)
 
 
 def nnw_posterior_hypers(like, hypers):
-    """Posterior normal-inverse-Wishart hyperparameters for a multinormal cluster."""
+    """Posterior normal-inverse-Wishart hyperparameters for a multinormal cluster.
+
+    With S and Q the sums of y - mean0 and its outer product,
+    mean_n = mean0 + S / lam_n and scale_n = scale + Q - S S^T / lam_n,
+    symmetrised.
+    """
     n = like.card
     if n == 0:
         return hypers
-    data_sum, data_sum_outer = like.stats
-    ybar = data_sum / n
+    centred_sum, centred_sum_outer = _outer_sums_about(like, hypers.mean)
     lam_n = hypers.var_scaling + n
-    mean_n = (hypers.var_scaling * hypers.mean + data_sum) / lam_n
-    df_n = hypers.deg_free + n
-    centered = data_sum_outer - n * np.outer(ybar, ybar)
-    dev = ybar - hypers.mean
-    scale_n = (
-        hypers.scale
-        + centered
-        + (hypers.var_scaling * n / lam_n) * np.outer(dev, dev)
-    )
+    scale_n = hypers.scale + centred_sum_outer - np.outer(centred_sum, centred_sum) / lam_n
     scale_n = 0.5 * (scale_n + scale_n.T)
-    return NWHypers(mean_n, lam_n, df_n, scale_n)
+    return NWHypers(hypers.mean + centred_sum / lam_n, lam_n, hypers.deg_free + n, scale_n)
 
 
 def gamma_gamma_posterior_hypers(like, hypers):
@@ -78,18 +90,25 @@ def gamma_gamma_posterior_hypers(like, hypers):
     )
 
 
-def nnxig_mean_full_conditional(hypers, data_sum, card, var):
-    """Mean and variance of mean | var, data under the independent prior."""
+def nnxig_mean_full_conditional(hypers, centred_sum, card, var):
+    """Mean and variance of mean | var, data under the independent prior.
+
+    ``centred_sum`` is the sum of y - mean0 over the cluster.
+    """
     prec = 1.0 / hypers.var + card / var
-    mean = (hypers.mean / hypers.var + data_sum / var) / prec
-    return mean, 1.0 / prec
+    return hypers.mean + centred_sum / var / prec, 1.0 / prec
 
 
-def nnxig_var_full_conditional(hypers, data_sum, data_sum_squares, card, mean):
-    """Inverse-gamma (shape, scale) of var | mean, data under the independent prior."""
+def nnxig_var_full_conditional(hypers, centred_sum, centred_sum_squares, card, mean):
+    """Inverse-gamma (shape, scale) of var | mean, data under the independent prior.
+
+    The sums are of y - mean0 and its square; with d = mean - mean0,
+    sum (y - mean)^2 = Q - 2 d S + n d^2.
+    """
+    dev = mean - hypers.mean
     shape_n = hypers.shape + 0.5 * card
     scale_n = hypers.scale + 0.5 * max(
-        data_sum_squares - 2.0 * mean * data_sum + card * mean * mean, 0.0
+        centred_sum_squares - 2.0 * dev * centred_sum + card * dev * dev, 0.0
     )
     return shape_n, scale_n
 
@@ -248,10 +267,11 @@ class NNxIGUpdater:
         h = prior.hypers
         n = like.card
         var = like.state.var
-        mean_fc, var_fc = nnxig_mean_full_conditional(h, like.data_sum, n, var)
+        centred_sum, centred_sum_squares = _sums_about(like, h.mean)
+        mean_fc, var_fc = nnxig_mean_full_conditional(h, centred_sum, n, var)
         mean = mean_fc + math.sqrt(var_fc) * rng.standard_normal()
         shape_n, scale_n = nnxig_var_full_conditional(
-            h, like.data_sum, like.data_sum_squares, n, mean
+            h, centred_sum, centred_sum_squares, n, mean
         )
         var = scale_n / rng.gamma(shape_n)
         state = type(like.state)(mean, var)
@@ -266,7 +286,7 @@ class MetropolisUpdater:
     proposal drifts along the gradient (MALA) and carries the matching
     correction. The target is the likelihood's ``unconstrained_lpdf`` plus
     the prior's ``lpdf_from_unconstrained``, each giving a value and a
-    gradient in closed form; the random walk ignores the gradient.
+    gradient in closed form; the random walk evaluates the value only.
 
     ``draw_batch`` moves k clusters of one family together, on u of shape
     (p, k): each step draws one (p, k) normal block and k uniforms and
@@ -294,13 +314,17 @@ class MetropolisUpdater:
         like_cls, state_cls = type(likes[0]), type(likes[0].state)
         u = np.array([like.state.to_unconstrained() for like in likes]).T
         target = _log_target(like_cls.unconstrained_lpdf,
-                             like_cls.unconstrained_stats(likes, rows, labels), prior)
+                             like_cls.unconstrained_stats(likes, rows, labels), prior,
+                             self.langevin)
         self._move(target, u, rng)
         for like, col in zip(likes, u.T):
             like.state = state_cls.from_unconstrained(col)
 
     def _evaluate(self, target, u):
-        """The target at u, -inf where it (MALA: or its gradient) is not finite; the gradient."""
+        """The target at u, -inf where it (MALA: or its gradient) is not finite; the gradient.
+
+        The random walk's target gives no gradient (None).
+        """
         logp, grad = target(u)
         finite = np.isfinite(logp)
         if self.langevin:
@@ -333,12 +357,12 @@ class MetropolisUpdater:
                     np.copyto(grad, grad_prop, where=accept)
 
 
-def _log_target(unconstrained_lpdf, stats, prior):
-    """u -> the clusters' log posterior at u and its gradient: likelihood plus prior."""
+def _log_target(unconstrained_lpdf, stats, prior, grad=True):
+    """u -> the clusters' log posterior at u and its gradient (None without ``grad``)."""
     def target(u):
-        like_value, like_grad = unconstrained_lpdf(stats, u)
-        prior_value, prior_grad = prior.lpdf_from_unconstrained(u)
-        return like_value + prior_value, like_grad + prior_grad
+        like_value, like_grad = unconstrained_lpdf(stats, u, grad)
+        prior_value, prior_grad = prior.lpdf_from_unconstrained(u, grad)
+        return like_value + prior_value, like_grad + prior_grad if grad else None
 
     return target
 

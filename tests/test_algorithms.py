@@ -13,6 +13,7 @@ from test_chain_hashes import HIER_ARGS, _data
 
 from mixmcmc import algorithms
 from mixmcmc.algorithms import (
+    ALGORITHM_IDS,
     BlockedGibbsAlgorithm,
     Neal8Algorithm,
     build_algorithm,
@@ -485,42 +486,53 @@ def test_neal8_promoted_auxiliary_state_is_fresh():
 
 STORE_CELLS = [
     (algo_id, hier_type)
-    for algo_id in ("Neal2", "Neal3", "Neal8")
+    for algo_id in ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
     for hier_type in HIERARCHY_TYPES
-    if algo_id == "Neal8" or hier_type in ("NNIG", "NNW", "GammaGamma")
+    if algo_id in ("Neal8", "BlockedGibbs") or hier_type in ("NNIG", "NNW", "GammaGamma")
 ]
+
+
+def _index_order_stats(algo, h):
+    """Cluster h's statistics summed in plain Python, in index order, over its labels."""
+    recount = algo.template.likelihood.clone_empty()
+    for i, label in enumerate(algo.allocations.tolist()):
+        if label == h:
+            recount.add_datum(i, algo.data[i])
+    return recount
 
 
 @pytest.mark.parametrize("algo_id,hier_type", STORE_CELLS)
 def test_cluster_store_matches_a_recount(algo_id, hier_type):
-    # the sweep updates statistics in place and writes each size back once
-    # per sweep: after a run every cluster must equal one rebuilt from the labels
-    algo = build_algorithm(algo_id, build_hierarchy(hier_type, HIER_ARGS[hier_type]),
-                           DirichletMixing(1.0))
+    # the sweep moves labels only: after every sweep each cluster's size and
+    # statistics must be, bit for bit, those summed over its labels in index order
+    mixing = TruncatedSBMixing(8, 1.0) if algo_id == "BlockedGibbs" else DirichletMixing(1.0)
+    algo = build_algorithm(algo_id, build_hierarchy(hier_type, HIER_ARGS[hier_type]), mixing)
+    step, sweeps = algo.step, []
+
+    def checked_step(rng):
+        step(rng)
+        labels = algo.allocations.tolist()
+        if algo_id != "BlockedGibbs":
+            assert sorted(set(labels)) == list(range(len(algo.clusters)))
+            assert algo._sizes == [cluster.card for cluster in algo.clusters]
+        for h, cluster in enumerate(algo.clusters):
+            want = _index_order_stats(algo, h)
+            assert cluster.card == want.card == labels.count(h)
+            assert len(cluster.likelihood.stats) == len(want.stats)
+            for got, expected in zip(cluster.likelihood.stats, want.stats):
+                assert np.array_equal(got, expected)
+        sweeps.append(len(algo.clusters))
+
+    algo.step = checked_step
     _run(algo, _data(hier_type), 15, 10, seed=11)
-    labels = algo.allocations.tolist()
-    assert sorted(set(labels)) == list(range(len(algo.clusters)))
-    assert algo._sizes == [cluster.card for cluster in algo.clusters]
-    for h, cluster in enumerate(algo.clusters):
-        members = [i for i, label in enumerate(labels) if label == h]
-        assert cluster.card == len(members)
-        assert algo._stats[h] is cluster.likelihood.stats
-        recount = algo.template.likelihood.clone_empty()
-        for i in members:
-            recount.add_datum(i, algo.data[i])
-        for got, want in zip(cluster.likelihood.stats, recount.stats):
-            assert np.allclose(got, want)
-        if algo_id == "Neal3":
-            # the store's predictive scorer is the cluster's own predictive
-            y = algo._rows[0]
-            assert algo._scorers[h](y) == cluster.conditional_pred_scorer(
-                cluster.card, cluster.likelihood.stats)(y)
+    assert len(sweeps) == 15
 
 
 @pytest.mark.parametrize("hier_type", ["NNIG", "NNW", "GammaGamma"])
 def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
-    # each datum's row is scored by the clusters' predictive scorers, which
-    # must be those of the clusters' current sizes and statistics
+    # Neal3 moves the statistics of the clusters datum start - 1 joined and
+    # datum start left: each scorer must be the predictive of its cluster's
+    # data recounted from the labels, datum start left out
     algo = build_algorithm("Neal3", build_hierarchy(hier_type, HIER_ARGS[hier_type]),
                            DirichletMixing(1.0))
     start_block, open_cluster, remove_datum = (
@@ -530,9 +542,18 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
     def checked_start_block(start, rng):
         out = start_block(start, rng)
         y = algo._rows[start]
+        labels = list(algo._labels)
+        labels[start] = -1
         for h, cluster in enumerate(algo.clusters):
-            assert algo._scorers[h](y) == cluster.conditional_pred_scorer(
-                algo._sizes[h], algo._stats[h])(y)
+            recount = algo.template.likelihood.clone_empty()
+            for i, label in enumerate(labels):
+                if label == h:
+                    recount.add_datum(i, algo.data[i])
+            assert algo._sizes[h] == recount.card
+            for got, want in zip(cluster.likelihood.stats, recount.stats):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(algo._scorers[h](y), cluster.conditional_pred_scorer(
+                recount.card, recount.stats)(y), rtol=1e-12, atol=1e-12)
         seen["blocks"] += 1
         return out
 
@@ -549,6 +570,51 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
     _run(algo, data, 15, 10, seed=11)
     assert seen["blocks"] == 15 * len(data)
     assert seen["births"] > 0 and seen["deaths"] > 0
+
+
+@pytest.mark.parametrize("algo_id", ALGORITHM_IDS)
+def test_gamma_kernel_rejects_nonpositive_data_before_the_first_sweep(algo_id):
+    mixing = TruncatedSBMixing(8, 1.0) if algo_id == "BlockedGibbs" else DirichletMixing(1.0)
+    algo = build_algorithm(algo_id, build_hierarchy("GammaGamma", HIER_ARGS["GammaGamma"]),
+                           mixing)
+    algo.step = None  # reaching a sweep would raise TypeError, not the error expected
+    for bad in (0.0, -1.0):
+        data = _data("GammaGamma").copy()
+        data[17, 0] = bad
+        with pytest.raises(ValueError, match="Gamma likelihood requires positive data"):
+            _run(algo, data, 5, 0, seed=3)
+
+
+def test_statistics_far_from_the_origin_match_exact_sums():
+    # centred on the prior mean and recounted every sweep, the statistics of
+    # data a million from the origin keep their precision along the chain; a
+    # singleton's centred sum of squares is exactly 0
+    offset = 1e6
+    args = {"fixed_values": {"mean": offset, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}}
+    algo = build_algorithm("Neal2", build_hierarchy("NNIG", args), DirichletMixing(1.0))
+    rng = np.random.default_rng(5)
+    data = offset + np.concatenate([rng.normal(-3.0, 1.0, 100), rng.normal(3.0, 1.0, 100)])
+    step, seen = algo.step, {"clusters": 0, "singletons": 0}
+
+    def checked_step(rng):
+        step(rng)
+        labels = algo.allocations
+        for h, cluster in enumerate(algo.clusters):
+            n = cluster.card
+            centred_sum, centred_sum_squares = cluster.likelihood.stats
+            ss = centred_sum_squares - centred_sum * centred_sum / n
+            if n == 1:
+                assert ss == 0.0
+                seen["singletons"] += 1
+            members = data[labels == h]
+            mean = math.fsum(members) / n
+            exact = math.fsum((y - mean) ** 2 for y in members)
+            assert abs(ss - exact) <= 1e-9 * max(exact, 1.0)
+            seen["clusters"] += 1
+
+    algo.step = checked_step
+    _run(algo, data.reshape(-1, 1), 200, 199, seed=6)
+    assert seen["singletons"] > 0 and seen["clusters"] > 400
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, None, "3", 2.5, 0])

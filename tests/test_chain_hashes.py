@@ -58,62 +58,62 @@ METROPOLIS_CELLS = [f"Neal8/{hier_type}/DP/{updater}" for hier_type in ("NNIG", 
                     for updater in ("rwmh", "mala")]
 
 CHAIN_SHA256 = {
-    "Neal2/NNIG/DP": "0ff0059ee4f07c253fca1137915b73bd99a3c39c867905c9d540a655dbdadb07",
-    "Neal2/NNIG/PY": "2f24199f91ea925df8adb744330b9cfebee46ae8e1278948f2dac5e599d7b779",
-    "Neal2/NNW/DP": "cec081cf9c74373e576c11fe2e8e9b6d1390ff4a94d365436116490e37c96e34",
-    "Neal2/NNW/PY": "70317d8b967913a3314828e1b5fb29278a746a80bf5f96841809fe61ee866668",
-    "Neal2/GammaGamma/DP": "802eb2d6cc9457f1369f63cd32f85b2bec67883233b9765b819eb9ef8396aba3",
-    "Neal2/GammaGamma/PY": "a330bbeba7e48a8bed6c84ecb437a5c646e918259610e65eb38c9977ce099640",
-    "Neal3/NNIG/DP": "267b59850c5fdc440d09756a279c7bca7518a77a447ad71564d6b241212986a9",
-    "Neal3/NNIG/PY": "4eda4cabff03a320a6d93b825fcb2763b4ea550a0e4c4513b4a3fc50a69c5062",
-    "Neal3/NNW/DP": "1c720786186a0f960d4752354e0693cbc17bdb6d2b7c077b6add62c369071800",
-    "Neal3/NNW/PY": "5a5e07e50104dae65f277a3129c3450c37bd90cc03c31de69e11b41bbc9c9b20",
-    "Neal3/GammaGamma/DP": "3902a3b32618869b49fa93298ae026f4e4af531434294b363229228562637691",
-    "Neal3/GammaGamma/PY": "238a5b97bc8efa12cc60bd63872836a0d744109cadc460e90342ab13d46ed59a",
-    "Neal8/NNIG/DP": "f67030fd7ae8594697a52701c77f120b7fcfa7e025bf88868aa8ebc21b93b15e",
-    "Neal8/NNIG/PY": "af9302374c2d76d660597ea9bca2e550ac03296d2b5744a2784acd99f4eeb3a1",
-    "Neal8/NNxIG/DP": "4d33ebd7c20e19442d6542780077e62c2f5f28f544a7179d9af1451ec8f5391f",
-    "Neal8/NNxIG/PY": "a17a43a95c136c5dd1d771d3f36cd45a1e2cceddbbf18cc8633acd37118d8bae",
+    "Neal2/NNIG/DP": "44d6205c13b59c85b553e932e293a60271f915f7ed23657b2d7dadddf0d77ab1",
+    "Neal2/NNIG/PY": "eb337a08f556c01b97cbb9522c636c9e55936475e6da890080135a7cac8dc61b",
+    "Neal2/NNW/DP": "921a633dffff8aa7e18f09e2a86b1b61b7289a9ed265fba81690219fe94fe102",
+    "Neal2/NNW/PY": "5551ea566a6dc1d5531f05243630436191ee6b96164f6441cd291d59db09565a",
+    "Neal2/GammaGamma/DP": "adabc39ca1322d12dc44ad750923a4c61fe79841fc7df6068bb8f3ab23af215e",
+    "Neal2/GammaGamma/PY": "360d77aa1d14d3fed4eaad7d741c0999aef7c7e823aacd10afb6b19da26bc20d",
+    "Neal3/NNIG/DP": "684dc5efed3c292985e26fd60d47f30dd634362f7bb1f30ac772a1f6b3b06615",
+    "Neal3/NNIG/PY": "b83a5021d49f2e2494adf15605c54c97a062acab14d1d7238b92920106522e49",
+    "Neal3/NNW/DP": "1faf34c1e8b4a0459d04dd7775bd60b1a4cce441555745b35e2114343dddaa4f",
+    "Neal3/NNW/PY": "1bb66a6677892428bfc7598916ce00942b56bbac9fc7378150fdd213411e075b",
+    "Neal3/GammaGamma/DP": "0ef9ed8ed415276ade019a02508416123755422b7a864a9ec13eceb702e20bbd",
+    "Neal3/GammaGamma/PY": "078447093fa2ec87e7949c14ee3716eaeed3ea3897c082b28dfdf1b2c854845c",
+    "Neal8/NNIG/DP": "a4c724113f3c35c804866ac011ced1afc4df1c0b74c7a36bb68b42304b61e3fb",
+    "Neal8/NNIG/PY": "42b02ea7377da972002ab2ea48151d139196cb2431551a5c524537b3ee3afaf2",
+    "Neal8/NNxIG/DP": "c8405065b6b95e5d568c46b736ccb0e6255705475c599eec102c78fb4efec97d",
+    "Neal8/NNxIG/PY": "0bef09ce680fca449d89a70e8309bf8d42fcb232a25e083fb7f34a3051d97780",
     "Neal8/LapNIG/DP": "936a2b9ec4d5b934f29d8ce58cee833051a8afc8d43b4dde7455cadd34ca71bb",
     "Neal8/LapNIG/PY": "8c053fb162c1c8967a2deff67b8adbd202c7d4276315c9155278731c519239c2",
-    "Neal8/NNW/DP": "119fc45dd997a038ccf35cd280d769b64e08d46a776cbf3356c56af22916674b",
-    "Neal8/NNW/PY": "664fac94d45b121660d56d2dac750870584503f7f74847a6bea73cec9a9fcf45",
-    "Neal8/GammaGamma/DP": "2e94316431f3172f42300f8c9f6693101396d28e0a8e957f15cce8a5368ee722",
-    "Neal8/GammaGamma/PY": "29a201bc1fa952f42db7762098c2298adbbe762140002b07e8c5068cdd44480a",
-    "BlockedGibbs/NNIG/TruncSB": "e63173758671bd95aa04a7070f886491722a6565dcc33b16ecaa126fc3e4e1c3",
-    "BlockedGibbs/NNxIG/TruncSB": "9af07d6a5d1e8cdb7005ffb00800e26f893280e21563ab5dfe4f3340c323a818",
+    "Neal8/NNW/DP": "6c6a4d046ac111bb971fe008744f21c982f0861b9fec641f807e9ecc6bc1bb34",
+    "Neal8/NNW/PY": "196797fb98d8a926d8871ec6ed07cfc9633adb5dd2bf795a02d67bf87c2f6df7",
+    "Neal8/GammaGamma/DP": "daaa96a16a2a152b9fa19ad074c48b7cc49495150207c79c509392e440c1fe71",
+    "Neal8/GammaGamma/PY": "f7a5ea4468c0ba592fe08fe473d0683ba7b646bf61c8defef14cb3fef6868f6a",
+    "BlockedGibbs/NNIG/TruncSB": "fb135688be57d7a3a56546b8a105bdb6305d51df7504ed4d643a925a61026596",
+    "BlockedGibbs/NNxIG/TruncSB": "b24fef38a470e1705175f8c8af3bd90cab6069227a899c87c2ee6c0f1bc61a1c",
     "BlockedGibbs/LapNIG/TruncSB": "94da1838e38d1908f7055b31c8ae46201f7202b8d9c8ed437af1b2e2a5a58d0b",
-    "BlockedGibbs/NNW/TruncSB": "fed3f8fc087b03ae3771e9f7f61f16905d5d05e9d80a0d376faaa80e4554ad11",
-    "BlockedGibbs/GammaGamma/TruncSB": "bf33779065a9f61dd32667a4e48ccc9c8de37285d8e0f103873efaa6149d3057",
+    "BlockedGibbs/NNW/TruncSB": "aba91785ab2d78da09c08657e4578696374a4528867b3532d7ddb8787797bd0c",
+    "BlockedGibbs/GammaGamma/TruncSB": "fc873cffc99608d908fd6e056b9bb4e54b101df760ddf2b12a1f469a4169b79f",
 }
 GRID_SHA256 = {
-    "Neal2/NNIG/DP": "c8293f9df0c9b6fdaeb8d37b63f066e057339c80e122bf06ab7b9e6b76fab568",
-    "Neal2/NNIG/PY": "0804fb1c81ecd8c744d542705f9e0209f39e1aea547f348a27cb6ddc79556af9",
-    "Neal2/NNW/DP": "4e9b8887b98e8ed12d6a8e2ff9c18f8f383a920f581872fbb6f2d545e3f5ace8",
-    "Neal2/NNW/PY": "fa0360a1b0ae52befffbf3cd1eb61ae5f0c5c06729a2fd5e6f2745139d729e88",
-    "Neal2/GammaGamma/DP": "10d9e37b1f49addc284cad92f2a8928d59c8f642b4c4ae9aab13b840bd4f032b",
-    "Neal2/GammaGamma/PY": "c76a40f59166da94dd344617dacc2158c981064ab0964ec3e2529399701401af",
-    "Neal3/NNIG/DP": "56349ff851152ac36c01a9f830d4ddc722974ae04c072d32fd40effde523fd4b",
-    "Neal3/NNIG/PY": "16a14d33632596ebb9291ff992d836e9ce55738d943802ff65fc766458b1a591",
-    "Neal3/NNW/DP": "685506090d404c805980c20ae82bd4c31f3b6123ea4d9a837442fd8aececa01a",
-    "Neal3/NNW/PY": "d6e3225b9f8e7189a6c47d5aae80b3cfa97ebb9cffd48e91e66bb9c7a02a70b0",
-    "Neal3/GammaGamma/DP": "7b3247ca4eed24fd70d6a0a900b6d5f2bcee780e61653ab0e1a9a18f32375acc",
-    "Neal3/GammaGamma/PY": "9a374defed08c230a19f3d6e2f2eef81c62b1d78c0b8287bd7983b89f5c48947",
-    "Neal8/NNIG/DP": "f14310c72ad43d9d6a777c3c334aedfb6ba075526d5b6d8fabf29e9148479258",
-    "Neal8/NNIG/PY": "7f13e8ad3e69f232e8b9e74dc8b94a67e48b8e6b3acd50f44e09e2b84cf1cc98",
-    "Neal8/NNxIG/DP": "a0d06614f60ffabe8092532b8edaebae51024c42c4392b00f664befc9958019f",
-    "Neal8/NNxIG/PY": "ccacb274f17a32f6b1c602d22d6cb85dfdb7c9b452f221c8d928bd2fe4293d0a",
+    "Neal2/NNIG/DP": "765394bab07887005433f0db2dfdbf69109702b04cb4d462a5990318561c035c",
+    "Neal2/NNIG/PY": "f9da7aa036db9b6761859c3235b5898ee64143a884742cbff5aef63f413ca337",
+    "Neal2/NNW/DP": "a0184328073b0ffd7fd66032db052fc1c794591e608fee6cad7991a64fa60780",
+    "Neal2/NNW/PY": "1cab2fae13535ab9c0bae6fc7808c972b910cead8a11a677a807b16c5c6d715c",
+    "Neal2/GammaGamma/DP": "2330b4df4715b8116138df3f64f08695715883a71a694bfe6829139d3dd99ced",
+    "Neal2/GammaGamma/PY": "cba846d3469d88b028937a0050ec12b3fda964b9882a6dfe879f6e109ec2f38d",
+    "Neal3/NNIG/DP": "abe74273b2b15208bea282abf27a498b3497b42b5ed35e5ed47a026d1cf4c200",
+    "Neal3/NNIG/PY": "f952748763023ca1d7ac0632d87ffde0ab34930b0a6a959f578d758a3e89168b",
+    "Neal3/NNW/DP": "c0a838d703af63baadda112e396b6a27efacb8e99d5e2082c8ec0b7cfda8a563",
+    "Neal3/NNW/PY": "aeb18980a716e44bbdfab9d6bc2a807a00a4b35aa53c9fff0f68b42e0bf41e5b",
+    "Neal3/GammaGamma/DP": "7c89425c28795284eb56aed2c2d3c715524d81aaded5695007916df4d08f3225",
+    "Neal3/GammaGamma/PY": "dbf0b464840704885a3b46076c31bf440b3dbe70d58bda04e5db7049effbe7a1",
+    "Neal8/NNIG/DP": "8a49ea2b5dec93433166b901f412f2db89f2433007cd0228a2f6487dd4e823dd",
+    "Neal8/NNIG/PY": "ba0ca4691df8350d0d1e154ce94e2e48ad9a7e417a9ded57f18aad7943aeb705",
+    "Neal8/NNxIG/DP": "3224798288ba0301abc9faa29d7a701623922b516d18e082a7205e2aaf5aa16a",
+    "Neal8/NNxIG/PY": "1e93ed67338cfcc1355ffd111469e3018c32e8c949455d661c6544cdb41ebccf",
     "Neal8/LapNIG/DP": "48211ab0406de366edb2af66bdc3678dc77d55f50c3d407409e6b31f1ee80252",
     "Neal8/LapNIG/PY": "1932b86028c72a74d062c187f092ac0f953bfe2501d1e6e73121d7de06ef88a3",
-    "Neal8/NNW/DP": "42de2d7ac772bc64427bdf1c78ce45f0c6c4e2eef3ab180ac823b86c192e2bca",
-    "Neal8/NNW/PY": "dc42cb9d83c49aaa5dc0839064a744a3f2e609268b769fee1d134c4d08a115ab",
-    "Neal8/GammaGamma/DP": "e64a21746e6409aee93f0178563965320110bd773c383707ca0ad6efebe8b3a3",
-    "Neal8/GammaGamma/PY": "255acd6858c72f27fd911a3201f96bc15732f5f989932a61a2a6b7e39a45ac43",
-    "BlockedGibbs/NNIG/TruncSB": "8e5ff1cdb7290dfbdb3d4c5f932aae089f17837783637242bee119d8565809c1",
-    "BlockedGibbs/NNxIG/TruncSB": "9acf3c459d352741794a741c4864cc37b7bc4b50d7525dcc700e2eff0c5164bc",
+    "Neal8/NNW/DP": "d6f3567f6ed85ce2d24fde18f237c06e8accf908c67984ad87c65bc39c3715ed",
+    "Neal8/NNW/PY": "61468d578045187328f61d2d4db81c2965a2a421d413e16fc71c833350f816f1",
+    "Neal8/GammaGamma/DP": "dc796d3e2ec93d4a9173345c7adda8b4e58fd7fd642ab811726f2aa2414c910a",
+    "Neal8/GammaGamma/PY": "16d56bcfef3fe671f7a43a6537dfb910f9a5de3d6575d7ec59644cc635192373",
+    "BlockedGibbs/NNIG/TruncSB": "d9f7073be1cab988a05883844bdb6b078bbf6b686d2904871ea767337d407381",
+    "BlockedGibbs/NNxIG/TruncSB": "4a973a6f33737149dc2ed766a2d7ebda5d77dc2dc78c154ff2d820968d7e3f39",
     "BlockedGibbs/LapNIG/TruncSB": "28d95445d034ce094e788f99610685772dba90794d4896f562e032f46504e0e5",
-    "BlockedGibbs/NNW/TruncSB": "26389504ca0a4b1c69a01a68979233ff2c7155e66dcfaac24a1dc24a7a23bfc4",
-    "BlockedGibbs/GammaGamma/TruncSB": "d65ab2240e57175ace78cd3469e836273301ba725d7ed10d90791e59482c78a9",
+    "BlockedGibbs/NNW/TruncSB": "a330f6a8183a2752f644a8718560239d19e0d7fc03b62c729e070705b07a80dd",
+    "BlockedGibbs/GammaGamma/TruncSB": "29ada77f6ef696d671062a3576c74506e683e13a708b10dd329fe4956fe06f6c",
 }
 PREDICT_SHA256 = {
     "Neal2/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
@@ -147,9 +147,9 @@ PREDICT_SHA256 = {
 
 METROPOLIS_SHA256 = {
     "Neal8/NNIG/DP/rwmh": "5b5fac57f8f216b5efdae54da2b12edb67737921637e24b65243888f29e80626",
-    "Neal8/NNIG/DP/mala": "e3ab2e7a3d23afed6a25bb6de020a14e1a118cbe1249d547618cb131a89bf7c7",
+    "Neal8/NNIG/DP/mala": "77b7a7bcdb625124ac0f0c20d1b56d74a1c9fc9aca56ed31826d103db8a0527d",
     "Neal8/NNxIG/DP/rwmh": "469a70dc68addd7a42186ca688bc5107c03288321a598a961884480334f32298",
-    "Neal8/NNxIG/DP/mala": "42637833efe05d266a20d34cbb11daf5f14c9d985ec31bde0b32c46fc607c638",
+    "Neal8/NNxIG/DP/mala": "bce698aa5709700867bac5fa61a032ab71243d3b9822644b620400ad1473cce0",
     "Neal8/LapNIG/DP/rwmh": "957cd9affaf723a943963786e25493d830537e380ac57edb29e138a754a561ef",
     "Neal8/LapNIG/DP/mala": "a84c53cfbf28784239425dd6baef2bc70585c07a324952e2556eefb1843a0161",
 }

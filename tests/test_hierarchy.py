@@ -212,7 +212,7 @@ def test_clone_shares_no_mutable_state():
     c.state = UniLSState(-1.0, 0.5)
     c.sample_full_cond(np.random.default_rng(0))
     assert h.card == 1
-    assert h.likelihood.data_sum == 2.0
+    assert h.likelihood.stats[0] == 2.0
     assert h.state == UniLSState(5.0, 2.0)
 
 

@@ -5,6 +5,7 @@ import pytest
 from oracles import gamma_rate_quadrature, monte_carlo_se, nnig_quadrature, nxig_quadrature
 
 from mixmcmc.exceptions import CapabilityError
+from mixmcmc.hierarchy import build_hierarchy
 from mixmcmc.likelihoods import (
     GammaLikelihood,
     LaplaceLikelihood,
@@ -518,3 +519,26 @@ def test_batch_accepts_or_rejects_each_cluster_on_its_own(kind):
         moderate.draw_batch(likes, prior, rng, rows, labels)
         patterns.add(tuple(like.state != b for like, b in zip(likes, before)))
     assert any(0 < sum(p) < len(likes) for p in patterns)
+
+
+@pytest.mark.parametrize("hier_type", ["NNIG", "NNW"])
+def test_posterior_scale_does_not_depend_on_the_data_offset(hier_type):
+    # the same 200 points and prior, both moved away from the origin: the
+    # statistics, centred on the prior mean, keep the posterior scale
+    d = 1 if hier_type == "NNIG" else 3
+    points = np.random.default_rng(31).normal(size=(200, d))
+    scales = []
+    for offset in (0.0, 1e6, 1e8):
+        if hier_type == "NNIG":
+            values = {"mean": offset, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}
+        else:
+            values = {"mean": {"size": d, "data": [offset] * d}, "var_scaling": 0.1,
+                      "deg_free": d + 3.0,
+                      "scale": {"rows": d, "cols": d, "data": np.eye(d).ravel().tolist()}}
+        hier = build_hierarchy(hier_type, {"fixed_values": values})
+        for i, y in enumerate(points + offset):
+            hier.add_datum(i, y)
+        post = hier.updater.compute_posterior_hypers(hier.likelihood, hier.prior)
+        scales.append(np.asarray(post.scale, dtype=float))
+    for scale in scales[1:]:
+        assert np.abs(scale - scales[0]).max() <= 1e-8 * np.abs(scales[0]).max()

@@ -490,7 +490,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         labels[i] = -1
         cluster = self.clusters[h]
         cluster.likelihood.card = 1  # its store size: card is written back once per sweep
-        cluster.remove_datum(i, self._rows[i])
+        cluster.remove_datum(self._rows[i])
         last = len(self.clusters) - 1
         if h != last:
             for j, label in enumerate(labels):
@@ -509,7 +509,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         cluster = self.template.clone()
         if state is not None:
             cluster.state = state.copy()
-        cluster.add_datum(i, self._rows[i])
+        cluster.add_datum(self._rows[i])
         if state is None:
             # parameters born from the single-datum full conditional
             cluster.sample_full_cond(rng)

@@ -2,9 +2,11 @@
 
 A :class:`Hierarchy` is a cloneable prototype. Marginal algorithms hold a
 template and clone it whenever a new cluster is born; conditional
-algorithms clone it once per component. Conjugate hierarchies additionally
-expose the prior predictive and the posterior-predictive scorer that
-marginal samplers need.
+algorithms clone it once per component. It centres the likelihood's
+statistics on the prior mean, where the prior has one, which is what the
+conjugate posteriors read. Conjugate hierarchies additionally expose the
+prior predictive and the posterior-predictive scorer of a cluster's size
+and statistics that marginal samplers need.
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ import numpy as np
 from .config import ConfigTree
 from .exceptions import CapabilityError, ConfigError
 from .likelihoods import (
-    ClusterStats,
     GammaLikelihood,
     LaplaceLikelihood,
     MultiNormLikelihood,
@@ -54,6 +55,8 @@ class Hierarchy:
         self.updater = updater
         self.name = name
         self._prior_pred = None
+        if hasattr(prior.hypers, "mean"):  # the statistics are sums about the prior mean
+            likelihood.ref = prior.hypers.mean
 
     @property
     def state(self):
@@ -76,11 +79,11 @@ class Hierarchy:
             self.likelihood.clone_empty(), self.prior, self.updater, self.name
         )
 
-    def add_datum(self, datum_id, datum):
-        self.likelihood.add_datum(datum_id, datum)
+    def add_datum(self, datum):
+        self.likelihood.add_datum(datum)
 
-    def remove_datum(self, datum_id, datum):
-        self.likelihood.remove_datum(datum_id, datum)
+    def remove_datum(self, datum):
+        self.likelihood.remove_datum(datum)
 
     def sample_prior(self, rng):
         self.likelihood.state = self.prior.sample(rng)
@@ -112,8 +115,7 @@ class Hierarchy:
     def conditional_pred_scorer(self, card, stats):
         """Scorer y -> log predictive density given a cluster of this size and statistics."""
         self._require_predictive()
-        hypers = self.updater.compute_posterior_hypers(
-            ClusterStats(card, stats, self.likelihood.ref), self.prior)
+        hypers = self.updater.posterior_hypers(card, stats, self.prior.hypers)
         return self.updater.predictive(hypers).lpdf
 
 
@@ -183,7 +185,7 @@ def build_hierarchy(hier_type, args):
             values.get_float("scale"),
         )
         prior = NIGPrior(hypers)
-        like = UniNormLikelihood(ref=hypers.mean)
+        like = UniNormLikelihood()
     elif hier_type in ("NNxIG", "LapNIG"):
         hypers = NxIGHypers(
             values.get_float("mean"),
@@ -192,7 +194,7 @@ def build_hierarchy(hier_type, args):
             values.get_float("scale"),
         )
         prior = NxIGPrior(hypers)
-        like = UniNormLikelihood(ref=hypers.mean) if hier_type == "NNxIG" else LaplaceLikelihood()
+        like = UniNormLikelihood() if hier_type == "NNxIG" else LaplaceLikelihood()
     elif hier_type == "NNW":
         mean = _read_vector(values, "mean")
         scale = _read_matrix(values, "scale")
@@ -204,7 +206,7 @@ def build_hierarchy(hier_type, args):
         )
         prior = NWPrior(hypers)
         d = mean.shape[0]
-        like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)), ref=mean)
+        like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)))
     else:  # GammaGamma
         hypers = GammaPriorHypers(
             values.get_float("shape"),

@@ -7,10 +7,11 @@ Univariate kernels accept a scalar or a length-1 row as datum; the
 multivariate normal accepts a length-d row.
 
 The statistics are sums over the cluster's data of z = y - ``ref``, a
-fixed reference: the prior mean for the normal kernels (set by
-``build_hierarchy``, copied by ``clone_empty``), 0 for the Gamma kernel,
-which sums y. Centred on the prior mean they keep their precision for data
-far from the origin. ``stats`` is a list holding them. The samplers
+fixed reference: 0 unless a :class:`~mixmcmc.hierarchy.Hierarchy` sets it
+to its prior's mean (``clone_empty`` copies it). The Gamma kernel's prior
+has no mean, so it sums y. Centred on the prior mean the statistics keep
+their precision for data far from the origin, and they are what the
+conjugate posteriors read. ``stats`` is a list holding them. The samplers
 recount them from their labels: ``stat_terms(data)`` gives every datum's
 terms once per run (z and z^2 for the normal kernel), and the static
 ``label_stats(terms, labels, k)`` sums them for k clusters, each in index
@@ -42,7 +43,6 @@ kernels have neither.
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -75,12 +75,6 @@ def squared_norm_rows(z):
     return np.einsum("...ki,...ki->...k", z, z)
 
 
-# What a conjugate posterior update reads of a cluster: its size, the
-# likelihood's statistic list and the reference the statistics are centred
-# on. Likelihoods themselves have all three attributes.
-ClusterStats = namedtuple("ClusterStats", ("card", "stats", "ref"))
-
-
 class _BaseLikelihood:
     _as_datum = staticmethod(_as_scalar)
     # the statistics sum z = y - ref
@@ -91,14 +85,20 @@ class _BaseLikelihood:
         self.stats = stats
         self.card = 0
 
-    def add_datum(self, datum_id, datum):
+    def clone_empty(self):
+        """A cluster with no data, a copy of the state and the same reference."""
+        clone = self._empty()
+        clone.ref = self.ref
+        return clone
+
+    def add_datum(self, datum):
         # may reject the datum; the count stays clean
         self.update_stats(self.stats, self._as_datum(datum) - self.ref, True)
         self.card += 1
 
-    def remove_datum(self, datum_id, datum):
+    def remove_datum(self, datum):
         if not self.card:
-            raise ValueError(f"cannot remove datum id {datum_id} from an empty cluster")
+            raise ValueError("cannot remove a datum from an empty cluster")
         self.update_stats(self.stats, self._as_datum(datum) - self.ref, False)
         self.card -= 1
 
@@ -135,13 +135,12 @@ class UniNormLikelihood(_BaseLikelihood):
 
     is_multivariate = False
 
-    def __init__(self, state=None, ref=0.0):
+    def __init__(self, state=None):
         # stats: [sum of z, sum of z^2], z = y - ref
         super().__init__(state if state is not None else UniLSState(0.0, 1.0), [0.0, 0.0])
-        self.ref = float(ref)
 
-    def clone_empty(self):
-        return UniNormLikelihood(self.state.copy(), self.ref)
+    def _empty(self):
+        return UniNormLikelihood(self.state.copy())
 
     def stat_terms(self, data):
         """Every datum's z and z^2, shape (2, n)."""
@@ -199,18 +198,17 @@ class MultiNormLikelihood(_BaseLikelihood):
 
     is_multivariate = True
 
-    def __init__(self, state, ref=None):
+    def __init__(self, state):
         d = state.dim
         # stats: [sum of z, sum of z z^T], z = y - ref
         super().__init__(state, [np.zeros(d), np.zeros((d, d))])
-        self.ref = np.zeros(d) if ref is None else np.asarray(ref, dtype=float).reshape(d)
 
     @property
     def dim(self):
         return self.state.dim
 
-    def clone_empty(self):
-        return MultiNormLikelihood(self.state.copy(), self.ref)
+    def _empty(self):
+        return MultiNormLikelihood(self.state.copy())
 
     def _as_datum(self, datum):
         y = np.asarray(datum, dtype=float).reshape(-1)
@@ -279,7 +277,7 @@ class LaplaceLikelihood(_BaseLikelihood):
     def __init__(self, state=None):
         super().__init__(state if state is not None else UniLSState(0.0, 1.0), [])
 
-    def clone_empty(self):
+    def _empty(self):
         return LaplaceLikelihood(self.state.copy())
 
     def stat_terms(self, data):
@@ -349,13 +347,13 @@ class GammaLikelihood(_BaseLikelihood):
         super().__init__(state if state is not None else GammaState(shape, 1.0), [0.0])
         self.shape = float(shape)
 
-    def clone_empty(self):
+    def _empty(self):
         return GammaLikelihood(self.shape, self.state.copy())
 
-    def add_datum(self, datum_id, datum):
+    def add_datum(self, datum):
         if _as_scalar(datum) <= 0:
             raise ValueError(_NOT_POSITIVE)
-        super().add_datum(datum_id, datum)
+        super().add_datum(datum)
 
     def stat_terms(self, data):
         """Every datum's y, shape (1, n)."""

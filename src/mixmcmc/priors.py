@@ -1,6 +1,11 @@
 """Base measures over component states: sampling, and a density where a
 Metropolis updater needs one.
 
+The hyperparameter classes are plain records. A prior checks its own once,
+in its constructor, which config, the estimator and Python callers all go
+through; the posterior hyperparameters a sampler passes to ``sample`` are
+not checked.
+
 A prior writes its draw once, as ``_draw(rng, size, hypers)``, which
 returns a :class:`~mixmcmc.states.StateBatch` of ``size`` draws at the
 given hyperparameters (``size=None`` gives one draw of floats). The base
@@ -37,11 +42,6 @@ class NIGHypers:
     shape: float
     scale: float
 
-    def __post_init__(self):
-        check_positive(self.var_scaling, "var_scaling")
-        check_positive(self.shape, "shape")
-        check_positive(self.scale, "scale")
-
 
 @dataclass(frozen=True)
 class NxIGHypers:
@@ -52,31 +52,19 @@ class NxIGHypers:
     shape: float
     scale: float
 
-    def __post_init__(self):
-        check_positive(self.var, "var")
-        check_positive(self.shape, "shape")
-        check_positive(self.scale, "scale")
 
-
+@dataclass(frozen=True, eq=False)
 class NWHypers:
     """Normal-inverse-Wishart hyperparameters (mean, var_scaling, deg_free, scale)."""
 
-    __slots__ = ("mean", "var_scaling", "deg_free", "scale")
-
-    def __init__(self, mean, var_scaling, deg_free, scale):
-        self.mean = np.asarray(mean, dtype=float).reshape(-1)
-        self.var_scaling = check_positive(var_scaling, "var_scaling")
-        self.deg_free = float(deg_free)
-        self.scale, _ = check_spd_matrix(scale, "scale")
-        d = self.mean.shape[0]
-        if self.scale.shape[0] != d:
-            raise ValueError("mean and scale dimensions disagree")
-        if not self.deg_free > d - 1:
-            raise ValueError(f"deg_free must exceed dim - 1 = {d - 1}")
+    mean: np.ndarray
+    var_scaling: float
+    deg_free: float
+    scale: np.ndarray
 
     @property
     def dim(self):
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -87,20 +75,20 @@ class GammaPriorHypers:
     rate_alpha: float
     rate_beta: float
 
-    def __post_init__(self):
-        check_positive(self.shape, "shape")
-        check_positive(self.rate_alpha, "rate_alpha")
-        check_positive(self.rate_beta, "rate_beta")
-
 
 class _Prior:
     """A prior's two samplers, both through the subclass's one ``_draw``."""
 
+    # the hyperparameters that must be positive finite scalars
+    _positive = ()
+
     def __init__(self, hypers):
+        for name in self._positive:
+            check_positive(getattr(hypers, name), name)
         self.hypers = hypers
 
     def sample(self, rng, hypers=None):
-        """One state, drawn at ``hypers`` (default: the prior's own)."""
+        """One state, drawn at ``hypers`` (default: the prior's own), used unchecked."""
         return self._draw(rng, None, self.hypers if hypers is None else hypers).state(())
 
     def sample_batch(self, rng, size):
@@ -110,6 +98,8 @@ class _Prior:
 
 class NIGPrior(_Prior):
     """Normal-inverse-gamma: var ~ IG(shape, scale), mean | var ~ N(mean0, var/var_scaling)."""
+
+    _positive = ("var_scaling", "shape", "scale")
 
     def _draw(self, rng, size, h):
         var = h.scale / rng.gamma(h.shape, size=size)
@@ -143,6 +133,8 @@ class NxIGPrior(_Prior):
     Also serves the Laplace kernel, whose ``var`` field holds the scale.
     """
 
+    _positive = ("var", "shape", "scale")
+
     def _draw(self, rng, size, h):
         mean = h.mean + math.sqrt(h.var) * rng.standard_normal(size)
         var = h.scale / rng.gamma(h.shape, size=size)
@@ -172,15 +164,27 @@ class NWPrior(_Prior):
     """
 
     def __init__(self, hypers):
-        super().__init__(hypers)
-        self._prior_bartlett = self._bartlett_factor(hypers)
+        mean = np.asarray(hypers.mean, dtype=float).reshape(-1)
+        var_scaling = check_positive(hypers.var_scaling, "var_scaling")
+        deg_free = float(hypers.deg_free)
+        scale, _ = check_spd_matrix(hypers.scale, "scale")
+        d = mean.shape[0]
+        if scale.shape[0] != d:
+            raise ValueError("mean and scale dimensions disagree")
+        if not deg_free > d - 1:
+            raise ValueError(f"deg_free must exceed dim - 1 = {d - 1}")
+        super().__init__(NWHypers(mean, var_scaling, deg_free, scale))
+        self._prior_bartlett = self._bartlett_factor(self.hypers)
 
     @staticmethod
     def _bartlett_factor(hypers):
-        # lower Cholesky factor of scale^-1, used by the Wishart draw
-        inv = np.linalg.inv(hypers.scale)
-        inv = 0.5 * (inv + inv.T)
-        return np.linalg.cholesky(inv)
+        # lower Cholesky factor of scale^-1, used by the Wishart draw; a
+        # posterior scale that rounding left indefinite fails here by name
+        try:
+            inv = np.linalg.inv(hypers.scale)
+            return np.linalg.cholesky(0.5 * (inv + inv.T))
+        except np.linalg.LinAlgError as err:
+            raise ValueError("'scale' is not positive definite") from err
 
     def _draw(self, rng, size, h):
         """Besides ``mean`` and ``cov``, a batch holds each covariance's
@@ -225,6 +229,8 @@ def _inverse_wishart(rng, chol_inv_scale, deg_free, size):
 
 class GammaPrior(_Prior):
     """Gamma prior on the kernel rate; kernel shape is a fixed hyperparameter."""
+
+    _positive = ("shape", "rate_alpha", "rate_beta")
 
     def _draw(self, rng, size, h):
         rate = rng.gamma(h.rate_alpha, size=size) / h.rate_beta

@@ -1,8 +1,15 @@
 """Full-conditional samplers for component parameters.
 
 The conjugate updater computes posterior hyperparameters from the cluster's
-sufficient statistics and draws through the prior's sampler; it also exposes
-the matching marginal (predictive) densities used by marginal algorithms.
+size and sufficient statistics, which are sums about the prior mean (the
+reference a :class:`~mixmcmc.hierarchy.Hierarchy` sets), and draws through
+the prior's sampler; it also exposes the matching marginal (predictive)
+densities used by marginal algorithms. Each family's posterior is one
+elementwise function, ``posterior_hypers(card, stats, hypers)``, of one
+cluster's numbers or of k clusters' stacked arrays. Posterior
+hyperparameters are computed from checked prior ones and are not checked
+again.
+
 The Metropolis updater, random-walk or Langevin, works with any
 likelihood/prior pair that has an unconstrained parameterization: the
 normal and Laplace kernels under the NIG and N x IG priors. It moves all
@@ -21,72 +28,50 @@ from .likelihoods import squared_norm_rows, whiten_rows
 from .priors import GammaPriorHypers, NIGHypers, NWHypers
 
 
-# A cluster's statistics are sums of z = y - like.ref. These give the sums of
-# y - centre and of its square (outer product); they are the statistics
-# themselves when centre is like.ref, which build_hierarchy sets to the
-# prior mean that the posteriors centre on.
+def nnig_posterior_hypers(card, stats, hypers):
+    """Posterior normal-inverse-gamma hyperparameters of a normal cluster.
 
-def _sums_about(like, centre):
-    centred_sum, centred_sum_squares = like.stats
-    n, shift = like.card, centre - like.ref
-    return centred_sum - n * shift, centred_sum_squares - shift * (2.0 * centred_sum - n * shift)
-
-
-def _outer_sums_about(like, centre):
-    centred_sum, centred_sum_outer = like.stats
-    shift = centre - like.ref
-    about = centred_sum - like.card * shift
-    return about, centred_sum_outer - np.outer(shift, centred_sum) - np.outer(about, shift)
-
-
-def nnig_posterior_hypers(like, hypers):
-    """Posterior normal-inverse-gamma hyperparameters for a normal cluster.
-
-    Like the other posterior-hyperparameter functions, it reads only
-    ``like.card``, ``like.stats`` and ``like.ref``, so a likelihood or a
-    :class:`~mixmcmc.likelihoods.ClusterStats` will do. With S and Q the
-    sums of y - mean0 and its square, mean_n = mean0 + S / lam_n and
-    scale_n = scale + (Q - S^2 / lam_n) / 2.
+    Like the other posterior-hyperparameter functions it is elementwise:
+    ``card`` and the statistic list ``stats`` (sums about ``hypers.mean``)
+    are one cluster's numbers or k clusters' stacked arrays, and at card 0
+    it gives the prior's values. With S and Q the sums of y - mean0 and its
+    square, mean_n = mean0 + S / lam_n and scale_n = scale + (Q - S^2 / lam_n) / 2.
     """
-    n = like.card
-    if n == 0:
-        return hypers
-    centred_sum, centred_sum_squares = _sums_about(like, hypers.mean)
-    lam_n = hypers.var_scaling + n
+    centred_sum, centred_sum_squares = stats
+    lam_n = hypers.var_scaling + card
+    spread = centred_sum_squares - centred_sum * centred_sum / lam_n
     return NIGHypers(
         hypers.mean + centred_sum / lam_n,
         lam_n,
-        hypers.shape + 0.5 * n,
-        hypers.scale + 0.5 * max(centred_sum_squares - centred_sum * centred_sum / lam_n, 0.0),
+        hypers.shape + 0.5 * card,
+        # (x + |x|) / 2 is max(x, 0), elementwise: rounding can leave the spread below 0
+        hypers.scale + 0.25 * (spread + abs(spread)),
     )
 
 
-def nnw_posterior_hypers(like, hypers):
-    """Posterior normal-inverse-Wishart hyperparameters for a multinormal cluster.
+def nnw_posterior_hypers(card, stats, hypers):
+    """Posterior normal-inverse-Wishart hyperparameters of a multinormal cluster.
 
-    With S and Q the sums of y - mean0 and its outer product,
-    mean_n = mean0 + S / lam_n and scale_n = scale + Q - S S^T / lam_n,
-    symmetrised.
+    With S and Q the sums of y - mean0 and its outer product (stacked: the
+    last one and two axes), mean_n = mean0 + S / lam_n and
+    scale_n = scale + Q - S S^T / lam_n, symmetrised.
     """
-    n = like.card
-    if n == 0:
-        return hypers
-    centred_sum, centred_sum_outer = _outer_sums_about(like, hypers.mean)
-    lam_n = hypers.var_scaling + n
-    scale_n = hypers.scale + centred_sum_outer - np.outer(centred_sum, centred_sum) / lam_n
-    scale_n = 0.5 * (scale_n + scale_n.T)
-    return NWHypers(hypers.mean + centred_sum / lam_n, lam_n, hypers.deg_free + n, scale_n)
+    centred_sum, centred_sum_outer = stats
+    lam_n = hypers.var_scaling + card
+    lam_vector = np.asarray(lam_n)[..., None]
+    outer = centred_sum[..., :, None] * centred_sum[..., None, :]
+    scale_n = hypers.scale + centred_sum_outer - outer / lam_vector[..., None]
+    scale_n = 0.5 * (scale_n + np.swapaxes(scale_n, -1, -2))
+    return NWHypers(hypers.mean + centred_sum / lam_vector, lam_n, hypers.deg_free + card,
+                    scale_n)
 
 
-def gamma_gamma_posterior_hypers(like, hypers):
-    """Posterior Gamma hyperparameters for a Gamma-rate cluster."""
-    n = like.card
-    if n == 0:
-        return hypers
+def gamma_gamma_posterior_hypers(card, stats, hypers):
+    """Posterior Gamma hyperparameters of a Gamma-rate cluster; ``stats`` holds the data sum."""
     return GammaPriorHypers(
         hypers.shape,
-        hypers.rate_alpha + hypers.shape * n,
-        hypers.rate_beta + like.stats[0],
+        hypers.rate_alpha + hypers.shape * card,
+        hypers.rate_beta + stats[0],
     )
 
 
@@ -235,24 +220,23 @@ def gamma_gamma_predictive(hypers):
 class ConjugateUpdater:
     """Closed-form updater for a conjugate likelihood/prior pair.
 
-    ``posterior_hypers(like, hypers)`` maps the cluster's sufficient
-    statistics and the prior hyperparameters to the posterior ones; the
-    draw goes through the prior's sampler at those. ``predictive(hypers)``
-    builds the marginal density of one datum under given hyperparameters.
+    ``posterior_hypers(card, stats, hypers)`` maps a cluster's size and
+    statistics, centred on the prior mean, and the prior hyperparameters
+    to the posterior ones; the draw goes through the prior's sampler at
+    those. ``predictive(hypers)`` builds the marginal density of one datum
+    under given hyperparameters.
     """
 
     def __init__(self, posterior_hypers, predictive):
-        self._posterior_hypers = posterior_hypers
+        self.posterior_hypers = posterior_hypers
         self.predictive = predictive
 
     def is_conjugate(self):
         return True
 
-    def compute_posterior_hypers(self, like, prior):
-        return self._posterior_hypers(like, prior.hypers)
-
     def draw(self, like, prior, rng):
-        state = prior.sample(rng, hypers=self.compute_posterior_hypers(like, prior))
+        hypers = self.posterior_hypers(like.card, like.stats, prior.hypers)
+        state = prior.sample(rng, hypers=hypers)
         like.state = state
         return state
 
@@ -267,7 +251,7 @@ class NNxIGUpdater:
         h = prior.hypers
         n = like.card
         var = like.state.var
-        centred_sum, centred_sum_squares = _sums_about(like, h.mean)
+        centred_sum, centred_sum_squares = like.stats
         mean_fc, var_fc = nnxig_mean_full_conditional(h, centred_sum, n, var)
         mean = mean_fc + math.sqrt(var_fc) * rng.standard_normal()
         shape_n, scale_n = nnxig_var_full_conditional(

@@ -101,9 +101,9 @@ def test_criterion_2_conjugate_update_quadrature():
         size = 1 if trial < 6 else int(rng.integers(2, 6))
         data = rng.normal(rng.normal() * 2, 1.0 + rng.random(), size=size)
         like = UniNormLikelihood(UniLSState(0.0, 1.0))
-        for i, y in enumerate(data):
-            like.add_datum(i, float(y))
-        post = nnig_posterior_hypers(like, hypers)
+        for y in data:
+            like.add_datum(float(y))
+        post = nnig_posterior_hypers(like.card, like.stats, hypers)
         oracle = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)
         mean_err = abs(post.mean - oracle["e_mean"]) / max(abs(oracle["e_mean"]), 1e-3)
         var_est = post.scale / (post.shape - 1.0)
@@ -132,11 +132,12 @@ def test_criterion_3_metropolis_conjugate_agreement():
 
     def make_cluster():
         like = UniNormLikelihood(UniLSState(0.5, 1.0))
-        for i, y in enumerate(data):
-            like.add_datum(i, y)
+        for y in data:
+            like.add_datum(y)
         return like
 
-    post = nnig_posterior_hypers(make_cluster(), hypers)
+    cluster = make_cluster()
+    post = nnig_posterior_hypers(cluster.card, cluster.stats, hypers)
     target_mean = post.mean
     target_var = post.scale / ((post.shape - 1.0) * post.var_scaling)
     prior = build_hierarchy("NNIG", NNIG_REF_ARGS).prior
@@ -380,9 +381,9 @@ def test_criterion_9_gamma_extension():
     # worked example: exact posterior hyperparameters
     failures = []
     like = GammaLikelihood(1.0)
-    like.add_datum(0, 1.0)
-    like.add_datum(1, 3.0)
-    post = gamma_gamma_posterior_hypers(like, GammaPriorHypers(1.0, 2.0, 2.0))
+    like.add_datum(1.0)
+    like.add_datum(3.0)
+    post = gamma_gamma_posterior_hypers(like.card, like.stats, GammaPriorHypers(1.0, 2.0, 2.0))
     if (post.rate_alpha, post.rate_beta) != (4.0, 6.0):
         failures.append(f"worked example gave ({post.rate_alpha}, {post.rate_beta})")
 

@@ -497,7 +497,7 @@ def _index_order_stats(algo, h):
     recount = algo.template.likelihood.clone_empty()
     for i, label in enumerate(algo.allocations.tolist()):
         if label == h:
-            recount.add_datum(i, algo.data[i])
+            recount.add_datum(algo.data[i])
     return recount
 
 
@@ -548,7 +548,7 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
             recount = algo.template.likelihood.clone_empty()
             for i, label in enumerate(labels):
                 if label == h:
-                    recount.add_datum(i, algo.data[i])
+                    recount.add_datum(algo.data[i])
             assert algo._sizes[h] == recount.card
             for got, want in zip(cluster.likelihood.stats, recount.stats):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

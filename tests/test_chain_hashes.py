@@ -10,6 +10,8 @@ density grid of ``eval_lpdf_grid`` on a fixed grid with a fixed generator
 (``GRID_SHA256``), and the labels ``BayesianMixture.predict`` gives the
 grid points (``PREDICT_SHA256``). ``METROPOLIS_SHA256`` pins Neal8's
 chains under each Metropolis updater, for every family that takes one.
+``OFFSET_SHA256`` pins a few cells whose prior mean and data are both moved
+by ``OFFSET``, so the statistics are centred away from zero.
 
 The hashes depend on the floating-point results of the numpy build (libm,
 BLAS/LAPACK for the NNW cells), so another build may need them recorded
@@ -56,6 +58,8 @@ MIX_ARGS = {
 METROPOLIS_ARGS = {"step_size": 0.5, "num_steps": 3}
 METROPOLIS_CELLS = [f"Neal8/{hier_type}/DP/{updater}" for hier_type in ("NNIG", "NNxIG", "LapNIG")
                     for updater in ("rwmh", "mala")]
+OFFSET = 3.0
+OFFSET_CELLS = ["Neal2/NNIG/DP", "Neal3/NNW/DP", "Neal8/NNxIG/DP", "BlockedGibbs/NNIG/TruncSB"]
 
 CHAIN_SHA256 = {
     "Neal2/NNIG/DP": "44d6205c13b59c85b553e932e293a60271f915f7ed23657b2d7dadddf0d77ab1",
@@ -154,6 +158,13 @@ METROPOLIS_SHA256 = {
     "Neal8/LapNIG/DP/mala": "a84c53cfbf28784239425dd6baef2bc70585c07a324952e2556eefb1843a0161",
 }
 
+OFFSET_SHA256 = {
+    "Neal2/NNIG/DP": "430fef471925b799ac7bddef930ec83f3fdb2f14c0db0399cabdc77bd9b148c7",
+    "Neal3/NNW/DP": "6bf4ac7150ef70fe7f2ae93b0f791c79534fdacef7cd91f480cc54e46c210d3b",
+    "Neal8/NNxIG/DP": "9237fd174d88eb3ea56ab3a4513c776b16ad82f49f7ea11a24fadf95281841c7",
+    "BlockedGibbs/NNIG/TruncSB": "1711e086285bc0905ec1429b126bdaec1c1ebae79b0a185b8ebe4605095a179e",
+}
+
 
 def _data(hier_type):
     if hier_type == "NNW":
@@ -179,16 +190,31 @@ def _valid_cells():
     return cells
 
 
-def chain_sha256(cell):
-    """Hash of the cell's chain; a fourth field names a Metropolis updater."""
+def _shifted(hier_args, offset):
+    """``hier_args`` with the prior mean moved by ``offset`` (a normal family's)."""
+    values = dict(hier_args["fixed_values"])
+    mean = values["mean"]
+    values["mean"] = ({**mean, "data": [m + offset for m in mean["data"]]}
+                      if isinstance(mean, dict) else mean + offset)
+    return {**hier_args, "fixed_values": values}
+
+
+def chain_sha256(cell, offset=0.0):
+    """Hash of the cell's chain; a fourth field names a Metropolis updater.
+
+    A non-zero ``offset`` moves the prior mean and the data by it.
+    """
     algo, hier_type, mix_type, *updater = cell.split("/")
     hier_args = HIER_ARGS[hier_type]
+    data = _data(hier_type)
+    if offset:
+        hier_args, data = _shifted(hier_args, offset), data + offset
     if updater:
         hier_args = {**hier_args, "updater": updater[0], **METROPOLIS_ARGS}
     algorithm = build_algorithm(algo, build_hierarchy(hier_type, hier_args),
                                 build_mixing(mix_type, MIX_ARGS[mix_type]))
     collector = MemoryCollector()
-    algorithm.run(_data(hier_type), ITERATIONS, BURNIN, collector, np.random.default_rng(SEED))
+    algorithm.run(data, ITERATIONS, BURNIN, collector, np.random.default_rng(SEED))
     digest = hashlib.sha256()
     for record in collector:
         digest.update(encode_state(record).encode("utf-8"))
@@ -231,6 +257,7 @@ def test_every_valid_cell_is_pinned():
     assert len(CHAIN_SHA256) == 27
     assert sorted(GRID_SHA256) == sorted(PREDICT_SHA256) == sorted(CHAIN_SHA256)
     assert sorted(METROPOLIS_SHA256) == sorted(METROPOLIS_CELLS)
+    assert sorted(OFFSET_SHA256) == sorted(OFFSET_CELLS)
 
 
 @pytest.mark.parametrize("cell", sorted(CHAIN_SHA256))
@@ -241,6 +268,11 @@ def test_chain_bits_are_unchanged(cell):
 @pytest.mark.parametrize("cell", sorted(METROPOLIS_SHA256))
 def test_metropolis_chain_bits_are_unchanged(cell):
     assert chain_sha256(cell) == METROPOLIS_SHA256[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(OFFSET_SHA256))
+def test_offset_chain_bits_are_unchanged(cell):
+    assert chain_sha256(cell, OFFSET) == OFFSET_SHA256[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(GRID_SHA256))
@@ -258,7 +290,9 @@ if __name__ == "__main__":
     for table, fn, names in (("CHAIN_SHA256", chain_sha256, cells),
                              ("GRID_SHA256", grid_sha256, cells),
                              ("PREDICT_SHA256", predict_sha256, cells),
-                             ("METROPOLIS_SHA256", chain_sha256, METROPOLIS_CELLS)):
+                             ("METROPOLIS_SHA256", chain_sha256, METROPOLIS_CELLS),
+                             ("OFFSET_SHA256", functools.partial(chain_sha256, offset=OFFSET),
+                              OFFSET_CELLS)):
         print(f"{table} = {{")
         for name in names:
             print(f'    "{name}": "{fn(name)}",')

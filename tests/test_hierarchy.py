@@ -6,8 +6,19 @@ from oracles import nnig_quadrature
 
 from mixmcmc.config import parse_config
 from mixmcmc.exceptions import CapabilityError, ConfigError
-from mixmcmc.hierarchy import build_hierarchy
-from mixmcmc.states import UniLSState
+from mixmcmc.hierarchy import Hierarchy, build_hierarchy
+from mixmcmc.likelihoods import GammaLikelihood, MultiNormLikelihood, UniNormLikelihood
+from mixmcmc.priors import GammaPrior, GammaPriorHypers, NIGHypers, NIGPrior, NWHypers, NWPrior
+from mixmcmc.states import MultiLSState, UniLSState
+from mixmcmc.updaters import (
+    ConjugateUpdater,
+    gamma_gamma_posterior_hypers,
+    gamma_gamma_predictive,
+    nnig_posterior_hypers,
+    nnig_predictive,
+    nnw_posterior_hypers,
+    nnw_predictive,
+)
 
 NNIG_ARGS = {
     "fixed_values": {"mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}
@@ -69,7 +80,7 @@ def test_sample_full_cond_empty_equals_sample_prior():
 
 def test_sample_full_cond_single_datum_long_run_mean():
     h = _nnig()
-    h.add_datum(0, 1.0)
+    h.add_datum(1.0)
     rng = np.random.default_rng(6)
     means = np.empty(50_000)
     for t in range(means.size):
@@ -85,9 +96,9 @@ def test_full_cond_kernel_preserves_exact_posterior():
 
     h = _nnig()
     data = [0.5, 1.5, -0.4]
-    for i, y in enumerate(data):
-        h.add_datum(i, y)
-    post = h.updater.compute_posterior_hypers(h.likelihood, h.prior)
+    for y in data:
+        h.add_datum(y)
+    post = h.updater.posterior_hypers(h.card, h.likelihood.stats, h.prior.hypers)
     rng = np.random.default_rng(7)
     scipy_rng = np.random.default_rng(8)
     out = np.empty(10_000)
@@ -158,8 +169,8 @@ def test_conditional_pred_matches_marginal_ratio_quadrature():
     # p(y | data) = m(data + [y]) / m(data), both sides by quadrature
     h = _nnig()
     data = [0.8, 1.2, 0.3]
-    for i, y in enumerate(data):
-        h.add_datum(i, y)
+    for y in data:
+        h.add_datum(y)
     log_m_data = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)["log_marginal"]
     for y in (-0.5, 0.9, 2.0):
         log_m_joint = nnig_quadrature(data + [y], 0.0, 0.1, 2.0, 2.0)["log_marginal"]
@@ -170,9 +181,9 @@ def test_conditional_pred_matches_marginal_ratio_quadrature():
 
 def test_conditional_pred_mode_follows_new_datum():
     h = _nnig()
-    h.add_datum(0, 0.0)
+    h.add_datum(0.0)
     base = _conditional_pred_lpdf(h, 8.0)
-    h.add_datum(1, 8.0)
+    h.add_datum(8.0)
     pulled = _conditional_pred_lpdf(h, 8.0)
     assert pulled > base
 
@@ -185,30 +196,51 @@ def test_predictive_capability_error_for_non_conjugate():
         lap.conditional_pred_scorer(0, lap.likelihood.stats)
 
 
+def test_a_hierarchy_centres_its_statistics_on_the_prior_mean():
+    # however it is built, and in every clone; a prior with no mean leaves 0
+    cases = [
+        (UniNormLikelihood(), NIGPrior(NIGHypers(3.0, 0.1, 2.0, 2.0)),
+         (nnig_posterior_hypers, nnig_predictive), 3.0),
+        (MultiNormLikelihood(MultiLSState(np.zeros(2), np.eye(2))),
+         NWPrior(NWHypers([3.0, -1.0], 0.5, 5.0, np.eye(2))),
+         (nnw_posterior_hypers, nnw_predictive), [3.0, -1.0]),
+        (GammaLikelihood(2.0), GammaPrior(GammaPriorHypers(2.0, 2.0, 2.0)),
+         (gamma_gamma_posterior_hypers, gamma_gamma_predictive), 0.0),
+    ]
+    for like, prior, functions, ref in cases:
+        h = Hierarchy(like, prior, ConjugateUpdater(*functions))
+        for cluster in (h, h.clone(), h.clone().clone()):
+            assert np.array_equal(cluster.likelihood.ref, ref)
+        assert np.array_equal(like.clone_empty().ref, ref)
+    h = build_hierarchy("NNIG", {"fixed_values": {**NNIG_ARGS["fixed_values"], "mean": 3.0}})
+    h.add_datum(3.5)
+    assert h.likelihood.stats == [0.5, 0.25]
+
+
 def test_membership_tracks_card():
     # card is the count of data; the samplers' labels say which data they are
     h = _nnig()
-    h.add_datum(3, 1.0)
-    h.add_datum(7, -1.0)
+    h.add_datum(1.0)
+    h.add_datum(-1.0)
     assert h.card == 2
-    h.remove_datum(3, 1.0)
+    h.remove_datum(1.0)
     assert h.card == 1
-    h.remove_datum(7, -1.0)
+    h.remove_datum(-1.0)
     assert h.card == 0
     assert h.likelihood.stats == [0.0, 0.0]
     with pytest.raises(ValueError, match="empty"):
-        h.remove_datum(7, -1.0)
+        h.remove_datum(-1.0)
     assert h.card == 0
 
 
 def test_clone_shares_no_mutable_state():
     h = _nnig()
-    h.add_datum(0, 2.0)
+    h.add_datum(2.0)
     h.state = UniLSState(5.0, 2.0)
     c = h.clone()
     assert c.card == 0
     assert c.state == h.state
-    c.add_datum(0, -10.0)
+    c.add_datum(-10.0)
     c.state = UniLSState(-1.0, 0.5)
     c.sample_full_cond(np.random.default_rng(0))
     assert h.card == 1
@@ -251,6 +283,6 @@ def test_metropolis_cluster_with_data_moves_only_in_a_batch(updater):
     # which one cluster does not have
     h = build_hierarchy("LapNIG", {**LAP_ARGS, "updater": updater})
     h.sample_full_cond(np.random.default_rng(0))  # an empty cluster draws from the prior
-    h.add_datum(0, 0.5)
+    h.add_datum(0.5)
     with pytest.raises(CapabilityError, match="draw_batch"):
         h.sample_full_cond(np.random.default_rng(0))

@@ -32,11 +32,11 @@ def test_gamma_lpdf_exponential_value():
 
 def test_uninorm_stat_arithmetic():
     like = UniNormLikelihood()
-    like.add_datum(0, 1.0)
-    like.add_datum(1, 3.0)
+    like.add_datum(1.0)
+    like.add_datum(3.0)
     assert like.stats == [4.0, 10.0]
     assert like.card == 2
-    like.remove_datum(0, 1.0)
+    like.remove_datum(1.0)
     assert like.stats == [3.0, 9.0]
     assert like.card == 1
 
@@ -44,17 +44,17 @@ def test_uninorm_stat_arithmetic():
 def test_empty_and_absent_removes_raise():
     like = UniNormLikelihood()
     with pytest.raises(ValueError, match="empty"):
-        like.remove_datum(0, 1.0)
+        like.remove_datum(1.0)
     assert like.card == 0 and like.stats == [0.0, 0.0]
     # the Laplace kernel keeps no member data: it counts them
     lap = LaplaceLikelihood()
-    lap.add_datum(0, 1.0)
-    lap.add_datum(1, 2.0)
+    lap.add_datum(1.0)
+    lap.add_datum(2.0)
     assert lap.card == 2 and lap.stats == []
-    lap.remove_datum(0, 1.0)
-    lap.remove_datum(1, 2.0)
+    lap.remove_datum(1.0)
+    lap.remove_datum(2.0)
     with pytest.raises(ValueError, match="empty"):
-        lap.remove_datum(0, 1.0)
+        lap.remove_datum(1.0)
     assert lap.card == 0
 
 
@@ -77,9 +77,9 @@ def test_add_remove_permutation_returns_stats_to_zero():
         data = {i: draw() for i in range(20)}
         order = rng.permutation(20)
         for i in order:
-            like.add_datum(int(i), data[int(i)])
+            like.add_datum(data[int(i)])
         for i in rng.permutation(20):
-            like.remove_datum(int(i), data[int(i)])
+            like.remove_datum(data[int(i)])
         assert like.card == 0
         for stat in like.stats:
             assert np.all(np.abs(stat) < 1e-9)
@@ -93,7 +93,7 @@ def test_stat_updates_are_order_independent():
         like = UniNormLikelihood()
         order = np.random.default_rng(perm_seed).permutation(15)
         for i in order:
-            like.add_datum(int(i), data[int(i)])
+            like.add_datum(data[int(i)])
         stats.append((*like.stats, like.card))
     assert stats[0][2] == stats[1][2]
     assert stats[0][0] == pytest.approx(stats[1][0], abs=1e-9)
@@ -106,7 +106,7 @@ def _unconstrained_lpdf(like_cls, members, u):
     for h, ys in enumerate(members):
         like = like_cls()
         for y in ys:
-            like.add_datum(len(rows), y)
+            like.add_datum(y)
             rows.append(y)
             labels.append(h)
         likes.append(like)
@@ -201,10 +201,10 @@ def test_densities_integrate_to_one():
 def test_gamma_rejects_nonpositive_data():
     like = GammaLikelihood(1.0)
     with pytest.raises(ValueError):
-        like.add_datum(0, -0.5)
+        like.add_datum(-0.5)
     # the rejected datum must not leave a phantom member behind
     assert like.card == 0
-    like.add_datum(0, 0.5)
+    like.add_datum(0.5)
     assert like.card == 1
 
 

@@ -137,12 +137,38 @@ def test_nw_has_no_unconstrained_lpdf():
 
 
 def test_hyper_validation():
-    with pytest.raises(ValueError):
-        NIGHypers(0.0, -1.0, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        GammaPriorHypers(0.0, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        NWHypers(np.zeros(3), 1.0, 1.5, np.eye(3))  # deg_free <= d - 1
+    # the records take any values; a prior checks its own when it is built
+    with pytest.raises(ValueError, match="'var_scaling'"):
+        NIGPrior(NIGHypers(0.0, -1.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match="'var'"):
+        NxIGPrior(NxIGHypers(0.0, math.inf, 2.0, 2.0))
+    with pytest.raises(ValueError, match="'shape'"):
+        GammaPrior(GammaPriorHypers(0.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match="deg_free"):
+        NWPrior(NWHypers(np.zeros(3), 1.0, 1.5, np.eye(3)))  # deg_free <= d - 1
+    with pytest.raises(ValueError, match="'scale' is not positive definite"):
+        NWPrior(NWHypers(np.zeros(2), 1.0, 5.0, np.diag([1.0, -1.0])))
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        NWPrior(NWHypers(np.zeros(3), 1.0, 5.0, np.eye(2)))
+
+
+def test_nw_prior_stores_converted_hypers():
+    # a list mean becomes a flat float array and the scale is symmetrised
+    scale = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
+    h = NWPrior(NWHypers([1, 2], 1, 5, scale)).hypers
+    assert h.mean.dtype == float and h.mean.shape == (2,)
+    assert (type(h.var_scaling), type(h.deg_free)) == (float, float)
+    assert np.array_equal(h.scale, h.scale.T)
+
+
+def test_nw_draw_at_an_indefinite_posterior_scale_raises():
+    # posterior hyperparameters are not checked; a scale that rounding left
+    # indefinite fails the draw by name
+    prior = NWPrior(NWHypers(np.zeros(2), 1.0, 5.0, np.eye(2)))
+    for scale in (np.diag([1.0, -1e-12]), np.zeros((2, 2))):
+        indefinite = NWHypers(np.zeros(2), 2.0, 6.0, scale)
+        with pytest.raises(ValueError, match="'scale'"):
+            prior.sample(np.random.default_rng(0), hypers=indefinite)
 
 
 def _two_sample_z(a, b):

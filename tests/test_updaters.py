@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,8 +55,8 @@ def _gamma_gamma_updater():
 
 def _normal_cluster(data):
     like = UniNormLikelihood(UniLSState(0.0, 1.0))
-    for i, y in enumerate(data):
-        like.add_datum(i, float(y))
+    for y in data:
+        like.add_datum(float(y))
     return like
 
 
@@ -68,12 +69,12 @@ def _metropolis_draw(updater, like, prior, rng, data):
 
 def test_nnig_empty_cluster_returns_prior_hypers():
     like = _normal_cluster([])
-    assert nnig_posterior_hypers(like, NIG_REF) is NIG_REF
+    assert nnig_posterior_hypers(like.card, like.stats, NIG_REF) == NIG_REF
 
 
 def test_nnig_single_datum_worked_example():
     like = _normal_cluster([1.0])
-    post = nnig_posterior_hypers(like, NIG_REF)
+    post = nnig_posterior_hypers(like.card, like.stats, NIG_REF)
     assert post.var_scaling == pytest.approx(1.1)
     assert post.mean == pytest.approx(10.0 / 11.0)
     assert post.shape == pytest.approx(2.5)
@@ -85,7 +86,7 @@ def test_nnig_posterior_matches_quadrature():
     for _ in range(20):
         data = rng.normal(rng.normal(), 1.0 + rng.random(), size=rng.integers(1, 6))
         like = _normal_cluster(data)
-        post = nnig_posterior_hypers(like, NIG_REF)
+        post = nnig_posterior_hypers(like.card, like.stats, NIG_REF)
         oracle = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)
         # posterior marginal of mean is centered at post.mean; E[var] = scale/(shape-1)
         assert post.mean == pytest.approx(oracle["e_mean"], rel=1e-3, abs=1e-6)
@@ -94,35 +95,100 @@ def test_nnig_posterior_matches_quadrature():
         )
 
 
+def test_nnig_posterior_at_a_nonzero_prior_mean_matches_quadrature():
+    # a hierarchy centres the statistics on its prior mean, here 3
+    rng = np.random.default_rng(46)
+    values = {"mean": 3.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}
+    for _ in range(20):
+        data = rng.normal(3.0 + rng.normal(), 1.0 + rng.random(), size=rng.integers(1, 6))
+        hier = build_hierarchy("NNIG", {"fixed_values": values})
+        for y in data:
+            hier.add_datum(float(y))
+        post = _posterior(hier)
+        oracle = nnig_quadrature(data, 3.0, 0.1, 2.0, 2.0)
+        assert post.mean == pytest.approx(oracle["e_mean"], rel=1e-3, abs=1e-6)
+        assert post.scale / (post.shape - 1.0) == pytest.approx(oracle["e_var"], rel=1e-3)
+
+
+# each conjugate family's prior (normal ones away from mean 0) and a datum draw
+_CONJUGATE_FAMILIES = {
+    "NNIG": ({"mean": 3.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0},
+             lambda rng: 3.0 + rng.normal()),
+    "NNW": ({"mean": {"size": 2, "data": [3.0, -1.0]}, "var_scaling": 0.1, "deg_free": 5.0,
+             "scale": {"rows": 2, "cols": 2, "data": [2.0, 0.3, 0.3, 1.0]}},
+            lambda rng: np.array([3.0, -1.0]) + rng.normal(size=2)),
+    "GammaGamma": ({"shape": 2.0, "rate_alpha": 2.0, "rate_beta": 2.0},
+                   lambda rng: rng.gamma(2.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CONJUGATE_FAMILIES))
+def test_posterior_hypers_are_elementwise(family):
+    # k clusters' stacked sizes and statistics give, bitwise, what k
+    # single-cluster calls give; an empty cluster gets the prior's values
+    values, draw = _CONJUGATE_FAMILIES[family]
+    template = build_hierarchy(family, {"fixed_values": values})
+    rng = np.random.default_rng(47)
+    clusters = []
+    for size in (0, 1, 4, 9, 0, 2):
+        cluster = template.clone()
+        for _ in range(size):
+            cluster.add_datum(draw(rng))
+        clusters.append(cluster)
+    posterior, hypers = template.updater.posterior_hypers, template.prior.hypers
+    singles = [posterior(c.card, c.likelihood.stats, hypers) for c in clusters]
+    stacked = posterior(np.array([c.card for c in clusters]),
+                        [np.array(s) for s in zip(*(c.likelihood.stats for c in clusters))],
+                        hypers)
+    for name in (field.name for field in dataclasses.fields(hypers)):
+        column = getattr(stacked, name)
+        for j, single in enumerate(singles):
+            want = np.asarray(getattr(single, name), dtype=float)
+            got = np.broadcast_to(column, (len(singles),) + want.shape)[j]
+            assert got.tobytes() == want.tobytes(), (name, j)
+            if not clusters[j].card:
+                assert np.array_equal(want, getattr(hypers, name)), name
+
+
 def test_nnig_posterior_mean_between_prior_and_sample_mean():
     rng = np.random.default_rng(22)
     for _ in range(100):
         data = rng.normal(rng.normal() * 5, 2.0, size=rng.integers(1, 10))
         like = _normal_cluster(data)
-        post = nnig_posterior_hypers(like, NIG_REF)
+        post = nnig_posterior_hypers(like.card, like.stats, NIG_REF)
         lo, hi = sorted([NIG_REF.mean, float(np.mean(data))])
         assert lo - 1e-12 <= post.mean <= hi + 1e-12
 
 
+def _nw_fields(hypers):
+    return (hypers.mean.tolist(), hypers.var_scaling, hypers.deg_free, hypers.scale.tolist())
+
+
 def test_nnw_empty_cluster_unchanged():
-    hypers = NWHypers(np.zeros(2), 0.5, 5.0, np.eye(2))
+    hypers = NWHypers(np.array([0.5, -1.0]), 0.5, 5.0, np.array([[2.0, 0.3], [0.3, 1.0]]))
     like = MultiNormLikelihood(MultiLSState(np.zeros(2), np.eye(2)))
-    assert nnw_posterior_hypers(like, hypers) is hypers
+    assert _nw_fields(nnw_posterior_hypers(like.card, like.stats, hypers)) == _nw_fields(hypers)
+
+
+def _posterior(hier):
+    return hier.updater.posterior_hypers(hier.card, hier.likelihood.stats, hier.prior.hypers)
 
 
 def test_nnw_dimension_one_reduces_to_nnig():
-    # IW_1(nu, psi) == IG(nu/2, psi/2), so the two updates must agree
+    # IW_1(nu, psi) == IG(nu/2, psi/2), so the two updates must agree; both
+    # hierarchies centre their statistics on the prior mean 0.3
     rng = np.random.default_rng(23)
+    nw_values = {"mean": {"size": 1, "data": [0.3]}, "var_scaling": 0.7, "deg_free": 5.0,
+                 "scale": {"rows": 1, "cols": 1, "data": [3.0]}}
+    nig_values = {"mean": 0.3, "var_scaling": 0.7, "shape": 2.5, "scale": 1.5}
     for _ in range(20):
         data = rng.normal(1.0, 2.0, size=rng.integers(1, 8))
-        nw_hypers = NWHypers([0.3], 0.7, 5.0, [[3.0]])
-        nig_hypers = NIGHypers(0.3, 0.7, 2.5, 1.5)
-        uni = _normal_cluster(data)
-        multi = MultiNormLikelihood(MultiLSState([0.0], [[1.0]]))
-        for i, y in enumerate(data):
-            multi.add_datum(i, np.array([y]))
-        post_nw = nnw_posterior_hypers(multi, nw_hypers)
-        post_nig = nnig_posterior_hypers(uni, nig_hypers)
+        multi = build_hierarchy("NNW", {"fixed_values": nw_values})
+        uni = build_hierarchy("NNIG", {"fixed_values": nig_values})
+        for y in data:
+            multi.add_datum(np.array([y]))
+            uni.add_datum(float(y))
+        post_nw, post_nig = _posterior(multi), _posterior(uni)
         assert post_nw.mean[0] == pytest.approx(post_nig.mean, rel=1e-12)
         assert post_nw.var_scaling == pytest.approx(post_nig.var_scaling)
         assert post_nw.deg_free / 2.0 == pytest.approx(post_nig.shape)
@@ -136,22 +202,24 @@ def test_nnw_posterior_scale_is_spd():
         a = rng.normal(size=(d, d))
         hypers = NWHypers(rng.normal(size=d), 0.5, d + 3.0, a @ a.T + d * np.eye(d))
         like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)))
-        for i in range(int(rng.integers(1, 20))):
-            like.add_datum(i, rng.normal(size=d))
-        post = nnw_posterior_hypers(like, hypers)  # constructor validates SPD
+        for _ in range(int(rng.integers(1, 20))):
+            like.add_datum(rng.normal(size=d))
+        post = nnw_posterior_hypers(like.card, like.stats, hypers)
+        np.linalg.cholesky(post.scale)  # raises unless positive definite
+        assert np.array_equal(post.scale, post.scale.T)
         assert post.deg_free == hypers.deg_free + like.card
 
 
 def test_gamma_gamma_worked_example():
     hypers = GammaPriorHypers(1.0, 2.0, 2.0)
     like = GammaLikelihood(1.0)
-    like.add_datum(0, 1.0)
-    like.add_datum(1, 3.0)
-    post = gamma_gamma_posterior_hypers(like, hypers)
+    like.add_datum(1.0)
+    like.add_datum(3.0)
+    post = gamma_gamma_posterior_hypers(like.card, like.stats, hypers)
     assert post.rate_alpha == pytest.approx(4.0)
     assert post.rate_beta == pytest.approx(6.0)
     empty = GammaLikelihood(1.0)
-    assert gamma_gamma_posterior_hypers(empty, hypers) is hypers
+    assert gamma_gamma_posterior_hypers(empty.card, empty.stats, hypers) == hypers
 
 
 def test_gamma_gamma_concentrates_on_truth():
@@ -160,9 +228,9 @@ def test_gamma_gamma_concentrates_on_truth():
     for n in (50, 500, 5000):
         like = GammaLikelihood(2.0)
         data = rng.gamma(2.0, 1.0 / 3.0, size=n)  # kernel rate 3
-        for i, y in enumerate(data):
-            like.add_datum(i, float(y))
-        post = gamma_gamma_posterior_hypers(like, hypers)
+        for y in data:
+            like.add_datum(float(y))
+        post = gamma_gamma_posterior_hypers(like.card, like.stats, hypers)
         est = post.rate_alpha / post.rate_beta
         # the prior's pull on the posterior mean decays like 1/n
         assert abs(est - 2.0 / data.mean()) < 25.0 / n
@@ -173,9 +241,9 @@ def test_gamma_gamma_posterior_mean_matches_quadrature():
     rng = np.random.default_rng(26)
     data = rng.gamma(1.5, 0.5, size=6)
     like = GammaLikelihood(1.5)
-    for i, y in enumerate(data):
-        like.add_datum(i, float(y))
-    post = gamma_gamma_posterior_hypers(like, GammaPriorHypers(1.5, 2.0, 1.0))
+    for y in data:
+        like.add_datum(float(y))
+    post = gamma_gamma_posterior_hypers(like.card, like.stats, GammaPriorHypers(1.5, 2.0, 1.0))
     oracle = gamma_rate_quadrature(data, 1.5, 2.0, 1.0)
     assert post.rate_alpha / post.rate_beta == pytest.approx(oracle, rel=1e-3)
 
@@ -196,16 +264,18 @@ def test_nnxig_mean_conditional_flat_prior_limit():
 
 
 def test_nnxig_chain_matches_quadrature_posterior():
-    hypers = NxIGHypers(0.5, 2.0, 3.0, 2.0)
-    prior = NxIGPrior(hypers)
+    # the hierarchy centres the statistics on the prior mean 0.5
+    hier = build_hierarchy(
+        "NNxIG", {"fixed_values": {"mean": 0.5, "var": 2.0, "shape": 3.0, "scale": 2.0}})
     data = [-0.2, 0.9, 1.4, 0.1, 0.6]
-    like = _normal_cluster(data)
-    updater = NNxIGUpdater()
-    assert not updater.is_conjugate()
+    for y in data:
+        hier.add_datum(y)
+    updater = hier.updater
+    assert isinstance(updater, NNxIGUpdater) and not updater.is_conjugate()
     rng = np.random.default_rng(27)
     mus = np.empty(20_000)
     for t in range(mus.size):
-        state = updater.draw(like, prior, rng)
+        state = updater.draw(hier.likelihood, hier.prior, rng)
         mus[t] = state.mean
     oracle = nxig_quadrature(data, 0.5, 2.0, 3.0, 2.0)
     se = monte_carlo_se(mus)
@@ -235,8 +305,8 @@ def test_gamma_gamma_draws_match_posterior_mean():
     prior = GammaPrior(GammaPriorHypers(1.0, 2.0, 2.0))
     updater = _gamma_gamma_updater()
     like = GammaLikelihood(1.0)
-    like.add_datum(0, 1.0)
-    like.add_datum(1, 3.0)
+    like.add_datum(1.0)
+    like.add_datum(3.0)
     rng = np.random.default_rng(29)
     rates = np.array([updater.draw(like, prior, rng).rate for _ in range(100_000)])
     se = rates.std() / math.sqrt(rates.size)
@@ -328,7 +398,7 @@ def test_metropolis_matches_conjugate_posterior(updater, seed):
     data = [0.4, -0.3, 1.2, 0.8, 0.1]
     like = _normal_cluster(data)
     prior = NIGPrior(NIG_REF)
-    post = nnig_posterior_hypers(like, prior.hypers)
+    post = nnig_posterior_hypers(like.card, like.stats, prior.hypers)
     # marginal posterior of the mean is Student-t centered at post.mean
     target_mean = post.mean
     like.state = UniLSState(post.mean, post.scale / post.shape)
@@ -346,8 +416,8 @@ def test_laplace_metropolis_matches_quadrature_posterior():
     oracle = nxig_quadrature(data, 0.3, 4.0, 2.5, 1.5, kernel="laplace")
     for kind, step_size, seed in [("rwmh", 0.7, 44), ("mala", 0.5, 45)]:
         like = LaplaceLikelihood(UniLSState(0.7, 0.8))
-        for i, y in enumerate(data):
-            like.add_datum(i, y)
+        for y in data:
+            like.add_datum(y)
         updater = build_metropolis_updater(kind, step_size)
         rng = np.random.default_rng(seed)
         burnin, steps = 1000, 10_000
@@ -368,7 +438,7 @@ def test_metropolis_requires_unconstrained_support():
          np.ones((1, 1))),
     ]
     for like, prior, rows in pairs:
-        like.add_datum(0, rows[0])
+        like.add_datum(rows[0])
         for kind in ("rwmh", "mala"):
             with pytest.raises(CapabilityError):
                 build_metropolis_updater(kind).draw_batch(
@@ -392,8 +462,8 @@ def test_proposal_whose_target_cannot_be_evaluated_is_rejected(kind):
     prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
     data = [0.5, -0.7, 2.0]
     like = LaplaceLikelihood(UniLSState(0.0, 1.0))
-    for i, y in enumerate(data):
-        like.add_datum(i, y)
+    for y in data:
+        like.add_datum(y)
     updater = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
     rng = np.random.default_rng(34)
     for _ in range(50):
@@ -427,7 +497,7 @@ def _clusters(like_cls, sizes, rng):
         like = like_cls(UniLSState(0.0, 1.0))
         ys = rng.normal(h - 2.0, 1.5, size=size).tolist()
         for y in ys:
-            like.add_datum(len(labels), y)
+            like.add_datum(y)
             labels.append(h)
         likes.append(like)
         data.append(ys)
@@ -476,7 +546,7 @@ def test_batched_metropolis_matches_conjugate_posterior(kind, step_size, seed):
     likes = [_normal_cluster(data) for _ in range(64)]
     rows = np.tile(data, len(likes)).reshape(-1, 1)
     labels = np.repeat(np.arange(len(likes)), len(data))
-    post = nnig_posterior_hypers(likes[0], prior.hypers)
+    post = nnig_posterior_hypers(likes[0].card, likes[0].stats, prior.hypers)
     target_mean = post.mean
     target_var = post.scale / ((post.shape - 1.0) * post.var_scaling)
     for like in likes:
@@ -536,9 +606,9 @@ def test_posterior_scale_does_not_depend_on_the_data_offset(hier_type):
                       "deg_free": d + 3.0,
                       "scale": {"rows": d, "cols": d, "data": np.eye(d).ravel().tolist()}}
         hier = build_hierarchy(hier_type, {"fixed_values": values})
-        for i, y in enumerate(points + offset):
-            hier.add_datum(i, y)
-        post = hier.updater.compute_posterior_hypers(hier.likelihood, hier.prior)
+        for y in points + offset:
+            hier.add_datum(y)
+        post = hier.updater.posterior_hypers(hier.card, hier.likelihood.stats, hier.prior.hypers)
         scales.append(np.asarray(post.scale, dtype=float))
     for scale in scales[1:]:
         assert np.abs(scale - scales[0]).max() <= 1e-8 * np.abs(scales[0]).max()

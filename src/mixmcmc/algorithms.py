@@ -136,8 +136,9 @@ class _BaseAlgorithm:
 
         An empty cluster draws from the prior. An updater with a
         ``draw_batch`` (the Metropolis one) then moves all non-empty
-        clusters in one batch, on the data and the allocations renumbered
-        over them; any other draws them one at a time, in list order.
+        clusters in one batch, on the data and the allocations, renumbered
+        over them when some cluster is empty (only BlockedGibbs keeps empty
+        clusters); any other draws them one at a time, in list order.
         """
         draw_batch = getattr(self.template.updater, "draw_batch", None)
         if draw_batch is None:
@@ -150,11 +151,13 @@ class _BaseAlgorithm:
                 occupied.append(cluster.likelihood)
             else:
                 cluster.sample_prior(rng)
-        if occupied:
+        if not occupied:
+            return
+        labels = self.allocations
+        if len(occupied) < len(self.clusters):
             # the batch numbers the occupied clusters 0..k-1 in list order
-            renumber = np.cumsum([cluster.card > 0 for cluster in self.clusters]) - 1
-            draw_batch(occupied, self.template.prior, rng, self.data,
-                       renumber[self.allocations])
+            labels = (np.cumsum([cluster.card > 0 for cluster in self.clusters]) - 1)[labels]
+        draw_batch(occupied, self.template.prior, rng, self.data, labels)
 
     def _snapshot(self, iteration):
         cluster_states = [

@@ -32,14 +32,18 @@ fields by name, so a state and a batch of states share it, and a batch's
 score of (datum, state) has the bits of that state's own ``lpdf_grid``.
 
 The normal and Laplace kernels also give the whole-cluster log density at
-unconstrained states, which the Metropolis updater targets, in closed form
-with its gradient. The static ``unconstrained_stats(likes, rows, labels)``
-collects what k clusters' densities read: the normal kernel's recounted
-statistics, or the data ``rows`` and their ``labels`` in 0..k-1 indexing
-``likes``. The static ``unconstrained_lpdf(stats, u, grad=True)`` takes u
-of shape (p, k) and returns the k clusters' densities and, unless ``grad``
-is false (the random walk), their gradient, of shape (p, k). The other
-kernels have neither.
+an unconstrained state (mean, log scale), which the Metropolis updater
+targets, in closed form with its gradient. The static
+``unconstrained_stats(likes, rows, labels)`` returns a function of the k
+clusters' means (a list) that gives, per cluster, the tuple of numbers its
+density reads: the normal kernel's size, recounted sums and reference, the
+same at every mean, or the Laplace kernel's size and its sums of
+|y - mean| and of their slopes, summed over the data ``rows`` by their
+``labels`` (0..k-1, indexing ``likes``). The static
+``unconstrained_lpdf(*numbers, mean, log_scale, e)``, with e = exp(-log
+scale) passed in, is one branch-free elementwise expression: on one
+cluster's floats it gives the density and its two partial derivatives, and
+on arrays it gives them elementwise. The other kernels have neither.
 """
 
 import math
@@ -48,6 +52,8 @@ import numpy as np
 
 from ._util import LOG_2PI
 from .states import GammaState, MultiLSState, UniLSState
+
+_LOG_2 = math.log(2.0)
 
 
 def _as_scalar(datum):
@@ -168,29 +174,23 @@ class UniNormLikelihood(_BaseLikelihood):
 
     @staticmethod
     def unconstrained_stats(likes, rows, labels):
-        """The k clusters' sizes n, sums S of z and Q of z^2 (arrays of k), and the reference."""
-        n, centred_sum, centred_sum_squares = np.array(
-            [(like.card, *like.stats) for like in likes]).T
-        return n, centred_sum, centred_sum_squares, likes[0].ref
+        """Means -> per cluster (n, S, Q, ref): its size, sums of z and z^2, and reference."""
+        stats = [(like.card, *like.stats, like.ref) for like in likes]
+        return lambda means: stats
 
     @staticmethod
-    def unconstrained_lpdf(stats, u, grad=True):
-        """Sum of log N(y_i | mean, var) per cluster at u = (mean, log var), with gradient.
+    def unconstrained_lpdf(n, centred_sum, centred_sum_squares, ref, mean, log_var, e):
+        """Sum of log N(y_i | mean, var) over a cluster at (mean, log var), e = 1/var.
 
-        With e = 1/var, d = mean - ref and q = sum (y_i - mean)^2 =
-        Q + d (n d - 2 S), the value is -(n (log 2 pi + log var) + q e) / 2
-        and the gradient (e (S - n d), (q e - n) / 2); None without ``grad``.
+        With d = mean - ref and q = sum (y_i - mean)^2 = Q + d (n d - 2 S),
+        the value is -(n (log 2 pi + log var) + q e) / 2 and the partial
+        derivatives are e (S - n d) and (q e - n) / 2.
         """
-        n, centred_sum, centred_sum_squares, ref = stats
-        mean, logvar = u
-        e = np.exp(-logvar)
         dev = mean - ref
         n_dev = n * dev
         quad_e = (centred_sum_squares + dev * (n_dev - 2.0 * centred_sum)) * e
-        value = -0.5 * (n * (LOG_2PI + logvar) + quad_e)
-        if not grad:
-            return value, None
-        return value, np.array([e * (centred_sum - n_dev), 0.5 * (quad_e - n)])
+        return (-0.5 * (n * (LOG_2PI + log_var) + quad_e), e * (centred_sum - n_dev),
+                0.5 * (quad_e - n))
 
 
 class MultiNormLikelihood(_BaseLikelihood):
@@ -302,29 +302,33 @@ class LaplaceLikelihood(_BaseLikelihood):
 
     @staticmethod
     def unconstrained_stats(likes, rows, labels):
-        """The k clusters' sizes, every datum (N,), and the cluster of each datum."""
-        return np.bincount(labels, minlength=len(likes)), rows[:, 0], labels
+        """Means -> per cluster (n, A, slope): its size, sum |y_i - mean| and its slope in mean.
+
+        The sizes are counted from the labels. The slope of |y - mean| is
+        -1 where y >= mean (ties included) and +1 below. ``np.bincount``
+        sums A and the slope over the data in index order.
+        """
+        k, data = len(likes), rows[:, 0]
+        sizes = np.bincount(labels, minlength=k).tolist()
+
+        def sums(means):
+            dev = data - np.array(means)[labels]
+            abs_sums = np.bincount(labels, np.abs(dev), k).tolist()
+            slope_sums = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), k).tolist()
+            return zip(sizes, abs_sums, slope_sums)
+
+        return sums
 
     @staticmethod
-    def unconstrained_lpdf(stats, u, grad=True):
-        """Sum of log Laplace(y_i | mean, scale) per cluster at u = (mean, log scale).
+    def unconstrained_lpdf(n, abs_sum, slope_sum, mean, log_scale, e):
+        """Sum of log Laplace(y_i | mean, scale) over a cluster at (mean, log scale), e = 1/scale.
 
-        With e = 1/scale, A = sum |y_i - mean| and S its slope in mean, the
-        value is -n (log 2 + log scale) - A e and the gradient
-        (-S e, A e - n); None without ``grad``. The slope of |y - mean| is
-        -1 where y >= mean (ties included) and +1 below; A and S are summed
-        per cluster by ``np.bincount``.
+        The value is -n (log 2 + log scale) - A e and the partial
+        derivatives are -slope e and A e - n; the mean enters through A and
+        the slope.
         """
-        n, data, labels = stats
-        mean, logscale = u
-        dev = data - mean[labels]
-        e = np.exp(-logscale)
-        abs_sum_e = np.bincount(labels, np.abs(dev), len(n)) * e
-        value = -n * (math.log(2.0) + logscale) - abs_sum_e
-        if not grad:
-            return value, None
-        slope_sum = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), len(n))
-        return value, np.array([-slope_sum * e, abs_sum_e - n])
+        abs_sum_e = abs_sum * e
+        return -n * (_LOG_2 + log_scale) - abs_sum_e, -slope_sum * e, abs_sum_e - n
 
 
 _NOT_POSITIVE = "Gamma likelihood requires positive data"

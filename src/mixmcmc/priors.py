@@ -12,10 +12,13 @@ given hyperparameters (``size=None`` gives one draw of floats). The base
 :class:`_Prior` turns it into ``sample`` (one state, optionally from
 supplied posterior hyperparameters) and ``sample_batch`` (a batch from the
 prior itself). The NIG and N x IG priors also evaluate the
-change-of-variables corrected log density of unconstrained state vectors
-(``lpdf_from_unconstrained``), which the Metropolis updater targets: in
-closed form, on u of shape (p, k) for k states, it returns the k densities
-and, unless ``grad`` is false, their gradient, of shape (p, k).
+change-of-variables corrected log density of an unconstrained state
+(mean, log var), which the Metropolis updater targets. It is the private
+``_unconstrained_lpdf(mean, log_var, e)``, with e = exp(-log var) passed
+in: one branch-free elementwise expression that gives the density and its
+two partial derivatives on one state's floats, or elementwise on arrays.
+The updater calls it once per cluster and evaluation; it is private so
+that tracing, which wraps the public members, leaves it alone.
 """
 
 import math
@@ -101,30 +104,29 @@ class NIGPrior(_Prior):
 
     _positive = ("var_scaling", "shape", "scale")
 
+    def __init__(self, hypers):
+        super().__init__(hypers)
+        self._log_norm = 0.5 * (math.log(hypers.var_scaling) - LOG_2PI) + _invgamma_log_norm(
+            hypers.shape, hypers.scale)
+
     def _draw(self, rng, size, h):
         var = h.scale / rng.gamma(h.shape, size=size)
         mean = h.mean + np.sqrt(var / h.var_scaling) * rng.standard_normal(size)
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
-    def lpdf_from_unconstrained(self, u, grad=True):
+    def _unconstrained_lpdf(self, mean, log_var, e):
         """log N(mean | mean0, var / var_scaling) + log IG(var | shape, scale) + log var.
 
-        Collected in u = (mean, log var), the density's exponent is
-        -(scale + var_scaling (mean - mean0)^2 / 2) / var, and log var's
+        In (mean, log var), with e = 1/var, the density's exponent is
+        -(scale + var_scaling (mean - mean0)^2 / 2) e, and log var's
         coefficient -(shape + 1/2) holds the log-Jacobian. Returns the
-        density and its gradient (None without ``grad``).
+        density and its two partial derivatives.
         """
-        mean, logvar = u
         h = self.hypers
         dev = mean - h.mean
-        log_norm = 0.5 * (math.log(h.var_scaling) - LOG_2PI) + _invgamma_log_norm(
-            h.shape, h.scale)
-        e = np.exp(-logvar)
         rate = (h.scale + 0.5 * h.var_scaling * dev * dev) * e
-        value = log_norm - (h.shape + 0.5) * logvar - rate
-        if not grad:
-            return value, None
-        return value, np.array([-h.var_scaling * dev * e, rate - (h.shape + 0.5)])
+        return (self._log_norm - (h.shape + 0.5) * log_var - rate, -h.var_scaling * dev * e,
+                rate - (h.shape + 0.5))
 
 
 class NxIGPrior(_Prior):
@@ -135,26 +137,27 @@ class NxIGPrior(_Prior):
 
     _positive = ("var", "shape", "scale")
 
+    def __init__(self, hypers):
+        super().__init__(hypers)
+        self._log_norm = -0.5 * (LOG_2PI + math.log(hypers.var)) + _invgamma_log_norm(
+            hypers.shape, hypers.scale)
+
     def _draw(self, rng, size, h):
         mean = h.mean + math.sqrt(h.var) * rng.standard_normal(size)
         var = h.scale / rng.gamma(h.shape, size=size)
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
-    def lpdf_from_unconstrained(self, u, grad=True):
-        """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var, and its gradient.
+    def _unconstrained_lpdf(self, mean, log_var, e):
+        """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var, e = 1/var.
 
-        In u = (mean, log var), log var's coefficient -shape holds the
-        log-Jacobian. The gradient is None without ``grad``.
+        In (mean, log var), log var's coefficient -shape holds the
+        log-Jacobian. Returns the density and its two partial derivatives.
         """
-        mean, logvar = u
         h = self.hypers
         dev = mean - h.mean
-        log_norm = -0.5 * (LOG_2PI + math.log(h.var)) + _invgamma_log_norm(h.shape, h.scale)
-        rate = h.scale * np.exp(-logvar)
-        value = log_norm - dev * dev / (2.0 * h.var) - h.shape * logvar - rate
-        if not grad:
-            return value, None
-        return value, np.array([-dev / h.var, rate - h.shape])
+        rate = h.scale * e
+        return (self._log_norm - dev * dev / (2.0 * h.var) - h.shape * log_var - rate,
+                -dev / h.var, rate - h.shape)
 
 
 class NWPrior(_Prior):

@@ -14,12 +14,16 @@ The Metropolis updater, random-walk or Langevin, works with any
 likelihood/prior pair that has an unconstrained parameterization: the
 normal and Laplace kernels under the NIG and N x IG priors. It moves all
 of a sampler's non-empty clusters at once (``draw_batch``), on the
-likelihood's and the prior's unconstrained densities, each written in
-closed form with its gradient over k clusters' arrays. The clusters'
-member data come from the sampler's rows and labels.
+likelihood's and the prior's unconstrained densities. Each is one
+elementwise closed-form expression of one cluster's numbers that gives
+the value and the gradient; the updater calls them on Python floats,
+cluster by cluster, and keeps numpy for the draws, the exponentials
+exp(-log scale) that both expressions read, and the acceptance logs. The
+clusters' member data come from the sampler's rows and labels.
 """
 
 import math
+from math import inf, isfinite
 
 import numpy as np
 
@@ -269,22 +273,24 @@ class MetropolisUpdater:
     Without ``langevin`` the proposal is a Gaussian random walk. With it the
     proposal drifts along the gradient (MALA) and carries the matching
     correction. The target is the likelihood's ``unconstrained_lpdf`` plus
-    the prior's ``lpdf_from_unconstrained``, each giving a value and a
-    gradient in closed form; the random walk evaluates the value only.
+    the prior's ``_unconstrained_lpdf``, each giving a value and a gradient
+    in closed form.
 
-    ``draw_batch`` moves k clusters of one family together, on u of shape
-    (p, k): each step draws one (p, k) normal block and k uniforms and
-    accepts or rejects each cluster's proposal on its own, so a batch of
-    one is the single-cluster kernel. A proposal whose target (or, for
-    MALA, gradient) is not finite (an overflowing or underflowing scale)
-    is rejected; the target is evaluated with numpy's floating-point
-    warnings silenced.
+    ``draw_batch`` moves k clusters of one family together: each step draws
+    one (2, k) normal block and k uniforms and accepts or rejects each
+    cluster's proposal on its own, so a batch of one is the single-cluster
+    kernel. A proposal whose target (or, for MALA, gradient) is not finite
+    (an overflowing or underflowing scale) is rejected.
     """
 
     def __init__(self, step_size, num_steps, langevin):
         self.step_size = check_positive(step_size, "step_size")
         self.num_steps = check_positive_int(num_steps, "num_steps")
         self.langevin = langevin
+        if langevin and not 2.0 * self.step_size * self.step_size > 0.0:
+            # the Langevin correction divides by it
+            raise ValueError(f"step_size {step_size} is too small for MALA: its square "
+                             "underflows")
 
     def is_conjugate(self):
         return False
@@ -293,62 +299,64 @@ class MetropolisUpdater:
         """Move the clusters whose likelihoods are ``likes`` (one family, none empty).
 
         ``rows`` are the sampler's data and ``labels`` their clusters, in
-        0..k-1 indexing ``likes``.
+        0..k-1 indexing ``likes``. The clusters' coordinates are lists of
+        Python floats, and each cluster's step runs on them in the order of
+        operations of the (2, k) array kernel, so the chain has its bits.
         """
+        # a state without an unconstrained representation raises CapabilityError here
+        u = np.array([like.state.to_unconstrained() for like in likes])
+        means, log_scales = u.T.tolist()
         like_cls, state_cls = type(likes[0]), type(likes[0].state)
-        u = np.array([like.state.to_unconstrained() for like in likes]).T
-        target = _log_target(like_cls.unconstrained_lpdf,
-                             like_cls.unconstrained_stats(likes, rows, labels), prior,
-                             self.langevin)
-        self._move(target, u, rng)
-        for like, col in zip(likes, u.T):
-            like.state = state_cls.from_unconstrained(col)
+        sums = like_cls.unconstrained_stats(likes, rows, labels)
+        like_lpdf, prior_lpdf = like_cls.unconstrained_lpdf, prior._unconstrained_lpdf
+        langevin = self.langevin
 
-    def _evaluate(self, target, u):
-        """The target at u, -inf where it (MALA: or its gradient) is not finite; the gradient.
+        def target(means, log_scales):
+            """Per cluster (log target, its two partial derivatives); -inf where not finite."""
+            out = []
+            es = np.exp([-s for s in log_scales]).tolist()
+            for numbers, mean, log_scale, e in zip(sums(means), means, log_scales, es):
+                value, g_mean, g_log = like_lpdf(*numbers, mean, log_scale, e)
+                p_value, p_mean, p_log = prior_lpdf(mean, log_scale, e)
+                value, g_mean, g_log = value + p_value, g_mean + p_mean, g_log + p_log
+                if not (isfinite(value)
+                        and (not langevin or isfinite(g_mean) and isfinite(g_log))):
+                    value = -inf
+                out.append((value, g_mean, g_log))
+            return out
 
-        The random walk's target gives no gradient (None).
-        """
-        logp, grad = target(u)
-        finite = np.isfinite(logp)
-        if self.langevin:
-            finite &= np.isfinite(grad).all(axis=0)
-        np.copyto(logp, -np.inf, where=~finite)
-        return logp, grad
-
-    def _move(self, target, u, rng):
-        """``num_steps`` Metropolis steps from u, of shape (p, k), which it updates in place."""
         eps = self.step_size
-        half = 0.5 * eps * eps
+        half, eps_sq, two_eps_sq = 0.5 * eps * eps, eps * eps, 2.0 * eps * eps
+        k = len(likes)
+        # only the exponentials and the logs of the uniforms are numpy's
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logp, grad = self._evaluate(target, u)
+            current = target(means, log_scales)
             for _ in range(self.num_steps):
-                fwd_mean = u + half * grad if self.langevin else u
-                z = rng.standard_normal(u.shape)
-                prop = fwd_mean + eps * z
-                logp_prop, grad_prop = self._evaluate(target, prop)
-                log_ratio = logp_prop - logp
-                if self.langevin:
-                    # the proposal densities' exponents; prop - fwd_mean is eps z
-                    rev_dev = u - prop - half * grad_prop
-                    log_ratio += ((eps * eps) * (z * z).sum(axis=0)
-                                  - (rev_dev * rev_dev).sum(axis=0)) / (2.0 * eps * eps)
-                # a NaN ratio (a rejected proposal from a rejected state) compares False
-                accept = np.log(rng.random(u.shape[1])) < log_ratio
-                np.copyto(u, prop, where=accept)
-                np.copyto(logp, logp_prop, where=accept)
-                if self.langevin:
-                    np.copyto(grad, grad_prop, where=accept)
-
-
-def _log_target(unconstrained_lpdf, stats, prior, grad=True):
-    """u -> the clusters' log posterior at u and its gradient (None without ``grad``)."""
-    def target(u):
-        like_value, like_grad = unconstrained_lpdf(stats, u, grad)
-        prior_value, prior_grad = prior.lpdf_from_unconstrained(u, grad)
-        return like_value + prior_value, like_grad + prior_grad if grad else None
-
-    return target
+                z_means, z_logs = rng.standard_normal((2, k)).tolist()
+                prop_means, prop_logs = [], []
+                for mean, log_scale, (_, g_mean, g_log), z_mean, z_log in zip(
+                        means, log_scales, current, z_means, z_logs):
+                    if langevin:
+                        mean, log_scale = mean + half * g_mean, log_scale + half * g_log
+                    prop_means.append(mean + eps * z_mean)
+                    prop_logs.append(log_scale + eps * z_log)
+                proposed = target(prop_means, prop_logs)
+                log_uniforms = np.log(rng.random(k)).tolist()
+                for j, log_uniform in enumerate(log_uniforms):
+                    log_ratio = proposed[j][0] - current[j][0]
+                    if langevin:
+                        # the proposal densities' exponents; prop - forward mean is eps z
+                        _, g_mean, g_log = proposed[j]
+                        rev_mean = means[j] - prop_means[j] - half * g_mean
+                        rev_log = log_scales[j] - prop_logs[j] - half * g_log
+                        log_ratio += (eps_sq * (z_means[j] * z_means[j] + z_logs[j] * z_logs[j])
+                                      - (rev_mean * rev_mean + rev_log * rev_log)) / two_eps_sq
+                    # a NaN ratio (a rejected proposal from a rejected state) compares False
+                    if log_uniform < log_ratio:
+                        means[j], log_scales[j] = prop_means[j], prop_logs[j]
+                        current[j] = proposed[j]
+        for like, mean, log_scale in zip(likes, means, log_scales):
+            like.state = state_cls.from_unconstrained((mean, log_scale))
 
 
 # config name -> (langevin, default step size)

@@ -1,8 +1,12 @@
 """Independent numeric oracles used across the test suite.
 
 Everything here goes through generic quadrature or brute force with scipy
-densities, never through the code paths under test.
+densities, never through the code paths under test. The Metropolis array
+kernel at the end is the reference the updater's per-cluster float code
+must match bit for bit.
 """
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -182,3 +186,126 @@ def adjusted_rand_index(a, b):
     if max_index == expected:
         return 1.0
     return float((sum_cells - expected) / (max_index - expected))
+
+
+# The Metropolis target and move over k clusters' arrays, u of shape (2, k)
+# holding (mean, log scale) per column, in the (2, k) numpy form the updater
+# once evaluated them. The per-cluster expressions and the float move must
+# give these values, gradients and chains bit for bit.
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _invgamma_log_norm(shape, scale):
+    return shape * math.log(scale) - math.lgamma(shape)
+
+
+def _normal_lpdf(stats, u, grad=True):
+    n, centred_sum, centred_sum_squares, ref = stats
+    mean, logvar = u
+    e = np.exp(-logvar)
+    dev = mean - ref
+    n_dev = n * dev
+    quad_e = (centred_sum_squares + dev * (n_dev - 2.0 * centred_sum)) * e
+    value = -0.5 * (n * (_LOG_2PI + logvar) + quad_e)
+    if not grad:
+        return value, None
+    return value, np.array([e * (centred_sum - n_dev), 0.5 * (quad_e - n)])
+
+
+def _laplace_lpdf(stats, u, grad=True):
+    n, data, labels = stats
+    mean, logscale = u
+    dev = data - mean[labels]
+    e = np.exp(-logscale)
+    abs_sum_e = np.bincount(labels, np.abs(dev), len(n)) * e
+    value = -n * (math.log(2.0) + logscale) - abs_sum_e
+    if not grad:
+        return value, None
+    slope_sum = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), len(n))
+    return value, np.array([-slope_sum * e, abs_sum_e - n])
+
+
+def _nig_lpdf(h, u, grad=True):
+    mean, logvar = u
+    dev = mean - h.mean
+    log_norm = 0.5 * (math.log(h.var_scaling) - _LOG_2PI) + _invgamma_log_norm(h.shape, h.scale)
+    e = np.exp(-logvar)
+    rate = (h.scale + 0.5 * h.var_scaling * dev * dev) * e
+    value = log_norm - (h.shape + 0.5) * logvar - rate
+    if not grad:
+        return value, None
+    return value, np.array([-h.var_scaling * dev * e, rate - (h.shape + 0.5)])
+
+
+def _nxig_lpdf(h, u, grad=True):
+    mean, logvar = u
+    dev = mean - h.mean
+    log_norm = -0.5 * (_LOG_2PI + math.log(h.var)) + _invgamma_log_norm(h.shape, h.scale)
+    rate = h.scale * np.exp(-logvar)
+    value = log_norm - dev * dev / (2.0 * h.var) - h.shape * logvar - rate
+    if not grad:
+        return value, None
+    return value, np.array([-dev / h.var, rate - h.shape])
+
+
+def metropolis_array_target(likes, prior, rows, labels, grad=True):
+    """u (2, k) -> the k clusters' log posteriors and their gradient (None without ``grad``).
+
+    ``likes`` are normal or Laplace clusters, read for their sizes, sums
+    and reference only; ``rows`` and ``labels`` (0..k-1) hold the Laplace
+    clusters' data. ``prior`` is an NIG or N x IG prior, read for its
+    hyperparameters.
+    """
+    if type(likes[0]).__name__ == "LaplaceLikelihood":
+        like_lpdf = _laplace_lpdf
+        stats = np.bincount(labels, minlength=len(likes)), rows[:, 0], labels
+    else:
+        like_lpdf = _normal_lpdf
+        n, centred_sum, centred_sum_squares = np.array(
+            [(like.card, *like.stats) for like in likes]).T
+        stats = n, centred_sum, centred_sum_squares, likes[0].ref
+    prior_lpdf = _nig_lpdf if type(prior).__name__ == "NIGPrior" else _nxig_lpdf
+
+    def target(u):
+        like_value, like_grad = like_lpdf(stats, u, grad)
+        prior_value, prior_grad = prior_lpdf(prior.hypers, u, grad)
+        return like_value + prior_value, like_grad + prior_grad if grad else None
+
+    return target
+
+
+def metropolis_array_move(target, u, rng, step_size, num_steps, langevin):
+    """``num_steps`` Metropolis steps from u, of shape (2, k), which it updates in place.
+
+    ``target`` is ``metropolis_array_target``'s, with ``grad`` equal to
+    ``langevin``. A proposal whose target (or, for MALA, gradient) is not
+    finite is rejected.
+    """
+    def evaluate(point):
+        logp, grad = target(point)
+        finite = np.isfinite(logp)
+        if langevin:
+            finite &= np.isfinite(grad).all(axis=0)
+        np.copyto(logp, -np.inf, where=~finite)
+        return logp, grad
+
+    eps = step_size
+    half = 0.5 * eps * eps
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logp, grad = evaluate(u)
+        for _ in range(num_steps):
+            fwd_mean = u + half * grad if langevin else u
+            z = rng.standard_normal(u.shape)
+            prop = fwd_mean + eps * z
+            logp_prop, grad_prop = evaluate(prop)
+            log_ratio = logp_prop - logp
+            if langevin:
+                rev_dev = u - prop - half * grad_prop
+                log_ratio += ((eps * eps) * (z * z).sum(axis=0)
+                              - (rev_dev * rev_dev).sum(axis=0)) / (2.0 * eps * eps)
+            accept = np.log(rng.random(u.shape[1])) < log_ratio
+            np.copyto(u, prop, where=accept)
+            np.copyto(logp, logp_prop, where=accept)
+            if langevin:
+                np.copyto(grad, grad_prop, where=accept)

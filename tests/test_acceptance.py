@@ -37,7 +37,6 @@ from mixmcmc.postprocess import (
 from mixmcmc.priors import GammaPriorHypers, NIGHypers
 from mixmcmc.states import UniLSState
 from mixmcmc.updaters import (
-    _log_target,
     build_metropolis_updater,
     gamma_gamma_posterior_hypers,
     nnig_posterior_hypers,
@@ -166,22 +165,29 @@ def test_criterion_3_metropolis_conjugate_agreement():
         if var_err >= 3 * var_se:
             failures.append(f"{label} variance off")
 
-    # MALA gradients against central finite differences
+    # MALA gradients against central finite differences: the cluster's
+    # target is the likelihood's and the prior's per-cluster expressions
     like = make_cluster()
-    target = _log_target(UniNormLikelihood.unconstrained_lpdf,
-                         UniNormLikelihood.unconstrained_stats([like], rows, labels), prior)
+    (numbers,) = UniNormLikelihood.unconstrained_stats([like], rows, labels)([like.state.mean])
+
+    def target(u):
+        e = math.exp(-u[1])
+        like_terms = UniNormLikelihood.unconstrained_lpdf(*numbers, *u, e)
+        prior_terms = prior._unconstrained_lpdf(*u, e)
+        return [a + b for a, b in zip(like_terms, prior_terms)]
+
     rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(100):
-        u = rng.normal(size=(2, 1))
-        _, grad = target(u)
+        u = rng.normal(size=2).tolist()
+        grad = target(u)[1:]
         h = 1e-6
         for j in range(2):
-            up, dn = u.copy(), u.copy()
+            up, dn = list(u), list(u)
             up[j] += h
             dn[j] -= h
-            fd = (target(up)[0][0] - target(dn)[0][0]) / (2 * h)
-            rel = abs(grad[j, 0] - fd) / max(abs(fd), 1e-8)
+            fd = (target(up)[0] - target(dn)[0]) / (2 * h)
+            rel = abs(grad[j] - fd) / max(abs(fd), 1e-8)
             worst = max(worst, rel)
     if worst > 1e-5:
         failures.append(f"gradient off by {worst:.2e}")

@@ -14,7 +14,9 @@ its labels.
 The NNIG cells run every marginal sampler; the other cells cover each
 family's posterior: NNW at d = 2, GammaGamma, and NNxIG's Gibbs scan. The
 normal families other than the first NNIG cells have a prior mean away
-from 0, where the statistics' centring matters.
+from 0, where the statistics' centring matters. The Metropolis cells run
+Neal8 on each family a Metropolis updater moves: LapNIG and NNxIG under
+MALA, NNIG under the random walk.
 """
 
 import math
@@ -38,6 +40,7 @@ HIER_ARGS = {
     "GammaGamma": {"fixed_values": {"shape": 2.0, "rate_alpha": 3.0, "rate_beta": 2.0}},
     "NNxIG": {"fixed_values": {"mean": 1.5, "var": 2.0, "shape": 3.0, "scale": 2.0}},
 }
+HIER_ARGS["LapNIG"] = HIER_ARGS["NNxIG"]
 # each family's compared functions of datum 0's cluster parameters, read
 # from a batch of states
 PARAMETERS = {
@@ -45,7 +48,7 @@ PARAMETERS = {
     "NNW": (("mean[0]", lambda s: s.mean[..., 0]), ("log det cov", lambda s: s.log_det)),
     "GammaGamma": (("log rate", lambda s: np.log(s.rate)),),
 }
-PARAMETERS["NNxIG"] = PARAMETERS["NNIG"]
+PARAMETERS["NNxIG"] = PARAMETERS["LapNIG"] = PARAMETERS["NNIG"]  # LapNIG's var is its scale
 
 
 def _statistics(hier_type, k, states):
@@ -64,9 +67,11 @@ def _forward(hier_type, draws, rng):
     return _statistics(hier_type, k, prior.sample_batch(rng, (draws,)))
 
 
-def _kernel_draws(states, rng):
+def _kernel_draws(hier_type, states, rng):
     """One datum from each state's kernel, as data rows."""
     batch = stack_states(states)
+    if hier_type == "LapNIG":
+        return rng.laplace(batch.mean[0], batch.var[0])[:, None]
     if hasattr(batch, "rate"):
         return (rng.gamma(batch.shape, size=len(states)) / batch.rate[0]).reshape(-1, 1)
     if hasattr(batch, "cov"):
@@ -75,11 +80,12 @@ def _kernel_draws(states, rng):
     return (batch.mean[0] + np.sqrt(batch.var[0]) * rng.standard_normal(len(states)))[:, None]
 
 
-def _successive_conditional(algo_id, hier_type, iterations, burnin, rng):
-    algo = build_algorithm(algo_id, build_hierarchy(hier_type, HIER_ARGS[hier_type]),
-                           DirichletMixing(MASS))
+def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater=None):
+    """``updater`` adds the Metropolis updater's keys to the hierarchy's args."""
+    args = dict(HIER_ARGS[hier_type], **(updater or {}))
+    algo = build_algorithm(algo_id, build_hierarchy(hier_type, args), DirichletMixing(MASS))
     # the first data come from the template's starting state
-    algo._prepare_data(_kernel_draws([algo.template.state] * N, rng))
+    algo._prepare_data(_kernel_draws(hier_type, [algo.template.state] * N, rng))
     algo._initialize(rng)
     k, kept = [], []
     for t in range(burnin + iterations):
@@ -88,7 +94,7 @@ def _successive_conditional(algo_id, hier_type, iterations, burnin, rng):
         if t >= burnin:
             k.append(len(algo.clusters))
             kept.append(states[0])
-        algo._prepare_data(_kernel_draws(states, rng))
+        algo._prepare_data(_kernel_draws(hier_type, states, rng))
         algo._recount()
     return _statistics(hier_type, k, stack_states(kept))
 
@@ -115,3 +121,17 @@ def test_each_family_matches_forward_draws(cell, seed):
     forward = _forward(hier_type, 200_000, rng)
     _assert_agree(hier_type, forward,
                   _successive_conditional(algo_id, hier_type, 10_000, 200, rng))
+
+
+@pytest.mark.parametrize("cell, step_size, seed", [("Neal8/LapNIG/mala", 0.6, 108),
+                                                   ("Neal8/NNIG/rwmh", 1.0, 109),
+                                                   ("Neal8/NNxIG/mala", 0.6, 110)])
+def test_each_metropolis_family_matches_forward_draws(cell, step_size, seed):
+    # three steps a sweep at a step near each target's scale: the chain's
+    # autocorrelation stays low enough for 10,000 kept sweeps
+    algo_id, hier_type, kind = cell.split("/")
+    updater = {"updater": kind, "step_size": step_size, "num_steps": 3}
+    rng = np.random.default_rng(seed)
+    forward = _forward(hier_type, 200_000, rng)
+    _assert_agree(hier_type, forward,
+                  _successive_conditional(algo_id, hier_type, 10_000, 200, rng, updater))

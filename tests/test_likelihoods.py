@@ -101,7 +101,10 @@ def test_stat_updates_are_order_independent():
 
 
 def _unconstrained_lpdf(like_cls, members, u):
-    """The k clusters' values and gradient at u (2, k); cluster h holds the data members[h]."""
+    """The k clusters' values and gradient at u (2, k); cluster h holds the data members[h].
+
+    Each cluster's numbers go through the kernel's expression on floats.
+    """
     likes, rows, labels = [], [], []
     for h, ys in enumerate(members):
         like = like_cls()
@@ -111,8 +114,12 @@ def _unconstrained_lpdf(like_cls, members, u):
             labels.append(h)
         likes.append(like)
     rows, labels = np.array(rows, dtype=float).reshape(-1, 1), np.array(labels, dtype=int)
-    stats = like_cls.unconstrained_stats(likes, rows, labels)
-    return like_cls.unconstrained_lpdf(stats, u)
+    means, log_scales = u.tolist()
+    sums = like_cls.unconstrained_stats(likes, rows, labels)
+    out = np.array([like_cls.unconstrained_lpdf(*numbers, mean, log_scale, e)
+                    for numbers, mean, log_scale, e in zip(sums(means), means, log_scales,
+                                                           np.exp(-u[1]).tolist())]).T
+    return out[0], out[1:]
 
 
 def test_cluster_lpdf_from_unconstrained_empty_cluster_is_zero():

@@ -3,7 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import gamma_rate_quadrature, monte_carlo_se, nnig_quadrature, nxig_quadrature
+from oracles import (
+    gamma_rate_quadrature,
+    metropolis_array_move,
+    metropolis_array_target,
+    monte_carlo_se,
+    nnig_quadrature,
+    nxig_quadrature,
+)
 
 from mixmcmc.exceptions import CapabilityError
 from mixmcmc.hierarchy import build_hierarchy
@@ -27,7 +34,6 @@ from mixmcmc.states import GammaState, MultiLSState, UniLSState
 from mixmcmc.updaters import (
     ConjugateUpdater,
     NNxIGUpdater,
-    _log_target,
     build_metropolis_updater,
     gamma_gamma_posterior_hypers,
     gamma_gamma_predictive,
@@ -58,6 +64,29 @@ def _normal_cluster(data):
     for y in data:
         like.add_datum(float(y))
     return like
+
+
+def _target(likes, prior, rows, labels):
+    """u (2, k) -> the k clusters' log targets (k,) and gradient (2, k).
+
+    Each cluster's value and partial derivatives are the likelihood's and
+    the prior's per-cluster expressions, summed, on Python floats.
+    """
+    like_cls = type(likes[0])
+    sums = like_cls.unconstrained_stats(likes, rows, labels)
+
+    def target(u):
+        means, log_scales = u.tolist()
+        out = []
+        for numbers, mean, log_scale, e in zip(sums(means), means, log_scales,
+                                               np.exp(-u[1]).tolist()):
+            like_terms = like_cls.unconstrained_lpdf(*numbers, mean, log_scale, e)
+            prior_terms = prior._unconstrained_lpdf(mean, log_scale, e)
+            out.append([a + b for a, b in zip(like_terms, prior_terms)])
+        out = np.array(out).T
+        return out[0], out[1:]
+
+    return target
 
 
 def _metropolis_draw(updater, like, prior, rng, data):
@@ -340,6 +369,39 @@ def test_random_walk_tiny_step_acceptance():
     assert np.max(np.abs(like.state.to_unconstrained() - start)) < 1e-6
 
 
+# the Metropolis families: (kernel, prior) of NNIG, NNxIG and LapNIG
+_METROPOLIS_FAMILIES = {
+    "NNIG": (UniNormLikelihood, NIGPrior(NIGHypers(0.3, 0.5, 2.5, 1.5))),
+    "NNxIG": (UniNormLikelihood, NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))),
+    "LapNIG": (LaplaceLikelihood, NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))),
+}
+
+
+# every family under both kinds; LapNIG's cases keep the ids they had when
+# they were the only ones
+_HUGE_STEP_CASES = [
+    pytest.param(family, kind, id=kind if family == "LapNIG" else f"{family}-{kind}")
+    for family in sorted(_METROPOLIS_FAMILIES) for kind in ("rwmh", "mala")
+]
+
+
+def _clusters(like_cls, sizes, rng):
+    """Clusters of the given sizes; their data, per cluster and as rows with labels."""
+    likes, data, labels = [], [], []
+    for h, size in enumerate(sizes):
+        like = like_cls(UniLSState(0.0, 1.0))
+        ys = rng.normal(h - 2.0, 1.5, size=size).tolist()
+        for y in ys:
+            like.add_datum(y)
+            labels.append(h)
+        likes.append(like)
+        data.append(ys)
+    rows = np.concatenate(data).reshape(-1, 1)
+    # the rows in a shuffled order, as a sampler's labels interleave the clusters
+    order = rng.permutation(len(labels))
+    return likes, data, rows[order], np.array(labels)[order]
+
+
 # every (kernel, prior) pair the unconstrained densities compose
 _TARGET_PAIRS = [(like_cls, prior) for like_cls in (UniNormLikelihood, LaplaceLikelihood)
                  for prior in (NIGPrior(NIG_REF), NxIGPrior(NxIGHypers(0.0, 2.0, 2.0, 2.0)))]
@@ -356,8 +418,7 @@ def test_mala_gradient_matches_finite_differences():
         for trial in range(30):
             k = int(rng.integers(1, 9))
             likes, data, rows, labels = _clusters(like_cls, rng.integers(1, 7, size=k), rng)
-            target = _log_target(like_cls.unconstrained_lpdf,
-                                 like_cls.unconstrained_stats(likes, rows, labels), prior)
+            target = _target(likes, prior, rows, labels)
             u = np.vstack([rng.normal(scale=2.0, size=k), rng.uniform(-8.0, 8.0, size=k)])
             tie = like_cls is LaplaceLikelihood and trial % 2 == 0
             if tie:
@@ -374,12 +435,14 @@ def test_mala_gradient_matches_finite_differences():
                 assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
     # the tie y == mean counts as y >= mean, slope -1: exact values at log scale 0
     ys, groups = np.array([[0.5], [-1.0], [2.0], [0.5], [3.0]]), np.array([0, 0, 1, 2, 2])
-    stats = LaplaceLikelihood.unconstrained_stats([LaplaceLikelihood()] * 3, ys, groups)
-    val, grad = LaplaceLikelihood.unconstrained_lpdf(stats, np.array([[0.5, 1.0, 4.0], [0.0] * 3]))
-    assert val.tolist() == [-2 * math.log(2.0) - 1.5, -math.log(2.0) - 1.0,
-                            -2 * math.log(2.0) - 4.5]
+    means = [0.5, 1.0, 4.0]
+    sums = LaplaceLikelihood.unconstrained_stats([LaplaceLikelihood()] * 3, ys, groups)
+    val, g_mean, g_log = zip(*[LaplaceLikelihood.unconstrained_lpdf(*numbers, mean, 0.0, 1.0)
+                               for numbers, mean in zip(sums(means), means)])
+    assert list(val) == [-2 * math.log(2.0) - 1.5, -math.log(2.0) - 1.0,
+                         -2 * math.log(2.0) - 4.5]
     # d/d mean = -(sum of slopes) / scale; d/d log scale = -n + (sum of |y - mean|) / scale
-    assert grad.tolist() == [[0.0, 1.0, -2.0], [-0.5, 0.0, 2.5]]
+    assert [list(g_mean), list(g_log)] == [[0.0, 1.0, -2.0], [-0.5, 0.0, 2.5]]
 
 
 def _run_metropolis_chain(updater, like, prior, steps, seed, data):
@@ -452,16 +515,21 @@ def test_step_size_validation():
         build_metropolis_updater("mala", step_size=-1.0)
     with pytest.raises(ValueError, match="finite"):
         build_metropolis_updater("rwmh", step_size=math.inf)
+    # the Langevin correction divides by 2 step^2, which must not underflow to 0
+    with pytest.raises(ValueError, match="too small"):
+        build_metropolis_updater("mala", step_size=1e-170)
+    assert build_metropolis_updater("rwmh", step_size=1e-170).step_size == 1e-170
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("kind", ["rwmh", "mala"])
-def test_proposal_whose_target_cannot_be_evaluated_is_rejected(kind):
+@pytest.mark.parametrize("family, kind", _HUGE_STEP_CASES)
+def test_proposal_whose_target_cannot_be_evaluated_is_rejected(family, kind):
     # a step this large proposes log scales whose exp overflows, or underflows
-    # to a 0 whose log fails; such a proposal is a rejected move
-    prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
+    # to a 0 whose log fails; such a proposal is a rejected move, on Python
+    # floats as on arrays: no exception and no floating-point warning
+    like_cls, prior = _METROPOLIS_FAMILIES[family]
     data = [0.5, -0.7, 2.0]
-    like = LaplaceLikelihood(UniLSState(0.0, 1.0))
+    like = like_cls(UniLSState(0.0, 1.0))
     for y in data:
         like.add_datum(y)
     updater = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
@@ -482,31 +550,6 @@ def test_num_steps_must_be_a_positive_integer(kind, num_steps):
         build_metropolis_updater(kind, num_steps=num_steps)
 
 
-# the Metropolis families: (kernel, prior) of NNIG, NNxIG and LapNIG
-_METROPOLIS_FAMILIES = {
-    "NNIG": (UniNormLikelihood, NIGPrior(NIGHypers(0.3, 0.5, 2.5, 1.5))),
-    "NNxIG": (UniNormLikelihood, NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))),
-    "LapNIG": (LaplaceLikelihood, NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))),
-}
-
-
-def _clusters(like_cls, sizes, rng):
-    """Clusters of the given sizes; their data, per cluster and as rows with labels."""
-    likes, data, labels = [], [], []
-    for h, size in enumerate(sizes):
-        like = like_cls(UniLSState(0.0, 1.0))
-        ys = rng.normal(h - 2.0, 1.5, size=size).tolist()
-        for y in ys:
-            like.add_datum(y)
-            labels.append(h)
-        likes.append(like)
-        data.append(ys)
-    rows = np.concatenate(data).reshape(-1, 1)
-    # the rows in a shuffled order, as a sampler's labels interleave the clusters
-    order = rng.permutation(len(labels))
-    return likes, data, rows[order], np.array(labels)[order]
-
-
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("family", sorted(_METROPOLIS_FAMILIES))
 def test_batched_target_equals_the_per_cluster_targets(family, k):
@@ -516,14 +559,11 @@ def test_batched_target_equals_the_per_cluster_targets(family, k):
     # the first cluster holds a single datum
     likes, data, rows, labels = _clusters(
         like_cls, [1] + rng.integers(1, 9, size=k - 1).tolist(), rng)
-    batch = _log_target(like_cls.unconstrained_lpdf,
-                        like_cls.unconstrained_stats(likes, rows, labels), prior)
+    batch = _target(likes, prior, rows, labels)
     singles = []
     for like, ys in zip(likes, data):
         one_rows, one_labels = np.reshape(ys, (-1, 1)), np.zeros(len(ys), dtype=int)
-        singles.append(_log_target(like_cls.unconstrained_lpdf,
-                                   like_cls.unconstrained_stats([like], one_rows, one_labels),
-                                   prior))
+        singles.append(_target([like], prior, one_rows, one_labels))
     for trial in range(20):
         u = np.vstack([rng.normal(size=k), rng.normal(scale=0.7, size=k)])
         # on even trials the last cluster's mean sits on one of its data: for
@@ -536,6 +576,84 @@ def test_batched_target_equals_the_per_cluster_targets(family, k):
             one_val, one_grad = single(u[:, c:c + 1])
             assert val[c] == pytest.approx(one_val[0], rel=1e-12)
             assert grad[:, c] == pytest.approx(one_grad[:, 0], rel=1e-12, abs=1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("family", sorted(_METROPOLIS_FAMILIES))
+def test_per_cluster_target_equals_the_array_oracle(family, k):
+    # the per-cluster float expressions give the bits of the (2, k) array
+    # target: log scales out to +-700, where exp(-log scale) reaches 1e304
+    # and 1e-304 and the sums overflow, and a Laplace mean on one of its data
+    like_cls, prior = _METROPOLIS_FAMILIES[family]
+    rng = np.random.default_rng(50 + k)
+    likes, data, rows, labels = _clusters(
+        like_cls, [1] + rng.integers(1, 9, size=k - 1).tolist(), rng)
+    target = _target(likes, prior, rows, labels)
+    oracle = metropolis_array_target(likes, prior, rows, labels)
+    for reach in (1.0, 30.0, 700.0):
+        for trial in range(10):
+            u = np.vstack([rng.normal(scale=3.0, size=k), rng.uniform(-reach, reach, size=k)])
+            if trial % 2 == 0:
+                u[0, -1] = data[-1][-1]
+            if trial == 1:
+                u[1, -1] = reach if k % 2 else -reach
+            value, grad = target(u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want_value, want_grad = oracle(u)
+            assert _bits(value) == _bits(want_value)
+            assert _bits(grad) == _bits(want_grad)
+
+
+@pytest.mark.parametrize("family", sorted(_METROPOLIS_FAMILIES))
+def test_unconstrained_expressions_are_elementwise(family):
+    # on k clusters' arrays each expression gives the bits it gives on each
+    # cluster's floats
+    like_cls, prior = _METROPOLIS_FAMILIES[family]
+    rng = np.random.default_rng(53)
+    likes, _, rows, labels = _clusters(like_cls, rng.integers(1, 9, size=6).tolist(), rng)
+    means, log_scales = rng.normal(scale=3.0, size=6), rng.uniform(-700.0, 700.0, size=6)
+    es = np.exp(-log_scales)
+    numbers = list(like_cls.unconstrained_stats(likes, rows, labels)(means.tolist()))
+    points = list(zip(means.tolist(), log_scales.tolist(), es.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        like_arrays = like_cls.unconstrained_lpdf(*map(np.array, zip(*numbers)), means,
+                                                  log_scales, es)
+        prior_arrays = prior._unconstrained_lpdf(means, log_scales, es)
+    like_floats = [like_cls.unconstrained_lpdf(*nums, *point)
+                   for nums, point in zip(numbers, points)]
+    prior_floats = [prior._unconstrained_lpdf(*point) for point in points]
+    assert _bits(like_arrays) == _bits(np.transpose(like_floats))
+    assert _bits(prior_arrays) == _bits(np.transpose(prior_floats))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["rwmh", "mala"])
+@pytest.mark.parametrize("family", sorted(_METROPOLIS_FAMILIES))
+def test_draw_batch_matches_the_array_move(family, kind):
+    # from the same generator state the float kernel moves k clusters as the
+    # (2, k) array kernel does, bit for bit: small to huge steps, k = 1, 3, 8
+    like_cls, prior = _METROPOLIS_FAMILIES[family]
+    rng = np.random.default_rng(54)
+    for k, step_size in ((1, 0.3), (3, 1.0), (8, 0.05), (3, 1000.0)):
+        likes, _, rows, labels = _clusters(like_cls, rng.integers(1, 9, size=k).tolist(), rng)
+        for like in likes:
+            like.state = UniLSState(rng.normal(), rng.gamma(2.0))
+        updater = build_metropolis_updater(kind, step_size, num_steps=3)
+        oracle = metropolis_array_target(likes, prior, rows, labels, grad=updater.langevin)
+        for seed in range(20):
+            u = np.array([like.state.to_unconstrained() for like in likes]).T
+            metropolis_array_move(oracle, u, np.random.default_rng(seed), step_size, 3,
+                                  updater.langevin)
+            updater.draw_batch(likes, prior, np.random.default_rng(seed), rows, labels)
+            want = [UniLSState.from_unconstrained(col) for col in u.T]
+            assert _bits([like.state.to_params()["mean"] for like in likes]) == _bits(
+                [state.mean for state in want])
+            assert _bits([like.state.var for like in likes]) == _bits(
+                [state.var for state in want])
 
 
 @pytest.mark.parametrize("kind,step_size,seed", [("rwmh", 0.5, 35), ("mala", 0.35, 36)])
@@ -569,10 +687,10 @@ def test_batched_metropolis_matches_conjugate_posterior(kind, step_size, seed):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("kind", ["rwmh", "mala"])
-def test_batch_accepts_or_rejects_each_cluster_on_its_own(kind):
-    prior = NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0))
-    likes, _, rows, labels = _clusters(LaplaceLikelihood, [3, 4, 2, 5], np.random.default_rng(37))
+@pytest.mark.parametrize("family, kind", _HUGE_STEP_CASES)
+def test_batch_accepts_or_rejects_each_cluster_on_its_own(family, kind):
+    like_cls, prior = _METROPOLIS_FAMILIES[family]
+    likes, _, rows, labels = _clusters(like_cls, [3, 4, 2, 5], np.random.default_rng(37))
     rng = np.random.default_rng(38)
     # a step this large proposes scales that overflow or underflow: every
     # proposal is rejected, without a floating-point warning

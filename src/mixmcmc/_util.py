@@ -26,13 +26,13 @@ def log_mean_exp(arr, axis=0):
         return np.squeeze(m, axis=axis) + np.log(np.mean(np.exp(arr - m), axis=axis))
 
 
-def sample_log_categorical(log_weights, rng):
-    """Draw an index from a list of unnormalized log weights via max-subtraction."""
+def sample_log_categorical(log_weights, u):
+    """Draw an index from unnormalized log weights via max-subtraction, by the uniform u."""
     m = max(log_weights)
     if not math.isfinite(m):
         raise ValueError("all categorical log weights are -inf")
     weights = [math.exp(v - m) for v in log_weights]
-    u = rng.random() * math.fsum(weights)
+    u = u * math.fsum(weights)
     acc = 0.0
     for idx, w in enumerate(weights):
         acc += w

@@ -6,11 +6,14 @@ cluster's parameters from its full conditional. A datum's draw reads its
 row of a score table: exp(log score - reference) for every existing
 cluster and then every new-cluster candidate, the reference being the
 row's largest log score when the table was built (Neal3: the prior
-predictive's). The row times the
-linear masses exp(log mass) gives the weights, and one uniform picks a
-category from their running sums. A datum whose total weight is zero,
-subnormal or not finite is drawn from its log weights with max
-subtraction instead. The blocked Gibbs sampler keeps a fixed number of
+predictive's). The row times the linear masses exp(log mass) gives the
+weights, and the datum's uniform picks a category from their running sums.
+A datum whose total weight is zero, subnormal or not finite is drawn from
+its log weights with max subtraction instead, with the same uniform. A
+block's uniforms are drawn in one call, after its candidates, and a birth
+draws its parameters after them: the uniforms are iid whatever order the
+generator hands them out in, so the kernel is that of one draw per datum
+in sweep order. The blocked Gibbs sampler keeps a fixed number of
 components with explicit stick-breaking weights and normalizes on the
 log scale. Before its refresh every sampler recounts each cluster's size
 and statistics from the allocations.
@@ -36,8 +39,8 @@ ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
 # Neal8 draws its auxiliary states in blocks of data of about this many
 # n_aux * d * d cells, so that the batch's memory stays bounded at large n
 _AUX_BATCH_CELLS = 1 << 16
-# a marginal sampler's score table holds at most this many rows at a time,
-# and Neal3 draws at most this many uniforms ahead
+# a marginal sampler's score table holds at most this many rows at a time;
+# its block's uniforms are drawn with it
 _TABLE_ROWS = 4096
 # a datum whose total linear weight is below this (or not finite) is drawn
 # in log space: a subnormal total has lost its relative precision
@@ -244,42 +247,6 @@ class _Memo(dict):
         return value
 
 
-class _Uniforms:
-    """The sweep's uniforms, one ``rng.random()`` per datum, drawn ahead.
-
-    ``ahead(start, stop)`` draws the uniforms of data start..stop-1 in one
-    call of the generator; datum i's is ``values[i - base]``, a list read.
-    One call for m uniforms gives the numbers m single calls would, but it
-    leaves the generator ahead of those the sweep has used, so ``rewind(i)``
-    must come before anything else draws from it: it goes back to the state
-    before the call and draws the uniforms of the data before i again,
-    leaving the generator where single calls would have.
-    """
-
-    __slots__ = ("_rng", "_state", "values", "base")
-
-    def __init__(self, rng):
-        self._rng, self._state, self.values, self.base = rng, None, [], 0
-
-    @property
-    def stop(self):
-        """The first datum whose uniform is not drawn."""
-        return self.base + len(self.values)
-
-    def ahead(self, start, stop):
-        self.base, self.values = start, []
-        if stop > start:
-            self._state = self._rng.bit_generator.state
-            self.values = self._rng.random(stop - start).tolist()
-
-    def rewind(self, i):
-        used = i - self.base
-        if used < len(self.values):
-            self._rng.bit_generator.state = self._state
-            self._rng.random(used)
-        self.base, self.values = i, []
-
-
 class _MarginalAlgorithm(_BaseAlgorithm):
     """One allocation sweep for every marginal sampler.
 
@@ -308,14 +275,14 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     death swap-pops its column, as the store's lists do. The cluster states
     do not change during a sweep, so the rows stay exact.
 
-    A datum is drawn by one uniform against the running sums of its row
+    A datum is drawn by its uniform against the running sums of its row
     times the linear masses. Where that total is zero, subnormal or not
     finite (a newborn scoring far above a row's reference overflows it; the
     row's top cluster died and the rest underflowed), that datum is drawn by
-    ``sample_log_categorical`` from its log weights instead, again with one
-    uniform. The uniforms are drawn ahead for a block of data in one call
-    (:class:`_Uniforms`), and rewound before a birth, a guard draw or a
-    block's draws, which leaves the generator's stream as single draws would.
+    ``sample_log_categorical`` from its log weights instead, with the same
+    uniform. A block's uniforms are drawn in one ``rng.random`` call right
+    after its candidates, and a birth drawn from the full conditional draws
+    after them; nothing is rewound.
 
     The default candidate is the prior predictive, born from the
     single-datum full conditional. Its hyperparameters are fixed, so its
@@ -330,9 +297,9 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._build_store(rng)
         labels, sizes, masses, mass_of_size = (
             self._labels, self._sizes, self._masses, self._mass_of_size)
-        uniforms, last_candidate = self._uniforms, self._num_candidates - 1
+        last_candidate = self._num_candidates - 1
         tiny, inf = _TINY, math.inf
-        table, start, stop, us, base = (), 0, 0, (), 0
+        table, us, start, stop = (), (), 0, 0
         # k clusters; a draw past the last category's cumulative sum (rounding) takes it
         k = len(sizes)
         hi = k + last_candidate
@@ -349,31 +316,25 @@ class _MarginalAlgorithm(_BaseAlgorithm):
                 stashed = self._remove_datum(i)
                 k, hi = k - 1, hi - 1
             if i == stop:
-                table, start, stop = self._start_block(i, rng)
-                us, base = uniforms.values, uniforms.base
+                start = i
+                table, us, stop = self._start_block(i, rng)
             row = table[i - start]
             if stashed is not None:
                 self._take_back(i, stashed, row, k)
             cum = list(accumulate(map(mul, masses, row)))
             total = cum[-1]
             if tiny <= total < inf:
-                choice = bisect_right(cum, us[i - base] * total, 0, hi)
+                choice = bisect_right(cum, us[i - start] * total, 0, hi)
             else:
-                uniforms.rewind(i)
-                choice = sample_log_categorical(self._log_weights(i, stashed), rng)
-                uniforms.ahead(i + 1, stop)
-                us, base = uniforms.values, uniforms.base
+                choice = sample_log_categorical(self._log_weights(i, stashed), us[i - start])
             if choice < k:
                 labels[i] = choice
                 size = sizes[choice] + 1
                 sizes[choice] = size
                 masses[choice] = mass_of_size[size]
             else:
-                uniforms.rewind(i + 1)
                 self._open_cluster(i, rng, state=self._candidate_state(i, choice - k, stashed))
-                uniforms.ahead(i + 1, stop)
-                us, base, k, hi = uniforms.values, uniforms.base, k + 1, hi + 1
-        uniforms.rewind(self.n)
+                k, hi = k + 1, hi + 1
         self._sync_members()
         self._refresh_clusters(rng)
 
@@ -388,7 +349,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         # an existing cluster's mass depends on n and its size only (see
         # mixings), so these last the run: lists by size 1..n (0 is unused)
         self._log_mass_of_size = [-math.inf] + [
-            mixing.mass_existing_cluster(n, size, None) for size in range(1, n + 1)]
+            mixing.mass_existing_cluster(n, size) for size in range(1, n + 1)]
         self._mass_of_size = [math.exp(log_mass) for log_mass in self._log_mass_of_size]
 
     def _block_rows(self):
@@ -420,7 +381,6 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         n, mixing = self.n, self.mixing
         self._labels = self.allocations.tolist()
         self._sizes = sizes = [cl.card for cl in self.clusters]
-        self._uniforms = _Uniforms(rng)
         # a new cluster's mass depends on n and the number of clusters, and
         # on the mixing state, which is fixed during a sweep but not a run
         k0, log_c = len(sizes), math.log(self._num_candidates)
@@ -433,13 +393,13 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._table, self._block_start, self._block_stop = [], 0, 0
 
     def _start_block(self, start, rng):
-        """Build the score table's rows of data start.. on; returns (table, start, stop).
+        """Build the score table's rows of data start.. on; returns (table, uniforms, stop).
 
-        The block's uniforms are drawn ahead after its candidates, which may
-        draw from the generator.
+        The block's rows and its data's uniforms are both indexed from
+        start. The uniforms are drawn in one call, after the candidates,
+        which may draw from the generator.
         """
         stop = min(start + self._block_rows(), self.n)
-        self._uniforms.rewind(start)
         candidates = self._candidate_scores(start, stop, rng)
         k = len(self.clusters)
         # column-major, one column per category, so that the reduction runs along the data
@@ -452,8 +412,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         with np.errstate(invalid="ignore"):  # a row of -inf is left to the guard
             self._table = np.exp(scores - ref[:, None]).tolist()
         self._block_start, self._block_stop = start, stop
-        self._uniforms.ahead(start, stop)
-        return self._table, start, stop
+        return self._table, rng.random(stop - start).tolist(), stop
 
     def _add_column(self, i, cluster):
         """Insert a newborn's column into the rows after datum i's."""
@@ -534,7 +493,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     def _record_log_weights(self, record, mixing):
         n, k = record.allocations.shape[0], len(record.cluster_states)
         log_masses = np.array(
-            [mixing.mass_existing_cluster(n, cs.cardinality, k) for cs in record.cluster_states]
+            [mixing.mass_existing_cluster(n, cs.cardinality) for cs in record.cluster_states]
             + [mixing.mass_new_cluster(n, k)])
         return log_masses - logsumexp(log_masses)
 
@@ -568,8 +527,9 @@ class Neal3Algorithm(_MarginalAlgorithm):
     them itself, once the next datum has left, as that datum often leaves
     the same cluster again: the labels tell which clusters changed, the one
     the previous datum joined (a newborn counted its datum at birth) and
-    the one this datum left. Their scorers are rebuilt then. The uniforms
-    are drawn ahead for up to ``_TABLE_ROWS`` data, not per block.
+    the one this datum left. Their scorers are rebuilt then. Its blocks draw
+    nothing, so the whole sweep's uniforms are drawn in one call when the
+    store is built, before any birth.
     """
 
     algo_id = "Neal3"
@@ -579,6 +539,7 @@ class Neal3Algorithm(_MarginalAlgorithm):
         super()._build_store(rng)
         self._scorers = [self._cluster_scorer(h) for h in range(len(self._sizes))]
         self._newborn = -1  # the last datum that opened a cluster
+        self._uniforms = rng.random(self.n).tolist()
 
     def _cluster_scorer(self, h):
         cluster = self.clusters[h]
@@ -598,20 +559,18 @@ class Neal3Algorithm(_MarginalAlgorithm):
     def _start_block(self, start, rng):
         # since the last block, datum start - 1 joined its cluster and datum
         # start left its own (-1 if that cluster died)
-        labels, uniforms = self._labels, self._uniforms
+        labels = self._labels
         joined, left = (labels[start - 1] if start else -1), labels[start]
         if start - 1 != self._newborn:
             self._move_stats(joined, start - 1, True)
         self._move_stats(left, start, False)
         self._rescore(joined, left)
-        if start == uniforms.stop:
-            uniforms.ahead(start, min(start + _TABLE_ROWS, self.n))
         y, ref = self._rows[start], float(self._prior_scores[start])
         try:
             row = [math.exp(score(y) - ref) for score in self._scorers] + [1.0]
         except OverflowError:  # left to the guard
             row = [math.inf] * (len(self._scorers) + 1)
-        return [row], start, start + 1
+        return [row], [self._uniforms[start]], start + 1
 
     def _cluster_log_scores(self, y):
         return [score(y) for score in self._scorers]

@@ -233,8 +233,12 @@ class FileCollector:
         return self._size
 
 
-def read_csv_matrix(path):
-    """Read a rectangular headerless numeric CSV into an (n, d) float array."""
+def read_csv_matrix(path, allow_neg_inf=False):
+    """Read a rectangular headerless numeric CSV into an (n, d) float array.
+
+    Every cell must be finite; with ``allow_neg_inf`` a cell may also be
+    -inf, a log density where the density is zero.
+    """
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -257,8 +261,12 @@ def read_csv_matrix(path):
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     matrix = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{path}: matrix contains non-finite entries")
+    bad = ~np.isfinite(matrix)
+    if allow_neg_inf:
+        bad &= matrix != -np.inf
+    if bad.any():
+        raise ValueError(f"{path}: matrix contains non-finite entries"
+                         + (" other than -inf" if allow_neg_inf else ""))
     return matrix
 
 

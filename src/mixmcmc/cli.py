@@ -115,7 +115,7 @@ def _plot(args):
     grid = read_csv_matrix(args.grid_file)
     if grid.shape[1] != 1:
         raise MixError("plotting needs a 1-d grid")
-    lpdf = read_csv_matrix(args.dens_file)
+    lpdf = read_csv_matrix(args.dens_file, allow_neg_inf=True)  # -inf off the support
     if lpdf.shape[1] != grid.shape[0]:
         raise MixError(
             f"density file has {lpdf.shape[1]} columns but the grid has "

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._validation import check_positive, check_positive_int
 from .config import ConfigTree
-from .exceptions import CapabilityError, ConfigError
+from .exceptions import ConfigError
 
 MIXING_TYPES = ("DP", "PY", "TruncSB")
 
@@ -40,7 +40,7 @@ class DirichletMixing:
     def is_conditional(self):
         return False
 
-    def mass_existing_cluster(self, n, n_h, k):
+    def mass_existing_cluster(self, n, n_h):
         return math.log(n_h)
 
     def mass_new_cluster(self, n, k):
@@ -78,7 +78,7 @@ class PitYorMixing:
     def is_conditional(self):
         return False
 
-    def mass_existing_cluster(self, n, n_h, k):
+    def mass_existing_cluster(self, n, n_h):
         return math.log(n_h - self.discount)
 
     def mass_new_cluster(self, n, k):
@@ -115,12 +115,6 @@ class TruncatedSBMixing:
 
     def is_conditional(self):
         return True
-
-    def mass_existing_cluster(self, n, n_h, k):
-        raise CapabilityError("truncated stick-breaking has no marginal masses")
-
-    def mass_new_cluster(self, n, k):
-        raise CapabilityError("truncated stick-breaking has no marginal masses")
 
     def get_weights(self):
         """Log weights of the m components (-inf where a weight underflows)."""

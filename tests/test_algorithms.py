@@ -172,9 +172,16 @@ def test_extreme_separation_follows_enumeration_oracle():
 
 
 @pytest.mark.parametrize(
-    "algo_id,n_aux", [("Neal2", None), ("Neal3", None), ("Neal8", 1), ("Neal8", 3)]
+    "algo_id,n_aux,table_rows",
+    [("Neal2", None, None), ("Neal3", None, None), ("Neal8", 1, None), ("Neal8", 3, None),
+     # each datum is its own block of the score table, so births fall
+     # between blocks and each block's uniforms follow the births before it
+     ("Neal2", None, 1)],
+    ids=["Neal2-None", "Neal3-None", "Neal8-1", "Neal8-3", "Neal2-rows1"],
 )
-def test_two_point_coclustering_matches_enumeration(algo_id, n_aux):
+def test_two_point_coclustering_matches_enumeration(monkeypatch, algo_id, n_aux, table_rows):
+    if table_rows is not None:
+        monkeypatch.setattr(algorithms, "_TABLE_ROWS", table_rows)
     target = nnig_dp_coclustering_probability(-1.0, 1.0, 0.0, 0.1, 2.0, 2.0, alpha=1.0)
     kwargs = {} if n_aux is None else {"n_aux": n_aux}
     algo = build_algorithm(algo_id, _nnig(), DirichletMixing(1.0), **kwargs)
@@ -419,13 +426,13 @@ def test_allocation_sampling_survives_huge_masses():
     logs = [700.0, 699.5, -650.0]
     counts = np.zeros(3)
     for _ in range(2000):
-        counts[sample_log_categorical(logs, rng)] += 1
+        counts[sample_log_categorical(logs, rng.random())] += 1
     expected = np.exp(logs - np.max(logs))
     expected /= expected.sum()
     assert counts[2] == 0
     assert abs(counts[0] / 2000 - expected[0]) < 0.05
     with pytest.raises(ValueError):
-        sample_log_categorical([-np.inf, -np.inf], rng)
+        sample_log_categorical([-np.inf, -np.inf], rng.random())
 
 
 def test_allocation_guard_keeps_the_log_space_chain(monkeypatch):
@@ -438,9 +445,9 @@ def test_allocation_guard_keeps_the_log_space_chain(monkeypatch):
     calls = []
     real_draw = algorithms.sample_log_categorical
 
-    def counted_draw(logs, rng):
+    def counted_draw(logs, u):
         calls.append(len(logs))
-        return real_draw(logs, rng)
+        return real_draw(logs, u)
 
     monkeypatch.setattr(algorithms, "sample_log_categorical", counted_draw)
     rng = np.random.default_rng(5)

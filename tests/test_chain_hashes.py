@@ -15,7 +15,8 @@ by ``OFFSET``, so the statistics are centred away from zero.
 
 The hashes depend on the floating-point results of the numpy build (libm,
 BLAS/LAPACK for the NNW cells), so another build may need them recorded
-again: ``python tests/test_chain_hashes.py`` prints the current tables.
+again: ``python tests/test_chain_hashes.py`` prints the current tables, and
+marks each entry that differs from its pinned value with ``# moved``.
 """
 
 import functools
@@ -62,18 +63,18 @@ OFFSET = 3.0
 OFFSET_CELLS = ["Neal2/NNIG/DP", "Neal3/NNW/DP", "Neal8/NNxIG/DP", "BlockedGibbs/NNIG/TruncSB"]
 
 CHAIN_SHA256 = {
-    "Neal2/NNIG/DP": "44d6205c13b59c85b553e932e293a60271f915f7ed23657b2d7dadddf0d77ab1",
-    "Neal2/NNIG/PY": "eb337a08f556c01b97cbb9522c636c9e55936475e6da890080135a7cac8dc61b",
-    "Neal2/NNW/DP": "921a633dffff8aa7e18f09e2a86b1b61b7289a9ed265fba81690219fe94fe102",
-    "Neal2/NNW/PY": "5551ea566a6dc1d5531f05243630436191ee6b96164f6441cd291d59db09565a",
-    "Neal2/GammaGamma/DP": "adabc39ca1322d12dc44ad750923a4c61fe79841fc7df6068bb8f3ab23af215e",
-    "Neal2/GammaGamma/PY": "360d77aa1d14d3fed4eaad7d741c0999aef7c7e823aacd10afb6b19da26bc20d",
-    "Neal3/NNIG/DP": "684dc5efed3c292985e26fd60d47f30dd634362f7bb1f30ac772a1f6b3b06615",
-    "Neal3/NNIG/PY": "b83a5021d49f2e2494adf15605c54c97a062acab14d1d7238b92920106522e49",
-    "Neal3/NNW/DP": "1faf34c1e8b4a0459d04dd7775bd60b1a4cce441555745b35e2114343dddaa4f",
-    "Neal3/NNW/PY": "1bb66a6677892428bfc7598916ce00942b56bbac9fc7378150fdd213411e075b",
-    "Neal3/GammaGamma/DP": "0ef9ed8ed415276ade019a02508416123755422b7a864a9ec13eceb702e20bbd",
-    "Neal3/GammaGamma/PY": "078447093fa2ec87e7949c14ee3716eaeed3ea3897c082b28dfdf1b2c854845c",
+    "Neal2/NNIG/DP": "02e36c8fd54e2d1ca94a3d5fc262530e12549a3ed62d28d09e654d84d765197f",
+    "Neal2/NNIG/PY": "1f8998aeaec3182d7447d6cda2eec1fba76a0018bd91ab93ec92e839af7a9c49",
+    "Neal2/NNW/DP": "2b2bd791054f22daf9f361c3d5d53282efad53ad73cb8dd717bc939a5d6eb20c",
+    "Neal2/NNW/PY": "5f9947b2f926f135889c2b9ac1bcbdabf385664faba1c06fe624d95e8a1cd123",
+    "Neal2/GammaGamma/DP": "db3918551e5229d65c48715369297122daff9eb84a9493473119f5dfbf795a16",
+    "Neal2/GammaGamma/PY": "fcc80bb8ed6e12adbe9db42b1c144eb2756b2ac3117203bf918d47185f58513f",
+    "Neal3/NNIG/DP": "08cb73dcb8e2ff61ee780070e271cc6c9f780b08867ab3e064122c95cf5c1e70",
+    "Neal3/NNIG/PY": "be96e8bf91a4a96135d6b99db26140758af1d9d0370de3dd924541daa63740eb",
+    "Neal3/NNW/DP": "5537703ccc959093615abb769bfdfe244411c13ba882e83666c4f1ca3bfdde4a",
+    "Neal3/NNW/PY": "0a74b502a277da314501c4b6aa0478b9409014762033f4597e829b7c71ea7b87",
+    "Neal3/GammaGamma/DP": "9d596ffa13ff94c35582a70d97802f71715b4784dad3e7751012f6393745ac44",
+    "Neal3/GammaGamma/PY": "b979bdf88cd086dad2a7bf9ec14c15a455d49428dda7d0197a619763db5eadbd",
     "Neal8/NNIG/DP": "a4c724113f3c35c804866ac011ced1afc4df1c0b74c7a36bb68b42304b61e3fb",
     "Neal8/NNIG/PY": "42b02ea7377da972002ab2ea48151d139196cb2431551a5c524537b3ee3afaf2",
     "Neal8/NNxIG/DP": "c8405065b6b95e5d568c46b736ccb0e6255705475c599eec102c78fb4efec97d",
@@ -91,18 +92,18 @@ CHAIN_SHA256 = {
     "BlockedGibbs/GammaGamma/TruncSB": "fc873cffc99608d908fd6e056b9bb4e54b101df760ddf2b12a1f469a4169b79f",
 }
 GRID_SHA256 = {
-    "Neal2/NNIG/DP": "765394bab07887005433f0db2dfdbf69109702b04cb4d462a5990318561c035c",
-    "Neal2/NNIG/PY": "f9da7aa036db9b6761859c3235b5898ee64143a884742cbff5aef63f413ca337",
-    "Neal2/NNW/DP": "a0184328073b0ffd7fd66032db052fc1c794591e608fee6cad7991a64fa60780",
-    "Neal2/NNW/PY": "1cab2fae13535ab9c0bae6fc7808c972b910cead8a11a677a807b16c5c6d715c",
-    "Neal2/GammaGamma/DP": "2330b4df4715b8116138df3f64f08695715883a71a694bfe6829139d3dd99ced",
-    "Neal2/GammaGamma/PY": "cba846d3469d88b028937a0050ec12b3fda964b9882a6dfe879f6e109ec2f38d",
-    "Neal3/NNIG/DP": "abe74273b2b15208bea282abf27a498b3497b42b5ed35e5ed47a026d1cf4c200",
-    "Neal3/NNIG/PY": "f952748763023ca1d7ac0632d87ffde0ab34930b0a6a959f578d758a3e89168b",
-    "Neal3/NNW/DP": "c0a838d703af63baadda112e396b6a27efacb8e99d5e2082c8ec0b7cfda8a563",
-    "Neal3/NNW/PY": "aeb18980a716e44bbdfab9d6bc2a807a00a4b35aa53c9fff0f68b42e0bf41e5b",
-    "Neal3/GammaGamma/DP": "7c89425c28795284eb56aed2c2d3c715524d81aaded5695007916df4d08f3225",
-    "Neal3/GammaGamma/PY": "dbf0b464840704885a3b46076c31bf440b3dbe70d58bda04e5db7049effbe7a1",
+    "Neal2/NNIG/DP": "fb44a3f99ac922ddd7180ef4da5180a158abcd4c2a5033edc2f22c4bb15ed389",
+    "Neal2/NNIG/PY": "7270ea46d4a3219a5f384ab423d91a3db351083c585d06d9bfaea845a0c90190",
+    "Neal2/NNW/DP": "f70c81b70a9304c165a736b06e5c12cec7dab4e7475f1a50d0e60e0d34676e97",
+    "Neal2/NNW/PY": "05b12df10d264d2255b6a8457be196db020221a19405a54ae4949ff9e8a03b59",
+    "Neal2/GammaGamma/DP": "f1afdf1f2929f7baabb940d8bff0d28f9552ef94a2f0ff2988e64ff21be75782",
+    "Neal2/GammaGamma/PY": "5979dad5d4b63192c0e5a39996a5a4c5794d0a358c266373f11f2712bcd58a6d",
+    "Neal3/NNIG/DP": "e040378b7d74487923c7463cfd240c039cae91f8b7bf5e358c709981beeccb24",
+    "Neal3/NNIG/PY": "542b468af1696f336182bd0a61b1ae53dd01d7868f13dcfd9a6567976cf45f88",
+    "Neal3/NNW/DP": "f45d2182f751b19f3f464198a8b46430e121fe90528fee7dc315224944f61f9a",
+    "Neal3/NNW/PY": "7371305e9c5bad645a17b5f86c159f030ec999ea1ed42462b9514ed3c24fdd07",
+    "Neal3/GammaGamma/DP": "c04b0ae8d99ded934abe0e50a1a222dca61fef9ed0dffc878215d3b0a6c89c4e",
+    "Neal3/GammaGamma/PY": "31f99572ce39b8eb2b3fcedfcfcc677a8671ec85f6a64ba2f710117b6bd3207e",
     "Neal8/NNIG/DP": "8a49ea2b5dec93433166b901f412f2db89f2433007cd0228a2f6487dd4e823dd",
     "Neal8/NNIG/PY": "ba0ca4691df8350d0d1e154ce94e2e48ad9a7e417a9ded57f18aad7943aeb705",
     "Neal8/NNxIG/DP": "3224798288ba0301abc9faa29d7a701623922b516d18e082a7205e2aaf5aa16a",
@@ -122,16 +123,16 @@ GRID_SHA256 = {
 PREDICT_SHA256 = {
     "Neal2/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
     "Neal2/NNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
-    "Neal2/NNW/DP": "f2be067d8b41772673890a47e2dc8fd9b9ad0ebe2a99e6c9409cbbc240f79e27",
-    "Neal2/NNW/PY": "1ee4e91e158ccc9c92977656f544e62bf7702f4ae5def917b23831b4b70a88ac",
-    "Neal2/GammaGamma/DP": "e7e7fff181e5c907f937402faf531cb7b699f65242285fe2176338738567c7ae",
-    "Neal2/GammaGamma/PY": "e1c6b98eab91f0ea9fed2aa4417c854e5d96ae45822a6d1c19eecbc10c329c92",
-    "Neal3/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
-    "Neal3/NNIG/PY": "dd937b4fcede1ba4df9e6aa747b1032d9b444170744440f9c8297fd472046eb8",
-    "Neal3/NNW/DP": "0b8244d88200c50763af3987c03f908841c86127ad78363fd4f9fab15919c52b",
-    "Neal3/NNW/PY": "8d92e7cfac9f22a06a6cb11b3d73f9d5e95602dc4fdf4a68b3e45371a0274669",
-    "Neal3/GammaGamma/DP": "e7e7fff181e5c907f937402faf531cb7b699f65242285fe2176338738567c7ae",
-    "Neal3/GammaGamma/PY": "0ad9287a2e910b771bc1e57410cff9316ed0148606715c0cb1aa265e968c4723",
+    "Neal2/NNW/DP": "a1feba8917ded1a513a5c7c637c52b5584351009916ae6a1c7ab7a9e7341506a",
+    "Neal2/NNW/PY": "fec668a17e6c445ed9bfedd79f8bc0993615b22cc46fbe7e2da2cea40ceb6ea3",
+    "Neal2/GammaGamma/DP": "8278d6262d4875a700b7ed9edd3c16697e55168e8e0a9bdc8e20563feff0ad53",
+    "Neal2/GammaGamma/PY": "fb1108dfd04a9dbf72d524b5cf3931c95d3453499419b2afedbf79e498bb69a9",
+    "Neal3/NNIG/DP": "e49e118cd938ad5116cbeb8c1cccc8fc6016147a3ca450b7356b4c852a719e0f",
+    "Neal3/NNIG/PY": "e7e7fff181e5c907f937402faf531cb7b699f65242285fe2176338738567c7ae",
+    "Neal3/NNW/DP": "a83f2ba929342c546f41a044f21997e112d03903d249b1524f6ef6cf60e4fe70",
+    "Neal3/NNW/PY": "3277261413ed42016be249dd3b710ffb26367411d546ffa79e2f6cb1249748e3",
+    "Neal3/GammaGamma/DP": "76b59d8a9bd555ed2ad18e9021af5962b3101d04c2205484e95dd57c99a945be",
+    "Neal3/GammaGamma/PY": "8126d6903e766dae803a34d81451d850eceddf213ac7776e7cc95fcb79584e54",
     "Neal8/NNIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
     "Neal8/NNIG/PY": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
     "Neal8/NNxIG/DP": "23f329d382167edc2d17513dd3a8d7dcc2a310ef25d271e28b6242e4c4414468",
@@ -159,8 +160,8 @@ METROPOLIS_SHA256 = {
 }
 
 OFFSET_SHA256 = {
-    "Neal2/NNIG/DP": "430fef471925b799ac7bddef930ec83f3fdb2f14c0db0399cabdc77bd9b148c7",
-    "Neal3/NNW/DP": "6bf4ac7150ef70fe7f2ae93b0f791c79534fdacef7cd91f480cc54e46c210d3b",
+    "Neal2/NNIG/DP": "fe67618d4985133048ff367834f98eb839e78cd746c308ba29f86b441c955d49",
+    "Neal3/NNW/DP": "3c6aa4d3fa4c5f5663b060b61348b4cb9c37d19eb45f69f8c8209f239a9dc44b",
     "Neal8/NNxIG/DP": "9237fd174d88eb3ea56ab3a4513c776b16ad82f49f7ea11a24fadf95281841c7",
     "BlockedGibbs/NNIG/TruncSB": "1711e086285bc0905ec1429b126bdaec1c1ebae79b0a185b8ebe4605095a179e",
 }
@@ -286,6 +287,7 @@ def test_predict_labels_are_unchanged(cell):
 
 
 if __name__ == "__main__":
+    # each entry that differs from its pinned value ends in "# moved"
     cells = _valid_cells()
     for table, fn, names in (("CHAIN_SHA256", chain_sha256, cells),
                              ("GRID_SHA256", grid_sha256, cells),
@@ -293,7 +295,10 @@ if __name__ == "__main__":
                              ("METROPOLIS_SHA256", chain_sha256, METROPOLIS_CELLS),
                              ("OFFSET_SHA256", functools.partial(chain_sha256, offset=OFFSET),
                               OFFSET_CELLS)):
+        pinned = globals()[table]
         print(f"{table} = {{")
         for name in names:
-            print(f'    "{name}": "{fn(name)}",')
+            digest = fn(name)
+            mark = "" if pinned.get(name) == digest else "  # moved"
+            print(f'    "{name}": "{digest}",{mark}')
         print("}")

@@ -238,6 +238,26 @@ def test_read_csv_rejects_non_finite(tmp_path):
         read_csv_matrix(p)
 
 
+def test_read_csv_takes_minus_inf_only_where_allowed(tmp_path):
+    # a log density is -inf off the kernel's support; data and grids take none
+    p = tmp_path / "h.csv"
+    p.write_text("-inf,1.5\n-2.0,-inf\n")
+    assert np.array_equal(read_csv_matrix(p, allow_neg_inf=True),
+                          [[-np.inf, 1.5], [-2.0, -np.inf]])
+    with pytest.raises(ValueError, match="non-finite"):
+        read_csv_matrix(p)
+    for text in ("-inf,nan\n", "-inf,inf\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="other than -inf"):
+            read_csv_matrix(p, allow_neg_inf=True)
+    p.write_text("-inf,1.0\n-inf\n")
+    with pytest.raises(ValueError, match="ragged"):
+        read_csv_matrix(p, allow_neg_inf=True)
+    p.write_text("-inf,x\n")
+    with pytest.raises(ValueError, match="non-numeric"):
+        read_csv_matrix(p, allow_neg_inf=True)
+
+
 def test_write_csv_round_trip(tmp_path):
     rng = np.random.default_rng(56)
     mat = rng.normal(size=(7, 3))

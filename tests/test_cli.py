@@ -281,6 +281,40 @@ def test_plot_writes_three_wellformed_svgs(tmp_path):
     assert [(out_dir / n).read_bytes() for n in names] == first
 
 
+def test_plot_takes_the_minus_inf_densities_run_mcmc_writes(tmp_path, capsys):
+    # a Gamma kernel has density 0 at and below 0, so a grid from -1 to 5
+    # gives -inf log densities in both the per-record and the mean file
+    _write_run_inputs(tmp_path)
+    (tmp_path / "g0.txt").write_text(
+        "fixed_values {\n  shape: 2.0\n  rate_alpha: 2.0\n  rate_beta: 2.0\n}\n")
+    rng = np.random.default_rng(1)
+    (tmp_path / "data.csv").write_text("".join(f"{float(v)!r}\n" for v in rng.gamma(2.0, size=30)))
+    (tmp_path / "grid.csv").write_text(
+        "".join(f"{float(v)!r}\n" for v in np.linspace(-1.0, 5.0, 25)))
+    args = _full_run_args(tmp_path)
+    args[args.index("NNIG")] = "GammaGamma"
+    assert main(args) == 0
+    for name in ("dens.csv", "dens.mean.csv"):
+        dens = read_csv_matrix(tmp_path / name, allow_neg_inf=True)
+        assert np.isneginf(dens).any() and np.isfinite(dens).any()
+        out_dir = tmp_path / f"plots-{name}"
+        assert main(["plot", "--grid-file", str(tmp_path / "grid.csv"),
+                     "--dens-file", str(tmp_path / name),
+                     "--n-cl-file", str(tmp_path / "ncl.csv"),
+                     "--out-dir", str(out_dir)]) == 0, capsys.readouterr().err
+        assert ET.fromstring((out_dir / "density.svg").read_text()).tag.endswith("svg")
+    # a grid file still takes no -inf, and a density file no nan or +inf
+    (tmp_path / "grid.csv").write_text("-inf\n" + "1.0\n" * 24)
+    (tmp_path / "bad.csv").write_text(",".join(["-inf", "nan"] + ["0.0"] * 23) + "\n")
+    for grid, dens in (("grid.csv", "dens.csv"), ("data.csv", "bad.csv")):
+        capsys.readouterr()
+        assert main(["plot", "--grid-file", str(tmp_path / grid),
+                     "--dens-file", str(tmp_path / dens),
+                     "--n-cl-file", str(tmp_path / "ncl.csv"),
+                     "--out-dir", str(tmp_path / "plots")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+
 def test_plot_errors_on_mismatched_inputs(tmp_path, capsys):
     (tmp_path / "grid.csv").write_text("0.0\n1.0\n")
     (tmp_path / "dens.csv").write_text("-1.0,-1.0,-1.0\n")

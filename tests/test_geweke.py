@@ -11,8 +11,10 @@ within Monte Carlo error. The data change every step, so after each redraw
 the sampler takes the new data and recounts the clusters' statistics from
 its labels.
 
-The NNIG cells run every marginal sampler; the other cells cover each
-family's posterior: NNW at d = 2, GammaGamma, and NNxIG's Gibbs scan. The
+The NNIG cells run every marginal sampler, under DP(1) and, for Neal2 and
+Neal3, under a Pitman-Yor mixing, whose partitions come from the
+two-parameter Chinese restaurant; the other cells cover each family's
+posterior: NNW at d = 2, GammaGamma, and NNxIG's Gibbs scan. The
 normal families other than the first NNIG cells have a prior mean away
 from 0, where the statistics' centring matters. The Metropolis cells run
 Neal8 on each family a Metropolis updater moves: LapNIG and NNxIG under
@@ -26,10 +28,12 @@ import pytest
 from oracles import monte_carlo_se
 
 from mixmcmc import build_algorithm, build_hierarchy
-from mixmcmc.mixings import DirichletMixing
+from mixmcmc.mixings import DirichletMixing, PitYorMixing
 from mixmcmc.states import stack_states
 
 N, MASS = 3, 1.0
+# the Pitman-Yor cells' (strength, discount)
+PY = (1.0, 0.5)
 MEAN0, VAR_SCALING, SHAPE, SCALE = 0.0, 0.5, 3.0, 2.0
 HIER_ARGS = {
     "NNIG": {"fixed_values": {"mean": MEAN0, "var_scaling": VAR_SCALING, "shape": SHAPE,
@@ -58,11 +62,15 @@ def _statistics(hier_type, k, states):
                     + [np.ravel(f(states)) for _, f in PARAMETERS[hier_type]], dtype=float)
 
 
-def _forward(hier_type, draws, rng):
-    # in a CRP(MASS) datum i opens a new cluster with probability MASS / (i + MASS),
-    # whatever the earlier data did; datum 0's cluster parameters come from the
-    # prior, and the data (not compared) would follow from them
-    k = 1 + sum(rng.random(draws) < MASS / (i + MASS) for i in range(1, N))
+def _forward(hier_type, draws, rng, strength=MASS, discount=0.0):
+    # in the two-parameter Chinese restaurant datum i opens a new cluster with
+    # probability (strength + discount * k) / (i + strength), k the clusters of
+    # the data before it (discount 0: CRP(strength)); datum 0's cluster
+    # parameters come from the prior, and the data (not compared) would follow
+    # from them
+    k = np.ones(draws, dtype=int)
+    for i in range(1, N):
+        k += rng.random(draws) < (strength + discount * k) / (i + strength)
     prior = build_hierarchy(hier_type, HIER_ARGS[hier_type]).prior
     return _statistics(hier_type, k, prior.sample_batch(rng, (draws,)))
 
@@ -80,10 +88,13 @@ def _kernel_draws(hier_type, states, rng):
     return (batch.mean[0] + np.sqrt(batch.var[0]) * rng.standard_normal(len(states)))[:, None]
 
 
-def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater=None):
-    """``updater`` adds the Metropolis updater's keys to the hierarchy's args."""
+def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater=None,
+                            mixing=None):
+    """``updater`` adds the Metropolis updater's keys to the hierarchy's args;
+    the mixing is DP(MASS) unless given."""
     args = dict(HIER_ARGS[hier_type], **(updater or {}))
-    algo = build_algorithm(algo_id, build_hierarchy(hier_type, args), DirichletMixing(MASS))
+    algo = build_algorithm(algo_id, build_hierarchy(hier_type, args),
+                           mixing or DirichletMixing(MASS))
     # the first data come from the template's starting state
     algo._prepare_data(_kernel_draws(hier_type, [algo.template.state] * N, rng))
     algo._initialize(rng)
@@ -113,8 +124,17 @@ def test_successive_conditional_chain_matches_forward_draws(algo_id, seed):
     _assert_agree("NNIG", forward, _successive_conditional(algo_id, "NNIG", 10_000, 200, rng))
 
 
+@pytest.mark.parametrize("algo_id, seed", [("Neal2", 111), ("Neal3", 112)])
+def test_pitman_yor_chain_matches_forward_draws(algo_id, seed):
+    rng = np.random.default_rng(seed)
+    forward = _forward("NNIG", 200_000, rng, *PY)
+    _assert_agree("NNIG", forward, _successive_conditional(
+        algo_id, "NNIG", 10_000, 200, rng, mixing=PitYorMixing(*PY)))
+
+
 @pytest.mark.parametrize("cell, seed", [("Neal2/NNW", 104), ("Neal8/NNW", 105),
-                                        ("Neal2/GammaGamma", 106), ("Neal8/NNxIG", 107)])
+                                        ("Neal2/GammaGamma", 106), ("Neal8/NNxIG", 107),
+                                        ("Neal3/NNW", 113), ("Neal3/GammaGamma", 114)])
 def test_each_family_matches_forward_draws(cell, seed):
     algo_id, hier_type = cell.split("/")
     rng = np.random.default_rng(seed)

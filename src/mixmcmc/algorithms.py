@@ -32,6 +32,7 @@ from ._util import logsumexp, sample_log_categorical
 from ._validation import check_data_matrix, check_int, check_positive_int
 from .chainio import ChainState, ClusterParams
 from .exceptions import ConfigError
+from .likelihoods import moved_stats
 from .states import stack_states
 
 ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
@@ -75,14 +76,7 @@ class _BaseAlgorithm:
 
     def _prepare_data(self, data):
         data = check_data_matrix(data, "data")
-        if self.template.likelihood.is_multivariate:
-            want = self.template.likelihood.dim
-            if data.shape[1] != want:
-                raise ValueError(
-                    f"data has dimension {data.shape[1]}, hierarchy expects {want}"
-                )
-        elif data.shape[1] != 1:
-            raise ValueError("univariate hierarchy expects 1-column data")
+        self.template.likelihood.check_dim(data)
         self.data = data
         if data.shape[1] == 1:
             self._rows = [float(v) for v in data[:, 0]]
@@ -262,8 +256,10 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     the labels (:meth:`_recount`), so they depend on the partition alone; a
     Metropolis refresh reads each cluster's data from the labels too.
     Births and deaths go through the cluster objects (``_open_cluster``,
-    ``_remove_datum``): a newborn's full conditional reads the statistics
-    of its one datum.
+    ``_remove_datum``), which add or subtract the datum's own statistic
+    list: a newborn's full conditional reads the statistics of its one
+    datum. Those lists are ``label_stats`` of each datum alone, computed
+    once per run and shared, so nothing writes them in place.
 
     The scores sit in a table, built when the sweep reaches a block of data
     (:meth:`_start_block`): the clusters' states, stacked into one batch,
@@ -340,6 +336,10 @@ class _MarginalAlgorithm(_BaseAlgorithm):
 
     def _prepare_data(self, data):
         super()._prepare_data(data)
+        # every datum's own statistic list, shared for the run and never written
+        n = self.n
+        self._datum_stats = self.template.likelihood.label_stats(
+            self._stat_terms, np.arange(n), n)
         if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
             self._prior_scores = self.template.prior_predictive().lpdf_grid(self.data)
 
@@ -452,7 +452,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         labels[i] = -1
         cluster = self.clusters[h]
         cluster.likelihood.card = 1  # its store size: card is written back once per sweep
-        cluster.remove_datum(self._rows[i])
+        cluster.remove_datum(self._datum_stats[i])
         last = len(self.clusters) - 1
         if h != last:
             for j, label in enumerate(labels):
@@ -471,7 +471,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         cluster = self.template.clone()
         if state is not None:
             cluster.state = state.copy()
-        cluster.add_datum(self._rows[i])
+        cluster.add_datum(self._datum_stats[i])
         if state is None:
             # parameters born from the single-datum full conditional
             cluster.sample_full_cond(rng)
@@ -527,9 +527,10 @@ class Neal3Algorithm(_MarginalAlgorithm):
     them itself, once the next datum has left, as that datum often leaves
     the same cluster again: the labels tell which clusters changed, the one
     the previous datum joined (a newborn counted its datum at birth) and
-    the one this datum left. Their scorers are rebuilt then. Its blocks draw
-    nothing, so the whole sweep's uniforms are drawn in one call when the
-    store is built, before any birth.
+    the one this datum left. Each move adds or subtracts the datum's own
+    statistic list into a new list, as a birth does, and their scorers are
+    rebuilt then. Its blocks draw nothing, so the whole sweep's uniforms
+    are drawn in one call when the store is built, before any birth.
     """
 
     algo_id = "Neal3"
@@ -549,7 +550,7 @@ class Neal3Algorithm(_MarginalAlgorithm):
         """Add datum i to, or take it from, the statistics of cluster h."""
         if h >= 0:
             like = self.clusters[h].likelihood
-            like.update_stats(like.stats, self._rows[i] - like.ref, add)
+            like.stats = moved_stats(like.stats, self._datum_stats[i], add)
 
     def _rescore(self, *clusters):
         for h in set(clusters):
@@ -604,9 +605,8 @@ class Neal8Algorithm(_MarginalAlgorithm):
         self.n_aux = self._num_candidates = check_positive_int(n_aux, "n_aux")
         self._like = hierarchy.likelihood.clone_empty()
         # the current block's auxiliary states, a StateBatch of shape
-        # (block size, n_aux), their log scores, and the block's first datum
+        # (block size, n_aux), and their log scores
         self._aux = self._aux_scores = None
-        self._aux_start = 0
 
     def _block_rows(self):
         # a block's auxiliary states hold about _AUX_BATCH_CELLS numbers
@@ -614,7 +614,6 @@ class Neal8Algorithm(_MarginalAlgorithm):
 
     def _candidate_scores(self, start, stop, rng):
         self._aux = self.template.prior.sample_batch(rng, (stop - start, self.n_aux))
-        self._aux_start = start
         self._aux_scores = self._like.score_batch(self._aux, self.data[start:stop])
         return self._aux_scores
 
@@ -630,7 +629,7 @@ class Neal8Algorithm(_MarginalAlgorithm):
             row[k] = math.inf
 
     def _candidate_log_scores(self, i, stashed):
-        scores = self._aux_scores[i - self._aux_start].tolist()
+        scores = self._aux_scores[i - self._block_start].tolist()
         if stashed is not None:
             scores[0] = self._stashed_score(i, stashed)
         return scores
@@ -638,7 +637,7 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def _candidate_state(self, i, j, stashed):
         if j == 0 and stashed is not None:
             return stashed
-        return self._aux.state((i - self._aux_start, j))
+        return self._aux.state((i - self._block_start, j))
 
 
 class BlockedGibbsAlgorithm(_BaseAlgorithm):

@@ -4,9 +4,11 @@ A :class:`Hierarchy` is a cloneable prototype. Marginal algorithms hold a
 template and clone it whenever a new cluster is born; conditional
 algorithms clone it once per component. It centres the likelihood's
 statistics on the prior mean, where the prior has one, which is what the
-conjugate posteriors read. Conjugate hierarchies additionally expose the
-prior predictive and the posterior-predictive scorer of a cluster's size
-and statistics that marginal samplers need.
+conjugate posteriors read. A datum enters or leaves a cluster as its own
+statistic list, which the marginal samplers compute once per run.
+Conjugate hierarchies additionally expose the prior predictive and the
+posterior-predictive scorer of a cluster's size and statistics that
+marginal samplers need.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from .likelihoods import (
     LaplaceLikelihood,
     MultiNormLikelihood,
     UniNormLikelihood,
+    moved_stats,
 )
 from .priors import (
     GammaPrior,
@@ -79,11 +82,19 @@ class Hierarchy:
             self.likelihood.clone_empty(), self.prior, self.updater, self.name
         )
 
-    def add_datum(self, datum):
-        self.likelihood.add_datum(datum)
+    def add_datum(self, terms):
+        """Count one datum in; ``terms`` is its own statistic list (``label_stats`` of it alone)."""
+        like = self.likelihood
+        like.stats = moved_stats(like.stats, terms, True)
+        like.card += 1
 
-    def remove_datum(self, datum):
-        self.likelihood.remove_datum(datum)
+    def remove_datum(self, terms):
+        """Count one datum out; ``terms`` is its own statistic list."""
+        like = self.likelihood
+        if not like.card:
+            raise ValueError("cannot remove a datum from an empty cluster")
+        like.stats = moved_stats(like.stats, terms, False)
+        like.card -= 1
 
     def sample_prior(self, rng):
         self.likelihood.state = self.prior.sample(rng)

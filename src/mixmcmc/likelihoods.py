@@ -1,35 +1,37 @@
-"""Component kernels f(y | state) with sufficient-statistic bookkeeping.
+"""Component kernels f(y | state) and the statistics their clusters keep.
 
 A likelihood owns the current component state, counts the data in the
-cluster (``card``), and maintains whatever statistics it needs to
-evaluate the whole-cluster log density and to feed posterior updates.
-Univariate kernels accept a scalar or a length-1 row as datum; the
-multivariate normal accepts a length-d row.
+cluster (``card``), and holds the statistics ``stats`` (a list) that the
+conjugate posteriors and the Metropolis target read. A family writes each
+of three things once:
+
+- its statistics, as ``stat_terms(data)``: every datum's terms (z and z^2
+  for the normal kernel), and, where its statistics are not one number
+  per row of terms, the static ``label_stats(terms, labels, k)``, which
+  sums the terms of k clusters by label, each in index order, into k
+  statistic lists. Everything else is built from these two: the samplers
+  recount every cluster once per sweep, and take a datum's own list,
+  ``label_stats(terms, arange(n), n)``, computed once per run, for a
+  birth, a death and Neal3's moves (:func:`moved_stats`);
+- its density, as one array formula, which reads the state's fields by
+  name. ``lpdf_grid(rows)`` evaluates it at the state on every row, and
+  ``lpdf(datum)`` on a one-row grid, so the two agree bit for bit;
+- its dimension ``dim``, 1 for a univariate kernel, against which
+  :meth:`check_dim` checks every grid, datum and data set.
 
 The statistics are sums over the cluster's data of z = y - ``ref``, a
 fixed reference: 0 unless a :class:`~mixmcmc.hierarchy.Hierarchy` sets it
 to its prior's mean (``clone_empty`` copies it). The Gamma kernel's prior
 has no mean, so it sums y. Centred on the prior mean the statistics keep
-their precision for data far from the origin, and they are what the
-conjugate posteriors read. ``stats`` is a list holding them. The samplers
-recount them from their labels: ``stat_terms(data)`` gives every datum's
-terms once per run (z and z^2 for the normal kernel), and the static
-``label_stats(terms, labels, k)`` sums them for k clusters, each in index
-order, into k statistic lists. ``update_stats(stats, z, add)``
-changes a list in place for one datum; it serves ``add_datum`` and
-``remove_datum`` (a newborn cluster, whose full conditional reads its one
-datum) and Neal3's predictive scorers. ``lpdf`` scores one datum; the sweep
-calls it only for a datum it draws from its log weights and for the state
-Neal8 takes back from a datum's dead cluster.
+their precision for data far from the origin.
 
 ``score_batch(batch, rows)`` scores a
 :class:`~mixmcmc.states.StateBatch` against n data rows: a batch of shape
 (n, m) row by row, datum i against the states of row i (Neal8's auxiliary
 states), and one of shape (1, k) every datum against all k states (the
-score table of the marginal sweep, all its clusters in one call). It and
-``lpdf_grid`` go through one per-family formula that reads the state's
-fields by name, so a state and a batch of states share it, and a batch's
-score of (datum, state) has the bits of that state's own ``lpdf_grid``.
+score table of the marginal sweep, all its clusters in one call). It goes
+through the same formula as ``lpdf_grid``, so a batch's score of (datum,
+state) has the bits of that state's own ``lpdf_grid``.
 
 The normal and Laplace kernels also give the whole-cluster log density at
 an unconstrained state (mean, log scale), which the Metropolis updater
@@ -47,22 +49,23 @@ on arrays it gives them elementwise. The other kernels have neither.
 """
 
 import math
+from operator import add, sub
 
 import numpy as np
 
 from ._util import LOG_2PI
-from .states import GammaState, MultiLSState, UniLSState
+from .states import GammaState, UniLSState
 
 _LOG_2 = math.log(2.0)
 
 
-def _as_scalar(datum):
-    if isinstance(datum, (float, int)):
-        return float(datum)
-    arr = np.asarray(datum, dtype=float).reshape(-1)
-    if arr.shape[0] != 1:
-        raise ValueError(f"expected a univariate datum, got dimension {arr.shape[0]}")
-    return float(arr[0])
+def moved_stats(stats, terms, adding):
+    """A new statistic list: ``stats`` plus (``adding``) or minus one datum's ``terms``.
+
+    Entry by entry, and never in place, since a datum's terms are shared
+    for the whole run.
+    """
+    return list(map(add if adding else sub, stats, terms))
 
 
 def whiten_rows(chol_inv, diff):
@@ -82,9 +85,10 @@ def squared_norm_rows(z):
 
 
 class _BaseLikelihood:
-    _as_datum = staticmethod(_as_scalar)
     # the statistics sum z = y - ref
     ref = 0.0
+    # the number of columns of a datum
+    dim = 1
 
     def __init__(self, state, stats):
         self.state = state
@@ -97,17 +101,6 @@ class _BaseLikelihood:
         clone.ref = self.ref
         return clone
 
-    def add_datum(self, datum):
-        # may reject the datum; the count stays clean
-        self.update_stats(self.stats, self._as_datum(datum) - self.ref, True)
-        self.card += 1
-
-    def remove_datum(self, datum):
-        if not self.card:
-            raise ValueError("cannot remove a datum from an empty cluster")
-        self.update_stats(self.stats, self._as_datum(datum) - self.ref, False)
-        self.card -= 1
-
     @staticmethod
     def label_stats(terms, labels, k):
         """The statistic lists of k clusters: each row of ``stat_terms`` summed by label.
@@ -117,18 +110,23 @@ class _BaseLikelihood:
         """
         return list(map(list, zip(*[np.bincount(labels, row, k).tolist() for row in terms])))
 
+    def check_dim(self, rows):
+        """Reject a 2-d array of data whose rows do not have the kernel's dimension."""
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"data of dimension {rows.shape[1]}; the kernel expects {self.dim}")
+
     def lpdf(self, datum):
-        return self._score(self._as_datum(datum))
+        """log f(datum), the one-row grid of ``lpdf_grid``."""
+        return float(self.lpdf_grid(np.reshape(datum, (1, -1)))[0])
 
     def lpdf_grid(self, grid):
         grid = np.asarray(grid, dtype=float)
         if grid.ndim == 1:
             grid = grid.reshape(-1, 1)
+        self.check_dim(grid)
         return self._lpdf_rows(grid)
 
     def _lpdf_rows(self, grid):
-        if grid.shape[1] != 1:
-            raise ValueError(f"expected 1 column, got {grid.shape[1]}")
         return self._log_density(self.state, grid[:, 0])
 
     def score_batch(self, batch, rows):
@@ -138,8 +136,6 @@ class _BaseLikelihood:
 
 class UniNormLikelihood(_BaseLikelihood):
     """Univariate normal kernel N(y | mean, var) over a UniLSState."""
-
-    is_multivariate = False
 
     def __init__(self, state=None):
         # stats: [sum of z, sum of z^2], z = y - ref
@@ -152,20 +148,6 @@ class UniNormLikelihood(_BaseLikelihood):
         """Every datum's z and z^2, shape (2, n)."""
         z = data[:, 0] - self.ref
         return np.array((z, z * z))
-
-    @staticmethod
-    def update_stats(stats, z, add):
-        if add:
-            stats[0] += z
-            stats[1] += z * z
-        else:
-            stats[0] -= z
-            stats[1] -= z * z
-
-    def _score(self, y):
-        st = self.state
-        d = y - st.mean
-        return -0.5 * (LOG_2PI + math.log(st.var)) - d * d / (2.0 * st.var)
 
     @staticmethod
     def _log_density(st, y):
@@ -196,8 +178,6 @@ class UniNormLikelihood(_BaseLikelihood):
 class MultiNormLikelihood(_BaseLikelihood):
     """Multivariate normal kernel N_d(y | mean, cov) over a MultiLSState."""
 
-    is_multivariate = True
-
     def __init__(self, state):
         d = state.dim
         # stats: [sum of z, sum of z z^T], z = y - ref
@@ -209,12 +189,6 @@ class MultiNormLikelihood(_BaseLikelihood):
 
     def _empty(self):
         return MultiNormLikelihood(self.state.copy())
-
-    def _as_datum(self, datum):
-        y = np.asarray(datum, dtype=float).reshape(-1)
-        if y.shape[0] != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {y.shape[0]}")
-        return y
 
     def stat_terms(self, data):
         """Every datum's z over z z^T, shape (n, d + 1, d)."""
@@ -230,24 +204,10 @@ class MultiNormLikelihood(_BaseLikelihood):
         sums = np.bincount(bins, terms.reshape(-1), k * m).reshape(k, rows, d)
         return [[cluster[0], cluster[1:]] for cluster in sums]
 
-    @staticmethod
-    def update_stats(stats, z, add):
-        if add:
-            stats[0] += z
-            stats[1] += np.outer(z, z)
-        else:
-            stats[0] -= z
-            stats[1] -= np.outer(z, z)
-
     def _constants(self, st):
         return st.mean, st.chol_inv, self.dim * LOG_2PI + st.log_det
 
-    def _score(self, y):
-        return float(_mvn_lpdf_rows(y.reshape(1, -1), *self._constants(self.state))[0])
-
     def _lpdf_rows(self, grid):
-        if grid.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} columns, got {grid.shape[1]}")
         return _mvn_lpdf_rows(grid, *self._constants(self.state))
 
     def score_batch(self, batch, rows):
@@ -272,8 +232,6 @@ class LaplaceLikelihood(_BaseLikelihood):
     data from the sampler's rows and labels.
     """
 
-    is_multivariate = False
-
     def __init__(self, state=None):
         super().__init__(state if state is not None else UniLSState(0.0, 1.0), [])
 
@@ -286,14 +244,6 @@ class LaplaceLikelihood(_BaseLikelihood):
     @staticmethod
     def label_stats(terms, labels, k):
         return [[] for _ in range(k)]
-
-    @staticmethod
-    def update_stats(stats, z, add):
-        pass
-
-    def _score(self, y):
-        scale = self.state.var
-        return -math.log(2.0 * scale) - abs(y - self.state.mean) / scale
 
     @staticmethod
     def _log_density(st, y):
@@ -331,9 +281,6 @@ class LaplaceLikelihood(_BaseLikelihood):
         return -n * (_LOG_2 + log_scale) - abs_sum_e, -slope_sum * e, abs_sum_e - n
 
 
-_NOT_POSITIVE = "Gamma likelihood requires positive data"
-
-
 class GammaLikelihood(_BaseLikelihood):
     """Gamma kernel with fixed shape and random rate, for positive data.
 
@@ -341,8 +288,6 @@ class GammaLikelihood(_BaseLikelihood):
     for y > 0 and -inf otherwise. Tracks the data sum (the reference is 0)
     and the size, all the conjugate rate update reads.
     """
-
-    is_multivariate = False
 
     def __init__(self, shape, state=None):
         if shape <= 0:
@@ -354,29 +299,11 @@ class GammaLikelihood(_BaseLikelihood):
     def _empty(self):
         return GammaLikelihood(self.shape, self.state.copy())
 
-    def add_datum(self, datum):
-        if _as_scalar(datum) <= 0:
-            raise ValueError(_NOT_POSITIVE)
-        super().add_datum(datum)
-
     def stat_terms(self, data):
         """Every datum's y, shape (1, n)."""
         if (data[:, 0] <= 0).any():
-            raise ValueError(_NOT_POSITIVE)
+            raise ValueError("Gamma likelihood requires positive data")
         return data.T
-
-    @staticmethod
-    def update_stats(stats, z, add):
-        if add:
-            stats[0] += z
-        else:
-            stats[0] -= z
-
-    def _score(self, y):
-        if y <= 0:
-            return -math.inf
-        s, r = self.state.shape, self.state.rate
-        return s * math.log(r) - math.lgamma(s) + (s - 1.0) * math.log(y) - r * y
 
     @staticmethod
     def _log_density(st, y):

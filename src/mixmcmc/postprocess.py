@@ -24,12 +24,6 @@ def num_clusters_chain(collector):
     return np.array([record.num_clusters() for record in collector], dtype=int)
 
 
-def similarity_matrix(collector):
-    """Posterior co-clustering frequencies: pi[i, j] = mean of 1{c_i == c_j}."""
-    allocs = allocation_matrix(collector)
-    return _coclustering(allocs) / allocs.shape[0]
-
-
 # one-hot entries per block of records (1 MB): bounds the working memory
 _ONE_HOT_BLOCK = 1 << 17
 
@@ -63,15 +57,6 @@ def _coclustering(allocs):
     for _, one_hot in _one_hot_blocks(allocs):
         counts += one_hot @ one_hot.T
     return counts
-
-
-def binder_loss(labels, similarity):
-    """Posterior expected Binder loss of one partition, unit costs."""
-    labels = np.asarray(labels)
-    same = labels[:, None] == labels[None, :]
-    iu = np.triu_indices(labels.shape[0], k=1)
-    pi = similarity[iu]
-    return float(np.sum(np.where(same[iu], 1.0 - pi, pi)))
 
 
 def _binder_argmin(allocs, counts):

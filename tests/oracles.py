@@ -1,9 +1,13 @@
-"""Independent numeric oracles used across the test suite.
+"""Independent numeric oracles and small fixtures used across the test suite.
 
-Everything here goes through generic quadrature or brute force with scipy
-densities, never through the code paths under test. The Metropolis array
-kernel at the end is the reference the updater's per-cluster float code
-must match bit for bit.
+The oracles go through generic quadrature or brute force with scipy
+densities, never through the code paths under test. The co-clustering
+matrix and the Binder loss are computed directly, record by record and
+pair by pair. The Metropolis array kernel at the end is the reference the
+updater's per-cluster float code must match bit for bit. Two fixtures
+build clusters as the samplers do: :func:`datum_stats` gives each datum's
+own statistic list, and :func:`fill` gives a cluster the size and the
+statistics of a set of data.
 """
 
 import math
@@ -121,6 +125,48 @@ def nnig_dp_coclustering_probability(y1, y2, mean0, var_scaling, shape, scale, a
     return dp_coclustering_probability(
         lambda data: nnig_quadrature(data, mean0, var_scaling, shape, scale)["log_marginal"],
         y1, y2, alpha)
+
+
+def datum_stats(like, data):
+    """Each datum's own statistic list, as a marginal sampler computes them once per run."""
+    rows = np.asarray(data, dtype=float).reshape(-1, like.dim)
+    n = rows.shape[0]
+    return like.label_stats(like.stat_terms(rows), np.arange(n), n)
+
+
+def fill(cluster, data):
+    """Give a cluster (a likelihood or a hierarchy) the size and the statistics of ``data``.
+
+    They are recounted as a sampler does before its refresh: the data's
+    ``stat_terms`` summed in index order by ``label_stats``. Returns the
+    cluster.
+    """
+    like = getattr(cluster, "likelihood", cluster)
+    rows = np.asarray(data, dtype=float).reshape(-1, like.dim)
+    n = rows.shape[0]
+    like.card = n
+    like.stats = like.label_stats(like.stat_terms(rows), np.zeros(n, dtype=int), 1)[0]
+    return cluster
+
+
+def similarity_matrix(records):
+    """Posterior co-clustering frequencies: pi[i, j] = mean over records of 1{c_i == c_j}."""
+    if not records:
+        raise ValueError("empty chain")
+    counts = 0.0
+    for record in records:
+        labels = np.asarray(record.allocations)
+        counts = counts + (labels[:, None] == labels[None, :])
+    return counts / len(records)
+
+
+def binder_loss(labels, similarity):
+    """Posterior expected Binder loss of one partition, unit costs."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    iu = np.triu_indices(labels.shape[0], k=1)
+    pi = similarity[iu]
+    return float(np.sum(np.where(same[iu], 1.0 - pi, pi)))
 
 
 def indicator_se(values):

@@ -13,10 +13,13 @@ import pytest
 from oracles import (
     adjusted_rand_index,
     all_partitions,
+    binder_loss,
+    fill,
     indicator_se,
     monte_carlo_se,
     nnig_dp_coclustering_probability,
     nnig_quadrature,
+    similarity_matrix,
 )
 
 from mixmcmc.algorithms import build_algorithm
@@ -28,11 +31,9 @@ from mixmcmc.mixings import DirichletMixing, PitYorMixing, TruncatedSBMixing
 from mixmcmc.postprocess import (
     autocorrelation,
     binder_best_clustering,
-    binder_loss,
     ess,
     log_mean_density,
     num_clusters_chain,
-    similarity_matrix,
 )
 from mixmcmc.priors import GammaPriorHypers, NIGHypers
 from mixmcmc.states import UniLSState
@@ -99,9 +100,7 @@ def test_criterion_2_conjugate_update_quadrature():
     for trial in range(20):
         size = 1 if trial < 6 else int(rng.integers(2, 6))
         data = rng.normal(rng.normal() * 2, 1.0 + rng.random(), size=size)
-        like = UniNormLikelihood(UniLSState(0.0, 1.0))
-        for y in data:
-            like.add_datum(float(y))
+        like = fill(UniNormLikelihood(UniLSState(0.0, 1.0)), data)
         post = nnig_posterior_hypers(like.card, like.stats, hypers)
         oracle = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)
         mean_err = abs(post.mean - oracle["e_mean"]) / max(abs(oracle["e_mean"]), 1e-3)
@@ -130,10 +129,7 @@ def test_criterion_3_metropolis_conjugate_agreement():
     details = []
 
     def make_cluster():
-        like = UniNormLikelihood(UniLSState(0.5, 1.0))
-        for y in data:
-            like.add_datum(y)
-        return like
+        return fill(UniNormLikelihood(UniLSState(0.5, 1.0)), data)
 
     cluster = make_cluster()
     post = nnig_posterior_hypers(cluster.card, cluster.stats, hypers)
@@ -386,9 +382,7 @@ def test_criterion_8_serialization_and_determinism(tmp_path):
 def test_criterion_9_gamma_extension():
     # worked example: exact posterior hyperparameters
     failures = []
-    like = GammaLikelihood(1.0)
-    like.add_datum(1.0)
-    like.add_datum(3.0)
+    like = fill(GammaLikelihood(1.0), [1.0, 3.0])
     post = gamma_gamma_posterior_hypers(like.card, like.stats, GammaPriorHypers(1.0, 2.0, 2.0))
     if (post.rate_alpha, post.rate_beta) != (4.0, 6.0):
         failures.append(f"worked example gave ({post.rate_alpha}, {post.rate_beta})")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    datum_stats,
     dp_coclustering_probability,
     indicator_se,
     nnig_dp_coclustering_probability,
@@ -248,7 +249,7 @@ def test_neal8_births_come_from_their_own_block(monkeypatch, hier_type):
 
     def open_cluster(i, rng, state=None):
         if state is not stash[0]:
-            row = algo._aux.mean[i - algo._aux_start]
+            row = algo._aux.mean[i - algo._block_start]
             assert any(np.array_equal(state.mean, mean) for mean in row)
             births.append(i)
         real_open(i, rng, state=state)
@@ -499,13 +500,13 @@ STORE_CELLS = [
 ]
 
 
-def _index_order_stats(algo, h):
-    """Cluster h's statistics summed in plain Python, in index order, over its labels."""
-    recount = algo.template.likelihood.clone_empty()
-    for i, label in enumerate(algo.allocations.tolist()):
+def _index_order_stats(algo, terms, labels, h):
+    """Cluster h's statistics, its data's ``terms`` counted in one at a time in index order."""
+    recount = algo.template.clone()
+    for datum_terms, label in zip(terms, labels):
         if label == h:
-            recount.add_datum(algo.data[i])
-    return recount
+            recount.add_datum(datum_terms)
+    return recount.likelihood
 
 
 @pytest.mark.parametrize("algo_id,hier_type", STORE_CELLS)
@@ -515,6 +516,8 @@ def test_cluster_store_matches_a_recount(algo_id, hier_type):
     mixing = TruncatedSBMixing(8, 1.0) if algo_id == "BlockedGibbs" else DirichletMixing(1.0)
     algo = build_algorithm(algo_id, build_hierarchy(hier_type, HIER_ARGS[hier_type]), mixing)
     step, sweeps = algo.step, []
+    data = _data(hier_type)
+    terms = datum_stats(algo.template.likelihood, data)
 
     def checked_step(rng):
         step(rng)
@@ -523,7 +526,7 @@ def test_cluster_store_matches_a_recount(algo_id, hier_type):
             assert sorted(set(labels)) == list(range(len(algo.clusters)))
             assert algo._sizes == [cluster.card for cluster in algo.clusters]
         for h, cluster in enumerate(algo.clusters):
-            want = _index_order_stats(algo, h)
+            want = _index_order_stats(algo, terms, labels, h)
             assert cluster.card == want.card == labels.count(h)
             assert len(cluster.likelihood.stats) == len(want.stats)
             for got, expected in zip(cluster.likelihood.stats, want.stats):
@@ -531,7 +534,7 @@ def test_cluster_store_matches_a_recount(algo_id, hier_type):
         sweeps.append(len(algo.clusters))
 
     algo.step = checked_step
-    _run(algo, _data(hier_type), 15, 10, seed=11)
+    _run(algo, data, 15, 10, seed=11)
     assert len(sweeps) == 15
 
 
@@ -545,6 +548,8 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
     start_block, open_cluster, remove_datum = (
         algo._start_block, algo._open_cluster, algo._remove_datum)
     seen = {"blocks": 0, "births": 0, "deaths": 0}
+    data = _data(hier_type)
+    terms = datum_stats(algo.template.likelihood, data)
 
     def checked_start_block(start, rng):
         out = start_block(start, rng)
@@ -552,10 +557,7 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
         labels = list(algo._labels)
         labels[start] = -1
         for h, cluster in enumerate(algo.clusters):
-            recount = algo.template.likelihood.clone_empty()
-            for i, label in enumerate(labels):
-                if label == h:
-                    recount.add_datum(algo.data[i])
+            recount = _index_order_stats(algo, terms, labels, h)
             assert algo._sizes[h] == recount.card
             for got, want in zip(cluster.likelihood.stats, recount.stats):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -573,10 +575,24 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
     algo._start_block = checked_start_block
     algo._open_cluster = counted("births", open_cluster)
     algo._remove_datum = counted("deaths", remove_datum)
-    data = _data(hier_type)
     _run(algo, data, 15, 10, seed=11)
     assert seen["blocks"] == 15 * len(data)
     assert seen["births"] > 0 and seen["deaths"] > 0
+
+
+@pytest.mark.parametrize("hier_type", ["NNIG", "NNW"])
+def test_neal3_moves_leave_the_datum_lists_unchanged(hier_type):
+    # each datum's statistic list is shared by every birth, death and Neal3
+    # move of the run: a move that wrote it in place would show here
+    algo = build_algorithm("Neal3", build_hierarchy(hier_type, HIER_ARGS[hier_type]),
+                           DirichletMixing(1.0))
+    data = _data(hier_type)
+    _run(algo, data, 15, 10, seed=11)
+    want = datum_stats(algo.template.likelihood, data)
+    assert len(algo._datum_stats) == len(want)
+    for got, expected in zip(algo._datum_stats, want):
+        assert [np.asarray(stat).tobytes() for stat in got] == [
+            np.asarray(stat).tobytes() for stat in expected]
 
 
 @pytest.mark.parametrize("algo_id", ALGORITHM_IDS)

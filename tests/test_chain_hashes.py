@@ -15,8 +15,9 @@ by ``OFFSET``, so the statistics are centred away from zero.
 
 The hashes depend on the floating-point results of the numpy build (libm,
 BLAS/LAPACK for the NNW cells), so another build may need them recorded
-again: ``python tests/test_chain_hashes.py`` prints the current tables, and
-marks each entry that differs from its pinned value with ``# moved``.
+again: ``python tests/test_chain_hashes.py`` prints the current tables,
+marks each entry that differs from its pinned value with ``# moved``, and
+exits with status 1 if any does.
 """
 
 import functools
@@ -288,7 +289,7 @@ def test_predict_labels_are_unchanged(cell):
 
 if __name__ == "__main__":
     # each entry that differs from its pinned value ends in "# moved"
-    cells = _valid_cells()
+    cells, moved = _valid_cells(), False
     for table, fn, names in (("CHAIN_SHA256", chain_sha256, cells),
                              ("GRID_SHA256", grid_sha256, cells),
                              ("PREDICT_SHA256", predict_sha256, cells),
@@ -300,5 +301,7 @@ if __name__ == "__main__":
         for name in names:
             digest = fn(name)
             mark = "" if pinned.get(name) == digest else "  # moved"
+            moved = moved or bool(mark)
             print(f'    "{name}": "{digest}",{mark}')
         print("}")
+    raise SystemExit(1 if moved else 0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from oracles import adjusted_rand_index
+from oracles import adjusted_rand_index, similarity_matrix
 
 from mixmcmc.chainio import MemoryCollector
 from mixmcmc.estimator import BayesianMixture
-from mixmcmc.postprocess import binder_best_clustering, similarity_matrix
+from mixmcmc.postprocess import binder_best_clustering
 
 
 def _two_blob_data(seed=0, n=60):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import nnig_quadrature
+from oracles import datum_stats, fill, nnig_quadrature
 
 from mixmcmc.config import parse_config
 from mixmcmc.exceptions import CapabilityError, ConfigError
@@ -79,8 +79,7 @@ def test_sample_full_cond_empty_equals_sample_prior():
 
 
 def test_sample_full_cond_single_datum_long_run_mean():
-    h = _nnig()
-    h.add_datum(1.0)
+    h = fill(_nnig(), [1.0])
     rng = np.random.default_rng(6)
     means = np.empty(50_000)
     for t in range(means.size):
@@ -94,10 +93,7 @@ def test_full_cond_kernel_preserves_exact_posterior():
     # feed exact posterior draws through the kernel; moments must be preserved
     from scipy import stats
 
-    h = _nnig()
-    data = [0.5, 1.5, -0.4]
-    for y in data:
-        h.add_datum(y)
+    h = fill(_nnig(), [0.5, 1.5, -0.4])
     post = h.updater.posterior_hypers(h.card, h.likelihood.stats, h.prior.hypers)
     rng = np.random.default_rng(7)
     scipy_rng = np.random.default_rng(8)
@@ -167,10 +163,8 @@ def test_conditional_pred_empty_equals_prior_pred():
 
 def test_conditional_pred_matches_marginal_ratio_quadrature():
     # p(y | data) = m(data + [y]) / m(data), both sides by quadrature
-    h = _nnig()
     data = [0.8, 1.2, 0.3]
-    for y in data:
-        h.add_datum(y)
+    h = fill(_nnig(), data)
     log_m_data = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)["log_marginal"]
     for y in (-0.5, 0.9, 2.0):
         log_m_joint = nnig_quadrature(data + [y], 0.0, 0.1, 2.0, 2.0)["log_marginal"]
@@ -181,9 +175,10 @@ def test_conditional_pred_matches_marginal_ratio_quadrature():
 
 def test_conditional_pred_mode_follows_new_datum():
     h = _nnig()
-    h.add_datum(0.0)
+    zero, eight = datum_stats(h.likelihood, [0.0, 8.0])
+    h.add_datum(zero)
     base = _conditional_pred_lpdf(h, 8.0)
-    h.add_datum(8.0)
+    h.add_datum(eight)
     pulled = _conditional_pred_lpdf(h, 8.0)
     assert pulled > base
 
@@ -213,34 +208,36 @@ def test_a_hierarchy_centres_its_statistics_on_the_prior_mean():
             assert np.array_equal(cluster.likelihood.ref, ref)
         assert np.array_equal(like.clone_empty().ref, ref)
     h = build_hierarchy("NNIG", {"fixed_values": {**NNIG_ARGS["fixed_values"], "mean": 3.0}})
-    h.add_datum(3.5)
+    h.add_datum(*datum_stats(h.likelihood, [3.5]))
     assert h.likelihood.stats == [0.5, 0.25]
 
 
 def test_membership_tracks_card():
     # card is the count of data; the samplers' labels say which data they are
     h = _nnig()
-    h.add_datum(1.0)
-    h.add_datum(-1.0)
+    one, minus_one = datum_stats(h.likelihood, [1.0, -1.0])
+    h.add_datum(one)
+    h.add_datum(minus_one)
     assert h.card == 2
-    h.remove_datum(1.0)
+    h.remove_datum(one)
     assert h.card == 1
-    h.remove_datum(-1.0)
+    h.remove_datum(minus_one)
     assert h.card == 0
     assert h.likelihood.stats == [0.0, 0.0]
     with pytest.raises(ValueError, match="empty"):
-        h.remove_datum(-1.0)
+        h.remove_datum(minus_one)
     assert h.card == 0
 
 
 def test_clone_shares_no_mutable_state():
     h = _nnig()
-    h.add_datum(2.0)
+    two, minus_ten = datum_stats(h.likelihood, [2.0, -10.0])
+    h.add_datum(two)
     h.state = UniLSState(5.0, 2.0)
     c = h.clone()
     assert c.card == 0
     assert c.state == h.state
-    c.add_datum(-10.0)
+    c.add_datum(minus_ten)
     c.state = UniLSState(-1.0, 0.5)
     c.sample_full_cond(np.random.default_rng(0))
     assert h.card == 1
@@ -283,6 +280,40 @@ def test_metropolis_cluster_with_data_moves_only_in_a_batch(updater):
     # which one cluster does not have
     h = build_hierarchy("LapNIG", {**LAP_ARGS, "updater": updater})
     h.sample_full_cond(np.random.default_rng(0))  # an empty cluster draws from the prior
-    h.add_datum(0.5)
+    fill(h, [0.5])
     with pytest.raises(CapabilityError, match="draw_batch"):
         h.sample_full_cond(np.random.default_rng(0))
+
+
+
+_CENTRED_ARGS = {
+    "NNIG": {"fixed_values": {**NNIG_ARGS["fixed_values"], "mean": 1.5}},
+    "LapNIG": LAP_ARGS,
+    "GammaGamma": GAMMA_ARGS,
+}
+
+
+@pytest.mark.parametrize("family", ["NNIG", "LapNIG", "GammaGamma", "NNW-1", "NNW-2", "NNW-4"])
+def test_add_datum_in_index_order_has_the_bits_of_label_stats(family):
+    # a family writes its statistics once: a cluster that counts its data in
+    # one at a time, in index order, holds the recount's statistics bit for bit
+    if family.startswith("NNW"):
+        d = int(family.split("-")[1])
+        template = build_hierarchy("NNW", {"fixed_values": {
+            "mean": {"size": d, "data": [0.7] * d}, "var_scaling": 0.5, "deg_free": d + 3.0,
+            "scale": {"rows": d, "cols": d, "data": np.eye(d).ravel().tolist()}}})
+    else:
+        d, template = 1, build_hierarchy(family, _CENTRED_ARGS[family])
+    like, rng = template.likelihood, np.random.default_rng(49)
+    for n in (1, 2, 7, 40):
+        if family == "GammaGamma":
+            data = rng.gamma(2.0, size=(n, d))
+        else:
+            data = rng.normal(1.0, 2.0, size=(n, d))
+        cluster = template.clone()
+        for terms in datum_stats(like, data):
+            cluster.add_datum(terms)
+        (want,) = like.label_stats(like.stat_terms(data), np.zeros(n, dtype=int), 1)
+        assert cluster.card == n
+        assert [np.asarray(stat).tobytes() for stat in cluster.likelihood.stats] == [
+            np.asarray(stat).tobytes() for stat in want]

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles import datum_stats, fill
 
+from mixmcmc.hierarchy import build_hierarchy
 from mixmcmc.likelihoods import (
     GammaLikelihood,
     LaplaceLikelihood,
     MultiNormLikelihood,
     UniNormLikelihood,
+    moved_stats,
 )
 from mixmcmc.states import GammaState, MultiLSState, UniLSState, stack_states
 
@@ -32,29 +35,34 @@ def test_gamma_lpdf_exponential_value():
 
 def test_uninorm_stat_arithmetic():
     like = UniNormLikelihood()
-    like.add_datum(1.0)
-    like.add_datum(3.0)
-    assert like.stats == [4.0, 10.0]
-    assert like.card == 2
-    like.remove_datum(1.0)
-    assert like.stats == [3.0, 9.0]
-    assert like.card == 1
+    one, three = datum_stats(like, [1.0, 3.0])
+    assert (one, three) == ([1.0, 1.0], [3.0, 9.0])
+    stats = moved_stats(moved_stats(like.stats, one, True), three, True)
+    assert stats == [4.0, 10.0]
+    assert moved_stats(stats, one, False) == [3.0, 9.0]
+    assert like.stats == [0.0, 0.0]  # a move makes a new list
+
+
+_LAP_ARGS = {"fixed_values": {"mean": 0.0, "var": 4.0, "shape": 2.0, "scale": 2.0}}
+_NNIG_ARGS = {"fixed_values": {"mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}}
 
 
 def test_empty_and_absent_removes_raise():
-    like = UniNormLikelihood()
+    h = build_hierarchy("NNIG", _NNIG_ARGS)
+    (one,) = datum_stats(h.likelihood, [1.0])
     with pytest.raises(ValueError, match="empty"):
-        like.remove_datum(1.0)
-    assert like.card == 0 and like.stats == [0.0, 0.0]
+        h.remove_datum(one)
+    assert h.card == 0 and h.likelihood.stats == [0.0, 0.0]
     # the Laplace kernel keeps no member data: it counts them
-    lap = LaplaceLikelihood()
-    lap.add_datum(1.0)
-    lap.add_datum(2.0)
-    assert lap.card == 2 and lap.stats == []
-    lap.remove_datum(1.0)
-    lap.remove_datum(2.0)
+    lap = build_hierarchy("LapNIG", _LAP_ARGS)
+    one, two = datum_stats(lap.likelihood, [1.0, 2.0])
+    lap.add_datum(one)
+    lap.add_datum(two)
+    assert lap.card == 2 and lap.likelihood.stats == []
+    lap.remove_datum(one)
+    lap.remove_datum(two)
     with pytest.raises(ValueError, match="empty"):
-        lap.remove_datum(1.0)
+        lap.remove_datum(one)
     assert lap.card == 0
 
 
@@ -74,30 +82,28 @@ def _make_likelihoods(rng):
 def test_add_remove_permutation_returns_stats_to_zero():
     rng = np.random.default_rng(11)
     for like, draw in _make_likelihoods(rng):
-        data = {i: draw() for i in range(20)}
-        order = rng.permutation(20)
-        for i in order:
-            like.add_datum(data[int(i)])
+        terms = datum_stats(like, [draw() for _ in range(20)])
+        stats = like.stats
         for i in rng.permutation(20):
-            like.remove_datum(data[int(i)])
-        assert like.card == 0
-        for stat in like.stats:
+            stats = moved_stats(stats, terms[i], True)
+        for i in rng.permutation(20):
+            stats = moved_stats(stats, terms[i], False)
+        assert len(stats) == len(like.stats)
+        for stat in stats:
             assert np.all(np.abs(stat) < 1e-9)
 
 
 def test_stat_updates_are_order_independent():
     rng = np.random.default_rng(77)
-    data = {i: float(rng.normal()) for i in range(15)}
+    like = UniNormLikelihood()
+    terms = datum_stats(like, rng.normal(size=15))
     stats = []
     for perm_seed in (1, 2):
-        like = UniNormLikelihood()
-        order = np.random.default_rng(perm_seed).permutation(15)
-        for i in order:
-            like.add_datum(data[int(i)])
-        stats.append((*like.stats, like.card))
-    assert stats[0][2] == stats[1][2]
-    assert stats[0][0] == pytest.approx(stats[1][0], abs=1e-9)
-    assert stats[0][1] == pytest.approx(stats[1][1], abs=1e-9)
+        moved = like.stats
+        for i in np.random.default_rng(perm_seed).permutation(15):
+            moved = moved_stats(moved, terms[i], True)
+        stats.append(moved)
+    assert stats[0] == pytest.approx(stats[1], abs=1e-9)
 
 
 def _unconstrained_lpdf(like_cls, members, u):
@@ -107,12 +113,9 @@ def _unconstrained_lpdf(like_cls, members, u):
     """
     likes, rows, labels = [], [], []
     for h, ys in enumerate(members):
-        like = like_cls()
-        for y in ys:
-            like.add_datum(y)
-            rows.append(y)
-            labels.append(h)
-        likes.append(like)
+        likes.append(fill(like_cls(), ys))
+        rows.extend(ys)
+        labels.extend([h] * len(ys))
     rows, labels = np.array(rows, dtype=float).reshape(-1, 1), np.array(labels, dtype=int)
     means, log_scales = u.tolist()
     sums = like_cls.unconstrained_stats(likes, rows, labels)
@@ -154,18 +157,35 @@ def test_multinorm_has_no_unconstrained_cluster_lpdf():
 
 
 def test_lpdf_grid_matches_loop_exactly():
+    # per family, 100 states each against 100 data of its own: a datum's
+    # lpdf has the bits of its row of lpdf_grid
     rng = np.random.default_rng(13)
-    cov = np.array([[1.5, -0.2], [-0.2, 0.8]])
+    k, n = 100, 100
+
+    def uni_states():
+        return [UniLSState(m, v) for m, v in zip(rng.normal(size=k), rng.gamma(2.0, size=k) + 0.1)]
+
+    def nw_states(d):
+        states = []
+        for _ in range(k):
+            a = rng.normal(size=(d, d))
+            states.append(MultiLSState(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d)))
+        return states
+
     cases = [
-        (UniNormLikelihood(UniLSState(0.3, 1.7)), rng.normal(size=(40, 1))),
-        (LaplaceLikelihood(UniLSState(0.0, 0.5)), rng.normal(size=(40, 1))),
-        (GammaLikelihood(3.0, GammaState(3.0, 2.0)), rng.gamma(2.0, size=(40, 1))),
-        (MultiNormLikelihood(MultiLSState([0.0, 0.5], cov)), rng.normal(size=(40, 2))),
+        (UniNormLikelihood(), uni_states(), lambda: 3.0 * rng.normal(size=(n, 1))),
+        (LaplaceLikelihood(), uni_states(), lambda: 3.0 * rng.normal(size=(n, 1))),
+        (GammaLikelihood(3.0), [GammaState(3.0, r) for r in rng.gamma(2.0, size=k)],
+         lambda: rng.gamma(2.0, size=(n, 1))),
+        (MultiNormLikelihood(MultiLSState(np.zeros(2), np.eye(2))), nw_states(2),
+         lambda: rng.normal(size=(n, 2))),
     ]
-    for like, grid in cases:
-        vec = like.lpdf_grid(grid)
-        loop = np.array([like.lpdf(grid[i]) for i in range(grid.shape[0])])
-        assert np.array_equal(vec, loop)
+    for like, states, draw_grid in cases:
+        for state in states:
+            like.state = state
+            grid = draw_grid()
+            loop = np.array([like.lpdf(row) for row in grid])
+            assert np.array_equal(like.lpdf_grid(grid), loop), type(like).__name__
 
 
 def test_lpdf_grid_single_row_and_symmetry():
@@ -206,13 +226,12 @@ def test_densities_integrate_to_one():
 
 
 def test_gamma_rejects_nonpositive_data():
+    # the statistics' terms are where data enter, once per run
     like = GammaLikelihood(1.0)
-    with pytest.raises(ValueError):
-        like.add_datum(-0.5)
-    # the rejected datum must not leave a phantom member behind
-    assert like.card == 0
-    like.add_datum(0.5)
-    assert like.card == 1
+    for bad in (-0.5, 0.0):
+        with pytest.raises(ValueError, match="positive"):
+            like.stat_terms(np.array([[0.5], [bad]]))
+    assert like.stat_terms(np.array([[0.5]])).tolist() == [[0.5]]
 
 
 def test_batch_score_matches_the_scalar_scorer_of_each_built_state():

@@ -4,24 +4,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import all_partitions
+from oracles import all_partitions, binder_loss, similarity_matrix
 
 from mixmcmc import postprocess
 from mixmcmc.chainio import ChainState, MemoryCollector
 from mixmcmc.postprocess import (
     autocorrelation,
     binder_best_clustering,
-    binder_loss,
     ess,
     log_mean_density,
     mean_log_density,
     num_clusters_chain,
-    similarity_matrix,
 )
 
 
 def _rec(allocs, it=0):
     return ChainState(it, [], np.asarray(allocs), {})
+
+
+def _pi(chain):
+    """The co-clustering frequencies as the estimator computes them, from the blocked counts."""
+    allocs = postprocess.allocation_matrix(chain)
+    return postprocess._coclustering(allocs) / allocs.shape[0]
 
 
 def test_num_clusters_trivial_cases():
@@ -38,12 +42,12 @@ def test_num_clusters_matches_set_cardinality_oracle():
 
 
 def test_similarity_single_record_is_binary():
-    pi = similarity_matrix([_rec([0, 1, 0])])
+    pi = _pi([_rec([0, 1, 0])])
     assert np.array_equal(pi, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
 
 
 def test_similarity_two_records_half():
-    pi = similarity_matrix([_rec([0, 0]), _rec([0, 1])])
+    pi = _pi([_rec([0, 0]), _rec([0, 1])])
     assert pi[0, 1] == 0.5
     assert pi[1, 0] == 0.5
 
@@ -51,7 +55,8 @@ def test_similarity_two_records_half():
 def test_similarity_matches_pairwise_count_oracle():
     rng = np.random.default_rng(61)
     chain = [_rec(rng.integers(0, 4, size=7), it=t) for t in range(25)]
-    pi = similarity_matrix(chain)
+    pi = _pi(chain)
+    assert pi.tobytes() == similarity_matrix(chain).tobytes()
     assert np.array_equal(pi, pi.T)
     assert np.array_equal(np.diag(pi), np.ones(7))
     allocs = np.vstack([r.allocations for r in chain])
@@ -71,7 +76,7 @@ def test_similarity_blocks_match_the_per_record_loop(monkeypatch):
     expected = np.zeros((9, 9))
     for row in allocs:
         expected += row[:, None] == row[None, :]
-    assert np.array_equal(similarity_matrix(chain), expected / 37)
+    assert np.array_equal(_pi(chain), expected / 37)
 
 
 def test_binder_replays_the_chain_once(monkeypatch):
@@ -224,8 +229,7 @@ def test_similarity_matrix_is_the_blocked_float_sum_over_t():
             one_hot[np.arange(n), rows + k * np.arange(rows.shape[0])[:, None]] = 1.0
             counts += one_hot @ one_hot.T
         chain = [_rec(row, it=i) for i, row in enumerate(allocs)]
-        pi = similarity_matrix(chain)
-        assert pi.tobytes() == (counts / t).tobytes()
+        assert _pi(chain).tobytes() == (counts / t).tobytes()
         assert np.array_equal(postprocess._coclustering(allocs), counts)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    fill,
     gamma_rate_quadrature,
     metropolis_array_move,
     metropolis_array_target,
@@ -60,10 +61,7 @@ def _gamma_gamma_updater():
 
 
 def _normal_cluster(data):
-    like = UniNormLikelihood(UniLSState(0.0, 1.0))
-    for y in data:
-        like.add_datum(float(y))
-    return like
+    return fill(UniNormLikelihood(UniLSState(0.0, 1.0)), data)
 
 
 def _target(likes, prior, rows, labels):
@@ -130,9 +128,7 @@ def test_nnig_posterior_at_a_nonzero_prior_mean_matches_quadrature():
     values = {"mean": 3.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}
     for _ in range(20):
         data = rng.normal(3.0 + rng.normal(), 1.0 + rng.random(), size=rng.integers(1, 6))
-        hier = build_hierarchy("NNIG", {"fixed_values": values})
-        for y in data:
-            hier.add_datum(float(y))
+        hier = fill(build_hierarchy("NNIG", {"fixed_values": values}), data)
         post = _posterior(hier)
         oracle = nnig_quadrature(data, 3.0, 0.1, 2.0, 2.0)
         assert post.mean == pytest.approx(oracle["e_mean"], rel=1e-3, abs=1e-6)
@@ -160,10 +156,7 @@ def test_posterior_hypers_are_elementwise(family):
     rng = np.random.default_rng(47)
     clusters = []
     for size in (0, 1, 4, 9, 0, 2):
-        cluster = template.clone()
-        for _ in range(size):
-            cluster.add_datum(draw(rng))
-        clusters.append(cluster)
+        clusters.append(fill(template.clone(), [draw(rng) for _ in range(size)]))
     posterior, hypers = template.updater.posterior_hypers, template.prior.hypers
     singles = [posterior(c.card, c.likelihood.stats, hypers) for c in clusters]
     stacked = posterior(np.array([c.card for c in clusters]),
@@ -212,11 +205,8 @@ def test_nnw_dimension_one_reduces_to_nnig():
     nig_values = {"mean": 0.3, "var_scaling": 0.7, "shape": 2.5, "scale": 1.5}
     for _ in range(20):
         data = rng.normal(1.0, 2.0, size=rng.integers(1, 8))
-        multi = build_hierarchy("NNW", {"fixed_values": nw_values})
-        uni = build_hierarchy("NNIG", {"fixed_values": nig_values})
-        for y in data:
-            multi.add_datum(np.array([y]))
-            uni.add_datum(float(y))
+        multi = fill(build_hierarchy("NNW", {"fixed_values": nw_values}), data)
+        uni = fill(build_hierarchy("NNIG", {"fixed_values": nig_values}), data)
         post_nw, post_nig = _posterior(multi), _posterior(uni)
         assert post_nw.mean[0] == pytest.approx(post_nig.mean, rel=1e-12)
         assert post_nw.var_scaling == pytest.approx(post_nig.var_scaling)
@@ -230,9 +220,8 @@ def test_nnw_posterior_scale_is_spd():
         d = int(rng.integers(2, 5))
         a = rng.normal(size=(d, d))
         hypers = NWHypers(rng.normal(size=d), 0.5, d + 3.0, a @ a.T + d * np.eye(d))
-        like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)))
-        for _ in range(int(rng.integers(1, 20))):
-            like.add_datum(rng.normal(size=d))
+        like = fill(MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d))),
+                    [rng.normal(size=d) for _ in range(int(rng.integers(1, 20)))])
         post = nnw_posterior_hypers(like.card, like.stats, hypers)
         np.linalg.cholesky(post.scale)  # raises unless positive definite
         assert np.array_equal(post.scale, post.scale.T)
@@ -241,9 +230,7 @@ def test_nnw_posterior_scale_is_spd():
 
 def test_gamma_gamma_worked_example():
     hypers = GammaPriorHypers(1.0, 2.0, 2.0)
-    like = GammaLikelihood(1.0)
-    like.add_datum(1.0)
-    like.add_datum(3.0)
+    like = fill(GammaLikelihood(1.0), [1.0, 3.0])
     post = gamma_gamma_posterior_hypers(like.card, like.stats, hypers)
     assert post.rate_alpha == pytest.approx(4.0)
     assert post.rate_beta == pytest.approx(6.0)
@@ -255,10 +242,8 @@ def test_gamma_gamma_concentrates_on_truth():
     rng = np.random.default_rng(25)
     hypers = GammaPriorHypers(2.0, 2.0, 2.0)
     for n in (50, 500, 5000):
-        like = GammaLikelihood(2.0)
         data = rng.gamma(2.0, 1.0 / 3.0, size=n)  # kernel rate 3
-        for y in data:
-            like.add_datum(float(y))
+        like = fill(GammaLikelihood(2.0), data)
         post = gamma_gamma_posterior_hypers(like.card, like.stats, hypers)
         est = post.rate_alpha / post.rate_beta
         # the prior's pull on the posterior mean decays like 1/n
@@ -269,9 +254,7 @@ def test_gamma_gamma_concentrates_on_truth():
 def test_gamma_gamma_posterior_mean_matches_quadrature():
     rng = np.random.default_rng(26)
     data = rng.gamma(1.5, 0.5, size=6)
-    like = GammaLikelihood(1.5)
-    for y in data:
-        like.add_datum(float(y))
+    like = fill(GammaLikelihood(1.5), data)
     post = gamma_gamma_posterior_hypers(like.card, like.stats, GammaPriorHypers(1.5, 2.0, 1.0))
     oracle = gamma_rate_quadrature(data, 1.5, 2.0, 1.0)
     assert post.rate_alpha / post.rate_beta == pytest.approx(oracle, rel=1e-3)
@@ -297,8 +280,7 @@ def test_nnxig_chain_matches_quadrature_posterior():
     hier = build_hierarchy(
         "NNxIG", {"fixed_values": {"mean": 0.5, "var": 2.0, "shape": 3.0, "scale": 2.0}})
     data = [-0.2, 0.9, 1.4, 0.1, 0.6]
-    for y in data:
-        hier.add_datum(y)
+    fill(hier, data)
     updater = hier.updater
     assert isinstance(updater, NNxIGUpdater) and not updater.is_conjugate()
     rng = np.random.default_rng(27)
@@ -333,9 +315,7 @@ def test_nnig_draws_single_datum_posterior_mean():
 def test_gamma_gamma_draws_match_posterior_mean():
     prior = GammaPrior(GammaPriorHypers(1.0, 2.0, 2.0))
     updater = _gamma_gamma_updater()
-    like = GammaLikelihood(1.0)
-    like.add_datum(1.0)
-    like.add_datum(3.0)
+    like = fill(GammaLikelihood(1.0), [1.0, 3.0])
     rng = np.random.default_rng(29)
     rates = np.array([updater.draw(like, prior, rng).rate for _ in range(100_000)])
     se = rates.std() / math.sqrt(rates.size)
@@ -389,12 +369,9 @@ def _clusters(like_cls, sizes, rng):
     """Clusters of the given sizes; their data, per cluster and as rows with labels."""
     likes, data, labels = [], [], []
     for h, size in enumerate(sizes):
-        like = like_cls(UniLSState(0.0, 1.0))
         ys = rng.normal(h - 2.0, 1.5, size=size).tolist()
-        for y in ys:
-            like.add_datum(y)
-            labels.append(h)
-        likes.append(like)
+        likes.append(fill(like_cls(UniLSState(0.0, 1.0)), ys))
+        labels.extend([h] * size)
         data.append(ys)
     rows = np.concatenate(data).reshape(-1, 1)
     # the rows in a shuffled order, as a sampler's labels interleave the clusters
@@ -478,9 +455,7 @@ def test_laplace_metropolis_matches_quadrature_posterior():
     prior = NxIGPrior(NxIGHypers(0.3, 4.0, 2.5, 1.5))
     oracle = nxig_quadrature(data, 0.3, 4.0, 2.5, 1.5, kernel="laplace")
     for kind, step_size, seed in [("rwmh", 0.7, 44), ("mala", 0.5, 45)]:
-        like = LaplaceLikelihood(UniLSState(0.7, 0.8))
-        for y in data:
-            like.add_datum(y)
+        like = fill(LaplaceLikelihood(UniLSState(0.7, 0.8)), data)
         updater = build_metropolis_updater(kind, step_size)
         rng = np.random.default_rng(seed)
         burnin, steps = 1000, 10_000
@@ -501,7 +476,7 @@ def test_metropolis_requires_unconstrained_support():
          np.ones((1, 1))),
     ]
     for like, prior, rows in pairs:
-        like.add_datum(rows[0])
+        fill(like, rows)
         for kind in ("rwmh", "mala"):
             with pytest.raises(CapabilityError):
                 build_metropolis_updater(kind).draw_batch(
@@ -529,9 +504,7 @@ def test_proposal_whose_target_cannot_be_evaluated_is_rejected(family, kind):
     # floats as on arrays: no exception and no floating-point warning
     like_cls, prior = _METROPOLIS_FAMILIES[family]
     data = [0.5, -0.7, 2.0]
-    like = like_cls(UniLSState(0.0, 1.0))
-    for y in data:
-        like.add_datum(y)
+    like = fill(like_cls(UniLSState(0.0, 1.0)), data)
     updater = build_metropolis_updater(kind, step_size=1000.0, num_steps=3)
     rng = np.random.default_rng(34)
     for _ in range(50):
@@ -723,9 +696,7 @@ def test_posterior_scale_does_not_depend_on_the_data_offset(hier_type):
             values = {"mean": {"size": d, "data": [offset] * d}, "var_scaling": 0.1,
                       "deg_free": d + 3.0,
                       "scale": {"rows": d, "cols": d, "data": np.eye(d).ravel().tolist()}}
-        hier = build_hierarchy(hier_type, {"fixed_values": values})
-        for y in points + offset:
-            hier.add_datum(y)
+        hier = fill(build_hierarchy(hier_type, {"fixed_values": values}), points + offset)
         post = hier.updater.posterior_hypers(hier.card, hier.likelihood.stats, hier.prior.hypers)
         scales.append(np.asarray(post.scale, dtype=float))
     for scale in scales[1:]:

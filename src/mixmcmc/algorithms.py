@@ -15,8 +15,9 @@ draws its parameters after them: the uniforms are iid whatever order the
 generator hands them out in, so the kernel is that of one draw per datum
 in sweep order. The blocked Gibbs sampler keeps a fixed number of
 components with explicit stick-breaking weights and normalizes on the
-log scale. Before its refresh every sampler recounts each cluster's size
-and statistics from the allocations.
+log scale. Every sampler recounts each cluster's size and statistics from
+the allocations, then refreshes all its clusters in one ``draw_batch``
+call of the family's updater; a birth draws as a batch of one.
 """
 
 import copy
@@ -129,32 +130,9 @@ class _BaseAlgorithm:
             cluster.likelihood.stats = stats
 
     def _draw_cluster_params(self, rng):
-        """Draw every cluster's parameters from its full conditional.
-
-        An empty cluster draws from the prior. An updater with a
-        ``draw_batch`` (the Metropolis one) then moves all non-empty
-        clusters in one batch, on the data and the allocations, renumbered
-        over them when some cluster is empty (only BlockedGibbs keeps empty
-        clusters); any other draws them one at a time, in list order.
-        """
-        draw_batch = getattr(self.template.updater, "draw_batch", None)
-        if draw_batch is None:
-            for cluster in self.clusters:
-                cluster.sample_full_cond(rng)
-            return
-        occupied = []
-        for cluster in self.clusters:
-            if cluster.card:
-                occupied.append(cluster.likelihood)
-            else:
-                cluster.sample_prior(rng)
-        if not occupied:
-            return
-        labels = self.allocations
-        if len(occupied) < len(self.clusters):
-            # the batch numbers the occupied clusters 0..k-1 in list order
-            labels = (np.cumsum([cluster.card > 0 for cluster in self.clusters]) - 1)[labels]
-        draw_batch(occupied, self.template.prior, rng, self.data, labels)
+        """Draw every cluster's parameters, empty ones (BlockedGibbs) included, in one batch."""
+        self.template.updater.draw_batch([cluster.likelihood for cluster in self.clusters],
+                                         self.template.prior, rng, self.data, self.allocations)
 
     def _snapshot(self, iteration):
         cluster_states = [
@@ -225,20 +203,6 @@ def _logsumexp_rows(stacked):
     mx = np.where(np.isfinite(mx), mx, 0.0)
     with np.errstate(divide="ignore"):  # a column of -inf sums to log(0) = -inf
         return mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
-
-
-class _Memo(dict):
-    """f(key), computed on first use of each key."""
-
-    __slots__ = ("_f",)
-
-    def __init__(self, f):
-        super().__init__()
-        self._f = f
-
-    def __missing__(self, key):
-        value = self[key] = self._f(key)
-        return value
 
 
 class _MarginalAlgorithm(_BaseAlgorithm):
@@ -378,19 +342,19 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         return min(self.init_num_clusters, self.n)
 
     def _build_store(self, rng):
-        n, mixing = self.n, self.mixing
         self._labels = self.allocations.tolist()
         self._sizes = sizes = [cl.card for cl in self.clusters]
-        # a new cluster's mass depends on n and the number of clusters, and
-        # on the mixing state, which is fixed during a sweep but not a run
-        k0, log_c = len(sizes), math.log(self._num_candidates)
-        self._log_new_mass = _Memo(lambda k: mixing.mass_new_cluster(n, k) - log_c)
-        # the linear masses of the c candidates when there are k clusters
-        self._new_masses = _Memo(
-            lambda k: [math.exp(self._log_new_mass[k])] * self._num_candidates)
         # the linear masses in a row's order: the k clusters', then the candidates'
-        self._masses = [self._mass_of_size[size] for size in sizes] + self._new_masses[k0]
+        self._masses = [self._mass_of_size[size] for size in sizes] + self._new_masses(len(sizes))
         self._table, self._block_start, self._block_stop = [], 0, 0
+
+    def _log_new_mass(self, k):
+        """The log mass of each candidate when there are k clusters (for this sweep's mixing)."""
+        return self.mixing.mass_new_cluster(self.n, k) - math.log(self._num_candidates)
+
+    def _new_masses(self, k):
+        """The linear masses of the candidates when there are k clusters."""
+        return [math.exp(self._log_new_mass(k))] * self._num_candidates
 
     def _start_block(self, start, rng):
         """Build the score table's rows of data start.. on; returns (table, uniforms, stop).
@@ -439,7 +403,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         """Datum i's log weights in the row's order, for the guard's draw."""
         logs = [self._log_mass_of_size[size] + score
                 for size, score in zip(self._sizes, self._cluster_log_scores(self._rows[i]))]
-        log_new = self._log_new_mass[len(self._sizes)]
+        log_new = self._log_new_mass(len(self._sizes))
         return logs + [log_new + score for score in self._candidate_log_scores(i, stashed)]
 
     def _remove_datum(self, i):
@@ -464,7 +428,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             column.pop()
         masses = self._masses
         masses[h] = masses[last]
-        masses[last:] = self._new_masses[last]
+        masses[last:] = self._new_masses(last)
         return cluster.state
 
     def _open_cluster(self, i, rng, state=None):
@@ -479,7 +443,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self.clusters.append(cluster)
         self._sizes.append(1)
         k = len(self._sizes)
-        self._masses[k - 1:] = [self._mass_of_size[1]] + self._new_masses[k]
+        self._masses[k - 1:] = [self._mass_of_size[1]] + self._new_masses(k)
         self._add_column(i, cluster)
 
     def _sync_members(self):

@@ -73,9 +73,6 @@ class ConfigTree:
             raise ConfigError(f"key '{key}' must be " + expected.format(type(v).__name__))
         return v
 
-    def require(self, key):
-        return self._typed(key, None, object, "")
-
     def get_float(self, key, default=None):
         v = self._typed(key, default, float, "a number, got {}")
         if not math.isfinite(v):

@@ -100,16 +100,9 @@ class Hierarchy:
         self.likelihood.state = self.prior.sample(rng)
 
     def sample_full_cond(self, rng):
-        if self.card == 0:
-            self.sample_prior(rng)
-        elif hasattr(self.updater, "draw_batch"):
-            # the Metropolis target reads the member data from the sampler's labels
-            raise CapabilityError(
-                f"{type(self.updater).__name__} moves non-empty clusters only through "
-                "draw_batch, with the sampler's data and labels"
-            )
-        else:
-            self.updater.draw(self.likelihood, self.prior, rng)
+        """A birth's draw from the full conditional, the updater's batch of one; a non-empty
+        Metropolis cluster raises :class:`CapabilityError` (its data are a sampler's)."""
+        self.updater.draw_batch([self.likelihood], self.prior, rng, None, None)
 
     def _require_predictive(self):
         if not self.is_conjugate():

@@ -3,22 +3,23 @@ Metropolis updater needs one.
 
 The hyperparameter classes are plain records. A prior checks its own once,
 in its constructor, which config, the estimator and Python callers all go
-through; the posterior hyperparameters a sampler passes to ``sample`` are
+through; the posterior hyperparameters a sampler passes to ``_draw`` are
 not checked.
 
 A prior writes its draw once, as ``_draw(rng, size, hypers)``, which
-returns a :class:`~mixmcmc.states.StateBatch` of ``size`` draws at the
-given hyperparameters (``size=None`` gives one draw of floats). The base
-:class:`_Prior` turns it into ``sample`` (one state, optionally from
-supplied posterior hyperparameters) and ``sample_batch`` (a batch from the
-prior itself). The NIG and N x IG priors also evaluate the
-change-of-variables corrected log density of an unconstrained state
-(mean, log var), which the Metropolis updater targets. It is the private
-``_unconstrained_lpdf(mean, log_var, e)``, with e = exp(-log var) passed
-in: one branch-free elementwise expression that gives the density and its
-two partial derivatives on one state's floats, or elementwise on arrays.
-The updater calls it once per cluster and evaluation; it is private so
-that tracing, which wraps the public members, leaves it alone.
+returns a :class:`~mixmcmc.states.StateBatch` of the batch shape ``size``
+(a tuple) at ``hypers``: one set the batch shares, or k clusters' stacked
+along ``size`` = (k,), the conjugate refresh's posteriors, which draw as k
+single draws would (:func:`variates`). The base :class:`_Prior` turns it
+into ``sample`` (one state) and ``sample_batch`` (prior draws). The NIG and
+N x IG priors also evaluate the change-of-variables corrected log density
+of an unconstrained state (mean, log var), which the Metropolis updater
+targets. It is the private ``_unconstrained_lpdf(mean, log_var, e)``, with
+e = exp(-log var) passed in: one branch-free elementwise expression that
+gives the density and its two partial derivatives on one state's floats, or
+elementwise on arrays. The updater calls it once per cluster and
+evaluation; it is private so that tracing, which wraps the public members,
+leaves it alone.
 """
 
 import math
@@ -34,6 +35,15 @@ from .states import GammaState, MultiLSState, StateBatch, UniLSState
 def _invgamma_log_norm(shape, scale):
     """log of IG(shape, scale)'s normalizer scale^shape / Gamma(shape)."""
     return shape * math.log(scale) - math.lgamma(shape)
+
+
+def variates(draw, param, size):
+    """``draw(param, size)``, a batch's random numbers; k clusters' stacked ``param``
+    draw in turn, each its single draw ``draw(p)``, so the batch has the bits of k single
+    draws (and, for a few clusters, costs less than numpy's broadcasting calls)."""
+    if np.ndim(param):
+        return [np.array(column) for column in zip(*map(draw, param.tolist()))]
+    return draw(param, size)
 
 
 @dataclass(frozen=True)
@@ -92,10 +102,10 @@ class _Prior:
 
     def sample(self, rng, hypers=None):
         """One state, drawn at ``hypers`` (default: the prior's own), used unchecked."""
-        return self._draw(rng, None, self.hypers if hypers is None else hypers).state(())
+        return self._draw(rng, (), self.hypers if hypers is None else hypers).state(())
 
     def sample_batch(self, rng, size):
-        """``size`` independent prior draws, as a :class:`StateBatch`."""
+        """Independent prior draws of the batch shape ``size``, as a :class:`StateBatch`."""
         return self._draw(rng, size, self.hypers)
 
 
@@ -110,8 +120,10 @@ class NIGPrior(_Prior):
             hypers.shape, hypers.scale)
 
     def _draw(self, rng, size, h):
-        var = h.scale / rng.gamma(h.shape, size=size)
-        mean = h.mean + np.sqrt(var / h.var_scaling) * rng.standard_normal(size)
+        gammas, normals = variates(lambda a, s=None: (rng.gamma(a, size=s), rng.standard_normal(s)),
+                                   h.shape, size)
+        var = h.scale / gammas
+        mean = h.mean + np.sqrt(var / h.var_scaling) * normals
         return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
 
     def _unconstrained_lpdf(self, mean, log_var, e):
@@ -177,54 +189,55 @@ class NWPrior(_Prior):
         if not deg_free > d - 1:
             raise ValueError(f"deg_free must exceed dim - 1 = {d - 1}")
         super().__init__(NWHypers(mean, var_scaling, deg_free, scale))
-        self._prior_bartlett = self._bartlett_factor(self.hypers)
+        self._prior_bartlett = self._bartlett_factor(self.hypers.scale)
 
     @staticmethod
-    def _bartlett_factor(hypers):
-        # lower Cholesky factor of scale^-1, used by the Wishart draw; a
-        # posterior scale that rounding left indefinite fails here by name
+    def _bartlett_factor(scale):
+        # lower Cholesky factors of scale^-1 (stacked as the scales) for the Wishart
+        # draw; a posterior scale that rounding left indefinite fails here by name
         try:
-            inv = np.linalg.inv(hypers.scale)
-            return np.linalg.cholesky(0.5 * (inv + inv.T))
+            inv = np.linalg.inv(scale)
+            return np.linalg.cholesky(0.5 * (inv + np.swapaxes(inv, -1, -2)))
         except np.linalg.LinAlgError as err:
             raise ValueError("'scale' is not positive definite") from err
 
     def _draw(self, rng, size, h):
-        """Besides ``mean`` and ``cov``, a batch holds each covariance's
-        ``chol_inv`` and ``log_det``, which the kernel's batch score reads;
-        a single draw hands its Cholesky factor to the state's constructor,
-        as the drawn covariance is exactly symmetric."""
-        shape = () if size is None else size
-        bartlett = self._prior_bartlett if h is self.hypers else self._bartlett_factor(h)
-        cov = _inverse_wishart(rng, bartlett, h.deg_free, shape)
+        """The chi-square block, the normal block, then the mean's normals. A
+        batch holds ``mean``, ``cov``, its Cholesky factor ``chol`` (the drawn
+        ``cov`` is exactly symmetric), ``chol_inv`` and ``log_det``, which the
+        kernel's batch score reads and the state's constructor takes."""
+        bartlett = self._prior_bartlett if h is self.hypers else self._bartlett_factor(h.scale)
+        d = h.dim
+        diag, lower = np.arange(d), d * (d - 1) // 2
+        chi2, normals, z = variates(lambda df, s=(): (
+            rng.chisquare(df - diag, size=s + (d,)), rng.standard_normal(s + (lower,)),
+            rng.standard_normal(s + (d, 1))), h.deg_free, size)
+        cov = _inverse_wishart(bartlett, chi2, normals)
         if not np.isfinite(cov).all():
             raise ValueError("a drawn 'cov' contains non-finite entries")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as err:
             raise ValueError("a drawn 'cov' is not positive definite") from err
-        z = rng.standard_normal(shape + (h.dim, 1))
-        mean = h.mean + (chol @ z)[..., 0] / math.sqrt(h.var_scaling)
-        if size is None:
-            return StateBatch(MultiLSState, ("mean", "cov", "chol"), mean=mean, cov=cov, chol=chol)
+        mean = h.mean + (chol @ z)[..., 0] / np.sqrt(np.asarray(h.var_scaling)[..., None])
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-        return StateBatch(MultiLSState, ("mean", "cov"), mean=mean, cov=cov,
-                          chol_inv=np.linalg.inv(chol), log_det=log_det)
+        return StateBatch(MultiLSState, ("mean", "cov", "chol", "chol_inv", "log_det"), mean=mean,
+                          cov=cov, chol=chol, chol_inv=np.linalg.inv(chol), log_det=log_det)
 
 
-def _inverse_wishart(rng, chol_inv_scale, deg_free, size):
-    """Covariances ~ IW(deg_free, scale), stacked over the shape ``size``.
+def _inverse_wishart(chol_inv_scale, chi2, normals):
+    """Covariances ~ IW(deg_free, scale), stacked as their variates are.
 
     Each is the inverse of a Wishart(deg_free, scale^-1) draw through the
-    Bartlett decomposition; ``chol_inv_scale`` is the lower Cholesky factor
-    of scale^-1.
+    Bartlett decomposition, of the d chi-square(deg_free - i) variates of
+    its diagonal and the normals below it; ``chol_inv_scale`` is the lower
+    Cholesky factor of scale^-1, shared or stacked.
     """
-    d = chol_inv_scale.shape[0]
-    a = np.zeros(size + (d, d))
+    d = chi2.shape[-1]
+    a = np.zeros(chi2.shape + (d,))
     diag = np.arange(d)
-    a[..., diag, diag] = np.sqrt(rng.chisquare(deg_free - diag, size=size + (d,)))
-    lower = np.tril_indices(d, k=-1)
-    a[(...,) + lower] = rng.standard_normal(size + (len(lower[0]),))
+    a[..., diag, diag] = np.sqrt(chi2)
+    a[(...,) + np.tril_indices(d, k=-1)] = normals
     m_inv = np.linalg.inv(chol_inv_scale @ a)
     cov = np.swapaxes(m_inv, -1, -2) @ m_inv
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
@@ -236,6 +249,7 @@ class GammaPrior(_Prior):
     _positive = ("shape", "rate_alpha", "rate_beta")
 
     def _draw(self, rng, size, h):
-        rate = rng.gamma(h.rate_alpha, size=size) / h.rate_beta
+        gammas, = variates(lambda a, s=None: (rng.gamma(a, size=s),), h.rate_alpha, size)
+        rate = gammas / h.rate_beta
         # every draw shares the kernel shape
         return StateBatch(GammaState, ("shape", "rate"), shape=h.shape, rate=rate)

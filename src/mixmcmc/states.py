@@ -9,6 +9,7 @@ states raise :class:`~mixmcmc.exceptions.CapabilityError` when asked for one. A
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -69,12 +70,12 @@ class MultiLSState:
     computed once at construction and cached; no unconstrained transform is
     provided. A caller that already holds the lower Cholesky factor of an
     exactly symmetric ``cov`` passes it as ``chol``, and ``cov`` is then
-    taken without the checks.
+    taken without the checks; its inverse and ``log_det`` may come along.
     """
 
     __slots__ = ("mean", "cov", "chol", "chol_inv", "log_det")
 
-    def __init__(self, mean, cov, chol=None):
+    def __init__(self, mean, cov, chol=None, chol_inv=None, log_det=None):
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
         if chol is None:
             cov, chol = check_spd_matrix(cov, "cov")
@@ -82,8 +83,8 @@ class MultiLSState:
             raise ValueError("mean and cov dimensions disagree")
         self.cov = cov
         self.chol = chol
-        self.chol_inv = np.linalg.inv(chol)
-        self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        self.chol_inv = np.linalg.inv(chol) if chol_inv is None else chol_inv
+        self.log_det = float(2.0 * np.sum(np.log(np.diag(chol))) if log_det is None else log_det)
 
     @property
     def dim(self):
@@ -182,6 +183,12 @@ class StateBatch:
         """The state at ``index``, built through its constructor and checks."""
         values = [getattr(self, name) for name in self.args]
         return self.state_cls(*[v[index] if isinstance(v, np.ndarray) else v for v in values])
+
+    def states(self):
+        """The states of a batch of shape (k,), in order, each as ``state`` builds it."""
+        return list(map(self.state_cls, *[
+            (v.tolist() if v.ndim == 1 else list(v)) if isinstance(v, np.ndarray) else repeat(v)
+            for v in (getattr(self, name) for name in self.args)]))
 
 
 def stack_states(states):

@@ -1,19 +1,21 @@
 """Full-conditional samplers for component parameters.
 
-The conjugate updater computes posterior hyperparameters from the cluster's
-size and sufficient statistics, which are sums about the prior mean (the
-reference a :class:`~mixmcmc.hierarchy.Hierarchy` sets), and draws through
-the prior's sampler; it also exposes the matching marginal (predictive)
-densities used by marginal algorithms. Each family's posterior is one
-elementwise function, ``posterior_hypers(card, stats, hypers)``, of one
-cluster's numbers or of k clusters' stacked arrays. Posterior
-hyperparameters are computed from checked prior ones and are not checked
-again.
+Every updater has one draw, ``draw_batch(likes, prior, rng, rows, labels)``,
+of all of a sampler's clusters (``rows`` its data, ``labels`` their clusters)
+or of a birth's one. The conjugate updater stacks the clusters' sizes and
+sufficient statistics, sums about the prior mean (the reference a
+:class:`~mixmcmc.hierarchy.Hierarchy` sets), and draws every state in one
+stacked prior draw at their posterior hyperparameters: one elementwise
+function per family, ``posterior_hypers(card, stats, hypers)``, of one
+cluster's numbers or k clusters' stacked arrays (the prior's at card 0),
+not checked again. It also exposes the matching marginal (predictive)
+densities used by marginal algorithms. The N x IG updater runs its Gibbs
+scan elementwise on the same stacked numbers.
 
 The Metropolis updater, random-walk or Langevin, works with any
 likelihood/prior pair that has an unconstrained parameterization: the
-normal and Laplace kernels under the NIG and N x IG priors. It moves all
-of a sampler's non-empty clusters at once (``draw_batch``), on the
+normal and Laplace kernels under the NIG and N x IG priors. It draws the
+empty clusters from the prior and moves the others at once, on the
 likelihood's and the prior's unconstrained densities. Each is one
 elementwise closed-form expression of one cluster's numbers that gives
 the value and the gradient; the updater calls them on Python floats,
@@ -28,8 +30,10 @@ from math import inf, isfinite
 import numpy as np
 
 from ._validation import check_positive, check_positive_int
+from .exceptions import CapabilityError
 from .likelihoods import squared_norm_rows, whiten_rows
-from .priors import GammaPriorHypers, NIGHypers, NWHypers
+from .priors import GammaPriorHypers, NIGHypers, NWHypers, variates
+from .states import UniLSState
 
 
 def nnig_posterior_hypers(card, stats, hypers):
@@ -82,7 +86,8 @@ def gamma_gamma_posterior_hypers(card, stats, hypers):
 def nnxig_mean_full_conditional(hypers, centred_sum, card, var):
     """Mean and variance of mean | var, data under the independent prior.
 
-    ``centred_sum`` is the sum of y - mean0 over the cluster.
+    ``centred_sum`` is the sum of y - mean0 over the cluster. Like the
+    variance's, it is elementwise over stacked clusters.
     """
     prec = 1.0 / hypers.var + card / var
     return hypers.mean + centred_sum / var / prec, 1.0 / prec
@@ -95,11 +100,9 @@ def nnxig_var_full_conditional(hypers, centred_sum, centred_sum_squares, card, m
     sum (y - mean)^2 = Q - 2 d S + n d^2.
     """
     dev = mean - hypers.mean
-    shape_n = hypers.shape + 0.5 * card
-    scale_n = hypers.scale + 0.5 * max(
-        centred_sum_squares - 2.0 * dev * centred_sum + card * dev * dev, 0.0
-    )
-    return shape_n, scale_n
+    spread = centred_sum_squares - 2.0 * dev * centred_sum + card * dev * dev
+    # (x + |x|) / 2 is max(x, 0), elementwise
+    return hypers.shape + 0.5 * card, hypers.scale + 0.25 * (spread + abs(spread))
 
 
 class StudentT:
@@ -221,14 +224,23 @@ def gamma_gamma_predictive(hypers):
     return CompoundGamma(hypers.shape, hypers.rate_alpha, hypers.rate_beta)
 
 
+def _stacked(likes):
+    """The clusters' sizes and statistics, stacked along a first axis; one cluster's are
+    its own numbers (all is elementwise), so that a birth's posterior runs on floats."""
+    if len(likes) == 1:
+        return likes[0].card, likes[0].stats
+    return (np.array([like.card for like in likes], dtype=float),
+            [np.array(column) for column in zip(*[like.stats for like in likes])])
+
+
 class ConjugateUpdater:
     """Closed-form updater for a conjugate likelihood/prior pair.
 
     ``posterior_hypers(card, stats, hypers)`` maps a cluster's size and
     statistics, centred on the prior mean, and the prior hyperparameters
-    to the posterior ones; the draw goes through the prior's sampler at
-    those. ``predictive(hypers)`` builds the marginal density of one datum
-    under given hyperparameters.
+    to the posterior ones, elementwise over stacked clusters; the draw goes
+    through the prior's sampler at those. ``predictive(hypers)`` builds the
+    marginal density of one datum under given hyperparameters.
     """
 
     def __init__(self, posterior_hypers, predictive):
@@ -238,33 +250,32 @@ class ConjugateUpdater:
     def is_conjugate(self):
         return True
 
-    def draw(self, like, prior, rng):
-        hypers = self.posterior_hypers(like.card, like.stats, prior.hypers)
-        state = prior.sample(rng, hypers=hypers)
-        like.state = state
-        return state
+    def draw_batch(self, likes, prior, rng, rows, labels):
+        """Draw the k clusters' states from their posteriors, in one stacked prior draw."""
+        cards, stats = _stacked(likes)
+        hypers = self.posterior_hypers(cards, stats, prior.hypers)
+        for like, state in zip(likes, prior._draw(rng, (len(likes),), hypers).states()):
+            like.state = state
 
 
 class NNxIGUpdater:
-    """One Gibbs scan for the normal kernel under the independent N x IG prior."""
+    """One Gibbs scan for the normal kernel under the independent N x IG prior, elementwise."""
 
     def is_conjugate(self):
         return False
 
-    def draw(self, like, prior, rng):
+    def draw_batch(self, likes, prior, rng, rows, labels):
         h = prior.hypers
-        n = like.card
-        var = like.state.var
-        centred_sum, centred_sum_squares = like.stats
-        mean_fc, var_fc = nnxig_mean_full_conditional(h, centred_sum, n, var)
-        mean = mean_fc + math.sqrt(var_fc) * rng.standard_normal()
-        shape_n, scale_n = nnxig_var_full_conditional(
-            h, centred_sum, centred_sum_squares, n, mean
-        )
-        var = scale_n / rng.gamma(shape_n)
-        state = type(like.state)(mean, var)
-        like.state = state
-        return state
+        cards, (centred_sum, centred_sum_squares) = _stacked(likes)
+        # each cluster's normal, then its gamma (var | mean's shape is free of the mean)
+        normals, gammas = variates(lambda a, s=None: (rng.standard_normal(s), rng.gamma(a, size=s)),
+                                   h.shape + 0.5 * cards, (len(likes),))
+        var = np.array([like.state.var for like in likes])
+        mean_fc, var_fc = nnxig_mean_full_conditional(h, centred_sum, cards, var)
+        mean = mean_fc + np.sqrt(var_fc) * normals
+        _, scale_n = nnxig_var_full_conditional(h, centred_sum, centred_sum_squares, cards, mean)
+        for like, mean_j, var_j in zip(likes, mean.tolist(), (scale_n / gammas).tolist()):
+            like.state = UniLSState(mean_j, var_j)
 
 
 class MetropolisUpdater:
@@ -276,11 +287,12 @@ class MetropolisUpdater:
     the prior's ``_unconstrained_lpdf``, each giving a value and a gradient
     in closed form.
 
-    ``draw_batch`` moves k clusters of one family together: each step draws
-    one (2, k) normal block and k uniforms and accepts or rejects each
-    cluster's proposal on its own, so a batch of one is the single-cluster
-    kernel. A proposal whose target (or, for MALA, gradient) is not finite
-    (an overflowing or underflowing scale) is rejected.
+    ``draw_batch`` draws the empty clusters from the prior, in list order,
+    then moves the k others together: each step draws one (2, k) normal
+    block and k uniforms and accepts or rejects each cluster's proposal on
+    its own, so a batch of one is the single-cluster kernel. A proposal
+    whose target (or, for MALA, gradient) is not finite (an overflowing or
+    underflowing scale) is rejected.
     """
 
     def __init__(self, step_size, num_steps, langevin):
@@ -296,13 +308,26 @@ class MetropolisUpdater:
         return False
 
     def draw_batch(self, likes, prior, rng, rows, labels):
-        """Move the clusters whose likelihoods are ``likes`` (one family, none empty).
+        """Refresh the clusters whose likelihoods are ``likes`` (one family).
 
-        ``rows`` are the sampler's data and ``labels`` their clusters, in
-        0..k-1 indexing ``likes``. The clusters' coordinates are lists of
-        Python floats, and each cluster's step runs on them in the order of
-        operations of the (2, k) array kernel, so the chain has its bits.
+        Without ``rows`` and ``labels`` a non-empty cluster raises
+        :class:`~mixmcmc.exceptions.CapabilityError`. The clusters'
+        coordinates are lists of Python floats, and each cluster's step runs
+        on them in the order of operations of the (2, k) array kernel, so
+        the chain has its bits.
         """
+        for like in likes:
+            if not like.card:
+                like.state = prior.sample(rng)
+        occupied = [like for like in likes if like.card]
+        if not occupied:
+            return
+        if rows is None:
+            raise CapabilityError(f"{type(self).__name__}.draw_batch moves non-empty clusters "
+                                  "on a sampler's data and labels")
+        if len(occupied) < len(likes):  # numbered 0..k-1 in list order
+            labels = (np.cumsum([like.card > 0 for like in likes]) - 1)[labels]
+        likes = occupied
         # a state without an unconstrained representation raises CapabilityError here
         u = np.array([like.state.to_unconstrained() for like in likes])
         means, log_scales = u.T.tolist()

@@ -19,6 +19,13 @@ normal families other than the first NNIG cells have a prior mean away
 from 0, where the statistics' centring matters. The Metropolis cells run
 Neal8 on each family a Metropolis updater moves: LapNIG and NNxIG under
 MALA, NNIG under the random walk.
+
+The blocked Gibbs cell (Ishwaran and James 2001) runs NNIG under a
+truncated stick-breaking mixing of ``COMPONENTS`` components. Forward:
+the stick fractions from their Beta(1, MASS) prior, then N iid labels from
+the weights they make. Its k is the number of occupied components, and
+datum 0's component parameters come from the prior, as an empty
+component's do.
 """
 
 import math
@@ -28,12 +35,14 @@ import pytest
 from oracles import monte_carlo_se
 
 from mixmcmc import build_algorithm, build_hierarchy
-from mixmcmc.mixings import DirichletMixing, PitYorMixing
+from mixmcmc.mixings import DirichletMixing, PitYorMixing, TruncatedSBMixing
 from mixmcmc.states import stack_states
 
 N, MASS = 3, 1.0
 # the Pitman-Yor cells' (strength, discount)
 PY = (1.0, 0.5)
+# the blocked Gibbs cell's number of components
+COMPONENTS = 10
 MEAN0, VAR_SCALING, SHAPE, SCALE = 0.0, 0.5, 3.0, 2.0
 HIER_ARGS = {
     "NNIG": {"fixed_values": {"mean": MEAN0, "var_scaling": VAR_SCALING, "shape": SHAPE,
@@ -71,8 +80,25 @@ def _forward(hier_type, draws, rng, strength=MASS, discount=0.0):
     k = np.ones(draws, dtype=int)
     for i in range(1, N):
         k += rng.random(draws) < (strength + discount * k) / (i + strength)
-    prior = build_hierarchy(hier_type, HIER_ARGS[hier_type]).prior
-    return _statistics(hier_type, k, prior.sample_batch(rng, (draws,)))
+    return _statistics(hier_type, k, _prior_draws(hier_type, draws, rng))
+
+
+def _prior_draws(hier_type, draws, rng):
+    # datum 0's cluster parameters; the data (not compared) would follow from them
+    return build_hierarchy(hier_type, HIER_ARGS[hier_type]).prior.sample_batch(rng, (draws,))
+
+
+def _forward_blocked(hier_type, draws, rng, m=COMPONENTS):
+    # the truncated sticks make the weights, the last component takes what
+    # the others leave, and the N labels are iid given the weights
+    sticks = np.concatenate((rng.beta(1.0, MASS, size=(draws, m - 1)), np.ones((draws, 1))),
+                            axis=1)
+    remain = np.cumprod(np.concatenate((np.ones((draws, 1)), 1.0 - sticks[:, :-1]), axis=1),
+                        axis=1)
+    cum = np.cumsum(sticks * remain, axis=1)
+    labels = np.minimum((cum[:, None, :] < rng.random((draws, N, 1))).sum(axis=2), m - 1)
+    k = 1 + (np.diff(np.sort(labels, axis=1), axis=1) != 0).sum(axis=1)
+    return _statistics(hier_type, k, _prior_draws(hier_type, draws, rng))
 
 
 def _kernel_draws(hier_type, states, rng):
@@ -103,7 +129,8 @@ def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater
         algo.step(rng)
         states = [algo.clusters[h].state for h in algo.allocations]
         if t >= burnin:
-            k.append(len(algo.clusters))
+            # the occupied clusters: the blocked sampler keeps empty components
+            k.append(len(set(algo.allocations.tolist())))
             kept.append(states[0])
         algo._prepare_data(_kernel_draws(hier_type, states, rng))
         algo._recount()
@@ -155,3 +182,11 @@ def test_each_metropolis_family_matches_forward_draws(cell, step_size, seed):
     forward = _forward(hier_type, 200_000, rng)
     _assert_agree(hier_type, forward,
                   _successive_conditional(algo_id, hier_type, 10_000, 200, rng, updater))
+
+
+def test_blocked_gibbs_matches_forward_draws():
+    rng = np.random.default_rng(115)
+    forward = _forward_blocked("NNIG", 200_000, rng)
+    _assert_agree("NNIG", forward, _successive_conditional(
+        "BlockedGibbs", "NNIG", 10_000, 200, rng,
+        mixing=TruncatedSBMixing(COMPONENTS, MASS)))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from oracles import (
     fill,
     gamma_rate_quadrature,
@@ -85,6 +86,12 @@ def _target(likes, prior, rows, labels):
         return out[0], out[1:]
 
     return target
+
+
+def _draw(updater, like, prior, rng):
+    """One draw of the cluster ``like`` from its full conditional, as a batch of one."""
+    updater.draw_batch([like], prior, rng, None, None)
+    return like.state
 
 
 def _metropolis_draw(updater, like, prior, rng, data):
@@ -170,6 +177,94 @@ def test_posterior_hypers_are_elementwise(family):
             assert got.tobytes() == want.tobytes(), (name, j)
             if not clusters[j].card:
                 assert np.array_equal(want, getattr(hypers, name)), name
+
+
+_NXIG_VALUES = {"mean": 3.0, "var": 2.0, "shape": 2.0, "scale": 2.0}
+
+
+def _nnxig_scan(like, h, rng):
+    """The single-cluster Gibbs scan on Python floats, with max(x, 0)."""
+    n, var, (centred_sum, centred_sum_squares) = like.card, like.state.var, like.stats
+    prec = 1.0 / h.var + n / var
+    mean = h.mean + centred_sum / var / prec + math.sqrt(1.0 / prec) * rng.standard_normal()
+    dev = mean - h.mean
+    scale_n = h.scale + 0.5 * max(
+        centred_sum_squares - 2.0 * dev * centred_sum + n * dev * dev, 0.0)
+    return UniLSState(mean, scale_n / rng.gamma(h.shape + 0.5 * n))
+
+
+@pytest.mark.parametrize("family", sorted(_CONJUGATE_FAMILIES) + ["NNxIG"])
+def test_a_stacked_draw_has_the_bits_of_single_posterior_draws(family):
+    # one draw_batch over k clusters draws, bit for bit, what k single draws
+    # in list order draw: one prior draw at each posterior (NNxIG: the scalar
+    # Gibbs scan); a batch of one is a birth's draw, and an empty cluster's
+    # alone is the prior's own draw
+    if family == "NNxIG":
+        values, draw = _NXIG_VALUES, _CONJUGATE_FAMILIES["NNIG"][1]
+    else:
+        values, draw = _CONJUGATE_FAMILIES[family]
+    template = build_hierarchy(family, {"fixed_values": values})
+    updater, prior = template.updater, template.prior
+    data_rng = np.random.default_rng(48)
+    for sizes in [(0,), (1,), (3,), (7,), (4, 0, 9, 1)]:
+        likes = [fill(template.clone(), [draw(data_rng) for _ in range(size)]).likelihood
+                 for size in sizes]
+        for seed in range(100):
+            for like in likes:
+                like.state = template.state.copy()
+            rng = np.random.default_rng(seed)
+            if family == "NNxIG":
+                wanted = [_nnxig_scan(like, prior.hypers, rng) for like in likes]
+            else:
+                wanted = [prior.sample(rng, updater.posterior_hypers(like.card, like.stats,
+                                                                     prior.hypers))
+                          for like in likes]
+            updater.draw_batch(likes, prior, np.random.default_rng(seed), None, None)
+            for want, like in zip(wanted, likes):
+                assert type(like.state) is type(want)
+                want, got = want.to_params(), like.state.to_params()
+                assert all(want[k].tobytes() == got[k].tobytes() for k in want), (sizes, seed)
+            if sizes == (0,) and family != "NNxIG":
+                assert likes[0].state == prior.sample(np.random.default_rng(seed)), seed
+
+
+def _posterior_moments(family, post):
+    """(name, function of a state, its exact posterior mean) for a family's draws."""
+    if family == "NNIG":
+        return [("mean", lambda s: s.mean, post.mean),
+                ("log var", lambda s: math.log(s.var),
+                 math.log(post.scale) - special.digamma(post.shape))]
+    if family == "NNW":
+        # cov[0, 0] ~ IG((deg_free - d + 1) / 2, scale[0, 0] / 2)
+        return [("mean[0]", lambda s: s.mean[0], post.mean[0]),
+                ("log cov[0, 0]", lambda s: math.log(s.cov[0, 0]),
+                 math.log(post.scale[0, 0] / 2.0)
+                 - special.digamma((post.deg_free - post.dim + 1.0) / 2.0))]
+    return [("rate", lambda s: s.rate, post.rate_alpha / post.rate_beta)]
+
+
+@pytest.mark.parametrize("family", sorted(_CONJUGATE_FAMILIES))
+def test_a_stacked_draw_has_each_clusters_posterior_moments(family):
+    # one draw_batch over clusters of different sizes and statistics, an
+    # empty one among them, draws each from its own posterior
+    values, draw = _CONJUGATE_FAMILIES[family]
+    template = build_hierarchy(family, {"fixed_values": values})
+    rng = np.random.default_rng(49)
+    clusters = [fill(template.clone(), [draw(rng) for _ in range(size)]) for size in (4, 0, 9, 1)]
+    likes = [c.likelihood for c in clusters]
+    moments = [_posterior_moments(family, template.updater.posterior_hypers(
+        like.card, like.stats, template.prior.hypers)) for like in likes]
+    draws = 4_000
+    values = np.empty((draws, len(likes), 2 if family != "GammaGamma" else 1))
+    for t in range(draws):
+        template.updater.draw_batch(likes, template.prior, rng, None, None)
+        for j, like in enumerate(likes):
+            values[t, j] = [f(like.state) for _, f, _ in moments[j]]
+    for j, cluster_moments in enumerate(moments):
+        for m, (name, _, want) in enumerate(cluster_moments):
+            got = values[:, j, m]
+            se = got.std() / math.sqrt(draws)
+            assert abs(got.mean() - want) < 4 * se, (j, name, got.mean(), want, se)
 
 
 def test_nnig_posterior_mean_between_prior_and_sample_mean():
@@ -286,8 +381,7 @@ def test_nnxig_chain_matches_quadrature_posterior():
     rng = np.random.default_rng(27)
     mus = np.empty(20_000)
     for t in range(mus.size):
-        state = updater.draw(hier.likelihood, hier.prior, rng)
-        mus[t] = state.mean
+        mus[t] = _draw(updater, hier.likelihood, hier.prior, rng).mean
     oracle = nxig_quadrature(data, 0.5, 2.0, 3.0, 2.0)
     se = monte_carlo_se(mus)
     assert abs(mus.mean() - oracle["e_mean"]) < 3 * se
@@ -297,7 +391,7 @@ def test_semi_conjugate_empty_cluster_equals_prior_draw():
     prior = NIGPrior(NIG_REF)
     like = _normal_cluster([])
     updater = _nnig_updater()
-    drawn = updater.draw(like, prior, np.random.default_rng(42))
+    drawn = _draw(updater, like, prior, np.random.default_rng(42))
     direct = prior.sample(np.random.default_rng(42))
     assert drawn == direct
 
@@ -307,7 +401,7 @@ def test_nnig_draws_single_datum_posterior_mean():
     updater = _nnig_updater()
     rng = np.random.default_rng(28)
     like = _normal_cluster([1.0])
-    means = np.array([updater.draw(like, prior, rng).mean for _ in range(100_000)])
+    means = np.array([_draw(updater, like, prior, rng).mean for _ in range(100_000)])
     se = means.std() / math.sqrt(means.size)
     assert abs(means.mean() - 10.0 / 11.0) < 3 * se
 
@@ -317,7 +411,7 @@ def test_gamma_gamma_draws_match_posterior_mean():
     updater = _gamma_gamma_updater()
     like = fill(GammaLikelihood(1.0), [1.0, 3.0])
     rng = np.random.default_rng(29)
-    rates = np.array([updater.draw(like, prior, rng).rate for _ in range(100_000)])
+    rates = np.array([_draw(updater, like, prior, rng).rate for _ in range(100_000)])
     se = rates.std() / math.sqrt(rates.size)
     assert abs(rates.mean() - 4.0 / 6.0) < 3 * se
 

@@ -15,9 +15,13 @@ draws its parameters after them: the uniforms are iid whatever order the
 generator hands them out in, so the kernel is that of one draw per datum
 in sweep order. The blocked Gibbs sampler keeps a fixed number of
 components with explicit stick-breaking weights and normalizes on the
-log scale. Every sampler recounts each cluster's size and statistics from
+log scale, scoring all its components in one ``score_batch`` call.
+
+A cluster is a likelihood, a ``clone_empty()`` of the template's, which
+holds its size, statistics and state; the template's prior and updater
+act on it. Every sampler recounts each cluster's size and statistics from
 the allocations, then refreshes all its clusters in one ``draw_batch``
-call of the family's updater; a birth draws as a batch of one.
+call of the updater; a birth draws as a batch of one.
 """
 
 import copy
@@ -111,8 +115,8 @@ class _BaseAlgorithm:
         self.allocations = np.arange(n) % stripes
         self.clusters = []
         for _ in range(k0):
-            cluster = self.template.clone()
-            cluster.sample_prior(rng)
+            cluster = self.template.likelihood.clone_empty()
+            cluster.state = self.template.prior.sample(rng)
             self.clusters.append(cluster)
         self._recount()
 
@@ -126,13 +130,13 @@ class _BaseAlgorithm:
         sizes = np.bincount(labels, minlength=k).tolist()
         all_stats = self.template.likelihood.label_stats(self._stat_terms, labels, k)
         for cluster, size, stats in zip(self.clusters, sizes, all_stats):
-            cluster.likelihood.card = size
-            cluster.likelihood.stats = stats
+            cluster.card = size
+            cluster.stats = stats
 
     def _draw_cluster_params(self, rng):
         """Draw every cluster's parameters, empty ones (BlockedGibbs) included, in one batch."""
-        self.template.updater.draw_batch([cluster.likelihood for cluster in self.clusters],
-                                         self.template.prior, rng, self.data, self.allocations)
+        self.template.updater.draw_batch(self.clusters, self.template.prior, rng, self.data,
+                                         self.allocations)
 
     def _snapshot(self, iteration):
         cluster_states = [
@@ -167,7 +171,7 @@ class _BaseAlgorithm:
         weight is -inf is -inf, its density not evaluated.
         """
         scratch = self.template.likelihood.clone_empty()
-        state_cls = type(self.template.state)
+        state_cls = type(self.template.likelihood.state)
         mixing = copy.copy(self.mixing)
         new_cluster_lpdf = self._new_cluster_lpdf(grid, scratch, rng)
         for record in records:
@@ -219,10 +223,10 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     cluster's ``card``, and every cluster's statistics are recounted from
     the labels (:meth:`_recount`), so they depend on the partition alone; a
     Metropolis refresh reads each cluster's data from the labels too.
-    Births and deaths go through the cluster objects (``_open_cluster``,
-    ``_remove_datum``), which add or subtract the datum's own statistic
-    list: a newborn's full conditional reads the statistics of its one
-    datum. Those lists are ``label_stats`` of each datum alone, computed
+    A birth (``_open_cluster``) takes its datum's own statistic list with
+    size 1, since a newborn's full conditional reads the statistics of its
+    one datum; a death (``_remove_datum``) hands back the dying cluster as
+    it was. Those lists are ``label_stats`` of each datum alone, computed
     once per run and shared, so nothing writes them in place.
 
     The scores sit in a table, built when the sweep reaches a block of data
@@ -329,7 +333,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         return [self.template.prior_predictive().lpdf(self._rows[i])]
 
     def _take_back(self, i, stashed, row, k):
-        """Offer datum i the state of its cluster, which just died, as candidate row[k].
+        """Offer datum i its cluster ``stashed``, which just died, as candidate row[k].
 
         Only Neal8 does; the other samplers draw a new cluster afresh.
         """
@@ -383,7 +387,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         lo = i + 1 - self._block_start
         rest = self._table[lo:]
         if rest:
-            scores = cluster.likelihood.lpdf_grid(self.data[i + 1:self._block_stop])
+            scores = cluster.lpdf_grid(self.data[i + 1:self._block_stop])
             with np.errstate(over="ignore", invalid="ignore"):  # left to the guard
                 column = np.exp(scores - self._ref[lo:]).tolist()
             h = len(self.clusters) - 1
@@ -397,7 +401,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             del row[last]
 
     def _cluster_log_scores(self, y):
-        return [cluster.likelihood.lpdf(y) for cluster in self.clusters]
+        return [cluster.lpdf(y) for cluster in self.clusters]
 
     def _log_weights(self, i, stashed):
         """Datum i's log weights in the row's order, for the guard's draw."""
@@ -407,16 +411,11 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         return logs + [log_new + score for score in self._candidate_log_scores(i, stashed)]
 
     def _remove_datum(self, i):
-        """Detach datum i, its cluster's last member; returns the cluster's state.
-
-        The death goes through the cluster object, holding just this datum.
-        """
+        """Detach datum i, its cluster's last member; returns the cluster, untouched."""
         labels = self._labels
         h = labels[i]
         labels[i] = -1
         cluster = self.clusters[h]
-        cluster.likelihood.card = 1  # its store size: card is written back once per sweep
-        cluster.remove_datum(self._datum_stats[i])
         last = len(self.clusters) - 1
         if h != last:
             for j, label in enumerate(labels):
@@ -429,16 +428,17 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         masses = self._masses
         masses[h] = masses[last]
         masses[last:] = self._new_masses(last)
-        return cluster.state
+        return cluster
 
     def _open_cluster(self, i, rng, state=None):
-        cluster = self.template.clone()
-        if state is not None:
-            cluster.state = state.copy()
-        cluster.add_datum(self._datum_stats[i])
+        """Open a cluster of datum i alone, at a copy of ``state`` if one is given."""
+        cluster = self.template.likelihood.clone_empty()
+        cluster.card, cluster.stats = 1, self._datum_stats[i]
         if state is None:
             # parameters born from the single-datum full conditional
-            cluster.sample_full_cond(rng)
+            self.template.updater.draw_batch([cluster], self.template.prior, rng, None, None)
+        else:
+            cluster.state = state.copy()
         self._labels[i] = len(self.clusters)
         self.clusters.append(cluster)
         self._sizes.append(1)
@@ -507,13 +507,12 @@ class Neal3Algorithm(_MarginalAlgorithm):
         self._uniforms = rng.random(self.n).tolist()
 
     def _cluster_scorer(self, h):
-        cluster = self.clusters[h]
-        return cluster.conditional_pred_scorer(self._sizes[h], cluster.likelihood.stats)
+        return self.template.conditional_pred_scorer(self._sizes[h], self.clusters[h].stats)
 
     def _move_stats(self, h, i, add):
         """Add datum i to, or take it from, the statistics of cluster h."""
         if h >= 0:
-            like = self.clusters[h].likelihood
+            like = self.clusters[h]
             like.stats = moved_stats(like.stats, self._datum_stats[i], add)
 
     def _rescore(self, *clusters):
@@ -567,7 +566,6 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def __init__(self, hierarchy, mixing, init_num_clusters=3, n_aux=3):
         super().__init__(hierarchy, mixing, init_num_clusters)
         self.n_aux = self._num_candidates = check_positive_int(n_aux, "n_aux")
-        self._like = hierarchy.likelihood.clone_empty()
         # the current block's auxiliary states, a StateBatch of shape
         # (block size, n_aux), and their log scores
         self._aux = self._aux_scores = None
@@ -578,15 +576,11 @@ class Neal8Algorithm(_MarginalAlgorithm):
 
     def _candidate_scores(self, start, stop, rng):
         self._aux = self.template.prior.sample_batch(rng, (stop - start, self.n_aux))
-        self._aux_scores = self._like.score_batch(self._aux, self.data[start:stop])
+        self._aux_scores = self.template.likelihood.score_batch(self._aux, self.data[start:stop])
         return self._aux_scores
 
-    def _stashed_score(self, i, stashed):
-        self._like.state = stashed
-        return self._like.lpdf(self._rows[i])
-
     def _take_back(self, i, stashed, row, k):
-        excess = self._stashed_score(i, stashed) - self._ref[i - self._block_start]
+        excess = stashed.lpdf(self._rows[i]) - self._ref[i - self._block_start]
         try:
             row[k] = math.exp(excess)
         except OverflowError:  # left to the guard
@@ -595,12 +589,12 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def _candidate_log_scores(self, i, stashed):
         scores = self._aux_scores[i - self._block_start].tolist()
         if stashed is not None:
-            scores[0] = self._stashed_score(i, stashed)
+            scores[0] = stashed.lpdf(self._rows[i])
         return scores
 
     def _candidate_state(self, i, j, stashed):
         if j == 0 and stashed is not None:
-            return stashed
+            return stashed.state
         return self._aux.state((i - self._block_start, j))
 
 
@@ -617,9 +611,10 @@ class BlockedGibbsAlgorithm(_BaseAlgorithm):
         n = self.n
         m = self.mixing.num_components
         log_w = self.mixing.get_weights()
-        logits = np.empty((m, n))
-        for h, comp in enumerate(self.clusters):
-            logits[h] = log_w[h] + comp.likelihood.lpdf_grid(self.data)
+        scores = self.template.likelihood.score_batch(
+            stack_states([comp.state for comp in self.clusters]), self.data)
+        # C order, as the sum along the components below must add them one by one
+        logits = np.ascontiguousarray((scores + log_w).T)
         mx = logits.max(axis=0)
         probs = np.exp(logits - mx)
         probs /= probs.sum(axis=0)

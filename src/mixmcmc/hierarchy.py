@@ -1,14 +1,13 @@
-"""One mixture component: likelihood (with its size) + prior + updater.
+"""The template of a mixture component: a likelihood prototype, its prior and its updater.
 
-A :class:`Hierarchy` is a cloneable prototype. Marginal algorithms hold a
-template and clone it whenever a new cluster is born; conditional
-algorithms clone it once per component. It centres the likelihood's
-statistics on the prior mean, where the prior has one, which is what the
-conjugate posteriors read. A datum enters or leaves a cluster as its own
-statistic list, which the marginal samplers compute once per run.
-Conjugate hierarchies additionally expose the prior predictive and the
-posterior-predictive scorer of a cluster's size and statistics that
-marginal samplers need.
+A cluster is a likelihood. Every sampler holds one ``clone_empty()`` of
+the template's likelihood per cluster, which keeps the cluster's size,
+statistics and state, and it calls the template's prior and updater on
+them directly. A :class:`Hierarchy` centres the prototype's statistics on
+the prior mean, where the prior has one, which is what the conjugate
+posteriors read; the clones keep that reference. Conjugate hierarchies
+additionally expose the prior predictive and the posterior-predictive
+scorer of a cluster's size and statistics that marginal samplers need.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ from .likelihoods import (
     LaplaceLikelihood,
     MultiNormLikelihood,
     UniNormLikelihood,
-    moved_stats,
 )
 from .priors import (
     GammaPrior,
@@ -61,48 +59,8 @@ class Hierarchy:
         if hasattr(prior.hypers, "mean"):  # the statistics are sums about the prior mean
             likelihood.ref = prior.hypers.mean
 
-    @property
-    def state(self):
-        return self.likelihood.state
-
-    @state.setter
-    def state(self, value):
-        self.likelihood.state = value
-
-    @property
-    def card(self):
-        return self.likelihood.card
-
     def is_conjugate(self):
         return self.updater.is_conjugate()
-
-    def clone(self):
-        """Empty copy sharing no mutable state: fresh stats, copied state."""
-        return Hierarchy(
-            self.likelihood.clone_empty(), self.prior, self.updater, self.name
-        )
-
-    def add_datum(self, terms):
-        """Count one datum in; ``terms`` is its own statistic list (``label_stats`` of it alone)."""
-        like = self.likelihood
-        like.stats = moved_stats(like.stats, terms, True)
-        like.card += 1
-
-    def remove_datum(self, terms):
-        """Count one datum out; ``terms`` is its own statistic list."""
-        like = self.likelihood
-        if not like.card:
-            raise ValueError("cannot remove a datum from an empty cluster")
-        like.stats = moved_stats(like.stats, terms, False)
-        like.card -= 1
-
-    def sample_prior(self, rng):
-        self.likelihood.state = self.prior.sample(rng)
-
-    def sample_full_cond(self, rng):
-        """A birth's draw from the full conditional, the updater's batch of one; a non-empty
-        Metropolis cluster raises :class:`CapabilityError` (its data are a sampler's)."""
-        self.updater.draw_batch([self.likelihood], self.prior, rng, None, None)
 
     def _require_predictive(self):
         if not self.is_conjugate():

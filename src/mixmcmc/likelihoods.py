@@ -11,8 +11,8 @@ of three things once:
   sums the terms of k clusters by label, each in index order, into k
   statistic lists. Everything else is built from these two: the samplers
   recount every cluster once per sweep, and take a datum's own list,
-  ``label_stats(terms, arange(n), n)``, computed once per run, for a
-  birth, a death and Neal3's moves (:func:`moved_stats`);
+  ``label_stats(terms, arange(n), n)``, computed once per run, as a
+  newborn's statistics and for Neal3's moves (:func:`moved_stats`);
 - its density, as one array formula, which reads the state's fields by
   name. ``lpdf_grid(rows)`` evaluates it at the state on every row, and
   ``lpdf(datum)`` on a one-row grid, so the two agree bit for bit;
@@ -36,12 +36,13 @@ state) has the bits of that state's own ``lpdf_grid``.
 The normal and Laplace kernels also give the whole-cluster log density at
 an unconstrained state (mean, log scale), which the Metropolis updater
 targets, in closed form with its gradient. The static
-``unconstrained_stats(likes, rows, labels)`` returns a function of the k
-clusters' means (a list) that gives, per cluster, the tuple of numbers its
-density reads: the normal kernel's size, recounted sums and reference, the
-same at every mean, or the Laplace kernel's size and its sums of
-|y - mean| and of their slopes, summed over the data ``rows`` by their
-``labels`` (0..k-1, indexing ``likes``). The static
+``unconstrained_stats(likes, rows, labels, grad)`` returns a function of
+the k clusters' means (a list) that gives, per cluster, the tuple of
+numbers its density reads: the normal kernel's size, recounted sums and
+reference, the same at every mean, or the Laplace kernel's size and its
+sums of |y - mean| and of their slopes, summed over the data ``rows`` by
+their ``labels`` (0..k-1, indexing ``likes``); without ``grad`` the slope
+sums, which only the gradient reads, are left at 0. The static
 ``unconstrained_lpdf(*numbers, mean, log_scale, e)``, with e = exp(-log
 scale) passed in, is one branch-free elementwise expression: on one
 cluster's floats it gives the density and its two partial derivatives, and
@@ -155,7 +156,7 @@ class UniNormLikelihood(_BaseLikelihood):
         return -0.5 * (LOG_2PI + np.log(st.var)) - d * d / (2.0 * st.var)
 
     @staticmethod
-    def unconstrained_stats(likes, rows, labels):
+    def unconstrained_stats(likes, rows, labels, grad=True):
         """Means -> per cluster (n, S, Q, ref): its size, sums of z and z^2, and reference."""
         stats = [(like.card, *like.stats, like.ref) for like in likes]
         return lambda means: stats
@@ -251,20 +252,23 @@ class LaplaceLikelihood(_BaseLikelihood):
         return -np.log(2.0 * scale) - np.abs(y - st.mean) / scale
 
     @staticmethod
-    def unconstrained_stats(likes, rows, labels):
+    def unconstrained_stats(likes, rows, labels, grad=True):
         """Means -> per cluster (n, A, slope): its size, sum |y_i - mean| and its slope in mean.
 
         The sizes are counted from the labels. The slope of |y - mean| is
-        -1 where y >= mean (ties included) and +1 below. ``np.bincount``
-        sums A and the slope over the data in index order.
+        -1 where y >= mean (ties included) and +1 below; without ``grad``
+        it is not summed, and reads 0. ``np.bincount`` sums A and the slope
+        over the data in index order.
         """
         k, data = len(likes), rows[:, 0]
         sizes = np.bincount(labels, minlength=k).tolist()
+        no_slopes = [0.0] * k
 
         def sums(means):
             dev = data - np.array(means)[labels]
             abs_sums = np.bincount(labels, np.abs(dev), k).tolist()
-            slope_sums = np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), k).tolist()
+            slope_sums = (np.bincount(labels, np.where(dev >= 0, -1.0, 1.0), k).tolist()
+                          if grad else no_slopes)
             return zip(sizes, abs_sums, slope_sums)
 
         return sums

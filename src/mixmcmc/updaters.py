@@ -332,9 +332,10 @@ class MetropolisUpdater:
         u = np.array([like.state.to_unconstrained() for like in likes])
         means, log_scales = u.T.tolist()
         like_cls, state_cls = type(likes[0]), type(likes[0].state)
-        sums = like_cls.unconstrained_stats(likes, rows, labels)
-        like_lpdf, prior_lpdf = like_cls.unconstrained_lpdf, prior._unconstrained_lpdf
         langevin = self.langevin
+        # the random walk reads no gradient, so the likelihood may leave out its sums
+        sums = like_cls.unconstrained_stats(likes, rows, labels, langevin)
+        like_lpdf, prior_lpdf = like_cls.unconstrained_lpdf, prior._unconstrained_lpdf
 
         def target(means, log_scales):
             """Per cluster (log target, its two partial derivatives); -inf where not finite."""

@@ -5,11 +5,14 @@ Run by hand from a checkout (pytest does not collect it):
     python tests/allocation_check.py BEFORE_ROOT AFTER_ROOT
 
 Each root is a checkout whose ``src`` holds the package; each side runs in
-its own process, both at once. A change that moves chain bits but not the
-kernel must leave the law of the allocations as it was, and this compares
-it on the data of the ``readme-neal2`` workload: its five training sets at
-workload seed 1 (``two-normals-1d``, n = 200, generator seed 1000 + j),
-and the ``highdim`` sets of the same seeds at d = 2 for NNW.
+its own process, both at once. ``tests/test_allocation_check.py`` runs
+both sides in one process at a tiny size, through :func:`estimates`,
+which takes the cells, data sets, chains and sweeps, and :func:`compare`.
+A change that moves chain bits but not the kernel must leave the law of
+the allocations as it was, and this compares it on the data of the
+``readme-neal2`` workload: its five training sets at workload seed 1
+(``two-normals-1d``, n = 200, generator seed 1000 + j), and the
+``highdim`` sets of the same seeds at d = 2 for NNW.
 
 For every cell and data set each side runs ``CHAINS`` chains of
 ``SWEEPS`` sweeps, ``BURNIN`` of them dropped, each from its own seed. k
@@ -76,32 +79,37 @@ def _statistics(allocations):
     return np.array(out, dtype=float)
 
 
-def _side(side):
-    """One side's per cell and data set estimates and standard errors, as JSON on stdout."""
+def estimates(side, cells=CELLS, datasets=DATASETS, chains=CHAINS, sweeps=SWEEPS,
+              burnin=BURNIN):
+    """One side's estimates and standard errors, per cell and data set.
+
+    ``side`` seeds the chains. ``cells`` maps names to tuples as in
+    ``CELLS``; every cell runs on the first ``datasets`` data sets.
+    """
     from mixmcmc import MemoryCollector, build_algorithm, build_hierarchy, build_mixing
     from mixmcmc.datasets import generate_bench
     from mixmcmc.postprocess import ess
 
     out = {}
     for c, (name, (algo_id, hier_type, hier_args, mix_type, mix_args, d)) in enumerate(
-            CELLS.items()):
-        for j in range(DATASETS):
+            cells.items()):
+        for j in range(datasets):
             kind = "two-normals-1d" if d == 1 else "highdim"
             data = generate_bench(kind, N, d, WORKLOAD_SEED * 1000 + j)
             means, variances = [], []
-            for chain in range(CHAINS):
+            for chain in range(chains):
                 algo = build_algorithm(algo_id, build_hierarchy(hier_type, hier_args),
                                        build_mixing(mix_type, mix_args))
                 collector = MemoryCollector()
-                algo.run(data, SWEEPS, BURNIN, collector,
+                algo.run(data, sweeps, burnin, collector,
                          np.random.default_rng([side, c, j, chain]))
                 stats = _statistics([record.allocations for record in collector])
                 means.append(stats.mean(axis=0))
                 variances.append([column.var() / ess(column) for column in stats.T])
             out[f"{name} #{j}"] = (np.mean(means, axis=0).tolist(),
-                                   (np.sqrt(np.sum(variances, axis=0)) / CHAINS).tolist())
+                                   (np.sqrt(np.sum(variances, axis=0)) / chains).tolist())
             print(f"side {side}: {name} #{j} done", file=sys.stderr, flush=True)
-    json.dump(out, sys.stdout)
+    return out
 
 
 def _run_sides(roots):
@@ -116,8 +124,8 @@ def _run_sides(roots):
     return results
 
 
-def main(roots):
-    before, after = _run_sides(roots)
+def compare(before, after):
+    """Print the comparison of two sides' estimates; True when every |z| is below THRESHOLD."""
     names, worst, count = _names(), (0.0, None), 0
     for key in before:
         (mean_b, se_b), (mean_a, se_a) = before[key], after[key]
@@ -134,9 +142,13 @@ def main(roots):
     return abs(worst[0]) < THRESHOLD
 
 
+def main(roots):
+    return compare(*_run_sides(roots))
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--side"]:
-        _side(int(sys.argv[2]))
+        json.dump(estimates(int(sys.argv[2])), sys.stdout)
     elif len(sys.argv) == 3:
         raise SystemExit(0 if main(sys.argv[1:]) else 1)
     else:

@@ -20,6 +20,11 @@ from 0, where the statistics' centring matters. The Metropolis cells run
 Neal8 on each family a Metropolis updater moves: LapNIG and NNxIG under
 MALA, NNIG under the random walk.
 
+The hyperprior cell runs Neal2 on NNIG under a DP whose total mass has
+the Gamma hyperprior ``GAMMA_PRIOR`` (shape, rate), resampled after each
+sweep (Escobar and West 1995). Forward: the mass from its Gamma prior,
+then a CRP of that mass. The mass joins the compared statistics.
+
 The blocked Gibbs cell (Ishwaran and James 2001) runs NNIG under a
 truncated stick-breaking mixing of ``COMPONENTS`` components. Forward:
 the stick fractions from their Beta(1, MASS) prior, then N iid labels from
@@ -43,6 +48,8 @@ N, MASS = 3, 1.0
 PY = (1.0, 0.5)
 # the blocked Gibbs cell's number of components
 COMPONENTS = 10
+# the hyperprior cell's Gamma (shape, rate) on the DP's total mass
+GAMMA_PRIOR = (2.0, 2.0)
 MEAN0, VAR_SCALING, SHAPE, SCALE = 0.0, 0.5, 3.0, 2.0
 HIER_ARGS = {
     "NNIG": {"fixed_values": {"mean": MEAN0, "var_scaling": VAR_SCALING, "shape": SHAPE,
@@ -115,16 +122,17 @@ def _kernel_draws(hier_type, states, rng):
 
 
 def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater=None,
-                            mixing=None):
+                            mixing=None, with_mass=False):
     """``updater`` adds the Metropolis updater's keys to the hierarchy's args;
-    the mixing is DP(MASS) unless given."""
+    the mixing is DP(MASS) unless given. ``with_mass`` adds a last row, the
+    mixing's total mass after each kept sweep."""
     args = dict(HIER_ARGS[hier_type], **(updater or {}))
     algo = build_algorithm(algo_id, build_hierarchy(hier_type, args),
                            mixing or DirichletMixing(MASS))
     # the first data come from the template's starting state
-    algo._prepare_data(_kernel_draws(hier_type, [algo.template.state] * N, rng))
+    algo._prepare_data(_kernel_draws(hier_type, [algo.template.likelihood.state] * N, rng))
     algo._initialize(rng)
-    k, kept = [], []
+    k, kept, masses = [], [], []
     for t in range(burnin + iterations):
         algo.step(rng)
         states = [algo.clusters[h].state for h in algo.allocations]
@@ -132,14 +140,19 @@ def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater
             # the occupied clusters: the blocked sampler keeps empty components
             k.append(len(set(algo.allocations.tolist())))
             kept.append(states[0])
+            if with_mass:
+                masses.append(algo.mixing.totalmass)
         algo._prepare_data(_kernel_draws(hier_type, states, rng))
         algo._recount()
-    return _statistics(hier_type, k, stack_states(kept))
+    stats = _statistics(hier_type, k, stack_states(kept))
+    return np.vstack([stats, masses]) if with_mass else stats
 
 
-def _assert_agree(hier_type, forward, chain):
-    names = [f"P(k={j})" for j in range(1, N + 1)] + [name for name, _ in PARAMETERS[hier_type]]
-    for name, fwd, run in zip(names, forward, chain):
+def _assert_agree(hier_type, forward, chain, extra=()):
+    """``extra`` names the rows after the family's parameters."""
+    names = ([f"P(k={j})" for j in range(1, N + 1)] + [name for name, _ in PARAMETERS[hier_type]]
+             + list(extra))
+    for name, fwd, run in zip(names, forward, chain, strict=True):
         se = math.hypot(fwd.std() / math.sqrt(fwd.size), monte_carlo_se(run))
         assert abs(run.mean() - fwd.mean()) < 4.0 * se, (name, run.mean(), fwd.mean(), se)
 
@@ -190,3 +203,13 @@ def test_blocked_gibbs_matches_forward_draws():
     _assert_agree("NNIG", forward, _successive_conditional(
         "BlockedGibbs", "NNIG", 10_000, 200, rng,
         mixing=TruncatedSBMixing(COMPONENTS, MASS)))
+
+
+def test_dp_with_a_gamma_hyperprior_matches_forward_draws():
+    rng = np.random.default_rng(116)
+    shape, rate = GAMMA_PRIOR
+    mass = rng.gamma(shape, size=200_000) / rate
+    forward = np.vstack([_forward("NNIG", mass.size, rng, mass), mass])
+    _assert_agree("NNIG", forward, _successive_conditional(
+        "Neal2", "NNIG", 10_000, 200, rng, mixing=DirichletMixing(MASS, GAMMA_PRIOR),
+        with_mass=True), extra=("total mass",))

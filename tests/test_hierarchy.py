@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from oracles import datum_stats, fill, nnig_quadrature
 
+from mixmcmc.algorithms import build_algorithm
 from mixmcmc.config import parse_config
 from mixmcmc.exceptions import CapabilityError, ConfigError
 from mixmcmc.hierarchy import Hierarchy, build_hierarchy
-from mixmcmc.likelihoods import GammaLikelihood, MultiNormLikelihood, UniNormLikelihood
+from mixmcmc.likelihoods import (
+    GammaLikelihood,
+    MultiNormLikelihood,
+    UniNormLikelihood,
+    moved_stats,
+)
+from mixmcmc.mixings import DirichletMixing
 from mixmcmc.priors import GammaPrior, GammaPriorHypers, NIGHypers, NIGPrior, NWHypers, NWPrior
 from mixmcmc.states import MultiLSState, UniLSState
 from mixmcmc.updaters import (
@@ -39,9 +46,20 @@ def _nnig():
     return build_hierarchy("NNIG", NNIG_ARGS)
 
 
-def _conditional_pred_lpdf(h, y):
-    """log predictive density of y given the hierarchy's current members."""
-    return h.conditional_pred_scorer(h.card, h.likelihood.stats)(y)
+def _conditional_pred_lpdf(h, like, y):
+    """log predictive density of y given the members of the cluster ``like``."""
+    return h.conditional_pred_scorer(like.card, like.stats)(y)
+
+
+def _add_datum(like, terms):
+    """Count one datum, given as its own statistic list, into the cluster ``like``."""
+    like.stats = moved_stats(like.stats, terms, True)
+    like.card += 1
+
+
+def _full_cond_draw(h, like, rng):
+    """A birth's draw: the cluster ``like`` from its full conditional, as a batch of one."""
+    h.updater.draw_batch([like], h.prior, rng, None, None)
 
 
 def test_build_from_config_text():
@@ -64,37 +82,25 @@ def test_unknown_hierarchy_type():
 
 
 def test_sample_prior_matches_prior_sample():
+    # a sampler's starting clusters are empty clones of the template's
+    # likelihood, each drawn by the prior in turn
     h = _nnig()
-    h.sample_prior(np.random.default_rng(1))
-    direct = h.prior.sample(np.random.default_rng(1))
-    assert h.state == direct
-    assert h.state.var > 0
-
-
-def test_sample_full_cond_empty_equals_sample_prior():
-    h1, h2 = _nnig(), _nnig()
-    h1.sample_full_cond(np.random.default_rng(5))
-    h2.sample_prior(np.random.default_rng(5))
-    assert h1.state == h2.state
-
-
-def test_sample_full_cond_single_datum_long_run_mean():
-    h = fill(_nnig(), [1.0])
-    rng = np.random.default_rng(6)
-    means = np.empty(50_000)
-    for t in range(means.size):
-        h.sample_full_cond(rng)
-        means[t] = h.state.mean
-    se = means.std() / math.sqrt(means.size)
-    assert abs(means.mean() - 10.0 / 11.0) < 3 * se
+    algo = build_algorithm("Neal2", h, DirichletMixing(1.0), init_num_clusters=3)
+    algo._prepare_data(np.arange(5.0).reshape(-1, 1))
+    algo._initialize(np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    assert [cluster.state for cluster in algo.clusters] == [h.prior.sample(rng) for _ in range(3)]
+    assert all(type(cluster) is UniNormLikelihood and cluster is not h.likelihood
+               for cluster in algo.clusters)
 
 
 def test_full_cond_kernel_preserves_exact_posterior():
     # feed exact posterior draws through the kernel; moments must be preserved
     from scipy import stats
 
-    h = fill(_nnig(), [0.5, 1.5, -0.4])
-    post = h.updater.posterior_hypers(h.card, h.likelihood.stats, h.prior.hypers)
+    h = _nnig()
+    like = fill(h.likelihood.clone_empty(), [0.5, 1.5, -0.4])
+    post = h.updater.posterior_hypers(like.card, like.stats, h.prior.hypers)
     rng = np.random.default_rng(7)
     scipy_rng = np.random.default_rng(8)
     out = np.empty(10_000)
@@ -103,9 +109,9 @@ def test_full_cond_kernel_preserves_exact_posterior():
         mean = float(
             stats.norm.rvs(post.mean, math.sqrt(var / post.var_scaling), random_state=scipy_rng)
         )
-        h.state = UniLSState(mean, var)
-        h.sample_full_cond(rng)
-        out[t] = h.state.mean
+        like.state = UniLSState(mean, var)
+        _full_cond_draw(h, like, rng)
+        out[t] = like.state.mean
     target_mean = post.mean
     target_var = post.scale / ((post.shape - 1.0) * post.var_scaling)
     se_mean = out.std() / math.sqrt(out.size)
@@ -158,28 +164,31 @@ def test_prior_pred_integrates_to_one():
 def test_conditional_pred_empty_equals_prior_pred():
     h = _nnig()
     for y in (-1.0, 0.0, 2.5):
-        assert _conditional_pred_lpdf(h, y) == h.prior_predictive().lpdf(y)
+        assert _conditional_pred_lpdf(h, h.likelihood.clone_empty(), y) == (
+            h.prior_predictive().lpdf(y))
 
 
 def test_conditional_pred_matches_marginal_ratio_quadrature():
     # p(y | data) = m(data + [y]) / m(data), both sides by quadrature
     data = [0.8, 1.2, 0.3]
-    h = fill(_nnig(), data)
+    h = _nnig()
+    like = fill(h.likelihood.clone_empty(), data)
     log_m_data = nnig_quadrature(data, 0.0, 0.1, 2.0, 2.0)["log_marginal"]
     for y in (-0.5, 0.9, 2.0):
         log_m_joint = nnig_quadrature(data + [y], 0.0, 0.1, 2.0, 2.0)["log_marginal"]
-        assert _conditional_pred_lpdf(h, y) == pytest.approx(
+        assert _conditional_pred_lpdf(h, like, y) == pytest.approx(
             log_m_joint - log_m_data, abs=1e-6
         )
 
 
 def test_conditional_pred_mode_follows_new_datum():
     h = _nnig()
-    zero, eight = datum_stats(h.likelihood, [0.0, 8.0])
-    h.add_datum(zero)
-    base = _conditional_pred_lpdf(h, 8.0)
-    h.add_datum(eight)
-    pulled = _conditional_pred_lpdf(h, 8.0)
+    like = h.likelihood.clone_empty()
+    zero, eight = datum_stats(like, [0.0, 8.0])
+    _add_datum(like, zero)
+    base = _conditional_pred_lpdf(h, like, 8.0)
+    _add_datum(like, eight)
+    pulled = _conditional_pred_lpdf(h, like, 8.0)
     assert pulled > base
 
 
@@ -192,7 +201,8 @@ def test_predictive_capability_error_for_non_conjugate():
 
 
 def test_a_hierarchy_centres_its_statistics_on_the_prior_mean():
-    # however it is built, and in every clone; a prior with no mean leaves 0
+    # however it is built, and in every empty clone of its likelihood (each
+    # cluster of a sampler); a prior with no mean leaves 0
     cases = [
         (UniNormLikelihood(), NIGPrior(NIGHypers(3.0, 0.1, 2.0, 2.0)),
          (nnig_posterior_hypers, nnig_predictive), 3.0),
@@ -203,46 +213,32 @@ def test_a_hierarchy_centres_its_statistics_on_the_prior_mean():
          (gamma_gamma_posterior_hypers, gamma_gamma_predictive), 0.0),
     ]
     for like, prior, functions, ref in cases:
-        h = Hierarchy(like, prior, ConjugateUpdater(*functions))
-        for cluster in (h, h.clone(), h.clone().clone()):
-            assert np.array_equal(cluster.likelihood.ref, ref)
-        assert np.array_equal(like.clone_empty().ref, ref)
+        Hierarchy(like, prior, ConjugateUpdater(*functions))
+        for cluster in (like, like.clone_empty(), like.clone_empty().clone_empty()):
+            assert np.array_equal(cluster.ref, ref)
     h = build_hierarchy("NNIG", {"fixed_values": {**NNIG_ARGS["fixed_values"], "mean": 3.0}})
-    h.add_datum(*datum_stats(h.likelihood, [3.5]))
-    assert h.likelihood.stats == [0.5, 0.25]
-
-
-def test_membership_tracks_card():
-    # card is the count of data; the samplers' labels say which data they are
-    h = _nnig()
-    one, minus_one = datum_stats(h.likelihood, [1.0, -1.0])
-    h.add_datum(one)
-    h.add_datum(minus_one)
-    assert h.card == 2
-    h.remove_datum(one)
-    assert h.card == 1
-    h.remove_datum(minus_one)
-    assert h.card == 0
-    assert h.likelihood.stats == [0.0, 0.0]
-    with pytest.raises(ValueError, match="empty"):
-        h.remove_datum(minus_one)
-    assert h.card == 0
+    like = h.likelihood.clone_empty()
+    _add_datum(like, *datum_stats(like, [3.5]))
+    assert like.stats == [0.5, 0.25]
 
 
 def test_clone_shares_no_mutable_state():
+    # an empty clone of a cluster starts at a copy of its state and shares
+    # nothing that a birth, a draw or a recount writes
     h = _nnig()
-    two, minus_ten = datum_stats(h.likelihood, [2.0, -10.0])
-    h.add_datum(two)
-    h.state = UniLSState(5.0, 2.0)
-    c = h.clone()
-    assert c.card == 0
-    assert c.state == h.state
-    c.add_datum(minus_ten)
+    like = h.likelihood.clone_empty()
+    two, minus_ten = datum_stats(like, [2.0, -10.0])
+    _add_datum(like, two)
+    like.state = UniLSState(5.0, 2.0)
+    c = like.clone_empty()
+    assert c.card == 0 and c.stats == [0.0, 0.0]
+    assert c.state == like.state and c.state is not like.state
+    _add_datum(c, minus_ten)
     c.state = UniLSState(-1.0, 0.5)
-    c.sample_full_cond(np.random.default_rng(0))
-    assert h.card == 1
-    assert h.likelihood.stats[0] == 2.0
-    assert h.state == UniLSState(5.0, 2.0)
+    _full_cond_draw(h, c, np.random.default_rng(0))
+    assert like.card == 1
+    assert like.stats[0] == 2.0
+    assert like.state == UniLSState(5.0, 2.0)
 
 
 @pytest.mark.parametrize("extra, key", [
@@ -279,10 +275,12 @@ def test_metropolis_cluster_with_data_moves_only_in_a_batch(updater):
     # the Metropolis target reads the member data from a sampler's labels,
     # which one cluster does not have
     h = build_hierarchy("LapNIG", {**LAP_ARGS, "updater": updater})
-    h.sample_full_cond(np.random.default_rng(0))  # an empty cluster draws from the prior
-    fill(h, [0.5])
+    like = h.likelihood.clone_empty()
+    _full_cond_draw(h, like, np.random.default_rng(0))  # an empty cluster draws from the prior
+    assert like.state == h.prior.sample(np.random.default_rng(0))
+    fill(like, [0.5])
     with pytest.raises(CapabilityError, match="draw_batch"):
-        h.sample_full_cond(np.random.default_rng(0))
+        _full_cond_draw(h, like, np.random.default_rng(0))
 
 
 
@@ -296,7 +294,8 @@ _CENTRED_ARGS = {
 @pytest.mark.parametrize("family", ["NNIG", "LapNIG", "GammaGamma", "NNW-1", "NNW-2", "NNW-4"])
 def test_add_datum_in_index_order_has_the_bits_of_label_stats(family):
     # a family writes its statistics once: a cluster that counts its data in
-    # one at a time, in index order, holds the recount's statistics bit for bit
+    # one at a time (each datum's own list, as a birth and Neal3's moves
+    # do), in index order, holds the recount's statistics bit for bit
     if family.startswith("NNW"):
         d = int(family.split("-")[1])
         template = build_hierarchy("NNW", {"fixed_values": {
@@ -310,10 +309,10 @@ def test_add_datum_in_index_order_has_the_bits_of_label_stats(family):
             data = rng.gamma(2.0, size=(n, d))
         else:
             data = rng.normal(1.0, 2.0, size=(n, d))
-        cluster = template.clone()
+        cluster = like.clone_empty()
         for terms in datum_stats(like, data):
-            cluster.add_datum(terms)
+            _add_datum(cluster, terms)
         (want,) = like.label_stats(like.stat_terms(data), np.zeros(n, dtype=int), 1)
         assert cluster.card == n
-        assert [np.asarray(stat).tobytes() for stat in cluster.likelihood.stats] == [
+        assert [np.asarray(stat).tobytes() for stat in cluster.stats] == [
             np.asarray(stat).tobytes() for stat in want]

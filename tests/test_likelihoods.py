@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from oracles import datum_stats, fill
 
-from mixmcmc.hierarchy import build_hierarchy
 from mixmcmc.likelihoods import (
     GammaLikelihood,
     LaplaceLikelihood,
@@ -41,29 +40,6 @@ def test_uninorm_stat_arithmetic():
     assert stats == [4.0, 10.0]
     assert moved_stats(stats, one, False) == [3.0, 9.0]
     assert like.stats == [0.0, 0.0]  # a move makes a new list
-
-
-_LAP_ARGS = {"fixed_values": {"mean": 0.0, "var": 4.0, "shape": 2.0, "scale": 2.0}}
-_NNIG_ARGS = {"fixed_values": {"mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}}
-
-
-def test_empty_and_absent_removes_raise():
-    h = build_hierarchy("NNIG", _NNIG_ARGS)
-    (one,) = datum_stats(h.likelihood, [1.0])
-    with pytest.raises(ValueError, match="empty"):
-        h.remove_datum(one)
-    assert h.card == 0 and h.likelihood.stats == [0.0, 0.0]
-    # the Laplace kernel keeps no member data: it counts them
-    lap = build_hierarchy("LapNIG", _LAP_ARGS)
-    one, two = datum_stats(lap.likelihood, [1.0, 2.0])
-    lap.add_datum(one)
-    lap.add_datum(two)
-    assert lap.card == 2 and lap.likelihood.stats == []
-    lap.remove_datum(one)
-    lap.remove_datum(two)
-    with pytest.raises(ValueError, match="empty"):
-        lap.remove_datum(one)
-    assert lap.card == 0
 
 
 def _make_likelihoods(rng):
@@ -147,6 +123,24 @@ def test_cluster_lpdf_matches_brute_force_sum():
             for h, ys in enumerate(members):
                 like = like_cls(UniLSState.from_unconstrained(u[:, h]))
                 assert value[h] == pytest.approx(sum(like.lpdf(y) for y in ys), abs=1e-9)
+
+
+def test_cluster_stats_without_the_gradient_keep_the_values_bits():
+    # the random walk asks for no gradient: the sizes and sums its values
+    # read are the same bits, and the Laplace slope sums are left at 0
+    rng = np.random.default_rng(13)
+    for like_cls in (UniNormLikelihood, LaplaceLikelihood):
+        k, n = 5, 60
+        labels = rng.integers(0, k, size=n)
+        rows = rng.normal(size=(n, 1))
+        likes = [fill(like_cls(), rows[labels == h]) for h in range(k)]
+        means = rng.normal(size=k).tolist()
+        full = list(like_cls.unconstrained_stats(likes, rows, labels)(means))
+        bare = list(like_cls.unconstrained_stats(likes, rows, labels, grad=False)(means))
+        if like_cls is LaplaceLikelihood:
+            assert [numbers[2] for numbers in bare] == [0.0] * k
+            full, bare = [numbers[:2] for numbers in full], [numbers[:2] for numbers in bare]
+        assert full == bare
 
 
 def test_multinorm_has_no_unconstrained_cluster_lpdf():

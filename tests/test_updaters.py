@@ -163,11 +163,11 @@ def test_posterior_hypers_are_elementwise(family):
     rng = np.random.default_rng(47)
     clusters = []
     for size in (0, 1, 4, 9, 0, 2):
-        clusters.append(fill(template.clone(), [draw(rng) for _ in range(size)]))
+        clusters.append(fill(template.likelihood.clone_empty(), [draw(rng) for _ in range(size)]))
     posterior, hypers = template.updater.posterior_hypers, template.prior.hypers
-    singles = [posterior(c.card, c.likelihood.stats, hypers) for c in clusters]
+    singles = [posterior(c.card, c.stats, hypers) for c in clusters]
     stacked = posterior(np.array([c.card for c in clusters]),
-                        [np.array(s) for s in zip(*(c.likelihood.stats for c in clusters))],
+                        [np.array(s) for s in zip(*(c.stats for c in clusters))],
                         hypers)
     for name in (field.name for field in dataclasses.fields(hypers)):
         column = getattr(stacked, name)
@@ -207,11 +207,11 @@ def test_a_stacked_draw_has_the_bits_of_single_posterior_draws(family):
     updater, prior = template.updater, template.prior
     data_rng = np.random.default_rng(48)
     for sizes in [(0,), (1,), (3,), (7,), (4, 0, 9, 1)]:
-        likes = [fill(template.clone(), [draw(data_rng) for _ in range(size)]).likelihood
+        likes = [fill(template.likelihood.clone_empty(), [draw(data_rng) for _ in range(size)])
                  for size in sizes]
         for seed in range(100):
             for like in likes:
-                like.state = template.state.copy()
+                like.state = template.likelihood.state.copy()
             rng = np.random.default_rng(seed)
             if family == "NNxIG":
                 wanted = [_nnxig_scan(like, prior.hypers, rng) for like in likes]
@@ -250,8 +250,8 @@ def test_a_stacked_draw_has_each_clusters_posterior_moments(family):
     values, draw = _CONJUGATE_FAMILIES[family]
     template = build_hierarchy(family, {"fixed_values": values})
     rng = np.random.default_rng(49)
-    clusters = [fill(template.clone(), [draw(rng) for _ in range(size)]) for size in (4, 0, 9, 1)]
-    likes = [c.likelihood for c in clusters]
+    likes = [fill(template.likelihood.clone_empty(), [draw(rng) for _ in range(size)])
+             for size in (4, 0, 9, 1)]
     moments = [_posterior_moments(family, template.updater.posterior_hypers(
         like.card, like.stats, template.prior.hypers)) for like in likes]
     draws = 4_000
@@ -288,7 +288,8 @@ def test_nnw_empty_cluster_unchanged():
 
 
 def _posterior(hier):
-    return hier.updater.posterior_hypers(hier.card, hier.likelihood.stats, hier.prior.hypers)
+    like = hier.likelihood
+    return hier.updater.posterior_hypers(like.card, like.stats, hier.prior.hypers)
 
 
 def test_nnw_dimension_one_reduces_to_nnig():
@@ -791,7 +792,7 @@ def test_posterior_scale_does_not_depend_on_the_data_offset(hier_type):
                       "deg_free": d + 3.0,
                       "scale": {"rows": d, "cols": d, "data": np.eye(d).ravel().tolist()}}
         hier = fill(build_hierarchy(hier_type, {"fixed_values": values}), points + offset)
-        post = hier.updater.posterior_hypers(hier.card, hier.likelihood.stats, hier.prior.hypers)
+        post = _posterior(hier)
         scales.append(np.asarray(post.scale, dtype=float))
     for scale in scales[1:]:
         assert np.abs(scale - scales[0]).max() <= 1e-8 * np.abs(scales[0]).max()

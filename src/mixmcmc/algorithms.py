@@ -19,9 +19,11 @@ log scale, scoring all its components in one ``score_batch`` call.
 
 A cluster is a likelihood, a ``clone_empty()`` of the template's, which
 holds its size, statistics and state; the template's prior and updater
-act on it. Every sampler recounts each cluster's size and statistics from
-the allocations, then refreshes all its clusters in one ``draw_batch``
-call of the updater; a birth draws as a batch of one.
+act on it, and a marginal sampler's birth or death counts its datum in or
+out through the template's ``component`` of the cluster. Every sampler
+recounts each cluster's size and statistics from the allocations, then
+refreshes all its clusters in one ``draw_batch`` call of the updater; a
+birth draws as a batch of one.
 """
 
 import copy
@@ -223,11 +225,11 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     cluster's ``card``, and every cluster's statistics are recounted from
     the labels (:meth:`_recount`), so they depend on the partition alone; a
     Metropolis refresh reads each cluster's data from the labels too.
-    A birth (``_open_cluster``) takes its datum's own statistic list with
-    size 1, since a newborn's full conditional reads the statistics of its
-    one datum; a death (``_remove_datum``) hands back the dying cluster as
-    it was. Those lists are ``label_stats`` of each datum alone, computed
-    once per run and shared, so nothing writes them in place.
+    Births and deaths count the datum's own statistic list in or out through
+    the cluster's ``component`` (``_open_cluster``, ``_remove_datum``): a
+    newborn's full conditional reads the statistics of its one datum. Those
+    lists are ``label_stats`` of each datum alone, computed once per run and
+    shared, so nothing writes them in place.
 
     The scores sit in a table, built when the sweep reaches a block of data
     (:meth:`_start_block`): the clusters' states, stacked into one batch,
@@ -333,7 +335,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         return [self.template.prior_predictive().lpdf(self._rows[i])]
 
     def _take_back(self, i, stashed, row, k):
-        """Offer datum i its cluster ``stashed``, which just died, as candidate row[k].
+        """Offer datum i the state ``stashed`` of its cluster, just dead, as candidate row[k].
 
         Only Neal8 does; the other samplers draw a new cluster afresh.
         """
@@ -411,11 +413,13 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         return logs + [log_new + score for score in self._candidate_log_scores(i, stashed)]
 
     def _remove_datum(self, i):
-        """Detach datum i, its cluster's last member; returns the cluster, untouched."""
+        """Detach datum i, its cluster's last member; returns the cluster's state."""
         labels = self._labels
         h = labels[i]
         labels[i] = -1
         cluster = self.clusters[h]
+        cluster.card = 1  # its store size: card is written back once per sweep
+        self.template.component(cluster).remove_datum(self._datum_stats[i])
         last = len(self.clusters) - 1
         if h != last:
             for j, label in enumerate(labels):
@@ -428,17 +432,17 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         masses = self._masses
         masses[h] = masses[last]
         masses[last:] = self._new_masses(last)
-        return cluster
+        return cluster.state
 
     def _open_cluster(self, i, rng, state=None):
         """Open a cluster of datum i alone, at a copy of ``state`` if one is given."""
         cluster = self.template.likelihood.clone_empty()
-        cluster.card, cluster.stats = 1, self._datum_stats[i]
+        if state is not None:
+            cluster.state = state.copy()
+        self.template.component(cluster).add_datum(self._datum_stats[i])
         if state is None:
             # parameters born from the single-datum full conditional
             self.template.updater.draw_batch([cluster], self.template.prior, rng, None, None)
-        else:
-            cluster.state = state.copy()
         self._labels[i] = len(self.clusters)
         self.clusters.append(cluster)
         self._sizes.append(1)
@@ -579,8 +583,13 @@ class Neal8Algorithm(_MarginalAlgorithm):
         self._aux_scores = self.template.likelihood.score_batch(self._aux, self.data[start:stop])
         return self._aux_scores
 
+    def _stashed_score(self, i, stashed):
+        """Datum i's log score at the state its cluster had, scored as its auxiliary states are."""
+        return float(self.template.likelihood.score_batch(
+            stack_states([stashed]), self.data[i:i + 1])[0, 0])
+
     def _take_back(self, i, stashed, row, k):
-        excess = stashed.lpdf(self._rows[i]) - self._ref[i - self._block_start]
+        excess = self._stashed_score(i, stashed) - self._ref[i - self._block_start]
         try:
             row[k] = math.exp(excess)
         except OverflowError:  # left to the guard
@@ -589,12 +598,12 @@ class Neal8Algorithm(_MarginalAlgorithm):
     def _candidate_log_scores(self, i, stashed):
         scores = self._aux_scores[i - self._block_start].tolist()
         if stashed is not None:
-            scores[0] = stashed.lpdf(self._rows[i])
+            scores[0] = self._stashed_score(i, stashed)
         return scores
 
     def _candidate_state(self, i, j, stashed):
         if j == 0 and stashed is not None:
-            return stashed.state
+            return stashed
         return self._aux.state((i - self._block_start, j))
 
 

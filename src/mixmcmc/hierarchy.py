@@ -5,9 +5,11 @@ the template's likelihood per cluster, which keeps the cluster's size,
 statistics and state, and it calls the template's prior and updater on
 them directly. A :class:`Hierarchy` centres the prototype's statistics on
 the prior mean, where the prior has one, which is what the conjugate
-posteriors read; the clones keep that reference. Conjugate hierarchies
-additionally expose the prior predictive and the posterior-predictive
-scorer of a cluster's size and statistics that marginal samplers need.
+posteriors read; the clones keep that reference. A marginal sampler's
+birth or death counts its datum in or out through the template's
+:meth:`Hierarchy.component` of the cluster. Conjugate hierarchies also
+expose the prior predictive and the posterior-predictive scorer of a
+cluster's size and statistics that marginal samplers need.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from .likelihoods import (
     LaplaceLikelihood,
     MultiNormLikelihood,
     UniNormLikelihood,
+    moved_stats,
 )
 from .priors import (
     GammaPrior,
@@ -58,6 +61,32 @@ class Hierarchy:
         self._prior_pred = None
         if hasattr(prior.hypers, "mean"):  # the statistics are sums about the prior mean
             likelihood.ref = prior.hypers.mean
+
+    @property
+    def state(self):
+        return self.likelihood.state
+
+    @property
+    def card(self):
+        return self.likelihood.card
+
+    def component(self, likelihood):
+        """The mixture component of the cluster ``likelihood``: it and this prior and updater."""
+        return Hierarchy(likelihood, self.prior, self.updater, self.name)
+
+    def add_datum(self, terms):
+        """Count one datum in; ``terms`` is its own statistic list (``label_stats`` of it alone)."""
+        like = self.likelihood
+        like.stats = moved_stats(like.stats, terms, True)
+        like.card += 1
+
+    def remove_datum(self, terms):
+        """Count one datum out; ``terms`` is its own statistic list."""
+        like = self.likelihood
+        if not like.card:
+            raise ValueError("cannot remove a datum from an empty cluster")
+        like.stats = moved_stats(like.stats, terms, False)
+        like.card -= 1
 
     def is_conjugate(self):
         return self.updater.is_conjugate()

@@ -222,6 +222,39 @@ def test_a_hierarchy_centres_its_statistics_on_the_prior_mean():
     assert like.stats == [0.5, 0.25]
 
 
+def test_membership_tracks_card():
+    # card is the count of data; the samplers' labels say which data they are
+    h = _nnig()
+    one, minus_one = datum_stats(h.likelihood, [1.0, -1.0])
+    h.add_datum(one)
+    h.add_datum(minus_one)
+    assert h.card == 2
+    h.remove_datum(one)
+    assert h.card == 1
+    h.remove_datum(minus_one)
+    assert h.card == 0
+    assert h.likelihood.stats == [0.0, 0.0]
+    with pytest.raises(ValueError, match="empty"):
+        h.remove_datum(minus_one)
+    assert h.card == 0
+
+
+def test_a_component_counts_into_its_cluster_alone():
+    # a sampler's birth and death go through the component of the cluster
+    h = _nnig()
+    like = h.likelihood.clone_empty()
+    comp = h.component(like)
+    assert comp.likelihood is like and comp.prior is h.prior and comp.updater is h.updater
+    (two,) = datum_stats(like, [2.0])
+    comp.add_datum(two)
+    like.state = UniLSState(5.0, 2.0)
+    assert (comp.card, comp.state, like.stats) == (1, UniLSState(5.0, 2.0), [2.0, 4.0])
+    assert (h.card, h.likelihood.stats) == (0, [0.0, 0.0])
+    assert h.state != like.state
+    comp.remove_datum(two)
+    assert (like.card, like.stats) == (0, [0.0, 0.0])
+
+
 def test_clone_shares_no_mutable_state():
     # an empty clone of a cluster starts at a copy of its state and shares
     # nothing that a birth, a draw or a recount writes

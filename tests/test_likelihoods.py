@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import datum_stats, fill
 
+from mixmcmc.hierarchy import build_hierarchy
 from mixmcmc.likelihoods import (
     GammaLikelihood,
     LaplaceLikelihood,
@@ -40,6 +41,29 @@ def test_uninorm_stat_arithmetic():
     assert stats == [4.0, 10.0]
     assert moved_stats(stats, one, False) == [3.0, 9.0]
     assert like.stats == [0.0, 0.0]  # a move makes a new list
+
+
+_LAP_ARGS = {"fixed_values": {"mean": 0.0, "var": 4.0, "shape": 2.0, "scale": 2.0}}
+_NNIG_ARGS = {"fixed_values": {"mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}}
+
+
+def test_empty_and_absent_removes_raise():
+    h = build_hierarchy("NNIG", _NNIG_ARGS)
+    (one,) = datum_stats(h.likelihood, [1.0])
+    with pytest.raises(ValueError, match="empty"):
+        h.remove_datum(one)
+    assert h.card == 0 and h.likelihood.stats == [0.0, 0.0]
+    # the Laplace kernel keeps no member data: it counts them
+    lap = build_hierarchy("LapNIG", _LAP_ARGS)
+    one, two = datum_stats(lap.likelihood, [1.0, 2.0])
+    lap.add_datum(one)
+    lap.add_datum(two)
+    assert lap.card == 2 and lap.likelihood.stats == []
+    lap.remove_datum(one)
+    lap.remove_datum(two)
+    with pytest.raises(ValueError, match="empty"):
+        lap.remove_datum(one)
+    assert lap.card == 0
 
 
 def _make_likelihoods(rng):

@@ -7,23 +7,23 @@ import numpy as np
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def logsumexp(values):
-    """Stable log(sum(exp(values))) for a 1-d array or sequence."""
+def _log_reduce_exp(values, axis, reduce):
+    # log(reduce(exp(values))) about the slice's maximum; an all -inf slice gives log(0) = -inf
     arr = np.asarray(values, dtype=float)
-    m = np.max(arr)
-    if not np.isfinite(m):
-        # all -inf (or a stray +inf/nan, which propagates as-is)
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(arr - m))))
+    m = arr.max(axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return m.squeeze(axis) + np.log(reduce(np.exp(arr - m), axis=axis))
+
+
+def logsumexp(values, axis=0):
+    """Stable log(sum(exp(values))) along ``axis``."""
+    return _log_reduce_exp(values, axis, np.sum)
 
 
 def log_mean_exp(arr, axis=0):
     """Stable log(mean(exp(arr))) along ``axis``."""
-    arr = np.asarray(arr, dtype=float)
-    m = np.max(arr, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):  # an all -inf slice averages to log(0) = -inf
-        return np.squeeze(m, axis=axis) + np.log(np.mean(np.exp(arr - m), axis=axis))
+    return _log_reduce_exp(arr, axis, np.mean)
 
 
 def sample_log_categorical(log_weights, u):

@@ -23,7 +23,10 @@ act on it, and a marginal sampler's birth or death counts its datum in or
 out through the template's ``component`` of the cluster. Every sampler
 recounts each cluster's size and statistics from the allocations, then
 refreshes all its clusters in one ``draw_batch`` call of the updater; a
-birth draws as a batch of one.
+birth draws as a batch of one. Every kernel density a sampler reads comes
+from the likelihood's ``score_batch``, of the stacked clusters or of one
+state, and the prior predictive is the template's ``predictive`` of an
+empty cluster, scored once per run.
 """
 
 import copy
@@ -75,7 +78,7 @@ class _BaseAlgorithm:
         self.init_num_clusters = check_positive_int(init_num_clusters, "init_num_clusters")
         self.data = None
         self.allocations = None
-        self._rows = self._stat_terms = None
+        self._stat_terms = None
 
     @property
     def n(self):
@@ -85,10 +88,6 @@ class _BaseAlgorithm:
         data = check_data_matrix(data, "data")
         self.template.likelihood.check_dim(data)
         self.data = data
-        if data.shape[1] == 1:
-            self._rows = [float(v) for v in data[:, 0]]
-        else:
-            self._rows = [data[i] for i in range(data.shape[0])]
         # every datum's terms of the statistics; the Gamma kernel rejects data here
         self._stat_terms = self.template.likelihood.stat_terms(data)
 
@@ -159,34 +158,37 @@ class _BaseAlgorithm:
         """
         raise NotImplementedError
 
-    def _new_cluster_lpdf(self, grid, scratch, rng):
+    def _new_cluster_lpdf(self, grid, rng):
         """A function giving, record by record, a new cluster's log density on the grid.
 
         None here: a conditional sampler's records carry no new-cluster weight.
         """
         return None
 
-    def _record_rows(self, records, grid, rng):
-        """Yield, per record, its rows log w_h + log f_h(grid), one per weight.
+    def _record_rows(self, records, grid, new_cluster_lpdf=None):
+        """Yield, per record, its rows log w_h + log f_h(grid), one per cluster, then one
+        for a new cluster if ``new_cluster_lpdf`` (of ``_new_cluster_lpdf``) is given.
 
-        Each cluster's state is rebuilt once from its params; a row whose
-        weight is -inf is -inf, its density not evaluated.
+        ``grid`` is a checked data matrix of the kernel's dimension. Each
+        cluster's state is rebuilt once from its params; a row whose weight
+        is -inf is -inf, its density not evaluated.
         """
-        scratch = self.template.likelihood.clone_empty()
+        score = self.template.likelihood.score_batch
         state_cls = type(self.template.likelihood.state)
         mixing = copy.copy(self.mixing)
-        new_cluster_lpdf = self._new_cluster_lpdf(grid, scratch, rng)
         for record in records:
             mixing.set_state_params(record.mixing_params)
             log_w = self._record_log_weights(record, mixing)
+            k = len(record.cluster_states)
+            if new_cluster_lpdf is None:
+                log_w = log_w[:k]
             rows = np.empty((len(log_w), grid.shape[0]))
             for h, (w, cs) in enumerate(zip(log_w.tolist(), record.cluster_states)):
                 if math.isfinite(w):
-                    scratch.state = state_cls.from_params(cs.params)
-                    rows[h] = scratch.lpdf_grid(grid)
+                    rows[h] = score(state_cls.from_params(cs.params), grid)[:, 0]
                 else:
                     rows[h] = -np.inf
-            if len(log_w) > len(record.cluster_states):
+            if len(log_w) > k:
                 rows[-1] = new_cluster_lpdf()
             rows += log_w[:, None]
             yield rows
@@ -197,18 +199,13 @@ class _BaseAlgorithm:
         ``records`` is a collector or a list of its records.
         """
         grid = check_data_matrix(grid, "grid")
+        self.template.likelihood.check_dim(grid)
         if len(records) == 0:
             raise ValueError("cannot evaluate densities on an empty chain")
         if rng is None:
             rng = np.random.default_rng(0)
-        return np.vstack([_logsumexp_rows(rows) for rows in self._record_rows(records, grid, rng)])
-
-
-def _logsumexp_rows(stacked):
-    mx = np.max(stacked, axis=0)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    with np.errstate(divide="ignore"):  # a column of -inf sums to log(0) = -inf
-        return mx + np.log(np.sum(np.exp(stacked - mx), axis=0))
+        record_rows = self._record_rows(records, grid, self._new_cluster_lpdf(grid, rng))
+        return np.vstack([logsumexp(rows) for rows in record_rows])
 
 
 class _MarginalAlgorithm(_BaseAlgorithm):
@@ -236,19 +233,22 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     score the whole block in one ``score_batch`` call, and the new-cluster
     candidates are scored beside them (:meth:`_candidate_scores`). A
     datum's row is a list of exp(score - reference), clusters first and
-    then candidates, where the reference is the row's largest log score. A birth inserts its column
-    into the rows still to be drawn, scored in one ``lpdf_grid`` call; a
-    death swap-pops its column, as the store's lists do. The cluster states
-    do not change during a sweep, so the rows stay exact.
+    then candidates, where the reference is the row's largest log score. A
+    birth inserts its column into the rows still to be drawn, its state
+    scored in one ``score_batch`` call; a death swap-pops its column, as
+    the store's lists do. The cluster states do not change during a sweep,
+    so the rows stay exact.
 
     A datum is drawn by its uniform against the running sums of its row
     times the linear masses. Where that total is zero, subnormal or not
     finite (a newborn scoring far above a row's reference overflows it; the
     row's top cluster died and the rest underflowed), that datum is drawn by
     ``sample_log_categorical`` from its log weights instead, with the same
-    uniform. A block's uniforms are drawn in one ``rng.random`` call right
-    after its candidates, and a birth drawn from the full conditional draws
-    after them; nothing is rewound.
+    uniform. Those read the table's numbers: the clusters' scores in one
+    ``score_batch`` call, the prior predictive's from ``_prior_scores``. A
+    block's uniforms are drawn in one ``rng.random`` call right after its
+    candidates, and a birth drawn from the full conditional draws after
+    them; nothing is rewound.
 
     The default candidate is the prior predictive, born from the
     single-datum full conditional. Its hyperparameters are fixed, so its
@@ -311,7 +311,9 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._datum_stats = self.template.likelihood.label_stats(
             self._stat_terms, np.arange(n), n)
         if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
-            self._prior_scores = self.template.prior_predictive().lpdf_grid(self.data)
+            template = self.template
+            self._prior_scores = template.predictive(0, template.likelihood.stats).lpdf_grid(
+                self.data)
 
     def _initialize(self, rng):
         super()._initialize(rng)
@@ -332,7 +334,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
 
     def _candidate_log_scores(self, i, stashed):
         """Datum i's candidate log scores, for the guard's draw."""
-        return [self.template.prior_predictive().lpdf(self._rows[i])]
+        return [float(self._prior_scores[i])]
 
     def _take_back(self, i, stashed, row, k):
         """Offer datum i the state ``stashed`` of its cluster, just dead, as candidate row[k].
@@ -389,7 +391,8 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         lo = i + 1 - self._block_start
         rest = self._table[lo:]
         if rest:
-            scores = cluster.lpdf_grid(self.data[i + 1:self._block_stop])
+            scores = self.template.likelihood.score_batch(
+                cluster.state, self.data[i + 1:self._block_stop])[:, 0]
             with np.errstate(over="ignore", invalid="ignore"):  # left to the guard
                 column = np.exp(scores - self._ref[lo:]).tolist()
             h = len(self.clusters) - 1
@@ -402,13 +405,17 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             row[h] = row[last]
             del row[last]
 
-    def _cluster_log_scores(self, y):
-        return [cluster.lpdf(y) for cluster in self.clusters]
+    def _cluster_log_scores(self, i):
+        """Datum i's log scores under the clusters, scored as the table scores them."""
+        if not self.clusters:
+            return []
+        batch = stack_states([cluster.state for cluster in self.clusters])
+        return self.template.likelihood.score_batch(batch, self.data[i:i + 1])[0].tolist()
 
     def _log_weights(self, i, stashed):
         """Datum i's log weights in the row's order, for the guard's draw."""
         logs = [self._log_mass_of_size[size] + score
-                for size, score in zip(self._sizes, self._cluster_log_scores(self._rows[i]))]
+                for size, score in zip(self._sizes, self._cluster_log_scores(i))]
         log_new = self._log_new_mass(len(self._sizes))
         return logs + [log_new + score for score in self._candidate_log_scores(i, stashed)]
 
@@ -465,16 +472,13 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             + [mixing.mass_new_cluster(n, k)])
         return log_masses - logsumexp(log_masses)
 
-    def _new_cluster_lpdf(self, grid, scratch, rng):
-        if self.template.is_conjugate():
-            row = self.template.prior_predictive().lpdf_grid(grid)  # the same for every record
+    def _new_cluster_lpdf(self, grid, rng):
+        template = self.template
+        if template.is_conjugate():  # the prior predictive, the same for every record
+            row = template.predictive(0, template.likelihood.stats).lpdf_grid(grid)
             return lambda: row
-
-        def plug_in():  # one prior draw per record
-            scratch.state = self.template.prior.sample(rng)
-            return scratch.lpdf_grid(grid)
-
-        return plug_in
+        # one prior draw per record
+        return lambda: template.likelihood.score_batch(template.prior.sample(rng), grid)[:, 0]
 
 
 class Neal2Algorithm(_MarginalAlgorithm):
@@ -504,6 +508,12 @@ class Neal3Algorithm(_MarginalAlgorithm):
     algo_id = "Neal3"
     requires_conjugate = True
 
+    def _prepare_data(self, data):
+        super()._prepare_data(data)
+        # the data as the predictives' scorers take them, a float or a row each
+        data = self.data
+        self._rows = [float(v) for v in data[:, 0]] if data.shape[1] == 1 else list(data)
+
     def _build_store(self, rng):
         super()._build_store(rng)
         self._scorers = [self._cluster_scorer(h) for h in range(len(self._sizes))]
@@ -511,7 +521,7 @@ class Neal3Algorithm(_MarginalAlgorithm):
         self._uniforms = rng.random(self.n).tolist()
 
     def _cluster_scorer(self, h):
-        return self.template.conditional_pred_scorer(self._sizes[h], self.clusters[h].stats)
+        return self.template.predictive(self._sizes[h], self.clusters[h].stats).lpdf
 
     def _move_stats(self, h, i, add):
         """Add datum i to, or take it from, the statistics of cluster h."""
@@ -540,7 +550,8 @@ class Neal3Algorithm(_MarginalAlgorithm):
             row = [math.inf] * (len(self._scorers) + 1)
         return [row], [self._uniforms[start]], start + 1
 
-    def _cluster_log_scores(self, y):
+    def _cluster_log_scores(self, i):
+        y = self._rows[i]
         return [score(y) for score in self._scorers]
 
     def _add_column(self, i, cluster):
@@ -585,8 +596,7 @@ class Neal8Algorithm(_MarginalAlgorithm):
 
     def _stashed_score(self, i, stashed):
         """Datum i's log score at the state its cluster had, scored as its auxiliary states are."""
-        return float(self.template.likelihood.score_batch(
-            stack_states([stashed]), self.data[i:i + 1])[0, 0])
+        return float(self.template.likelihood.score_batch(stashed, self.data[i:i + 1])[0, 0])
 
     def _take_back(self, i, stashed, row, k):
         excess = self._stashed_score(i, stashed) - self._ref[i - self._block_start]

@@ -161,7 +161,8 @@ class MemoryCollector:
         self._states = []
 
     def start_collecting(self):
-        pass
+        """Begin a new chain: the records of an earlier one are dropped."""
+        self._states = []
 
     def finish_collecting(self):
         pass

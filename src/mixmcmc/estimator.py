@@ -215,10 +215,11 @@ class BayesianMixture:
         """Assign rows of X to the clusters of the point-estimate partition."""
         self._check_fitted()
         X = check_data_matrix(X, "X")
+        algorithm = self.algorithm_
+        algorithm.template.likelihood.check_dim(X)
         record = self.best_record_
-        rows = next(self.algorithm_._record_rows([record], X, np.random.default_rng(0)))
-        # argmax over the record's non-empty clusters, without a new-cluster row
-        rows = rows[:len(record.cluster_states)]
+        # argmax over the record's non-empty clusters; a new cluster's row is not scored
+        rows = next(algorithm._record_rows([record], X))
         rows[[cs.cardinality == 0 for cs in record.cluster_states]] = -np.inf
         return rows.argmax(axis=0)
 

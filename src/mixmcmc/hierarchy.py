@@ -8,8 +8,9 @@ the prior mean, where the prior has one, which is what the conjugate
 posteriors read; the clones keep that reference. A marginal sampler's
 birth or death counts its datum in or out through the template's
 :meth:`Hierarchy.component` of the cluster. Conjugate hierarchies also
-expose the prior predictive and the posterior-predictive scorer of a
-cluster's size and statistics that marginal samplers need.
+give the posterior predictive of a cluster's size and statistics that the
+marginal samplers need, :meth:`Hierarchy.predictive`; the prior predictive
+is that of an empty cluster.
 """
 
 import numpy as np
@@ -58,7 +59,6 @@ class Hierarchy:
         self.prior = prior
         self.updater = updater
         self.name = name
-        self._prior_pred = None
         if hasattr(prior.hypers, "mean"):  # the statistics are sums about the prior mean
             likelihood.ref = prior.hypers.mean
 
@@ -91,23 +91,13 @@ class Hierarchy:
     def is_conjugate(self):
         return self.updater.is_conjugate()
 
-    def _require_predictive(self):
+    def predictive(self, card, stats):
+        """The posterior predictive of a cluster of this size and statistics, a density of one
+        datum; at card 0 and the prototype's (zero) statistics, the prior predictive."""
         if not self.is_conjugate():
-            raise CapabilityError(
-                "predictive densities require a conjugate updater"
-            )
-
-    def prior_predictive(self):
-        self._require_predictive()
-        if self._prior_pred is None:
-            self._prior_pred = self.updater.predictive(self.prior.hypers)
-        return self._prior_pred
-
-    def conditional_pred_scorer(self, card, stats):
-        """Scorer y -> log predictive density given a cluster of this size and statistics."""
-        self._require_predictive()
-        hypers = self.updater.posterior_hypers(card, stats, self.prior.hypers)
-        return self.updater.predictive(hypers).lpdf
+            raise CapabilityError("predictive densities require a conjugate updater")
+        return self.updater.predictive(self.updater.posterior_hypers(card, stats,
+                                                                     self.prior.hypers))
 
 
 def _block_data(sub, key):
@@ -156,8 +146,9 @@ def build_hierarchy(hier_type, args):
 
     ``args`` carries the ``fixed_values`` block with the hyperparameters,
     plus the optional ``updater`` ('rwmh' or 'mala'), ``step_size`` and
-    ``num_steps`` keys selecting a Metropolis updater, which only the
-    ``METROPOLIS_TYPES`` families take.
+    ``num_steps`` keys of a Metropolis updater, which only the
+    ``METROPOLIS_TYPES`` families take (LapNIG runs 'rwmh' without an
+    ``updater``); where no Metropolis updater runs, the two keys raise.
     """
     if hier_type not in HIERARCHY_TYPES:
         raise ConfigError(
@@ -217,6 +208,10 @@ def build_hierarchy(hier_type, args):
         updater_name = "rwmh"
     if updater_name is None:
         updater = _default_updater(hier_type)
+        for key in ("step_size", "num_steps"):
+            if args.has(key):
+                raise ConfigError(f"'{key}' is read by a Metropolis updater only; "
+                                  f"'{hier_type}' runs {type(updater).__name__}")
     else:
         step_size = args.get_float("step_size") if args.has("step_size") else None
         num_steps = args.get_int("num_steps", 1)

@@ -14,24 +14,23 @@ of three things once:
   ``label_stats(terms, arange(n), n)``, computed once per run, as a
   newborn's statistics and for Neal3's moves (:func:`moved_stats`);
 - its density, as one array formula, which reads the state's fields by
-  name. ``lpdf_grid(rows)`` evaluates it at the state on every row, and
-  ``lpdf(datum)`` on a one-row grid, so the two agree bit for bit;
+  name, and which ``score_batch(batch, rows)`` evaluates: it scores a
+  :class:`~mixmcmc.states.StateBatch`, or one state, against n data rows.
+  A batch of shape (n, m) is scored row by row, datum i against the
+  states of row i (Neal8's auxiliary states), and one of shape (1, k)
+  scores every datum against all k states (the score table of the
+  marginal sweep, all its clusters in one call). One state is a batch of
+  shape (), which scores every row as an (n, 1) column. The formula is
+  elementwise, so a (datum, state) pair has the same bits in each;
 - its dimension ``dim``, 1 for a univariate kernel, against which
-  :meth:`check_dim` checks every grid, datum and data set.
+  :meth:`check_dim` checks every grid and data set that comes from
+  outside; ``score_batch`` checks nothing.
 
 The statistics are sums over the cluster's data of z = y - ``ref``, a
 fixed reference: 0 unless a :class:`~mixmcmc.hierarchy.Hierarchy` sets it
 to its prior's mean (``clone_empty`` copies it). The Gamma kernel's prior
 has no mean, so it sums y. Centred on the prior mean the statistics keep
 their precision for data far from the origin.
-
-``score_batch(batch, rows)`` scores a
-:class:`~mixmcmc.states.StateBatch` against n data rows: a batch of shape
-(n, m) row by row, datum i against the states of row i (Neal8's auxiliary
-states), and one of shape (1, k) every datum against all k states (the
-score table of the marginal sweep, all its clusters in one call). It goes
-through the same formula as ``lpdf_grid``, so a batch's score of (datum,
-state) has the bits of that state's own ``lpdf_grid``.
 
 The normal and Laplace kernels also give the whole-cluster log density at
 an unconstrained state (mean, log scale), which the Metropolis updater
@@ -116,22 +115,9 @@ class _BaseLikelihood:
         if rows.shape[1] != self.dim:
             raise ValueError(f"data of dimension {rows.shape[1]}; the kernel expects {self.dim}")
 
-    def lpdf(self, datum):
-        """log f(datum), the one-row grid of ``lpdf_grid``."""
-        return float(self.lpdf_grid(np.reshape(datum, (1, -1)))[0])
-
-    def lpdf_grid(self, grid):
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim == 1:
-            grid = grid.reshape(-1, 1)
-        self.check_dim(grid)
-        return self._lpdf_rows(grid)
-
-    def _lpdf_rows(self, grid):
-        return self._log_density(self.state, grid[:, 0])
-
     def score_batch(self, batch, rows):
-        """log f(rows[i] | batch state (i, j)) for a batch of shape (n, m) or (1, m), n rows."""
+        """log f(rows[i] | batch state (i, j)): shape (n, m) for a batch of shape (n, m) or
+        (1, m), and (n, 1) for one state."""
         return self._log_density(batch, rows[:, :1])
 
 
@@ -205,23 +191,13 @@ class MultiNormLikelihood(_BaseLikelihood):
         sums = np.bincount(bins, terms.reshape(-1), k * m).reshape(k, rows, d)
         return [[cluster[0], cluster[1:]] for cluster in sums]
 
-    def _constants(self, st):
-        return st.mean, st.chol_inv, self.dim * LOG_2PI + st.log_det
-
-    def _lpdf_rows(self, grid):
-        return _mvn_lpdf_rows(grid, *self._constants(self.state))
-
     def score_batch(self, batch, rows):
-        # each (i, j) scores a one-row grid: rows (n, 1, 1, d) against means (n, m, 1, d)
-        mean, chol_inv, log_norm = self._constants(batch)
-        out = _mvn_lpdf_rows(rows[:, None, None, :], mean[..., None, :], chol_inv,
-                             log_norm[..., None])
-        return out[..., 0]
-
-
-def _mvn_lpdf_rows(rows, mean, chol_inv, log_norm):
-    quad = squared_norm_rows(whiten_rows(chol_inv, rows - mean))
-    return -0.5 * (log_norm + quad)
+        # each (i, j) scores a one-row grid: rows (n, 1, 1, d) against means (n, m, 1, d);
+        # one state's float log_det is an array of shape () here
+        log_norm = np.asarray(self.dim * LOG_2PI + batch.log_det)
+        diff = rows[:, None, None, :] - batch.mean[..., None, :]
+        quad = squared_norm_rows(whiten_rows(batch.chol_inv, diff))
+        return -0.5 * (log_norm[..., None] + quad)[..., 0]
 
 
 class LaplaceLikelihood(_BaseLikelihood):
@@ -288,7 +264,7 @@ class LaplaceLikelihood(_BaseLikelihood):
 class GammaLikelihood(_BaseLikelihood):
     """Gamma kernel with fixed shape and random rate, for positive data.
 
-    lpdf(y) = shape*log(rate) - lgamma(shape) + (shape-1)*log(y) - rate*y
+    log f(y) = shape*log(rate) - lgamma(shape) + (shape-1)*log(y) - rate*y
     for y > 0 and -inf otherwise. Tracks the data sum (the reference is 0)
     and the size, all the conjugate rate update reads.
     """

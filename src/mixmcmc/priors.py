@@ -100,9 +100,9 @@ class _Prior:
             check_positive(getattr(hypers, name), name)
         self.hypers = hypers
 
-    def sample(self, rng, hypers=None):
-        """One state, drawn at ``hypers`` (default: the prior's own), used unchecked."""
-        return self._draw(rng, (), self.hypers if hypers is None else hypers).state(())
+    def sample(self, rng):
+        """One prior draw, a state."""
+        return self._draw(rng, (), self.hypers).state(())
 
     def sample_batch(self, rng, size):
         """Independent prior draws of the batch shape ``size``, as a :class:`StateBatch`."""

@@ -169,7 +169,8 @@ class StateBatch:
     scalar that every state in the batch shares; a batch of one draw
     (shape ``()``) holds that state's own fields. The fields carry the
     state's attribute names, so a formula that reads ``st.mean`` and
-    ``st.var`` works on a state and on a batch alike. ``args`` names the
+    ``st.var`` works on a state and on a batch alike: a likelihood's
+    ``score_batch`` takes one state as a batch of shape (). ``args`` names the
     fields the state's constructor takes, in order (None for a batch that
     is only scored).
     """

@@ -316,8 +316,8 @@ def test_eval_lpdf_grid_degenerate_single_cluster():
     from mixmcmc.likelihoods import UniNormLikelihood
     from mixmcmc.states import UniLSState
 
-    like = UniNormLikelihood(UniLSState.from_params(record.cluster_states[0].params))
-    assert np.max(np.abs(lpdf[0] - like.lpdf_grid(grid))) < 1e-9
+    state = UniLSState.from_params(record.cluster_states[0].params)
+    assert np.max(np.abs(lpdf[0] - UniNormLikelihood().score_batch(state, grid)[:, 0])) < 1e-9
 
 
 def test_eval_lpdf_grid_mean_density_integrates_to_one():
@@ -563,8 +563,8 @@ def test_neal3_scorers_follow_the_store_at_every_block(hier_type):
             assert algo._sizes[h] == recount.card
             for got, want in zip(cluster.stats, recount.stats):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-            assert np.allclose(algo._scorers[h](y), algo.template.conditional_pred_scorer(
-                recount.card, recount.stats)(y), rtol=1e-12, atol=1e-12)
+            assert np.allclose(algo._scorers[h](y), algo.template.predictive(
+                recount.card, recount.stats).lpdf(y), rtol=1e-12, atol=1e-12)
         seen["blocks"] += 1
         return out
 

@@ -287,6 +287,19 @@ def test_predict_labels_are_unchanged(cell):
     assert predict_sha256(cell) == PREDICT_SHA256[cell]
 
 
+def test_predict_scores_no_new_cluster(monkeypatch):
+    # predict picks among the record's clusters, so it draws no plug-in
+    # new cluster from Neal8's prior
+    cell = "Neal8/NNxIG/DP"
+    est = _fitted(cell)
+
+    def refuse(rng):
+        raise AssertionError("predict drew a new cluster's state")
+
+    monkeypatch.setattr(est.algorithm_.template.prior, "sample", refuse)
+    assert predict_sha256(cell) == PREDICT_SHA256[cell]
+
+
 if __name__ == "__main__":
     # each entry that differs from its pinned value ends in "# moved"
     cells, moved = _valid_cells(), False

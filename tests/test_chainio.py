@@ -177,6 +177,23 @@ def test_file_and_memory_collectors_replay_identically(tmp_path):
     assert list(mem) == list(fil)
 
 
+def test_a_second_run_replaces_the_chain_in_either_collector(tmp_path):
+    # each run begins a new chain: a memory collector keeps the second run's
+    # records only, as a file collector does
+    from mixmcmc import DirichletMixing, build_algorithm, build_hierarchy
+
+    hier = build_hierarchy("NNIG", {"fixed_values": {
+        "mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}})
+    data = np.random.default_rng(58).normal(size=(12, 1))
+    mem, fil = MemoryCollector(), FileCollector(tmp_path / "twice.chain")
+    for col in (mem, fil):
+        algo = build_algorithm("Neal2", hier, DirichletMixing(1.0))
+        for seed in (1, 2):
+            algo.run(data, 8, 3, col, np.random.default_rng(seed))
+    assert len(mem) == len(fil) == 5
+    assert list(mem) == list(fil)
+
+
 def test_truncated_final_record_reports_index(tmp_path):
     path = tmp_path / "trunc.chain"
     col = FileCollector(path)

@@ -48,7 +48,12 @@ def _nnig():
 
 def _conditional_pred_lpdf(h, like, y):
     """log predictive density of y given the members of the cluster ``like``."""
-    return h.conditional_pred_scorer(like.card, like.stats)(y)
+    return h.predictive(like.card, like.stats).lpdf(y)
+
+
+def _prior_pred(h):
+    """The prior predictive, that of an empty cluster."""
+    return h.predictive(0, h.likelihood.stats)
 
 
 def _add_datum(like, terms):
@@ -122,12 +127,12 @@ def test_full_cond_kernel_preserves_exact_posterior():
 def test_prior_pred_lpdf_matches_quadrature():
     h = _nnig()
     oracle = nnig_quadrature([0.0], 0.0, 0.1, 2.0, 2.0)
-    assert h.prior_predictive().lpdf(0.0) == pytest.approx(oracle["log_marginal"], abs=1e-6)
+    assert _prior_pred(h).lpdf(0.0) == pytest.approx(oracle["log_marginal"], abs=1e-6)
     rng = np.random.default_rng(9)
     for _ in range(8):
         y = float(rng.normal() * 3)
         oracle = nnig_quadrature([y], 0.0, 0.1, 2.0, 2.0)
-        assert h.prior_predictive().lpdf(y) == pytest.approx(oracle["log_marginal"], abs=1e-6)
+        assert _prior_pred(h).lpdf(y) == pytest.approx(oracle["log_marginal"], abs=1e-6)
 
 
 def test_prior_pred_symmetry_about_prior_mean():
@@ -135,7 +140,7 @@ def test_prior_pred_symmetry_about_prior_mean():
         "NNIG",
         {"fixed_values": {"mean": 1.5, "var_scaling": 0.2, "shape": 2.0, "scale": 1.0}},
     )
-    pred = h.prior_predictive()
+    pred = _prior_pred(h)
     for y in (0.0, 2.2, -3.0):
         assert pred.lpdf(y) == pytest.approx(pred.lpdf(3.0 - y), abs=1e-12)
 
@@ -144,28 +149,36 @@ def test_prior_pred_integrates_to_one():
     # NNIG
     h = _nnig()
     grid = np.linspace(-80.0, 80.0, 200_001)
-    mass = np.trapezoid(np.exp(h.prior_predictive().lpdf_grid(grid)), grid)
+    mass = np.trapezoid(np.exp(_prior_pred(h).lpdf_grid(grid)), grid)
     assert mass == pytest.approx(1.0, abs=1e-3)
     # GammaGamma
     g = build_hierarchy("GammaGamma", GAMMA_ARGS)
     ygrid = np.linspace(1e-9, 4000.0, 400_001)
-    mass = np.trapezoid(np.exp(g.prior_predictive().lpdf_grid(ygrid)), ygrid)
+    mass = np.trapezoid(np.exp(_prior_pred(g).lpdf_grid(ygrid)), ygrid)
     assert mass == pytest.approx(1.0, abs=1e-3)
     # NNW, two dimensions
     w = build_hierarchy("NNW", NNW_ARGS)
     axis = np.linspace(-60.0, 60.0, 901)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xx.reshape(-1), yy.reshape(-1)])
-    vals = np.exp(w.prior_predictive().lpdf_grid(pts)).reshape(xx.shape)
+    vals = np.exp(_prior_pred(w).lpdf_grid(pts)).reshape(xx.shape)
     mass = np.trapezoid(np.trapezoid(vals, axis, axis=1), axis)
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
 def test_conditional_pred_empty_equals_prior_pred():
-    h = _nnig()
-    for y in (-1.0, 0.0, 2.5):
-        assert _conditional_pred_lpdf(h, h.likelihood.clone_empty(), y) == (
-            h.prior_predictive().lpdf(y))
+    # in every conjugate family, the predictive of an empty cluster has the bits of the
+    # predictive at the prior's own hyperparameters, on a grid and datum by datum
+    rng = np.random.default_rng(10)
+    for hier_type, args in [("NNIG", NNIG_ARGS), ("NNW", NNW_ARGS), ("GammaGamma", GAMMA_ARGS)]:
+        h = build_hierarchy(hier_type, args)
+        grid = rng.gamma(2.0, size=(20, 1)) if hier_type == "GammaGamma" else rng.normal(
+            size=(20, h.likelihood.dim)) * 3
+        prior_pred = h.updater.predictive(h.prior.hypers)
+        empty = h.predictive(0, h.likelihood.clone_empty().stats)
+        assert np.array_equal(empty.lpdf_grid(grid), prior_pred.lpdf_grid(grid)), hier_type
+        for y in (grid[:, 0] if h.likelihood.dim == 1 else grid):
+            assert empty.lpdf(y) == prior_pred.lpdf(y), hier_type
 
 
 def test_conditional_pred_matches_marginal_ratio_quadrature():
@@ -195,9 +208,7 @@ def test_conditional_pred_mode_follows_new_datum():
 def test_predictive_capability_error_for_non_conjugate():
     lap = build_hierarchy("LapNIG", LAP_ARGS)
     with pytest.raises(CapabilityError):
-        lap.prior_predictive()
-    with pytest.raises(CapabilityError):
-        lap.conditional_pred_scorer(0, lap.likelihood.stats)
+        lap.predictive(0, lap.likelihood.stats)
 
 
 def test_a_hierarchy_centres_its_statistics_on_the_prior_mean():
@@ -292,6 +303,19 @@ def test_bad_metropolis_arguments_are_rejected(extra, key):
 def test_conjugate_only_families_take_no_metropolis_updater(hier_type, args, updater):
     with pytest.raises(ConfigError, match="Metropolis"):
         build_hierarchy(hier_type, {**args, "updater": updater})
+
+
+@pytest.mark.parametrize("hier_type, args", [
+    ("NNIG", NNIG_ARGS), ("NNxIG", {"fixed_values": LAP_ARGS["fixed_values"]}),
+    ("NNW", NNW_ARGS), ("GammaGamma", GAMMA_ARGS)])
+@pytest.mark.parametrize("key, value", [("step_size", -5.0), ("num_steps", 0.5)])
+def test_metropolis_keys_without_a_metropolis_updater_raise(hier_type, args, key, value):
+    # no updater reads them, so a value is an error, not ignored; LapNIG's
+    # default random walk takes both
+    with pytest.raises(ConfigError, match=key):
+        build_hierarchy(hier_type, {**args, key: value})
+    lap = build_hierarchy("LapNIG", {**LAP_ARGS, "step_size": 0.3, "num_steps": 2})
+    assert (lap.updater.step_size, lap.updater.num_steps, lap.updater.langevin) == (0.3, 2, False)
 
 
 def test_metropolis_updater_from_config():

@@ -15,22 +15,28 @@ from mixmcmc.likelihoods import (
 from mixmcmc.states import GammaState, MultiLSState, UniLSState, stack_states
 
 
+def _lpdf(like, state, datum):
+    """log f(datum | state), one state scoring a one-row array."""
+    return float(like.score_batch(state, np.reshape(datum, (1, -1)))[0, 0])
+
+
 def test_uninorm_lpdf_standard_normal_mode():
-    like = UniNormLikelihood(UniLSState(0.0, 1.0))
-    assert like.lpdf(0.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+    like = UniNormLikelihood()
+    assert _lpdf(like, UniLSState(0.0, 1.0), 0.0) == pytest.approx(
+        -0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_laplace_lpdf_at_center():
-    like = LaplaceLikelihood(UniLSState(0.0, 1.0))
-    assert like.lpdf(0.0) == pytest.approx(math.log(0.5), abs=1e-12)
+    like = LaplaceLikelihood()
+    assert _lpdf(like, UniLSState(0.0, 1.0), 0.0) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_gamma_lpdf_exponential_value():
     # shape 1, rate 2 is Exp(2): density 2 e^{-2y}
-    like = GammaLikelihood(1.0, GammaState(1.0, 2.0))
-    assert like.lpdf(0.5) == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
-    assert like.lpdf(0.0) == -math.inf
-    assert like.lpdf(-1.0) == -math.inf
+    like, state = GammaLikelihood(1.0), GammaState(1.0, 2.0)
+    assert _lpdf(like, state, 0.5) == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
+    assert _lpdf(like, state, 0.0) == -math.inf
+    assert _lpdf(like, state, -1.0) == -math.inf
 
 
 def test_uninorm_stat_arithmetic():
@@ -145,8 +151,9 @@ def test_cluster_lpdf_matches_brute_force_sum():
             u = rng.normal(size=(2, len(members))) * 0.7
             value, _ = _unconstrained_lpdf(like_cls, members, u)
             for h, ys in enumerate(members):
-                like = like_cls(UniLSState.from_unconstrained(u[:, h]))
-                assert value[h] == pytest.approx(sum(like.lpdf(y) for y in ys), abs=1e-9)
+                state = UniLSState.from_unconstrained(u[:, h])
+                assert value[h] == pytest.approx(sum(_lpdf(like_cls(), state, y) for y in ys),
+                                                 abs=1e-9)
 
 
 def test_cluster_stats_without_the_gradient_keep_the_values_bits():
@@ -175,8 +182,8 @@ def test_multinorm_has_no_unconstrained_cluster_lpdf():
 
 
 def test_lpdf_grid_matches_loop_exactly():
-    # per family, 100 states each against 100 data of its own: a datum's
-    # lpdf has the bits of its row of lpdf_grid
+    # per family, 100 states each against 100 data of its own: a state's
+    # score of one datum alone has the bits of its row among the 100
     rng = np.random.default_rng(13)
     k, n = 100, 100
 
@@ -200,27 +207,26 @@ def test_lpdf_grid_matches_loop_exactly():
     ]
     for like, states, draw_grid in cases:
         for state in states:
-            like.state = state
             grid = draw_grid()
-            loop = np.array([like.lpdf(row) for row in grid])
-            assert np.array_equal(like.lpdf_grid(grid), loop), type(like).__name__
+            loop = np.array([_lpdf(like, state, row) for row in grid])
+            assert np.array_equal(like.score_batch(state, grid)[:, 0], loop), type(like).__name__
 
 
 def test_lpdf_grid_single_row_and_symmetry():
-    like = UniNormLikelihood(UniLSState(0.0, 1.0))
-    grid = np.array([[-1.0], [1.0]])
-    vals = like.lpdf_grid(grid)
-    assert vals[0] == vals[1]
-    assert like.lpdf_grid(np.array([[0.7]]))[0] == like.lpdf(0.7)
+    like, state = UniNormLikelihood(), UniLSState(0.0, 1.0)
+    vals = like.score_batch(state, np.array([[-1.0], [1.0]]))
+    assert vals.shape == (2, 1)
+    assert vals[0, 0] == vals[1, 0]
+    assert like.score_batch(state, np.array([[0.7]]))[0, 0] == _lpdf(like, state, 0.7)
 
 
 def test_lpdf_grid_dimension_mismatch():
     like = MultiNormLikelihood(MultiLSState([0.0, 0.0], np.eye(2)))
     with pytest.raises(ValueError):
-        like.lpdf_grid(np.zeros((3, 3)))
+        like.check_dim(np.zeros((3, 3)))
     uni = UniNormLikelihood()
     with pytest.raises(ValueError):
-        uni.lpdf(np.zeros(2))
+        uni.check_dim(np.zeros((1, 2)))
 
 
 def test_densities_integrate_to_one():
@@ -233,13 +239,14 @@ def test_densities_integrate_to_one():
         width = 30 * math.sqrt(var)
         grid = np.linspace(mean - width, mean + width, 40001)
         for like in (uni, lap):
-            mass = np.trapezoid(np.exp(like.lpdf_grid(grid.reshape(-1, 1))), grid)
+            mass = np.trapezoid(np.exp(like.score_batch(like.state, grid.reshape(-1, 1))[:, 0]),
+                                grid)
             assert 0.999 <= mass <= 1.001
         shape = float(rng.gamma(3.0) + 0.5)
         rate = float(rng.gamma(2.0) + 0.2)
         gam = GammaLikelihood(shape, GammaState(shape, rate))
         ygrid = np.linspace(1e-9, shape / rate + 40 * math.sqrt(shape) / rate, 60001)
-        mass = np.trapezoid(np.exp(gam.lpdf_grid(ygrid.reshape(-1, 1))), ygrid)
+        mass = np.trapezoid(np.exp(gam.score_batch(gam.state, ygrid.reshape(-1, 1))[:, 0]), ygrid)
         assert 0.999 <= mass <= 1.001
 
 
@@ -281,15 +288,15 @@ def test_batch_score_matches_the_scalar_scorer_of_each_built_state():
         assert scores.shape == (n, m)
         for i in range(n):
             for j in range(m):
-                like.state = batch.state((i, j))
-                assert np.allclose(scores[i, j], like.lpdf(rows[i]), rtol=1e-12, atol=1e-12)
+                assert np.allclose(scores[i, j], _lpdf(like, batch.state((i, j)), rows[i]),
+                                   rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("family", ["NNIG", "LapNIG", "GammaGamma", "NNW-1", "NNW-2", "NNW-4",
                                     "NNW-10"])
 def test_stacked_batch_scores_have_the_bits_of_each_cluster_grid(family):
     # the marginal sweep scores all its clusters in one score_batch call on
-    # their stacked states: each column must be that cluster's lpdf_grid, bit for bit
+    # their stacked states: each column must be that cluster's own score, bit for bit
     rng = np.random.default_rng(19)
     for trial in range(5):
         k, n = int(rng.integers(1, 30)), int(rng.integers(1, 300))
@@ -311,5 +318,44 @@ def test_stacked_batch_scores_have_the_bits_of_each_cluster_grid(family):
         scores = like.score_batch(stack_states(states), rows)
         assert scores.shape == (n, k)
         for h, state in enumerate(states):
-            like.state = state
-            assert np.array_equal(scores[:, h], like.lpdf_grid(rows))
+            assert np.array_equal(scores[:, h], like.score_batch(state, rows)[:, 0])
+
+
+@pytest.mark.parametrize("family", ["NNIG", "LapNIG", "GammaGamma", "NNW"])
+def test_one_state_scores_with_the_bits_of_its_stack_column_and_batch_entry(family):
+    # a state is a batch of shape (): its (n, 1) score has the bits of its
+    # column of a (1, k) stack and of its row-i entry of an (n, m) batch
+    from mixmcmc.priors import (
+        GammaPrior,
+        GammaPriorHypers,
+        NIGHypers,
+        NIGPrior,
+        NWHypers,
+        NWPrior,
+        NxIGHypers,
+        NxIGPrior,
+    )
+
+    rng = np.random.default_rng(20)
+    n, m = 40, 3
+    like, prior, rows = {
+        "NNIG": lambda: (UniNormLikelihood(), NIGPrior(NIGHypers(0.0, 0.1, 2.0, 2.0)),
+                         3.0 * rng.normal(size=(n, 1))),
+        "LapNIG": lambda: (LaplaceLikelihood(), NxIGPrior(NxIGHypers(0.0, 4.0, 2.0, 2.0)),
+                           3.0 * rng.normal(size=(n, 1))),
+        "GammaGamma": lambda: (GammaLikelihood(2.0), GammaPrior(GammaPriorHypers(2.0, 2.0, 2.0)),
+                               np.vstack([[0.0], [-1.0], rng.gamma(2.0, size=(n - 2, 1))])),
+        "NNW": lambda: (MultiNormLikelihood(MultiLSState(np.zeros(3), np.eye(3))),
+                        NWPrior(NWHypers(np.zeros(3), 0.2, 6.0, np.eye(3))),
+                        rng.normal(size=(n, 3))),
+    }[family]()
+    batch = prior.sample_batch(rng, (n, m))
+    by_row = like.score_batch(batch, rows)
+    states = [batch.state((i, j)) for i in range(n) for j in range(m)]
+    stacked = like.score_batch(stack_states(states), rows)
+    for h, state in enumerate(states):
+        alone = like.score_batch(state, rows)
+        assert alone.shape == (n, 1)
+        assert np.array_equal(alone[:, 0], stacked[:, h])
+        i, j = divmod(h, m)
+        assert alone[i, 0] == by_row[i, j]

@@ -75,7 +75,7 @@ def test_sample_with_equal_posterior_hypers_is_identical():
     prior = NIGPrior(NIG_REF)
     equal = NIGHypers(0.0, 0.1, 2.0, 2.0)
     s1 = prior.sample(np.random.default_rng(9))
-    s2 = prior.sample(np.random.default_rng(9), hypers=equal)
+    s2 = prior._draw(np.random.default_rng(9), (), equal).state(())
     assert s1 == s2
 
 
@@ -168,7 +168,7 @@ def test_nw_draw_at_an_indefinite_posterior_scale_raises():
     for scale in (np.diag([1.0, -1e-12]), np.zeros((2, 2))):
         indefinite = NWHypers(np.zeros(2), 2.0, 6.0, scale)
         with pytest.raises(ValueError, match="'scale'"):
-            prior.sample(np.random.default_rng(0), hypers=indefinite)
+            prior._draw(np.random.default_rng(0), (), indefinite)
 
 
 def _two_sample_z(a, b):

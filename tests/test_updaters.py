@@ -216,9 +216,8 @@ def test_a_stacked_draw_has_the_bits_of_single_posterior_draws(family):
             if family == "NNxIG":
                 wanted = [_nnxig_scan(like, prior.hypers, rng) for like in likes]
             else:
-                wanted = [prior.sample(rng, updater.posterior_hypers(like.card, like.stats,
-                                                                     prior.hypers))
-                          for like in likes]
+                wanted = [prior._draw(rng, (), updater.posterior_hypers(
+                    like.card, like.stats, prior.hypers)).state(()) for like in likes]
             updater.draw_batch(likes, prior, np.random.default_rng(seed), None, None)
             for want, like in zip(wanted, likes):
                 assert type(like.state) is type(want)

@@ -16,7 +16,7 @@ def check_int(value, name):
         iv = int(value)
     except (TypeError, ValueError, OverflowError):  # None, a string, inf, nan
         iv = None
-    if iv is None or iv != value:
+    if iv is None or iv != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"'{name}' must be an integer, got {value!r}")
     return iv
 

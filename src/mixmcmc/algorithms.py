@@ -45,8 +45,6 @@ from .exceptions import ConfigError
 from .likelihoods import moved_stats
 from .states import stack_states
 
-ALGORITHM_IDS = ("Neal2", "Neal3", "Neal8", "BlockedGibbs")
-
 # Neal8 draws its auxiliary states in blocks of data of about this many
 # n_aux * d * d cells, so that the batch's memory stays bounded at large n
 _AUX_BATCH_CELLS = 1 << 16
@@ -96,15 +94,17 @@ class _BaseAlgorithm:
         iterations = check_positive_int(iterations, "iterations")
         burnin = check_int(burnin, "burnin")
         if burnin < 0 or burnin >= iterations:
-            raise ValueError("need 0 <= burnin < iterations")
+            raise ValueError(f"need 0 <= burnin < iterations ({iterations}), got burnin {burnin}")
         self._prepare_data(data)
         self._initialize(rng)
         collector.start_collecting()
-        for it in range(iterations):
-            self.step(rng)
-            if it >= burnin:
-                collector.collect(self._snapshot(it))
-        collector.finish_collecting()
+        try:
+            for it in range(iterations):
+                self.step(rng)
+                if it >= burnin:
+                    collector.collect(self._snapshot(it))
+        finally:  # a sweep that raises leaves its collected records on disk
+            collector.finish_collecting()
 
     def _initial_num_clusters(self):
         raise NotImplementedError
@@ -640,7 +640,7 @@ class BlockedGibbsAlgorithm(_BaseAlgorithm):
         cum = np.cumsum(probs, axis=0)
         self.allocations = np.minimum((cum < rng.random(n)).sum(axis=0), m - 1)
         self._recount()
-        self.mixing.update_state(np.bincount(self.allocations, minlength=m), n, rng)
+        self.mixing.update_state([comp.card for comp in self.clusters], n, rng)
         self._draw_cluster_params(rng)
 
     def _record_log_weights(self, record, mixing):
@@ -653,13 +653,14 @@ _ALGORITHM_CLASSES = {
     "Neal8": Neal8Algorithm,
     "BlockedGibbs": BlockedGibbsAlgorithm,
 }
+ALGORITHM_IDS = tuple(_ALGORITHM_CLASSES)
 
 
 def build_algorithm(algo_id, hierarchy, mixing, init_num_clusters=3, n_aux=3):
     """Create an algorithm by id, validating hierarchy/mixing compatibility."""
     if algo_id not in _ALGORITHM_CLASSES:
         raise ConfigError(
-            f"unknown algorithm '{algo_id}'; expected one of " + ", ".join(ALGORITHM_IDS)
+            f"unknown algo_id '{algo_id}'; expected one of " + ", ".join(ALGORITHM_IDS)
         )
     if algo_id == "Neal8":
         return Neal8Algorithm(hierarchy, mixing, init_num_clusters, n_aux)

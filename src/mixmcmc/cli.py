@@ -75,7 +75,6 @@ def _run_mcmc(args):
     hierarchy = build_hierarchy(args.hier_type, read_config(args.hier_args))
     mix_args = read_config(args.mix_args) if args.mix_args else None
     mixing = build_mixing(args.mix_type, mix_args)
-    data = read_csv_matrix(args.data_file)
     algorithm = build_algorithm(
         params.algo_id,
         hierarchy,
@@ -83,6 +82,7 @@ def _run_mcmc(args):
         init_num_clusters=params.init_num_clusters,
         n_aux=params.neal8_n_aux,
     )
+    data = read_csv_matrix(args.data_file)
     if args.coll_name == "memory":
         collector = MemoryCollector()
     else:

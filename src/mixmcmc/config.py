@@ -30,7 +30,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .algorithms import ALGORITHM_IDS
 from .exceptions import ConfigError
 
 _TOKEN = re.compile(r"""
@@ -249,26 +248,22 @@ class AlgoParams:
 
 
 def parse_algo_params(tree):
-    """Validate and type the algorithm parameter tree."""
+    """Type the algorithm parameter tree.
+
+    Every key goes through its typed getter. Only ``rng_seed >= 0`` and
+    ``neal8_n_aux >= 1`` are checked here: the seed goes straight to numpy,
+    and ``build_algorithm`` reads ``n_aux`` for Neal8 alone. The rest are
+    checked where the engine takes them, before any sweep: ``algo_id`` and
+    ``init_num_clusters`` by ``build_algorithm``, ``iterations`` and
+    ``burnin`` by the sampler's ``run``.
+    """
     algo_id = tree.get_str("algo_id")
-    if algo_id not in ALGORITHM_IDS:
-        raise ConfigError(
-            f"unknown algo_id '{algo_id}'; expected one of {', '.join(ALGORITHM_IDS)}"
-        )
     rng_seed = tree.get_int("rng_seed")
     if rng_seed < 0:
         raise ConfigError("rng_seed must be non-negative")
     iterations = tree.get_int("iterations")
     burnin = tree.get_int("burnin")
     init_num_clusters = tree.get_int("init_num_clusters")
-    if iterations < 1:
-        raise ConfigError("iterations must be positive")
-    if burnin < 0:
-        raise ConfigError("burnin must be non-negative")
-    if burnin >= iterations:
-        raise ConfigError(f"burnin ({burnin}) must be < iterations ({iterations})")
-    if init_num_clusters < 1:
-        raise ConfigError("init_num_clusters must be positive")
     n_aux = tree.get_int("neal8_n_aux", 3)
     if n_aux < 1:
         raise ConfigError("neal8_n_aux must be positive")

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import postprocess
 from ._validation import check_data_matrix
-from .algorithms import ALGORITHM_IDS, build_algorithm
+from .algorithms import build_algorithm
 from .chainio import MemoryCollector
-from .hierarchy import HIERARCHY_TYPES, build_hierarchy
-from .mixings import MIXING_TYPES, build_mixing
+from .hierarchy import build_hierarchy
+from .mixings import build_mixing
 
 _PARAM_NAMES = (
     "hier_type",
@@ -166,12 +166,6 @@ class BayesianMixture:
                 or isinstance(self.random_state, bool) or self.random_state < 0):
             raise ValueError(
                 f"'random_state' must be a non-negative integer, got {self.random_state!r}")
-        if self.algorithm not in ALGORITHM_IDS:
-            raise ValueError(f"unknown algorithm '{self.algorithm}'")
-        if self.hier_type not in HIERARCHY_TYPES:
-            raise ValueError(f"unknown hierarchy type '{self.hier_type}'")
-        if self.mix_type not in MIXING_TYPES:
-            raise ValueError(f"unknown mixing type '{self.mix_type}'")
         X = check_data_matrix(X, "X")
         hier_params = self.hier_params or self._default_hier_params(X)
         mix_params = self.mix_params or self._default_mix_params()
@@ -226,7 +220,6 @@ class BayesianMixture:
     def score_samples(self, X):
         """Posterior-mean predictive log density at the rows of X."""
         self._check_fitted()
-        X = check_data_matrix(X, "X")
         lpdf = self.algorithm_.eval_lpdf_grid(
             self.collector_, X, rng=np.random.default_rng([self._seed, 1])
         )

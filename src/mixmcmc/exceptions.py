@@ -5,10 +5,12 @@ class MixError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(MixError):
+class ConfigError(MixError, ValueError):
     """Malformed or invalid configuration input.
 
-    Parse errors carry the 1-based line and column of the offending token.
+    It is also a ``ValueError``, so a bad name or value given to the
+    estimator raises what scikit-learn callers expect. Parse errors carry
+    the 1-based line and column of the offending token.
     """
 
     def __init__(self, message, line=None, column=None):

@@ -194,6 +194,38 @@ def test_a_second_run_replaces_the_chain_in_either_collector(tmp_path):
     assert list(mem) == list(fil)
 
 
+def test_a_sweep_that_raises_leaves_its_records_on_disk(tmp_path):
+    # the chain file is closed when a sweep raises: every record collected
+    # before the error is complete on disk, as in an uninterrupted run
+    from mixmcmc import DirichletMixing, build_algorithm, build_hierarchy
+
+    hier = build_hierarchy("NNIG", {"fixed_values": {
+        "mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}})
+    data = np.random.default_rng(59).normal(size=(50, 1))
+    whole = FileCollector(tmp_path / "whole.chain")
+    build_algorithm("Neal2", hier, DirichletMixing(1.0)).run(
+        data, 100, 5, whole, np.random.default_rng(3))
+
+    algo = build_algorithm("Neal2", hier, DirichletMixing(1.0))
+    step, sweeps = algo.step, []
+
+    def failing_step(rng):
+        sweeps.append(None)
+        if len(sweeps) == 40:
+            raise RuntimeError("injected")
+        step(rng)
+
+    algo.step = failing_step
+    cut = FileCollector(tmp_path / "cut.chain")
+    with pytest.raises(RuntimeError, match="injected"):
+        algo.run(data, 100, 5, cut, np.random.default_rng(3))
+    assert cut._handle is None
+    with open(tmp_path / "cut.chain", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(tmp_path / "whole.chain", encoding="utf-8") as fh:
+        assert lines == fh.read().splitlines()[:34]
+
+
 def test_truncated_final_record_reports_index(tmp_path):
     path = tmp_path / "trunc.chain"
     col = FileCollector(path)

@@ -208,6 +208,29 @@ def test_infinite_positive_value_stops_before_the_chain_file(tmp_path, capsys, f
     assert chain.read_bytes() == before
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"Neal2"', '"Neal9"', "algo_id"),
+    ("iterations: 300", "iterations: 0", "iterations"),
+    ("burnin: 100", "burnin: -1", "burnin"),
+    ("burnin: 100", "burnin: 300", "burnin"),
+    ("init_num_clusters: 3", "init_num_clusters: 0", "init_num_clusters"),
+], ids=["algo_id", "iterations", "negative_burnin", "burnin_at_iterations",
+        "init_num_clusters"])
+def test_invalid_run_parameter_stops_before_the_chain_file(tmp_path, capsys, old, new, key):
+    # the builders and the sampler's run check these keys, before any sweep
+    _write_run_inputs(tmp_path)
+    assert main(_full_run_args(tmp_path)) == 0
+    chain = tmp_path / "chains.chain"
+    before = chain.read_bytes()
+    assert old in ALGO_TEXT
+    (tmp_path / "algo.txt").write_text(ALGO_TEXT.replace(old, new))
+    capsys.readouterr()
+    assert main(_full_run_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert chain.read_bytes() == before
+
+
 def test_gamma_density_on_a_grid_reaching_zero_is_written(tmp_path):
     # the Gamma kernel has log density -inf at y <= 0; the run must still finish
     _write_run_inputs(tmp_path)

@@ -160,26 +160,6 @@ def test_algo_params_matches_reference_file():
     assert params.neal8_n_aux == 3
 
 
-def test_algo_params_burnin_boundary():
-    with pytest.raises(ConfigError):
-        parse_algo_params(
-            parse_config(
-                'algo_id: "Neal2"\nrng_seed: 1\niterations: 10\n'
-                "burnin: 10\ninit_num_clusters: 1\n"
-            )
-        )
-
-
-def test_algo_params_unknown_algorithm():
-    with pytest.raises(ConfigError):
-        parse_algo_params(
-            parse_config(
-                'algo_id: "Neal9"\nrng_seed: 1\niterations: 10\n'
-                "burnin: 1\ninit_num_clusters: 1\n"
-            )
-        )
-
-
 def test_integers_beyond_exact_floats_are_rejected():
     # 2**53 + 1 reads as the float 2**53: the value in the file would be lost
     tree = parse_config("seed: 9007199254740993\nlow: -9007199254740992\nok: 9007199254740991\n")

@@ -4,6 +4,7 @@ from oracles import adjusted_rand_index, similarity_matrix
 
 from mixmcmc.chainio import MemoryCollector
 from mixmcmc.estimator import BayesianMixture
+from mixmcmc.exceptions import ConfigError
 from mixmcmc.postprocess import binder_best_clustering
 
 
@@ -149,24 +150,25 @@ def test_unfitted_estimator_raises():
 
 
 def test_invalid_configuration_raises():
-    with pytest.raises(ValueError):
-        BayesianMixture(algorithm="Nope").fit([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        BayesianMixture(hier_type="Nope").fit([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        BayesianMixture(mix_type="Nope").fit([[0.0], [1.0]])
+    # the builders reject an unknown name with a ConfigError, which is a ValueError
+    for name in ("algorithm", "hier_type", "mix_type"):
+        est = BayesianMixture(**{name: "Nope"})
+        with pytest.raises(ValueError, match="Nope") as err:
+            est.fit([[0.0], [1.0]])
+        assert isinstance(err.value, ConfigError)
+        assert not est.__sklearn_is_fitted__()
 
 
 @pytest.mark.parametrize("name", ["iterations", "n_aux", "burnin"])
 def test_non_integer_counts_are_rejected_by_name(name):
-    # an infinite count used to overflow, a fractional burnin to keep 17 records
-    kwargs = {"algorithm": "Neal8", "iterations": 20, "burnin": 2, name: float("inf")}
-    if name == "burnin":
-        kwargs[name] = 2.5
-    est = BayesianMixture(**kwargs)
-    with pytest.raises(ValueError, match=name):
-        est.fit([[0.0], [1.0]])
-    assert not est.__sklearn_is_fitted__()
+    # an infinite count used to overflow, a fractional burnin to keep 17
+    # records, and True to count as 1
+    for value in (2.5 if name == "burnin" else float("inf"), True):
+        est = BayesianMixture(**{"algorithm": "Neal8", "iterations": 20, "burnin": 0,
+                                 name: value})
+        with pytest.raises(ValueError, match=name):
+            est.fit([[0.0], [1.0]])
+        assert not est.__sklearn_is_fitted__()
 
 
 @pytest.mark.parametrize("seed", [None, np.random.default_rng(0), -1, 1.0, True],

@@ -164,7 +164,7 @@ def test_successive_conditional_chain_matches_forward_draws(algo_id, seed):
     _assert_agree("NNIG", forward, _successive_conditional(algo_id, "NNIG", 10_000, 200, rng))
 
 
-@pytest.mark.parametrize("algo_id, seed", [("Neal2", 111), ("Neal3", 112)])
+@pytest.mark.parametrize("algo_id, seed", [("Neal2", 111), ("Neal3", 112), ("Neal8", 117)])
 def test_pitman_yor_chain_matches_forward_draws(algo_id, seed):
     rng = np.random.default_rng(seed)
     forward = _forward("NNIG", 200_000, rng, *PY)
@@ -174,7 +174,8 @@ def test_pitman_yor_chain_matches_forward_draws(algo_id, seed):
 
 @pytest.mark.parametrize("cell, seed", [("Neal2/NNW", 104), ("Neal8/NNW", 105),
                                         ("Neal2/GammaGamma", 106), ("Neal8/NNxIG", 107),
-                                        ("Neal3/NNW", 113), ("Neal3/GammaGamma", 114)])
+                                        ("Neal3/NNW", 113), ("Neal3/GammaGamma", 114),
+                                        ("Neal8/GammaGamma", 118)])
 def test_each_family_matches_forward_draws(cell, seed):
     algo_id, hier_type = cell.split("/")
     rng = np.random.default_rng(seed)

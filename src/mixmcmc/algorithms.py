@@ -25,8 +25,10 @@ recounts each cluster's size and statistics from the allocations, then
 refreshes all its clusters in one ``draw_batch`` call of the updater; a
 birth draws as a batch of one. Every kernel density a sampler reads comes
 from the likelihood's ``score_batch``, of the stacked clusters or of one
-state, and the prior predictive is the template's ``predictive`` of an
-empty cluster, scored once per run.
+state; a retained record's clusters are stacked and scored in one call
+too, for the density grid and ``predict``. The prior predictive is the
+template's ``predictive`` of an empty cluster, built once with the sampler
+and scored once per run.
 """
 
 import copy
@@ -73,6 +75,9 @@ class _BaseAlgorithm:
             )
         self.template = hierarchy
         self.mixing = mixing
+        # a conjugate hierarchy's prior predictive, built once: its hyperparameters are fixed
+        self._prior_predictive = (hierarchy.predictive(0, hierarchy.likelihood.stats)
+                                  if hierarchy.is_conjugate() else None)
         self.init_num_clusters = check_positive_int(init_num_clusters, "init_num_clusters")
         self.data = None
         self.allocations = None
@@ -169,9 +174,11 @@ class _BaseAlgorithm:
         """Yield, per record, its rows log w_h + log f_h(grid), one per cluster, then one
         for a new cluster if ``new_cluster_lpdf`` (of ``_new_cluster_lpdf``) is given.
 
-        ``grid`` is a checked data matrix of the kernel's dimension. Each
-        cluster's state is rebuilt once from its params; a row whose weight
-        is -inf is -inf, its density not evaluated.
+        ``grid`` is a checked data matrix of the kernel's dimension. A
+        record's states are rebuilt from their params through the state's
+        checks, stacked and scored in one ``score_batch`` call; a row whose
+        weight is -inf is -inf, whatever its density. The rows are a C-ordered
+        array, so that a sum over them adds the clusters one by one.
         """
         score = self.template.likelihood.score_batch
         state_cls = type(self.template.likelihood.state)
@@ -183,13 +190,11 @@ class _BaseAlgorithm:
             if new_cluster_lpdf is None:
                 log_w = log_w[:k]
             rows = np.empty((len(log_w), grid.shape[0]))
-            for h, (w, cs) in enumerate(zip(log_w.tolist(), record.cluster_states)):
-                if math.isfinite(w):
-                    rows[h] = score(state_cls.from_params(cs.params), grid)[:, 0]
-                else:
-                    rows[h] = -np.inf
+            rows[:k] = score(stack_states([state_cls.from_params(cs.params)
+                                           for cs in record.cluster_states]), grid).T
             if len(log_w) > k:
                 rows[-1] = new_cluster_lpdf()
+            rows[log_w == -np.inf] = -np.inf
             rows += log_w[:, None]
             yield rows
 
@@ -311,9 +316,7 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._datum_stats = self.template.likelihood.label_stats(
             self._stat_terms, np.arange(n), n)
         if self.requires_conjugate:  # the samplers whose candidate is the prior predictive
-            template = self.template
-            self._prior_scores = template.predictive(0, template.likelihood.stats).lpdf_grid(
-                self.data)
+            self._prior_scores = self._prior_predictive.lpdf_grid(self.data)
 
     def _initialize(self, rng):
         super()._initialize(rng)
@@ -474,8 +477,8 @@ class _MarginalAlgorithm(_BaseAlgorithm):
 
     def _new_cluster_lpdf(self, grid, rng):
         template = self.template
-        if template.is_conjugate():  # the prior predictive, the same for every record
-            row = template.predictive(0, template.likelihood.stats).lpdf_grid(grid)
+        if self._prior_predictive is not None:  # the same for every record
+            row = self._prior_predictive.lpdf_grid(grid)
             return lambda: row
         # one prior draw per record
         return lambda: template.likelihood.score_batch(template.prior.sample(rng), grid)[:, 0]

@@ -9,8 +9,9 @@ posteriors read; the clones keep that reference. A marginal sampler's
 birth or death counts its datum in or out through the template's
 :meth:`Hierarchy.component` of the cluster. Conjugate hierarchies also
 give the posterior predictive of a cluster's size and statistics that the
-marginal samplers need, :meth:`Hierarchy.predictive`; the prior predictive
-is that of an empty cluster.
+marginal samplers need, :meth:`Hierarchy.predictive`, each family's one
+density formula (see :mod:`~mixmcmc.updaters`); the prior predictive is that
+of an empty cluster, which a sampler builds once, when it is built.
 """
 
 import numpy as np

@@ -9,8 +9,11 @@ stacked prior draw at their posterior hyperparameters: one elementwise
 function per family, ``posterior_hypers(card, stats, hypers)``, of one
 cluster's numbers or k clusters' stacked arrays (the prior's at card 0),
 not checked again. It also exposes the matching marginal (predictive)
-densities used by marginal algorithms. The N x IG updater runs its Gibbs
-scan elementwise on the same stacked numbers.
+densities used by marginal algorithms, each written once: the univariate
+ones as a float ``lpdf``, which Neal3 calls n k times per sweep and their
+shared ``lpdf_grid`` maps over a grid's rows, the multivariate t as one
+array ``lpdf_grid``, whose one-row call is its ``lpdf``. The N x IG
+updater runs its Gibbs scan elementwise on the same stacked numbers.
 
 The Metropolis updater, random-walk or Langevin, works with any
 likelihood/prior pair that has an unconstrained parameterization: the
@@ -105,7 +108,17 @@ def nnxig_var_full_conditional(hypers, centred_sum, centred_sum_squares, card, m
     return hypers.shape + 0.5 * card, hypers.scale + 0.25 * (spread + abs(spread))
 
 
-class StudentT:
+class _UnivariatePredictive:
+    """A predictive written once, as a float ``lpdf``; ``lpdf_grid`` maps it over a grid's
+    rows, so each entry has its bits (a sampler maps it once per run)."""
+
+    __slots__ = ()
+
+    def lpdf_grid(self, ys):
+        return np.array(list(map(self.lpdf, np.ravel(ys).tolist())))
+
+
+class StudentT(_UnivariatePredictive):
     """Univariate Student-t predictive with df, location and scale."""
 
     __slots__ = ("df", "loc", "scale", "_log_norm")
@@ -125,10 +138,6 @@ class StudentT:
         z = (float(y) - self.loc) / self.scale
         return self._log_norm - 0.5 * (self.df + 1.0) * math.log1p(z * z / self.df)
 
-    def lpdf_grid(self, ys):
-        z = (np.asarray(ys, dtype=float).reshape(-1) - self.loc) / self.scale
-        return self._log_norm - 0.5 * (self.df + 1.0) * np.log1p(z * z / self.df)
-
 
 class MultivariateT:
     """Multivariate Student-t predictive with df, location and scale matrix."""
@@ -139,7 +148,6 @@ class MultivariateT:
         self.df = df
         self.loc = np.asarray(loc, dtype=float).reshape(-1)
         self.dim = self.loc.shape[0]
-        scale_matrix = 0.5 * (scale_matrix + scale_matrix.T)
         chol = np.linalg.cholesky(scale_matrix)
         self.chol_inv = np.linalg.inv(chol)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -152,19 +160,15 @@ class MultivariateT:
         )
 
     def lpdf(self, y):
-        y = np.asarray(y, dtype=float).reshape(1, -1)
-        return float(self.lpdf_grid(y)[0])
+        return float(self.lpdf_grid(np.reshape(y, (1, -1)))[0])
 
     def lpdf_grid(self, ys):
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim == 1:
-            ys = ys.reshape(-1, self.dim)
         diff = ys - self.loc
         quad = squared_norm_rows(whiten_rows(self.chol_inv, diff))
         return self._log_norm - 0.5 * (self.df + self.dim) * np.log1p(quad / self.df)
 
 
-class CompoundGamma:
+class CompoundGamma(_UnivariatePredictive):
     """Marginal of a Gamma kernel with fixed shape under a Gamma prior on the rate."""
 
     __slots__ = ("shape", "alpha", "beta", "_log_norm")
@@ -189,16 +193,6 @@ class CompoundGamma:
             + (self.shape - 1.0) * math.log(y)
             - (self.alpha + self.shape) * math.log(self.beta + y)
         )
-
-    def lpdf_grid(self, ys):
-        y = np.asarray(ys, dtype=float).reshape(-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (
-                self._log_norm
-                + (self.shape - 1.0) * np.log(y)
-                - (self.alpha + self.shape) * np.log(self.beta + y)
-            )
-        return np.where(y > 0, out, -np.inf)
 
 
 def nnig_predictive(hypers):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
 from test_chain_hashes import HIER_ARGS, _data
 
 from mixmcmc import algorithms
+from mixmcmc._util import logsumexp
 from mixmcmc.algorithms import (
     ALGORITHM_IDS,
     BlockedGibbsAlgorithm,
@@ -358,6 +360,33 @@ def test_eval_lpdf_grid_symmetric_conditional_density():
     grid = np.linspace(-4.0, 4.0, 81).reshape(-1, 1)
     lpdf = algo.eval_lpdf_grid(collector, grid)[0]
     assert np.max(np.abs(lpdf - lpdf[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("hier_type", ["NNIG", "NNW", "GammaGamma"])
+def test_a_component_of_weight_zero_has_a_row_of_minus_inf(hier_type):
+    # a record whose second stick is 0: that component's log weight is -inf and its row
+    # is -inf, with no NaN and no warning; every other row has the bits of its state
+    # scored alone plus its log weight
+    hier = build_hierarchy(hier_type, HIER_ARGS[hier_type])
+    algo = BlockedGibbsAlgorithm(hier, TruncatedSBMixing(4, 1.0))
+    (record,) = _run(algo, _data(hier_type), 3, 2, seed=26)
+    record.mixing_params = {"sticks": np.array([0.5, 0.0, 0.5]), "totalmass": 1.0}
+    mixing = TruncatedSBMixing(4, 1.0)
+    mixing.set_state_params(record.mixing_params)
+    log_w = mixing.get_weights()
+    assert log_w[1] == -np.inf and np.isfinite(log_w[[0, 2, 3]]).all()
+    grid = np.linspace(-1e3, 1e3, 41)[:, None] * np.ones(hier.likelihood.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = next(algo._record_rows([record], grid))
+        lpdf = algo.eval_lpdf_grid([record], grid)
+    assert rows.shape == (4, 41) and not np.isnan(rows).any() and not np.isnan(lpdf).any()
+    assert np.all(rows[1] == -np.inf)
+    state_cls = type(hier.likelihood.state)
+    for h in (0, 2, 3):
+        state = state_cls.from_params(record.cluster_states[h].params)
+        assert np.array_equal(rows[h], log_w[h] + hier.likelihood.score_batch(state, grid)[:, 0])
+    assert np.array_equal(lpdf[0], logsumexp(rows))
 
 
 def test_eval_lpdf_grid_nonconjugate_plugin_path():

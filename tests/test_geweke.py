@@ -25,12 +25,15 @@ the Gamma hyperprior ``GAMMA_PRIOR`` (shape, rate), resampled after each
 sweep (Escobar and West 1995). Forward: the mass from its Gamma prior,
 then a CRP of that mass. The mass joins the compared statistics.
 
-The blocked Gibbs cell (Ishwaran and James 2001) runs NNIG under a
-truncated stick-breaking mixing of ``COMPONENTS`` components. Forward:
-the stick fractions from their Beta(1, MASS) prior, then N iid labels from
-the weights they make. Its k is the number of occupied components, and
-datum 0's component parameters come from the prior, as an empty
-component's do.
+The blocked Gibbs cells (Ishwaran and James 2001) run NNIG, LapNIG under
+the random walk and NNW under a truncated stick-breaking mixing of
+``COMPONENTS`` components. Forward: the stick fractions from their
+Beta(1, MASS) prior, then N iid labels from the weights they make. Its k
+is the number of occupied components, and datum 0's component parameters
+come from the prior, as an empty component's do. The empty components are
+drawn from the prior too: by the Metropolis updater's prior draw, which
+then renumbers the occupied ones' labels, and by NNW's stacked draw at
+card 0.
 """
 
 import math
@@ -198,11 +201,16 @@ def test_each_metropolis_family_matches_forward_draws(cell, step_size, seed):
                   _successive_conditional(algo_id, hier_type, 10_000, 200, rng, updater))
 
 
-def test_blocked_gibbs_matches_forward_draws():
-    rng = np.random.default_rng(115)
-    forward = _forward_blocked("NNIG", 200_000, rng)
-    _assert_agree("NNIG", forward, _successive_conditional(
-        "BlockedGibbs", "NNIG", 10_000, 200, rng,
+@pytest.mark.parametrize("cell, seed", [("NNIG", 115), ("LapNIG/rwmh", 119), ("NNW", 120)])
+def test_blocked_gibbs_matches_forward_draws(cell, seed):
+    # LapNIG's random walk draws the empty components from the prior and renumbers
+    # the occupied ones' labels; NNW's stacked draw runs the empty ones at card 0
+    hier_type, *kind = cell.split("/")
+    updater = {"updater": kind[0], "step_size": 1.0, "num_steps": 3} if kind else None
+    rng = np.random.default_rng(seed)
+    forward = _forward_blocked(hier_type, 200_000, rng)
+    _assert_agree(hier_type, forward, _successive_conditional(
+        "BlockedGibbs", hier_type, 10_000, 200, rng, updater,
         mixing=TruncatedSBMixing(COMPONENTS, MASS)))
 
 

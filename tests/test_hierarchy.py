@@ -168,17 +168,30 @@ def test_prior_pred_integrates_to_one():
 
 def test_conditional_pred_empty_equals_prior_pred():
     # in every conjugate family, the predictive of an empty cluster has the bits of the
-    # predictive at the prior's own hyperparameters, on a grid and datum by datum
+    # predictive at the prior's own hyperparameters, on a grid and datum by datum, and
+    # each grid entry has the bits of the density at its point: random points, far
+    # tails and, for GammaGamma, y <= 0, where the density is -inf
     rng = np.random.default_rng(10)
     for hier_type, args in [("NNIG", NNIG_ARGS), ("NNW", NNW_ARGS), ("GammaGamma", GAMMA_ARGS)]:
         h = build_hierarchy(hier_type, args)
-        grid = rng.gamma(2.0, size=(20, 1)) if hier_type == "GammaGamma" else rng.normal(
-            size=(20, h.likelihood.dim)) * 3
+        d = h.likelihood.dim
+        if hier_type == "GammaGamma":
+            grid = np.concatenate((rng.gamma(2.0, size=20_000), 10.0 ** rng.uniform(-300, 100, 50),
+                                   [0.0, -0.0, -1.5, -1e100]))[:, None]
+        else:
+            grid = np.vstack((rng.normal(size=(20_000, d)) * 3,
+                              rng.normal(size=(50, d)) * 10.0 ** rng.uniform(2, 100, (50, 1))))
         prior_pred = h.updater.predictive(h.prior.hypers)
         empty = h.predictive(0, h.likelihood.clone_empty().stats)
-        assert np.array_equal(empty.lpdf_grid(grid), prior_pred.lpdf_grid(grid)), hier_type
-        for y in (grid[:, 0] if h.likelihood.dim == 1 else grid):
-            assert empty.lpdf(y) == prior_pred.lpdf(y), hier_type
+        entries = empty.lpdf_grid(grid)
+        assert np.array_equal(entries, prior_pred.lpdf_grid(grid)), hier_type
+        assert not np.isnan(entries).any(), hier_type
+        points = grid[:, 0] if d == 1 else grid
+        mismatches = [y for y, entry in zip(points, entries.tolist())
+                      if not empty.lpdf(y) == entry == prior_pred.lpdf(y)]
+        assert not mismatches, (hier_type, len(mismatches))
+        if hier_type == "GammaGamma":
+            assert np.all(entries[grid[:, 0] <= 0] == -np.inf)
 
 
 def test_conditional_pred_matches_marginal_ratio_quadrature():

@@ -280,23 +280,26 @@ def write_csv_matrix(path, matrix):
     arr = np.asarray(matrix)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
+    # each row goes to Python numbers on its own, so no list of the whole matrix is held
     if arr.dtype.kind in "iu" and (arr.size == 0 or -1e15 < arr.min() and arr.max() < 1e15):
         # the same text as _format_cell, without a Python call per cell
-        lines = (",".join(map(str, row)) for row in arr.tolist())
+        lines = (",".join(map(str, row.tolist())) for row in arr)
     elif arr.dtype.kind == "f":
         # a row without a finite integral cell is _format_cell's repr throughout
         arr = arr.astype(float, copy=False)  # the cells as _format_cell sees them
-        integral = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 1e15)
-        lines = (
-            ",".join(map(_format_cell if special else repr, row))
-            for row, special in zip(arr.tolist(), integral.any(axis=1).tolist())
-        )
+        lines = (",".join(map(_format_cell if _has_integral(row) else repr, row.tolist()))
+                 for row in arr)
     else:
         lines = (",".join(_format_cell(v) for v in row) for row in arr)
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+
+
+def _has_integral(row):
+    """Whether a float row has a cell that ``_format_cell`` writes as an integer."""
+    return bool((np.isfinite(row) & (row == np.trunc(row)) & (np.abs(row) < 1e15)).any())
 
 
 def _format_cell(value):

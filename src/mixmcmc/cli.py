@@ -11,7 +11,7 @@ from .algorithms import build_algorithm
 from .chainio import FileCollector, MemoryCollector, read_csv_matrix, write_csv_matrix
 from .config import parse_algo_params, read_config
 from .datasets import BENCH_KINDS, generate_bench
-from .exceptions import MixError
+from .exceptions import ConfigError, MixError
 from .hierarchy import HIERARCHY_TYPES, build_hierarchy
 from .mixings import MIXING_TYPES, build_mixing
 
@@ -66,15 +66,25 @@ def _mean_sibling_path(dens_path):
     return dens_path + ".mean.csv"
 
 
+def _read_params(path, build, *head):
+    """``build(*head, tree)`` of the parameter file ``path``, if any; a config error names it."""
+    tree = read_config(path) if path else None
+    try:
+        return build(*head, tree)
+    except ConfigError as err:
+        if not path:
+            raise
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def _run_mcmc(args):
     if args.dens_file and not args.grid_file:
         raise MixError("--dens-file needs --grid-file")
     if args.grid_file and not args.dens_file:
         raise MixError("--grid-file needs --dens-file")
-    params = parse_algo_params(read_config(args.algo_params_file))
-    hierarchy = build_hierarchy(args.hier_type, read_config(args.hier_args))
-    mix_args = read_config(args.mix_args) if args.mix_args else None
-    mixing = build_mixing(args.mix_type, mix_args)
+    params = _read_params(args.algo_params_file, parse_algo_params)
+    hierarchy = _read_params(args.hier_args, build_hierarchy, args.hier_type)
+    mixing = _read_params(args.mix_args, build_mixing, args.mix_type)
     algorithm = build_algorithm(
         params.algo_id,
         hierarchy,

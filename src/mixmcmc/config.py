@@ -49,15 +49,21 @@ class ConfigTree:
 
     Values are floats, strings, lists of floats, or nested ``ConfigTree``
     instances. Scalar keys are unique per level; nested-tree keys may repeat.
+    Every getter marks the entry it reads, for :func:`_check_read`.
     """
 
     entries: list = field(default_factory=list)
+    _read: set = field(default_factory=set, compare=False, repr=False)
 
     def has(self, key):
         return any(k == key for k, _ in self.entries)
 
     def get(self, key, default=None):
-        return next((v for k, v in self.entries if k == key), default)
+        for i, (k, v) in enumerate(self.entries):
+            if k == key:
+                self._read.add(i)
+                return v
+        return default
 
     def _typed(self, key, default, kind, expected):
         """The value at ``key`` (or ``default``), which must be a ``kind``.
@@ -116,6 +122,27 @@ class ConfigTree:
             else:
                 tree.entries.append((k, float(v)))
         return tree
+
+
+def _fresh(args):
+    """A tree with no entry read yet: a copy of the tree ``args``, or that of a
+    plain dict, or an empty one for ``None``."""
+    if isinstance(args, ConfigTree):
+        return ConfigTree([(k, _fresh(v) if isinstance(v, ConfigTree) else v)
+                           for k, v in args.entries])
+    return ConfigTree.from_mapping(args or {})
+
+
+def _check_read(tree, reasons=None, prefix=""):
+    """Reject the first entry, at any depth, that no getter read. ``reasons`` maps a
+    top-level key to the error that names why it goes unread."""
+    for i, (key, value) in enumerate(tree.entries):
+        if i not in tree._read:
+            repeated = any(tree.entries[j][0] == key for j in tree._read)
+            raise ConfigError((reasons or {}).get(key)
+                              or f"{'repeated' if repeated else 'unknown'} key '{prefix}{key}'")
+        if isinstance(value, ConfigTree):
+            _check_read(value, prefix=f"{prefix}{key}.")
 
 
 def _tokens(text):
@@ -250,13 +277,14 @@ class AlgoParams:
 def parse_algo_params(tree):
     """Type the algorithm parameter tree.
 
-    Every key goes through its typed getter. Only ``rng_seed >= 0`` and
-    ``neal8_n_aux >= 1`` are checked here: the seed goes straight to numpy,
-    and ``build_algorithm`` reads ``n_aux`` for Neal8 alone. The rest are
-    checked where the engine takes them, before any sweep: ``algo_id`` and
-    ``init_num_clusters`` by ``build_algorithm``, ``iterations`` and
-    ``burnin`` by the sampler's ``run``.
+    Every key goes through its typed getter, and a key it does not read is an
+    error: ``neal8_n_aux`` is read for Neal8 alone. Only ``rng_seed >= 0`` and
+    ``neal8_n_aux >= 1`` are checked here: the seed goes straight to numpy.
+    The rest are checked where the engine takes them, before any sweep:
+    ``algo_id`` and ``init_num_clusters`` by ``build_algorithm``,
+    ``iterations`` and ``burnin`` by the sampler's ``run``.
     """
+    tree = _fresh(tree)
     algo_id = tree.get_str("algo_id")
     rng_seed = tree.get_int("rng_seed")
     if rng_seed < 0:
@@ -264,7 +292,9 @@ def parse_algo_params(tree):
     iterations = tree.get_int("iterations")
     burnin = tree.get_int("burnin")
     init_num_clusters = tree.get_int("init_num_clusters")
-    n_aux = tree.get_int("neal8_n_aux", 3)
+    n_aux = tree.get_int("neal8_n_aux", 3) if algo_id == "Neal8" else 3
     if n_aux < 1:
         raise ConfigError("neal8_n_aux must be positive")
+    _check_read(tree, {"neal8_n_aux": f"'neal8_n_aux' is read by Neal8 only; "
+                                      f"algo_id is '{algo_id}'"})
     return AlgoParams(algo_id, rng_seed, iterations, burnin, init_num_clusters, n_aux)

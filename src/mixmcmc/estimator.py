@@ -16,7 +16,7 @@ from . import postprocess
 from ._validation import check_data_matrix
 from .algorithms import build_algorithm
 from .chainio import MemoryCollector
-from .hierarchy import build_hierarchy
+from .hierarchy import _family, build_hierarchy
 from .mixings import build_mixing
 
 _PARAM_NAMES = (
@@ -43,8 +43,9 @@ class BayesianMixture:
         ``GammaGamma``.
     hier_params : dict, optional
         Hyperparameters (the ``fixed_values`` block, plus optional
-        ``updater`` / ``step_size`` / ``num_steps``). When omitted,
-        data-driven defaults are derived at fit time.
+        ``updater`` / ``step_size`` / ``num_steps``); a key the family does
+        not read is an error. When omitted, ``fit`` takes the family's
+        data-driven ``fixed_values`` from its entry in the hierarchy table.
     mix_type : str, default="DP"
         Prior on the weights: ``DP``, ``PY`` or ``TruncSB``.
     mix_params : dict, optional
@@ -112,45 +113,6 @@ class BayesianMixture:
 
     # -- defaults ----------------------------------------------------------
 
-    def _default_hier_params(self, X):
-        d = X.shape[1]
-        if self.hier_type == "NNIG":
-            return {
-                "fixed_values": {
-                    "mean": float(X.mean()),
-                    "var_scaling": 0.1,
-                    "shape": 2.0,
-                    "scale": max(float(X.var()), 1e-6),
-                }
-            }
-        if self.hier_type in ("NNxIG", "LapNIG"):
-            return {
-                "fixed_values": {
-                    "mean": float(X.mean()),
-                    "var": max(float(X.var()), 1e-6) * 10.0,
-                    "shape": 2.0,
-                    "scale": max(float(X.var()), 1e-6),
-                }
-            }
-        if self.hier_type == "NNW":
-            variances = np.maximum(X.var(axis=0), 1e-6)
-            scale = np.diag(variances)
-            return {
-                "fixed_values": {
-                    "mean": {"size": d, "data": [float(v) for v in X.mean(axis=0)]},
-                    "var_scaling": 0.01,
-                    "deg_free": float(d + 2),
-                    "scale": {
-                        "rows": d,
-                        "cols": d,
-                        "data": [float(v) for v in scale.reshape(-1)],
-                        "rowmajor": True,
-                    },
-                }
-            }
-        # GammaGamma: exponential kernel with a weak prior on the rate
-        return {"fixed_values": {"shape": 1.0, "rate_alpha": 2.0, "rate_beta": 2.0}}
-
     def _default_mix_params(self):
         if self.mix_type == "DP":
             return {"fixed_value": {"totalmass": 1.0}}
@@ -167,7 +129,7 @@ class BayesianMixture:
             raise ValueError(
                 f"'random_state' must be a non-negative integer, got {self.random_state!r}")
         X = check_data_matrix(X, "X")
-        hier_params = self.hier_params or self._default_hier_params(X)
+        hier_params = self.hier_params or {"fixed_values": _family(self.hier_type).defaults(X)}
         mix_params = self.mix_params or self._default_mix_params()
         hierarchy = build_hierarchy(self.hier_type, hier_params)
         mixing = build_mixing(self.mix_type, mix_params)

@@ -12,46 +12,28 @@ give the posterior predictive of a cluster's size and statistics that the
 marginal samplers need, :meth:`Hierarchy.predictive`, each family's one
 density formula (see :mod:`~mixmcmc.updaters`); the prior predictive is that
 of an empty cluster, which a sampler builds once, when it is built.
+
+Each family is declared once, as one entry of ``_FAMILIES``: how to read its
+hyperparameters, its prior, likelihood and default updater, and the data-driven
+defaults of the estimator. It takes a Metropolis updater exactly when its
+likelihood and prior have unconstrained densities.
 """
+
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigTree
+from .config import _check_read, _fresh
 from .exceptions import CapabilityError, ConfigError
-from .likelihoods import (
-    GammaLikelihood,
-    LaplaceLikelihood,
-    MultiNormLikelihood,
-    UniNormLikelihood,
-    moved_stats,
-)
-from .priors import (
-    GammaPrior,
-    GammaPriorHypers,
-    NIGHypers,
-    NIGPrior,
-    NWHypers,
-    NWPrior,
-    NxIGHypers,
-    NxIGPrior,
-)
+from .likelihoods import (GammaLikelihood, LaplaceLikelihood, MultiNormLikelihood,
+                          UniNormLikelihood, moved_stats)
+from .priors import (GammaPrior, GammaPriorHypers, NIGHypers, NIGPrior, NWHypers, NWPrior,
+                     NxIGHypers, NxIGPrior)
 from .states import MultiLSState
-from .updaters import (
-    ConjugateUpdater,
-    NNxIGUpdater,
-    build_metropolis_updater,
-    gamma_gamma_posterior_hypers,
-    gamma_gamma_predictive,
-    nnig_posterior_hypers,
-    nnig_predictive,
-    nnw_posterior_hypers,
-    nnw_predictive,
-)
-
-HIERARCHY_TYPES = ("NNIG", "NNxIG", "LapNIG", "NNW", "GammaGamma")
-# the families with an unconstrained parameterization, which a Metropolis
-# updater moves
-METROPOLIS_TYPES = ("NNIG", "NNxIG", "LapNIG")
+from .updaters import (ConjugateUpdater, NNxIGUpdater, build_metropolis_updater,
+                       gamma_gamma_posterior_hypers, gamma_gamma_predictive, nnig_posterior_hypers,
+                       nnig_predictive, nnw_posterior_hypers, nnw_predictive)
 
 
 class Hierarchy:
@@ -120,26 +102,84 @@ def _read_vector(tree, key):
 
 def _read_matrix(tree, key):
     sub = tree.child(key)
-    rows = sub.get_int("rows")
-    cols = sub.get_int("cols")
+    rows, cols = sub.get_int("rows"), sub.get_int("cols")
     data = _block_data(sub, key)
     if len(data) != rows * cols:
-        raise ConfigError(
-            f"'{key}' declares {rows}x{cols} but has {len(data)} entries"
-        )
-    rowmajor = sub.get_bool("rowmajor", True)
-    order = "C" if rowmajor else "F"
+        raise ConfigError(f"'{key}' declares {rows}x{cols} but has {len(data)} entries")
+    order = "C" if sub.get_bool("rowmajor", True) else "F"
     return np.asarray(data, dtype=float).reshape((rows, cols), order=order)
 
 
-def _default_updater(hier_type):
-    if hier_type == "NNxIG":
-        return NNxIGUpdater()
-    return ConjugateUpdater(*{
-        "NNIG": (nnig_posterior_hypers, nnig_predictive),
-        "NNW": (nnw_posterior_hypers, nnw_predictive),
-        "GammaGamma": (gamma_gamma_posterior_hypers, gamma_gamma_predictive),
-    }[hier_type])
+def _numbers(hypers_cls):
+    """The reader of an all-number record: its dataclass fields, in field order."""
+    return lambda values: hypers_cls(*map(values.get_float, (f.name for f in fields(hypers_cls))))
+
+
+def _read_nw(values):
+    mean, scale = _read_vector(values, "mean"), _read_matrix(values, "scale")
+    return NWHypers(mean, values.get_float("var_scaling"), values.get_float("deg_free"), scale)
+
+
+def _nxig_defaults(X):
+    var = max(float(X.var()), 1e-6)
+    return {"mean": float(X.mean()), "var": var * 10.0, "shape": 2.0, "scale": var}
+
+
+def _nw_defaults(X):
+    d, scale = X.shape[1], np.diag(np.maximum(X.var(axis=0), 1e-6))
+    return {"mean": {"size": d, "data": X.mean(axis=0).tolist()}, "var_scaling": 0.01,
+            "deg_free": float(d + 2),
+            "scale": {"rows": d, "cols": d, "data": scale.ravel().tolist(), "rowmajor": True}}
+
+
+class _Family(NamedTuple):
+    """A component family, declared once."""
+
+    read: Callable  # the ``fixed_values`` tree -> the hyperparameter record
+    prior: type
+    likelihood: type
+    updater: object  # a factory of the default updater, or a Metropolis updater's name
+    defaults: Callable  # data -> the ``fixed_values`` the estimator uses when given none
+    like_args: Callable = lambda hypers: ()  # -> the likelihood prototype's arguments
+
+    @property
+    def metropolis(self):
+        """Whether a Metropolis updater can move it: both densities have an unconstrained form."""
+        return (hasattr(self.likelihood, "unconstrained_lpdf")
+                and hasattr(self.prior, "_unconstrained_lpdf"))
+
+
+# the factories call the conjugate functions through this module's names, which
+# the benchmark's tracing replaces
+_FAMILIES = {
+    "NNIG": _Family(
+        _numbers(NIGHypers), NIGPrior, UniNormLikelihood,
+        lambda: ConjugateUpdater(nnig_posterior_hypers, nnig_predictive),
+        lambda X: {"mean": float(X.mean()), "var_scaling": 0.1, "shape": 2.0,
+                   "scale": max(float(X.var()), 1e-6)}),
+    "NNxIG": _Family(_numbers(NxIGHypers), NxIGPrior, UniNormLikelihood, NNxIGUpdater,
+                     _nxig_defaults),
+    "LapNIG": _Family(_numbers(NxIGHypers), NxIGPrior, LaplaceLikelihood, "rwmh",
+                      _nxig_defaults),
+    "NNW": _Family(
+        _read_nw, NWPrior, MultiNormLikelihood,
+        lambda: ConjugateUpdater(nnw_posterior_hypers, nnw_predictive), _nw_defaults,
+        lambda hypers: (MultiLSState(np.zeros(hypers.dim), np.eye(hypers.dim)),)),
+    "GammaGamma": _Family(
+        _numbers(GammaPriorHypers), GammaPrior, GammaLikelihood,
+        lambda: ConjugateUpdater(gamma_gamma_posterior_hypers, gamma_gamma_predictive),
+        # an exponential kernel with a weak prior on the rate
+        lambda X: {"shape": 1.0, "rate_alpha": 2.0, "rate_beta": 2.0},
+        lambda hypers: (hypers.shape,)),
+}
+HIERARCHY_TYPES = tuple(_FAMILIES)
+
+
+def _family(hier_type):
+    if hier_type not in _FAMILIES:
+        raise ConfigError(
+            f"unknown hierarchy type '{hier_type}'; expected one of " + ", ".join(_FAMILIES))
+    return _FAMILIES[hier_type]
 
 
 def build_hierarchy(hier_type, args):
@@ -147,74 +187,30 @@ def build_hierarchy(hier_type, args):
 
     ``args`` carries the ``fixed_values`` block with the hyperparameters,
     plus the optional ``updater`` ('rwmh' or 'mala'), ``step_size`` and
-    ``num_steps`` keys of a Metropolis updater, which only the
-    ``METROPOLIS_TYPES`` families take (LapNIG runs 'rwmh' without an
-    ``updater``); where no Metropolis updater runs, the two keys raise.
+    ``num_steps`` keys of a Metropolis updater, which only a family whose
+    likelihood and prior have unconstrained densities takes (LapNIG runs
+    'rwmh' without an ``updater``). A key the family does not read raises,
+    the two step keys where no Metropolis updater runs among them.
     """
-    if hier_type not in HIERARCHY_TYPES:
-        raise ConfigError(
-            f"unknown hierarchy type '{hier_type}'; expected one of "
-            + ", ".join(HIERARCHY_TYPES)
-        )
-    if isinstance(args, dict):
-        args = ConfigTree.from_mapping(args)
-    values = args.child("fixed_values")
+    family = _family(hier_type)
+    args = _fresh(args)
+    hypers = family.read(args.child("fixed_values"))
+    prior = family.prior(hypers)
+    like = family.likelihood(*family.like_args(hypers))
 
-    if hier_type == "NNIG":
-        hypers = NIGHypers(
-            values.get_float("mean"),
-            values.get_float("var_scaling"),
-            values.get_float("shape"),
-            values.get_float("scale"),
-        )
-        prior = NIGPrior(hypers)
-        like = UniNormLikelihood()
-    elif hier_type in ("NNxIG", "LapNIG"):
-        hypers = NxIGHypers(
-            values.get_float("mean"),
-            values.get_float("var"),
-            values.get_float("shape"),
-            values.get_float("scale"),
-        )
-        prior = NxIGPrior(hypers)
-        like = UniNormLikelihood() if hier_type == "NNxIG" else LaplaceLikelihood()
-    elif hier_type == "NNW":
-        mean = _read_vector(values, "mean")
-        scale = _read_matrix(values, "scale")
-        hypers = NWHypers(
-            mean,
-            values.get_float("var_scaling"),
-            values.get_float("deg_free"),
-            scale,
-        )
-        prior = NWPrior(hypers)
-        d = mean.shape[0]
-        like = MultiNormLikelihood(MultiLSState(np.zeros(d), np.eye(d)))
-    else:  # GammaGamma
-        hypers = GammaPriorHypers(
-            values.get_float("shape"),
-            values.get_float("rate_alpha"),
-            values.get_float("rate_beta"),
-        )
-        prior = GammaPrior(hypers)
-        like = GammaLikelihood(hypers.shape)
-
-    updater_name = args.get_str("updater") if args.has("updater") else None
-    if updater_name is not None and hier_type not in METROPOLIS_TYPES:
-        raise ConfigError(
-            f"'{hier_type}' takes no Metropolis updater; 'updater' is accepted by "
-            + ", ".join(METROPOLIS_TYPES)
-        )
-    if updater_name is None and hier_type == "LapNIG":
-        updater_name = "rwmh"
-    if updater_name is None:
-        updater = _default_updater(hier_type)
-        for key in ("step_size", "num_steps"):
-            if args.has(key):
-                raise ConfigError(f"'{key}' is read by a Metropolis updater only; "
-                                  f"'{hier_type}' runs {type(updater).__name__}")
-    else:
+    updater = args.get_str("updater") if args.has("updater") else family.updater
+    reasons = {}
+    if isinstance(updater, str):
+        if not family.metropolis:
+            raise ConfigError(
+                f"'{hier_type}' takes no Metropolis updater; 'updater' is accepted by "
+                + ", ".join(name for name, f in _FAMILIES.items() if f.metropolis))
         step_size = args.get_float("step_size") if args.has("step_size") else None
-        num_steps = args.get_int("num_steps", 1)
-        updater = build_metropolis_updater(updater_name, step_size, num_steps)
+        updater = build_metropolis_updater(updater, step_size, args.get_int("num_steps", 1))
+    else:
+        updater = updater()
+        reasons = {key: f"'{key}' is read by a Metropolis updater only; "
+                        f"'{hier_type}' runs {type(updater).__name__}"
+                   for key in ("step_size", "num_steps")}
+    _check_read(args, reasons)
     return Hierarchy(like, prior, updater, name=hier_type)

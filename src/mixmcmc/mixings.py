@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ._validation import check_positive, check_positive_int
-from .config import ConfigTree
+from .config import _check_read, _fresh
 from .exceptions import ConfigError
 
 MIXING_TYPES = ("DP", "PY", "TruncSB")
@@ -154,19 +154,15 @@ def build_mixing(mix_type, args=None):
     ``gamma_prior { shape: a  rate: b }`` hyperprior block; PY reads
     ``fixed_values { strength: x  discount: y }``; TruncSB reads the
     top-level ``num_components`` (default 25) and ``totalmass`` (default 1).
+    A key the mixing does not read is an error.
     """
     if mix_type not in MIXING_TYPES:
         raise ConfigError(
             f"unknown mixing type '{mix_type}'; expected one of " + ", ".join(MIXING_TYPES)
         )
-    if args is None:
-        args = ConfigTree()
-    if isinstance(args, dict):
-        args = ConfigTree.from_mapping(args)
-
+    args = _fresh(args)
     if mix_type == "DP":
-        gamma_prior = None
-        totalmass = None
+        gamma_prior = totalmass = None
         if args.has("gamma_prior"):
             sub = args.child("gamma_prior")
             gamma_prior = (sub.get_float("shape"), sub.get_float("rate"))
@@ -175,10 +171,12 @@ def build_mixing(mix_type, args=None):
             totalmass = args.child("fixed_value").get_float("totalmass")
         if totalmass is None:
             raise ConfigError("DP mixing needs 'fixed_value' or 'gamma_prior'")
-        return DirichletMixing(totalmass, gamma_prior)
-    if mix_type == "PY":
+        mixing = DirichletMixing(totalmass, gamma_prior)
+    elif mix_type == "PY":
         sub = args.child("fixed_values")
-        return PitYorMixing(sub.get_float("strength"), sub.get_float("discount"))
-    return TruncatedSBMixing(
-        args.get_int("num_components", 25), args.get_float("totalmass", 1.0)
-    )
+        mixing = PitYorMixing(sub.get_float("strength"), sub.get_float("discount"))
+    else:
+        mixing = TruncatedSBMixing(args.get_int("num_components", 25),
+                                   args.get_float("totalmass", 1.0))
+    _check_read(args)
+    return mixing

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,3 +355,24 @@ def test_write_csv_float_rows_match_the_cell_format(tmp_path):
         rows = arr[:, None] if arr.ndim == 1 else arr
         want = "".join(",".join(_format_cell(v) for v in row) + "\n" for row in rows)
         assert p.read_text() == want
+
+
+def test_write_csv_keeps_its_bytes_and_holds_no_list_of_the_matrix(tmp_path):
+    # the text the writer gave when it converted the whole matrix at once
+    p = tmp_path / "k.csv"
+    write_csv_matrix(p, np.array([[2.0, -np.inf, 0.25, np.nan], [-0.0, 1e15, 7.0, -3.5],
+                                  [np.inf, 0.1, 1e-300, -1e15 + 1]]))
+    assert p.read_bytes() == (b"2,-inf,0.25,nan\n0,1000000000000000.0,7,-3.5\n"
+                              b"inf,0.1,1e-300,-999999999999999\n")
+    # a density grid converts row by row: this one as a list of Python floats
+    # would take about 6 MB (the README's 1000 x 601 grid about 18 MB)
+    grid = np.random.default_rng(59).normal(size=(300, 601))
+    grid[::7, 5] = -np.inf
+    for arr in (grid, np.arange(300 * 601).reshape(300, 601)):
+        tracemalloc.start()
+        try:
+            write_csv_matrix(tmp_path / "big.csv", arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak

@@ -469,3 +469,22 @@ def test_exp_mean_log_summary_is_the_mean_of_the_log_densities(tmp_path):
     mean = read_csv_matrix(tmp_path / "dens.mean.csv")
     assert mean.shape == (1, dens.shape[1])
     assert mean[0].tobytes() == postprocess.mean_log_density(dens).tobytes()
+
+
+@pytest.mark.parametrize("file_name, text, key", [
+    ("algo.txt", ALGO_TEXT + "neal8_naux: 7\n", "'neal8_naux'"),
+    ("algo.txt", ALGO_TEXT + "neal8_n_aux: 7\n", "'neal8_n_aux' is read by Neal8 only"),
+    ("dp.txt", DP_TEXT + "gamma_prior_typo { shape: 2.0 rate: 2.0 }\n", "'gamma_prior_typo'"),
+    ("g0.txt", G0_TEXT.replace("}", "extra: 3\n}"), "'fixed_values.extra'"),
+    ("g0.txt", G0_TEXT + "step_size: 0.3\n", "'step_size' is read by a Metropolis updater only"),
+], ids=["algo_typo", "n_aux_without_neal8", "dp_block_typo", "fixed_values_extra", "step_size"])
+def test_a_key_the_run_does_not_read_stops_it_naming_key_and_file(tmp_path, capsys, file_name,
+                                                                   text, key):
+    # a misspelt key used to run with its default: 3 auxiliaries, or a DP
+    # without its hyperprior
+    _write_run_inputs(tmp_path)
+    (tmp_path / file_name).write_text(text)
+    assert main(_full_run_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / file_name}: ") and key in err, err
+    assert not (tmp_path / "chains.chain").exists()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from mixmcmc.config import (
     serialize_config,
 )
 from mixmcmc.exceptions import ConfigError
+from mixmcmc.hierarchy import build_hierarchy
+from mixmcmc.mixings import build_mixing
+from mixmcmc.priors import NIGHypers
 
 DP_TEXT = """
 fixed_value {
@@ -246,3 +251,44 @@ def test_non_finite_numbers_are_rejected_with_their_key():
         mapped.get_float("mean")
     with pytest.raises(ConfigError, match="'data'"):
         mapped.get_list("data")
+
+
+def test_algo_params_reject_a_key_they_do_not_read():
+    # a misspelt neal8_n_aux used to run Neal8 with the default 3 auxiliaries
+    neal8 = ALGO_TEXT.replace('"Neal2"', '"Neal8"')
+    with pytest.raises(ConfigError, match="unknown key 'neal8_naux'"):
+        parse_algo_params(parse_config(neal8 + "neal8_naux: 7\n"))
+    assert parse_algo_params(parse_config(neal8 + "neal8_n_aux: 7\n")).neal8_n_aux == 7
+    # no sampler but Neal8 reads it
+    with pytest.raises(ConfigError,
+                       match="'neal8_n_aux' is read by Neal8 only; algo_id is 'Neal2'"):
+        parse_algo_params(parse_config(ALGO_TEXT + "neal8_n_aux: 3\n"))
+    with pytest.raises(ConfigError, match="unknown key 'block'"):
+        parse_algo_params(parse_config(ALGO_TEXT + "block { rng_seed: 1 }\n"))
+
+
+def test_a_tree_is_checked_for_its_own_reads_alone():
+    # reading one copy marks nothing in the tree given, so a second reader
+    # checks its own reads
+    tree = parse_config(ALGO_TEXT.replace('"Neal2"', '"Neal8"') + "neal8_n_aux: 5\n")
+    parse_algo_params(tree)
+    tree.entries[0] = ("algo_id", "Neal2")
+    with pytest.raises(ConfigError, match="neal8_n_aux"):
+        parse_algo_params(tree)
+
+
+def _readme_block(title):
+    """The fenced block of README.md whose first line is ``title``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = [b for b in readme.split("```")[1::2] if b.strip().startswith(title)]
+    return block
+
+
+def test_readme_parameter_files_build():
+    # the examples of README's "Parameter files" parse and build as they are
+    params = parse_algo_params(parse_config(_readme_block("# algo_params.txt")))
+    assert (params.algo_id, params.iterations, params.burnin) == ("Neal2", 1500, 500)
+    g0 = build_hierarchy("NNIG", parse_config(_readme_block("# g0_params.txt (NNIG)")))
+    assert g0.prior.hypers == NIGHypers(0.0, 0.1, 2.0, 2.0)
+    dp = build_mixing("DP", parse_config(_readme_block("# dp_params.txt")))
+    assert (dp.totalmass, dp.gamma_prior) == (1.0, None)

@@ -26,14 +26,15 @@ sweep (Escobar and West 1995). Forward: the mass from its Gamma prior,
 then a CRP of that mass. The mass joins the compared statistics.
 
 The blocked Gibbs cells (Ishwaran and James 2001) run NNIG, LapNIG under
-the random walk and NNW under a truncated stick-breaking mixing of
+the random walk, NNW and NNxIG under a truncated stick-breaking mixing of
 ``COMPONENTS`` components. Forward: the stick fractions from their
 Beta(1, MASS) prior, then N iid labels from the weights they make. Its k
 is the number of occupied components, and datum 0's component parameters
 come from the prior, as an empty component's do. The empty components are
 drawn from the prior too: by the Metropolis updater's prior draw, which
-then renumbers the occupied ones' labels, and by NNW's stacked draw at
-card 0.
+then renumbers the occupied ones' labels, by NNW's stacked draw at card 0,
+and by NNxIG's elementwise Gibbs scan at card 0, which no marginal sampler
+runs beside occupied clusters.
 """
 
 import math
@@ -77,8 +78,13 @@ PARAMETERS["NNxIG"] = PARAMETERS["LapNIG"] = PARAMETERS["NNIG"]  # LapNIG's var 
 def _statistics(hier_type, k, states):
     """Rows: k = 1, ..., N indicators, then the family's parameters of datum 0's cluster."""
     k = np.asarray(k)
-    return np.array([k == j for j in range(1, N + 1)]
-                    + [np.ravel(f(states)) for _, f in PARAMETERS[hier_type]], dtype=float)
+    return np.array([k == j for j in range(1, N + 1)] + _parameters(hier_type, states),
+                    dtype=float)
+
+
+def _parameters(hier_type, states):
+    """The family's compared parameters of a batch of states, a row each."""
+    return [np.ravel(f(states)) for _, f in PARAMETERS[hier_type]]
 
 
 def _forward(hier_type, draws, rng, strength=MASS, discount=0.0):
@@ -125,17 +131,18 @@ def _kernel_draws(hier_type, states, rng):
 
 
 def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater=None,
-                            mixing=None, with_mass=False):
+                            mixing=None, with_mass=False, with_last=False):
     """``updater`` adds the Metropolis updater's keys to the hierarchy's args;
     the mixing is DP(MASS) unless given. ``with_mass`` adds a last row, the
-    mixing's total mass after each kept sweep."""
+    mixing's total mass after each kept sweep; ``with_last`` adds the rows of
+    the last cluster's parameters."""
     args = dict(HIER_ARGS[hier_type], **(updater or {}))
     algo = build_algorithm(algo_id, build_hierarchy(hier_type, args),
                            mixing or DirichletMixing(MASS))
     # the first data come from the template's starting state
     algo._prepare_data(_kernel_draws(hier_type, [algo.template.likelihood.state] * N, rng))
     algo._initialize(rng)
-    k, kept, masses = [], [], []
+    k, kept, masses, last = [], [], [], []
     for t in range(burnin + iterations):
         algo.step(rng)
         states = [algo.clusters[h].state for h in algo.allocations]
@@ -145,9 +152,12 @@ def _successive_conditional(algo_id, hier_type, iterations, burnin, rng, updater
             kept.append(states[0])
             if with_mass:
                 masses.append(algo.mixing.totalmass)
+            last.append(algo.clusters[-1].state)
         algo._prepare_data(_kernel_draws(hier_type, states, rng))
         algo._recount()
     stats = _statistics(hier_type, k, stack_states(kept))
+    if with_last:
+        stats = np.vstack([stats, *_parameters(hier_type, stack_states(last))])
     return np.vstack([stats, masses]) if with_mass else stats
 
 
@@ -201,17 +211,23 @@ def test_each_metropolis_family_matches_forward_draws(cell, step_size, seed):
                   _successive_conditional(algo_id, hier_type, 10_000, 200, rng, updater))
 
 
-@pytest.mark.parametrize("cell, seed", [("NNIG", 115), ("LapNIG/rwmh", 119), ("NNW", 120)])
+@pytest.mark.parametrize("cell, seed", [("NNIG", 115), ("LapNIG/rwmh", 119), ("NNW", 120),
+                                        ("NNxIG", 121)])
 def test_blocked_gibbs_matches_forward_draws(cell, seed):
     # LapNIG's random walk draws the empty components from the prior and renumbers
-    # the occupied ones' labels; NNW's stacked draw runs the empty ones at card 0
+    # the occupied ones' labels; NNW's stacked draw and NNxIG's Gibbs scan run the
+    # empty ones at card 0, beside the occupied ones
+    # the last component, mostly empty, has the prior as its law too
     hier_type, *kind = cell.split("/")
     updater = {"updater": kind[0], "step_size": 1.0, "num_steps": 3} if kind else None
     rng = np.random.default_rng(seed)
     forward = _forward_blocked(hier_type, 200_000, rng)
-    _assert_agree(hier_type, forward, _successive_conditional(
+    last = _parameters(hier_type,
+                       _prior_draws(hier_type, 200_000, np.random.default_rng([seed, 1])))
+    _assert_agree(hier_type, np.vstack([forward, *last]), _successive_conditional(
         "BlockedGibbs", hier_type, 10_000, 200, rng, updater,
-        mixing=TruncatedSBMixing(COMPONENTS, MASS)))
+        mixing=TruncatedSBMixing(COMPONENTS, MASS), with_last=True),
+        extra=[f"last component's {name}" for name, _ in PARAMETERS[hier_type]])
 
 
 def test_dp_with_a_gamma_hyperprior_matches_forward_draws():

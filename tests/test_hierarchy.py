@@ -331,6 +331,52 @@ def test_metropolis_keys_without_a_metropolis_updater_raise(hier_type, args, key
     assert (lap.updater.step_size, lap.updater.num_steps, lap.updater.langevin) == (0.3, 2, False)
 
 
+@pytest.mark.parametrize("hier_type, args, key", [
+    ("NNIG", {"fixed_values": {**NNIG_ARGS["fixed_values"], "extra": 3.0}},
+     "unknown key 'fixed_values.extra'"),
+    ("LapNIG", {**LAP_ARGS, "num_step": 5.0}, "unknown key 'num_step'"),
+    ("LapNIG", {**LAP_ARGS, "updater": "mala", "stepsize": 0.1}, "unknown key 'stepsize'"),
+    ("NNxIG", {"fixed_values": {**LAP_ARGS["fixed_values"], "var_scaling": 0.1}},
+     "unknown key 'fixed_values.var_scaling'"),
+    ("GammaGamma", {**GAMMA_ARGS, "fixed_value": {"shape": 1.0}}, "unknown key 'fixed_value'"),
+    ("NNW", {"fixed_values": {**NNW_ARGS["fixed_values"],
+                              "mean": {"size": 2, "data": [0.0, 0.0], "rowmajor": True}}},
+     "unknown key 'fixed_values.mean.rowmajor'"),
+])
+def test_a_key_the_family_does_not_read_is_rejected(hier_type, args, key):
+    # a key no reader takes used to be dropped, whatever it was meant to set
+    with pytest.raises(ConfigError, match=key):
+        build_hierarchy(hier_type, args)
+
+
+def test_a_table_entry_is_a_whole_family(monkeypatch):
+    # a renamed copy of the NNIG entry is a family of its own: the config
+    # reader, the estimator's defaults and a sampler take it from the table alone
+    import mixmcmc.hierarchy as hierarchy
+    from mixmcmc.chainio import MemoryCollector
+    from mixmcmc.estimator import BayesianMixture
+
+    monkeypatch.setitem(hierarchy._FAMILIES, "NNIG2", hierarchy._FAMILIES["NNIG"])
+    h = build_hierarchy("NNIG2", parse_config(
+        "fixed_values { mean: 0.0 var_scaling: 0.1 shape: 2.0 scale: 2.0 }"))
+    assert (h.name, h.prior.hypers, h.is_conjugate()) == ("NNIG2", NIGHypers(0.0, 0.1, 2.0, 2.0),
+                                                          True)
+    with pytest.raises(ConfigError, match="'NNIG2' runs ConjugateUpdater"):
+        build_hierarchy("NNIG2", {**NNIG_ARGS, "num_steps": 2.0})
+    rng = np.random.default_rng(3)
+    x = np.concatenate((rng.normal(-3.0, 1.0, 20), rng.normal(3.0, 1.0, 20)))[:, None]
+    est = BayesianMixture(hier_type="NNIG2", iterations=60, burnin=20, random_state=4).fit(x)
+    twin = BayesianMixture(hier_type="NNIG", iterations=60, burnin=20, random_state=4).fit(x)
+    assert est.algorithm_.template.name == "NNIG2"
+    assert np.array_equal(est.labels_, twin.labels_)
+    algo = build_algorithm("Neal2", h, DirichletMixing(1.0))
+    collector = MemoryCollector()
+    algo.run(x, 30, 10, collector, np.random.default_rng(5))
+    assert len(list(collector)) == 20
+    with pytest.raises(ConfigError, match="accepted by NNIG, NNxIG, LapNIG, NNIG2"):
+        build_hierarchy("NNW", {**NNW_ARGS, "updater": "rwmh"})
+
+
 def test_metropolis_updater_from_config():
     args = dict(NNIG_ARGS)
     args["updater"] = "mala"

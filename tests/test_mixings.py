@@ -216,6 +216,26 @@ def test_build_mixing_from_config_texts():
         build_mixing("XY", parse_config(""))
 
 
+@pytest.mark.parametrize("mix_type, text, key", [
+    ("DP", "fixed_value { totalmass: 1.0 }\ngamma_prior_typo { shape: 2.0 rate: 2.0 }",
+     "gamma_prior_typo"),
+    ("DP", "fixed_value { totalmass: 1.0 discount: 0.5 }", "fixed_value.discount"),
+    ("DP", "gamma_prior { shape: 2.0 rate: 2.0 mean: 1.0 }", "gamma_prior.mean"),
+    ("PY", "fixed_values { strength: 1.0 discount: 0.2 }\ntotalmass: 1.0", "totalmass"),
+    ("TruncSB", "num_component: 12", "num_component"),
+])
+def test_a_key_the_mixing_does_not_read_is_rejected(mix_type, text, key):
+    # a misspelt gamma_prior block used to drop the DP hyperprior silently
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        build_mixing(mix_type, parse_config(text))
+
+
+def test_a_repeated_block_is_rejected_where_one_is_read():
+    with pytest.raises(ConfigError, match="repeated key 'fixed_value'"):
+        build_mixing("DP", parse_config("fixed_value { totalmass: 1.0 }\n"
+                                        "fixed_value { totalmass: 2.0 }"))
+
+
 def test_state_params_round_trip():
     mix = TruncatedSBMixing(4, totalmass=1.5)
     rng = np.random.default_rng(49)

@@ -284,13 +284,12 @@ def write_csv_matrix(path, matrix):
     if arr.dtype.kind in "iu" and (arr.size == 0 or -1e15 < arr.min() and arr.max() < 1e15):
         # the same text as _format_cell, without a Python call per cell
         lines = (",".join(map(str, row.tolist())) for row in arr)
-    elif arr.dtype.kind == "f":
-        # a row without a finite integral cell is _format_cell's repr throughout
-        arr = arr.astype(float, copy=False)  # the cells as _format_cell sees them
+    else:
+        # any other dtype is written as its float cells; a row without a finite
+        # integral cell is _format_cell's repr throughout
+        arr = arr.astype(float, copy=False)
         lines = (",".join(map(_format_cell if _has_integral(row) else repr, row.tolist()))
                  for row in arr)
-    else:
-        lines = (",".join(_format_cell(v) for v in row) for row in arr)
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line)

@@ -67,11 +67,11 @@ def _mean_sibling_path(dens_path):
 
 
 def _read_params(path, build, *head):
-    """``build(*head, tree)`` of the parameter file ``path``, if any; a config error names it."""
+    """``build(*head, tree)`` of the parameter file ``path``, if any; a ValueError names it."""
     tree = read_config(path) if path else None
     try:
         return build(*head, tree)
-    except ConfigError as err:
+    except ValueError as err:
         if not path:
             raise
         raise ConfigError(f"{path}: {err}") from None

@@ -30,6 +30,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import ConfigError
 
 _TOKEN = re.compile(r"""
@@ -72,10 +74,9 @@ class ConfigTree:
         the type found.
         """
         v = self.get(key, default)
-        if v is None:
-            raise ConfigError(f"missing required key '{key}'")
         if not isinstance(v, kind):
-            raise ConfigError(f"key '{key}' must be " + expected.format(type(v).__name__))
+            raise ConfigError(f"key '{key}' must be " + expected.format(type(v).__name__)
+                              if self.has(key) else f"missing required key '{key}'")
         return v
 
     def get_float(self, key, default=None):
@@ -101,7 +102,7 @@ class ConfigTree:
 
     def get_list(self, key):
         v = self._typed(key, None, list, "a numeric list")
-        if not all(map(math.isfinite, v)):
+        if not all(type(x) is float and math.isfinite(x) for x in v):
             raise ConfigError(f"key '{key}' must hold finite numbers, got {v!r}")
         return list(v)
 
@@ -111,17 +112,18 @@ class ConfigTree:
     @classmethod
     def from_mapping(cls, mapping):
         """Build a tree from a plain dict (nested dicts become subtrees)."""
-        tree = cls()
-        for k, v in mapping.items():
-            if isinstance(v, dict):
-                tree.entries.append((k, cls.from_mapping(v)))
-            elif isinstance(v, (str, bool)):
-                tree.entries.append((k, v))
-            elif isinstance(v, (list, tuple)):
-                tree.entries.append((k, [float(x) for x in v]))
-            else:
-                tree.entries.append((k, float(v)))
-        return tree
+        return cls([(k, cls.from_mapping(v) if isinstance(v, dict) else _plain(v))
+                    for k, v in mapping.items()])
+
+
+def _plain(value):
+    """A mapping's value as the parser gives it: a number as a float and a list as a list,
+    numpy values as Python ones; anything else as it is, for the typed getter to reject."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return list(map(_plain, value))
+    return float(value) if type(value) in (int, float) else value
 
 
 def _fresh(args):

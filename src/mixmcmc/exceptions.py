@@ -24,8 +24,8 @@ class ConfigError(MixError, ValueError):
 class CapabilityError(MixError):
     """An operation was requested from a component that does not support it.
 
-    Raised e.g. when asking a conditional mixing for marginal cluster masses,
-    or a multivariate state for an unconstrained parameterization.
+    Raised e.g. when asking a non-conjugate hierarchy for a predictive
+    density, or a multivariate state for an unconstrained parameterization.
     """
 
 

@@ -92,13 +92,17 @@ class _BaseLikelihood:
 
     def __init__(self, state, stats):
         self.state = state
-        self.stats = stats
+        # those of no data, which every empty clone shares: statistics are never written in place
+        self.stats = self._no_stats = stats
         self.card = 0
 
     def clone_empty(self):
         """A cluster with no data, a copy of the state and the same reference."""
-        clone = self._empty()
-        clone.ref = self.ref
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.state = self.state.copy()
+        clone.stats = self._no_stats
+        clone.card = 0
         return clone
 
     @staticmethod
@@ -127,9 +131,6 @@ class UniNormLikelihood(_BaseLikelihood):
     def __init__(self, state=None):
         # stats: [sum of z, sum of z^2], z = y - ref
         super().__init__(state if state is not None else UniLSState(0.0, 1.0), [0.0, 0.0])
-
-    def _empty(self):
-        return UniNormLikelihood(self.state.copy())
 
     def stat_terms(self, data):
         """Every datum's z and z^2, shape (2, n)."""
@@ -174,9 +175,6 @@ class MultiNormLikelihood(_BaseLikelihood):
     def dim(self):
         return self.state.dim
 
-    def _empty(self):
-        return MultiNormLikelihood(self.state.copy())
-
     def stat_terms(self, data):
         """Every datum's z over z z^T, shape (n, d + 1, d)."""
         z = data - self.ref
@@ -211,9 +209,6 @@ class LaplaceLikelihood(_BaseLikelihood):
 
     def __init__(self, state=None):
         super().__init__(state if state is not None else UniLSState(0.0, 1.0), [])
-
-    def _empty(self):
-        return LaplaceLikelihood(self.state.copy())
 
     def stat_terms(self, data):
         return None
@@ -270,14 +265,8 @@ class GammaLikelihood(_BaseLikelihood):
     """
 
     def __init__(self, shape, state=None):
-        if shape <= 0:
-            raise ValueError("shape must be positive")
         # stats: [sum of y]
         super().__init__(state if state is not None else GammaState(shape, 1.0), [0.0])
-        self.shape = float(shape)
-
-    def _empty(self):
-        return GammaLikelihood(self.shape, self.state.copy())
 
     def stat_terms(self, data):
         """Every datum's y, shape (1, n)."""

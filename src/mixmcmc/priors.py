@@ -124,7 +124,7 @@ class NIGPrior(_Prior):
                                    h.shape, size)
         var = h.scale / gammas
         mean = h.mean + np.sqrt(var / h.var_scaling) * normals
-        return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
+        return StateBatch(UniLSState, mean=mean, var=var)
 
     def _unconstrained_lpdf(self, mean, log_var, e):
         """log N(mean | mean0, var / var_scaling) + log IG(var | shape, scale) + log var.
@@ -157,7 +157,7 @@ class NxIGPrior(_Prior):
     def _draw(self, rng, size, h):
         mean = h.mean + math.sqrt(h.var) * rng.standard_normal(size)
         var = h.scale / rng.gamma(h.shape, size=size)
-        return StateBatch(UniLSState, ("mean", "var"), mean=mean, var=var)
+        return StateBatch(UniLSState, mean=mean, var=var)
 
     def _unconstrained_lpdf(self, mean, log_var, e):
         """log N(mean | mean0, var0) + log IG(var | shape, scale) + log var, e = 1/var.
@@ -203,9 +203,9 @@ class NWPrior(_Prior):
 
     def _draw(self, rng, size, h):
         """The chi-square block, the normal block, then the mean's normals. A
-        batch holds ``mean``, ``cov``, its Cholesky factor ``chol`` (the drawn
-        ``cov`` is exactly symmetric), ``chol_inv`` and ``log_det``, which the
-        kernel's batch score reads and the state's constructor takes."""
+        batch holds ``mean``, ``cov`` (exactly symmetric), the inverse of its
+        Cholesky factor ``chol_inv`` and ``log_det``, which the kernel's batch
+        score reads and the state's constructor takes."""
         bartlett = self._prior_bartlett if h is self.hypers else self._bartlett_factor(h.scale)
         d = h.dim
         diag, lower = np.arange(d), d * (d - 1) // 2
@@ -221,8 +221,8 @@ class NWPrior(_Prior):
             raise ValueError("a drawn 'cov' is not positive definite") from err
         mean = h.mean + (chol @ z)[..., 0] / np.sqrt(np.asarray(h.var_scaling)[..., None])
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-        return StateBatch(MultiLSState, ("mean", "cov", "chol", "chol_inv", "log_det"), mean=mean,
-                          cov=cov, chol=chol, chol_inv=np.linalg.inv(chol), log_det=log_det)
+        return StateBatch(MultiLSState, mean=mean, cov=cov, chol_inv=np.linalg.inv(chol),
+                          log_det=log_det)
 
 
 def _inverse_wishart(chol_inv_scale, chi2, normals):
@@ -252,4 +252,4 @@ class GammaPrior(_Prior):
         gammas, = variates(lambda a, s=None: (rng.gamma(a, size=s),), h.rate_alpha, size)
         rate = gammas / h.rate_beta
         # every draw shares the kernel shape
-        return StateBatch(GammaState, ("shape", "rate"), shape=h.shape, rate=rate)
+        return StateBatch(GammaState, shape=h.shape, rate=rate)

@@ -1,11 +1,13 @@
 """Parameter containers for mixture components.
 
-Each state knows how to copy itself and serialize to/from a flat
-``params`` map (name -> array + shape). :class:`UniLSState` also maps
-between its constrained and unconstrained representations (the priors add
-the log-Jacobian, ``log var``, to their unconstrained densities); the other
-states raise :class:`~mixmcmc.exceptions.CapabilityError` when asked for one. A
-:class:`StateBatch` holds many states of one class as arrays.
+A state class writes its fields (``__slots__``, in constructor order) and
+its checks; :class:`_State` gives it ``copy``, equality and the flat
+``params`` map (name -> array) of a chain record, over the fields in
+``_params`` (all unless the class names fewer). :class:`UniLSState` also
+maps to and from its unconstrained representation (the priors add the
+log-Jacobian, ``log var``, to their unconstrained densities); the other
+states raise :class:`~mixmcmc.exceptions.CapabilityError` when asked for
+one. A :class:`StateBatch` holds many states of one class as arrays.
 """
 
 import math
@@ -17,7 +19,38 @@ from ._validation import check_positive, check_spd_matrix
 from .exceptions import CapabilityError
 
 
-class UniLSState:
+class _State:
+    """A state's copy, equality and ``params``; ``from_params`` takes scalar fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_params" not in vars(cls):  # a record keeps every field
+            cls._params = cls.__slots__
+
+    def copy(self):
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(out, name, value.copy() if isinstance(value, np.ndarray) else value)
+        return out
+
+    def to_params(self):
+        return {name: np.array(getattr(self, name), ndmin=1) for name in self._params}
+
+    @classmethod
+    def from_params(cls, params):
+        return cls(*[params[name][0] for name in cls._params])
+
+    def to_unconstrained(self):
+        raise CapabilityError(f"{type(self).__name__} has no unconstrained representation")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self._params)
+
+
+class UniLSState(_State):
     """Univariate location-scale parameters (mean, var), var > 0.
 
     The unconstrained representation is (mean, log var); the log-Jacobian
@@ -30,9 +63,6 @@ class UniLSState:
         self.mean = float(mean)
         self.var = check_positive(var, "var")
 
-    def copy(self):
-        return UniLSState(self.mean, self.var)
-
     def to_unconstrained(self):
         return np.array([self.mean, math.log(self.var)])
 
@@ -42,86 +72,49 @@ class UniLSState:
             raise ValueError(f"expected 2 coordinates, got {len(u)}")
         return cls(u[0], math.exp(u[1]))
 
-    def to_params(self):
-        return {
-            "mean": np.array([self.mean]),
-            "var": np.array([self.var]),
-        }
-
-    @classmethod
-    def from_params(cls, params):
-        return cls(params["mean"][0], params["var"][0])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniLSState)
-            and self.mean == other.mean
-            and self.var == other.var
-        )
-
     def __repr__(self):
         return f"UniLSState(mean={self.mean:.6g}, var={self.var:.6g})"
 
 
-class MultiLSState:
+class MultiLSState(_State):
     """Multivariate location-scale parameters (mean vector, SPD covariance).
 
-    The Cholesky factor, its inverse and the covariance log-determinant are
-    computed once at construction and cached; no unconstrained transform is
-    provided. A caller that already holds the lower Cholesky factor of an
-    exactly symmetric ``cov`` passes it as ``chol``, and ``cov`` is then
-    taken without the checks; its inverse and ``log_det`` may come along.
+    The inverse Cholesky factor and the covariance log-determinant are
+    computed once at construction and cached; a record keeps the mean and
+    the covariance. A caller that already holds both for an exactly
+    symmetric ``cov`` passes them as ``chol_inv`` and ``log_det``, and
+    ``cov`` is then taken without the checks.
     """
 
-    __slots__ = ("mean", "cov", "chol", "chol_inv", "log_det")
+    __slots__ = ("mean", "cov", "chol_inv", "log_det")
+    _params = ("mean", "cov")
 
-    def __init__(self, mean, cov, chol=None, chol_inv=None, log_det=None):
+    def __init__(self, mean, cov, chol_inv=None, log_det=None):
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
-        if chol is None:
+        if chol_inv is None:
             cov, chol = check_spd_matrix(cov, "cov")
+            chol_inv = np.linalg.inv(chol)
+            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
         if cov.shape[0] != self.mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
         self.cov = cov
-        self.chol = chol
-        self.chol_inv = np.linalg.inv(chol) if chol_inv is None else chol_inv
-        self.log_det = float(2.0 * np.sum(np.log(np.diag(chol))) if log_det is None else log_det)
+        self.chol_inv = chol_inv
+        self.log_det = float(log_det)
 
     @property
     def dim(self):
         return self.mean.shape[0]
-
-    def copy(self):
-        out = MultiLSState.__new__(MultiLSState)
-        out.mean = self.mean.copy()
-        out.cov = self.cov.copy()
-        out.chol = self.chol.copy()
-        out.chol_inv = self.chol_inv.copy()
-        out.log_det = self.log_det
-        return out
-
-    def to_unconstrained(self):
-        raise CapabilityError("MultiLSState has no unconstrained representation")
-
-    def to_params(self):
-        return {"mean": self.mean.copy(), "cov": self.cov.copy()}
 
     @classmethod
     def from_params(cls, params):
         d = params["mean"].shape[0]
         return cls(params["mean"], params["cov"].reshape(d, d))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiLSState)
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.cov, other.cov)
-        )
-
     def __repr__(self):
         return f"MultiLSState(dim={self.dim})"
 
 
-class GammaState:
+class GammaState(_State):
     """Gamma kernel parameters (shape, rate), both positive.
 
     The family is conjugate and fixes the shape, so no unconstrained
@@ -135,29 +128,6 @@ class GammaState:
         self.shape = check_positive(shape, "shape")
         self.rate = check_positive(rate, "rate")
 
-    def copy(self):
-        return GammaState(self.shape, self.rate)
-
-    def to_unconstrained(self):
-        raise CapabilityError("GammaState has no unconstrained representation")
-
-    def to_params(self):
-        return {
-            "shape": np.array([self.shape]),
-            "rate": np.array([self.rate]),
-        }
-
-    @classmethod
-    def from_params(cls, params):
-        return cls(params["shape"][0], params["rate"][0])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GammaState)
-            and self.shape == other.shape
-            and self.rate == other.rate
-        )
-
     def __repr__(self):
         return f"GammaState(shape={self.shape:.6g}, rate={self.rate:.6g})"
 
@@ -170,26 +140,24 @@ class StateBatch:
     (shape ``()``) holds that state's own fields. The fields carry the
     state's attribute names, so a formula that reads ``st.mean`` and
     ``st.var`` works on a state and on a batch alike: a likelihood's
-    ``score_batch`` takes one state as a batch of shape (). ``args`` names the
-    fields the state's constructor takes, in order (None for a batch that
-    is only scored).
+    ``score_batch`` takes one state as a batch of shape (). The state's
+    constructor takes its ``__slots__``, in order.
     """
 
-    def __init__(self, state_cls, args, **fields):
+    def __init__(self, state_cls, **fields):
         self.state_cls = state_cls
-        self.args = args
         self.__dict__.update(fields)
 
     def state(self, index):
         """The state at ``index``, built through its constructor and checks."""
-        values = [getattr(self, name) for name in self.args]
+        values = [getattr(self, name) for name in self.state_cls.__slots__]
         return self.state_cls(*[v[index] if isinstance(v, np.ndarray) else v for v in values])
 
     def states(self):
         """The states of a batch of shape (k,), in order, each as ``state`` builds it."""
         return list(map(self.state_cls, *[
             (v.tolist() if v.ndim == 1 else list(v)) if isinstance(v, np.ndarray) else repeat(v)
-            for v in (getattr(self, name) for name in self.args)]))
+            for v in (getattr(self, name) for name in self.state_cls.__slots__)]))
 
 
 def stack_states(states):
@@ -203,4 +171,4 @@ def stack_states(states):
     fields = {name: getattr(states[0], name) if name in shared
               else np.array([getattr(st, name) for st in states])[None]
               for name in cls.__slots__}
-    return StateBatch(cls, None, **fields)
+    return StateBatch(cls, **fields)

@@ -33,7 +33,7 @@ from math import inf, isfinite
 import numpy as np
 
 from ._validation import check_positive, check_positive_int
-from .exceptions import CapabilityError
+from .exceptions import CapabilityError, ConfigError
 from .likelihoods import squared_norm_rows, whiten_rows
 from .priors import GammaPriorHypers, NIGHypers, NWHypers, variates
 from .states import UniLSState
@@ -386,6 +386,6 @@ _METROPOLIS_KINDS = {"rwmh": (False, 0.25), "mala": (True, 0.1)}
 def build_metropolis_updater(kind, step_size=None, num_steps=1):
     """Create a Metropolis updater by config name ('rwmh' or 'mala')."""
     if kind not in _METROPOLIS_KINDS:
-        raise ValueError(f"unknown updater '{kind}'; expected 'rwmh' or 'mala'")
+        raise ConfigError(f"key 'updater' must be 'rwmh' or 'mala', got {kind!r}")
     langevin, default_step = _METROPOLIS_KINDS[kind]
     return MetropolisUpdater(default_step if step_size is None else step_size, num_steps, langevin)

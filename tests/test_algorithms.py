@@ -175,17 +175,28 @@ def test_extreme_separation_follows_enumeration_oracle():
     assert together > 0.99
 
 
+_TWO_POINT_CELLS = {
+    "Neal2-None": ("Neal2", None, None), "Neal3-None": ("Neal3", None, None),
+    "Neal8-1": ("Neal8", 1, None), "Neal8-3": ("Neal8", 3, None),
+    # each datum is its own block of the score table, so births fall
+    # between blocks and each block's uniforms follow the births before it
+    "Neal2-rows1": ("Neal2", None, 1)}
+
+
 @pytest.mark.parametrize(
-    "algo_id,n_aux,table_rows",
-    [("Neal2", None, None), ("Neal3", None, None), ("Neal8", 1, None), ("Neal8", 3, None),
-     # each datum is its own block of the score table, so births fall
-     # between blocks and each block's uniforms follow the births before it
-     ("Neal2", None, 1)],
-    ids=["Neal2-None", "Neal3-None", "Neal8-1", "Neal8-3", "Neal2-rows1"],
+    "algo_id,n_aux,table_rows,tiny",
+    # at _TINY = inf no sum of weights passes, so every datum is drawn from its
+    # log weights, the guard path
+    [cell + (None,) for cell in _TWO_POINT_CELLS.values()]
+    + [cell + (math.inf,) for cell in _TWO_POINT_CELLS.values()],
+    ids=list(_TWO_POINT_CELLS) + [f"{name}-log" for name in _TWO_POINT_CELLS],
 )
-def test_two_point_coclustering_matches_enumeration(monkeypatch, algo_id, n_aux, table_rows):
+def test_two_point_coclustering_matches_enumeration(monkeypatch, algo_id, n_aux, table_rows,
+                                                    tiny):
     if table_rows is not None:
         monkeypatch.setattr(algorithms, "_TABLE_ROWS", table_rows)
+    if tiny is not None:
+        monkeypatch.setattr(algorithms, "_TINY", tiny)
     target = nnig_dp_coclustering_probability(-1.0, 1.0, 0.0, 0.1, 2.0, 2.0, alpha=1.0)
     kwargs = {} if n_aux is None else {"n_aux": n_aux}
     algo = build_algorithm(algo_id, _nnig(), DirichletMixing(1.0), **kwargs)

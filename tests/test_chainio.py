@@ -364,6 +364,12 @@ def test_write_csv_keeps_its_bytes_and_holds_no_list_of_the_matrix(tmp_path):
                                   [np.inf, 0.1, 1e-300, -1e15 + 1]]))
     assert p.read_bytes() == (b"2,-inf,0.25,nan\n0,1000000000000000.0,7,-3.5\n"
                               b"inf,0.1,1e-300,-999999999999999\n")
+    # a bool matrix, and an int one with a cell of 1e15 or more, are written as floats
+    write_csv_matrix(p, np.array([[True, False], [False, False]]))
+    assert p.read_bytes() == b"1,0\n0,0\n"
+    write_csv_matrix(p, np.array([[10**15, -10**15, 3], [2**62, 0, -1]]))
+    assert p.read_bytes() == (b"1000000000000000.0,-1000000000000000.0,3\n"
+                              b"4.611686018427388e+18,0,-1\n")
     # a density grid converts row by row: this one as a list of Python floats
     # would take about 6 MB (the README's 1000 x 601 grid about 18 MB)
     grid = np.random.default_rng(59).normal(size=(300, 601))

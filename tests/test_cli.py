@@ -208,22 +208,31 @@ def test_infinite_positive_value_stops_before_the_chain_file(tmp_path, capsys, f
     assert chain.read_bytes() == before
 
 
-@pytest.mark.parametrize("old, new, key", [
-    ('"Neal2"', '"Neal9"', "algo_id"),
-    ("iterations: 300", "iterations: 0", "iterations"),
-    ("burnin: 100", "burnin: -1", "burnin"),
-    ("burnin: 100", "burnin: 300", "burnin"),
-    ("init_num_clusters: 3", "init_num_clusters: 0", "init_num_clusters"),
+@pytest.mark.parametrize("file_name, old, new, key", [
+    ("algo.txt", '"Neal2"', '"Neal9"', "algo_id"),
+    ("algo.txt", "iterations: 300", "iterations: 0", "iterations"),
+    ("algo.txt", "burnin: 100", "burnin: -1", "burnin"),
+    ("algo.txt", "burnin: 100", "burnin: 300", "burnin"),
+    ("algo.txt", "init_num_clusters: 3", "init_num_clusters: 0", "init_num_clusters"),
+    # an error in building a parameter file names the file
+    ("algo.txt", "rng_seed: 20201124", "rng_seed: -1", "algo.txt: rng_seed"),
+    ("algo.txt", '"Neal2"', '"Neal8"\nneal8_n_aux: 0', "algo.txt: neal8_n_aux"),
+    ("g0.txt", "scale: 2.0", "scale: -2.0", "g0.txt: 'scale'"),
+    ("g0.txt", "}", '}\nupdater: "rwmh"\nstep_size: 0.0', "g0.txt: 'step_size'"),
+    ("g0.txt", "}", '}\nupdater: "hmc"', "g0.txt: key 'updater'"),
 ], ids=["algo_id", "iterations", "negative_burnin", "burnin_at_iterations",
-        "init_num_clusters"])
-def test_invalid_run_parameter_stops_before_the_chain_file(tmp_path, capsys, old, new, key):
+        "init_num_clusters", "negative_rng_seed", "neal8_n_aux", "scale", "step_size",
+        "updater"])
+def test_invalid_run_parameter_stops_before_the_chain_file(tmp_path, capsys, file_name, old,
+                                                           new, key):
     # the builders and the sampler's run check these keys, before any sweep
     _write_run_inputs(tmp_path)
     assert main(_full_run_args(tmp_path)) == 0
     chain = tmp_path / "chains.chain"
     before = chain.read_bytes()
-    assert old in ALGO_TEXT
-    (tmp_path / "algo.txt").write_text(ALGO_TEXT.replace(old, new))
+    text = {"algo.txt": ALGO_TEXT, "g0.txt": G0_TEXT}[file_name]
+    assert old in text
+    (tmp_path / file_name).write_text(text.replace(old, new))
     capsys.readouterr()
     assert main(_full_run_args(tmp_path)) == 1
     err = capsys.readouterr().err

@@ -253,6 +253,25 @@ def test_non_finite_numbers_are_rejected_with_their_key():
         mapped.get_list("data")
 
 
+def test_mapped_values_are_typed_by_their_getter():
+    # numpy values read as their Python values; anything else reaches the
+    # typed getter, which names the key
+    nnw = {"fixed_values": {"mean": {"size": 2, "data": np.array([1.0, -1.0])},
+                            "var_scaling": np.float64(0.5), "deg_free": np.int64(5),
+                            "scale": {"rows": 2, "cols": 2, "data": np.eye(2).ravel()}}}
+    hypers = build_hierarchy("NNW", nnw).prior.hypers
+    assert hypers.mean.tolist() == [1.0, -1.0] and hypers.deg_free == 5.0
+    assert np.array_equal(hypers.scale, np.eye(2))
+    fixed = {"mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}
+    for value, found in ((None, "NoneType"), (np.bool_(True), "bool")):
+        with pytest.raises(ConfigError, match=f"key 'var_scaling' must be a number, got {found}"):
+            build_hierarchy("NNIG", {"fixed_values": {**fixed, "var_scaling": value}})
+    mapped = ConfigTree.from_mapping({"flag": np.bool_(False), "rows": np.ones((2, 2))})
+    assert mapped.get_bool("flag") is False
+    with pytest.raises(ConfigError, match="key 'rows' must hold finite numbers"):
+        mapped.get_list("rows")
+
+
 def test_algo_params_reject_a_key_they_do_not_read():
     # a misspelt neal8_n_aux used to run Neal8 with the default 3 auxiliaries
     neal8 = ALGO_TEXT.replace('"Neal2"', '"Neal8"')

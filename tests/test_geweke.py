@@ -126,7 +126,7 @@ def _kernel_draws(hier_type, states, rng):
         return (rng.gamma(batch.shape, size=len(states)) / batch.rate[0]).reshape(-1, 1)
     if hasattr(batch, "cov"):
         z = rng.standard_normal((len(states), batch.mean.shape[-1], 1))
-        return batch.mean[0] + (batch.chol[0] @ z)[..., 0]
+        return batch.mean[0] + (np.linalg.cholesky(batch.cov[0]) @ z)[..., 0]
     return (batch.mean[0] + np.sqrt(batch.var[0]) * rng.standard_normal(len(states)))[:, None]
 
 

@@ -342,9 +342,16 @@ def test_metropolis_keys_without_a_metropolis_updater_raise(hier_type, args, key
     ("NNW", {"fixed_values": {**NNW_ARGS["fixed_values"],
                               "mean": {"size": 2, "data": [0.0, 0.0], "rowmajor": True}}},
      "unknown key 'fixed_values.mean.rowmajor'"),
+    ("NNW", {"fixed_values": {**NNW_ARGS["fixed_values"],
+                              "mean": {"size": 3, "data": [0.0, 0.0]}}},
+     "'mean' declares size 3 but has 2 entries"),
+    ("NNW", {"fixed_values": {**NNW_ARGS["fixed_values"],
+                              "scale": {"rows": 2, "cols": 3, "data": [1.0, 0.0, 0.0, 1.0]}}},
+     "'scale' declares 2x3 but has 4 entries"),
 ])
 def test_a_key_the_family_does_not_read_is_rejected(hier_type, args, key):
-    # a key no reader takes used to be dropped, whatever it was meant to set
+    # a key no reader takes used to be dropped, whatever it was meant to set;
+    # a vector or matrix block must hold as many entries as it declares
     with pytest.raises(ConfigError, match=key):
         build_hierarchy(hier_type, args)
 

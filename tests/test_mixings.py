@@ -245,3 +245,5 @@ def test_state_params_round_trip():
     fresh.set_state_params(params)
     assert np.array_equal(fresh.sticks, mix.sticks)
     assert fresh.totalmass == 1.5
+    with pytest.raises(ValueError, match="stick vector length"):
+        TruncatedSBMixing(5).set_state_params(params)

@@ -82,7 +82,8 @@ def test_multils_cached_cholesky_consistent():
         a = rng.normal(size=(3, 3))
         cov = a @ a.T + 3 * np.eye(3)
         state = MultiLSState(rng.normal(size=3), cov)
-        assert np.allclose(state.chol @ state.chol.T, state.cov, atol=1e-10)
+        chol = np.linalg.inv(state.chol_inv)
+        assert np.allclose(chol @ chol.T, state.cov, atol=1e-10)
         direct = math.log(np.linalg.det(state.cov))
         assert state.log_det == pytest.approx(direct, abs=1e-8)
 

@@ -32,6 +32,7 @@ and scored once per run.
 """
 
 import copy
+import functools
 import math
 import sys
 from bisect import bisect_right
@@ -155,37 +156,35 @@ class _BaseAlgorithm:
             self.mixing.state_params(),
         )
 
-    def _record_log_weights(self, record, mixing):
-        """Log weights of one record, the mixing set to its state.
-
-        One per cluster of the record and, for a marginal sampler, a last one
-        for a new cluster, whose density is ``_new_cluster_lpdf``.
-        """
-        raise NotImplementedError
-
     def _new_cluster_lpdf(self, grid, rng):
         """A function giving, record by record, a new cluster's log density on the grid.
 
-        None here: a conditional sampler's records carry no new-cluster weight.
+        It is called only for a record whose mixing weighs a new cluster.
         """
-        return None
+        template, predictive = self.template, self._prior_predictive
+        if predictive is not None:  # the same for every record, computed once if at all
+            return functools.cache(lambda: predictive.lpdf_grid(grid))
+        # one prior draw per record
+        return lambda: template.likelihood.score_batch(template.prior.sample(rng), grid)[:, 0]
 
     def _record_rows(self, records, grid, new_cluster_lpdf=None):
-        """Yield, per record, its rows log w_h + log f_h(grid), one per cluster, then one
-        for a new cluster if ``new_cluster_lpdf`` (of ``_new_cluster_lpdf``) is given.
+        """Yield, per record, its rows log w_h + log f_h(grid), one per cluster, then one for
+        a new cluster if the mixing weighs one and ``new_cluster_lpdf`` (of
+        ``_new_cluster_lpdf``) is given.
 
-        ``grid`` is a checked data matrix of the kernel's dimension. A
-        record's states are rebuilt from their params through the state's
-        checks, stacked and scored in one ``score_batch`` call; a row whose
-        weight is -inf is -inf, whatever its density. The rows are a C-ordered
-        array, so that a sum over them adds the clusters one by one.
+        ``grid`` is a checked data matrix of the kernel's dimension. The
+        weights are the mixing's ``log_weights``, the mixing set to the record's
+        state. A record's states are rebuilt from their params through the
+        state's checks, stacked and scored in one ``score_batch`` call; a row
+        whose weight is -inf is -inf, whatever its density. The rows are a
+        C-ordered array, so that a sum over them adds the clusters one by one.
         """
         score = self.template.likelihood.score_batch
         state_cls = type(self.template.likelihood.state)
         mixing = copy.copy(self.mixing)
         for record in records:
             mixing.set_state_params(record.mixing_params)
-            log_w = self._record_log_weights(record, mixing)
+            log_w = mixing.log_weights([cs.cardinality for cs in record.cluster_states])
             k = len(record.cluster_states)
             if new_cluster_lpdf is None:
                 log_w = log_w[:k]
@@ -260,7 +259,6 @@ class _MarginalAlgorithm(_BaseAlgorithm):
     scores are computed once per run.
     """
 
-    requires_conditional_mixing = False
     # new-cluster candidates offered to each datum
     _num_candidates = 1
 
@@ -306,8 +304,10 @@ class _MarginalAlgorithm(_BaseAlgorithm):
             else:
                 self._open_cluster(i, rng, state=self._candidate_state(i, choice - k, stashed))
                 k, hi = k + 1, hi + 1
-        self._sync_members()
-        self._refresh_clusters(rng)
+        self.allocations[:] = labels
+        self._recount()
+        self._draw_cluster_params(rng)
+        self.mixing.update_state(sizes, self.n, rng)
 
     def _prepare_data(self, data):
         super()._prepare_data(data)
@@ -460,29 +460,6 @@ class _MarginalAlgorithm(_BaseAlgorithm):
         self._masses[k - 1:] = [self._mass_of_size[1]] + self._new_masses(k)
         self._add_column(i, cluster)
 
-    def _sync_members(self):
-        self.allocations[:] = self._labels
-        self._recount()
-
-    def _refresh_clusters(self, rng):
-        self._draw_cluster_params(rng)
-        self.mixing.update_state(self._sizes, self.n, rng)
-
-    def _record_log_weights(self, record, mixing):
-        n, k = record.allocations.shape[0], len(record.cluster_states)
-        log_masses = np.array(
-            [mixing.mass_existing_cluster(n, cs.cardinality) for cs in record.cluster_states]
-            + [mixing.mass_new_cluster(n, k)])
-        return log_masses - logsumexp(log_masses)
-
-    def _new_cluster_lpdf(self, grid, rng):
-        template = self.template
-        if self._prior_predictive is not None:  # the same for every record
-            row = self._prior_predictive.lpdf_grid(grid)
-            return lambda: row
-        # one prior draw per record
-        return lambda: template.likelihood.score_batch(template.prior.sample(rng), grid)[:, 0]
-
 
 class Neal2Algorithm(_MarginalAlgorithm):
     """Marginal sampler for conjugate hierarchies with kernel evaluations."""
@@ -579,7 +556,6 @@ class Neal8Algorithm(_MarginalAlgorithm):
     """
 
     algo_id = "Neal8"
-    requires_conjugate = False
 
     def __init__(self, hierarchy, mixing, init_num_clusters=3, n_aux=3):
         super().__init__(hierarchy, mixing, init_num_clusters)
@@ -645,9 +621,6 @@ class BlockedGibbsAlgorithm(_BaseAlgorithm):
         self._recount()
         self.mixing.update_state([comp.card for comp in self.clusters], n, rng)
         self._draw_cluster_params(rng)
-
-    def _record_log_weights(self, record, mixing):
-        return mixing.get_weights()
 
 
 _ALGORITHM_CLASSES = {

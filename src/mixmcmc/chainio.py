@@ -64,14 +64,8 @@ class ChainState:
             return False
         if set(self.mixing_params) != set(other.mixing_params):
             return False
-        for key in self.mixing_params:
-            a, b = self.mixing_params[key], other.mixing_params[key]
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if not np.array_equal(np.asarray(a), np.asarray(b)):
-                    return False
-            elif a != b:
-                return False
-        return True
+        return all(np.array_equal(self.mixing_params[k], other.mixing_params[k])
+                   for k in self.mixing_params)
 
     def __repr__(self):
         return (

@@ -112,18 +112,25 @@ class ConfigTree:
     @classmethod
     def from_mapping(cls, mapping):
         """Build a tree from a plain dict (nested dicts become subtrees)."""
-        return cls([(k, cls.from_mapping(v) if isinstance(v, dict) else _plain(v))
+        return cls([(k, cls.from_mapping(v) if isinstance(v, dict) else _plain(v, k))
                     for k, v in mapping.items()])
 
 
-def _plain(value):
-    """A mapping's value as the parser gives it: a number as a float and a list as a list,
-    numpy values as Python ones; anything else as it is, for the typed getter to reject."""
+def _plain(value, key):
+    """A mapping's value at ``key`` as the parser gives it: a number as a float and a list as
+    a list, numpy values as Python ones; anything else as it is, for the typed getter to
+    reject. An integer beyond the float range raises, naming the key."""
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return list(map(_plain, value))
-    return float(value) if type(value) in (int, float) else value
+        return [_plain(v, key) for v in value]
+    if type(value) not in (int, float):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"key '{key}' must be a finite number, got an integer "
+                          f"of {value.bit_length()} bits") from None
 
 
 def _fresh(args):

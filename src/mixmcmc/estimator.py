@@ -17,7 +17,7 @@ from ._validation import check_data_matrix
 from .algorithms import build_algorithm
 from .chainio import MemoryCollector
 from .hierarchy import _family, build_hierarchy
-from .mixings import build_mixing
+from .mixings import _mixing, build_mixing
 
 _PARAM_NAMES = (
     "hier_type",
@@ -49,7 +49,8 @@ class BayesianMixture:
     mix_type : str, default="DP"
         Prior on the weights: ``DP``, ``PY`` or ``TruncSB``.
     mix_params : dict, optional
-        Mixing parameters; defaults are derived when omitted.
+        Mixing parameters, as in a mixing file. When omitted, ``fit`` takes
+        the ``mix_params`` of the mixing's entry in the mixing table.
     algorithm : str, default="Neal2"
         One of ``Neal2``, ``Neal3``, ``Neal8``, ``BlockedGibbs``.
     iterations, burnin : int
@@ -111,15 +112,6 @@ class BayesianMixture:
             setattr(self, name, value)
         return self
 
-    # -- defaults ----------------------------------------------------------
-
-    def _default_mix_params(self):
-        if self.mix_type == "DP":
-            return {"fixed_value": {"totalmass": 1.0}}
-        if self.mix_type == "PY":
-            return {"fixed_values": {"strength": 1.0, "discount": 0.1}}
-        return {"num_components": 25, "totalmass": 1.0}
-
     # -- fitting -----------------------------------------------------------
 
     def fit(self, X, y=None):
@@ -130,9 +122,8 @@ class BayesianMixture:
                 f"'random_state' must be a non-negative integer, got {self.random_state!r}")
         X = check_data_matrix(X, "X")
         hier_params = self.hier_params or {"fixed_values": _family(self.hier_type).defaults(X)}
-        mix_params = self.mix_params or self._default_mix_params()
         hierarchy = build_hierarchy(self.hier_type, hier_params)
-        mixing = build_mixing(self.mix_type, mix_params)
+        mixing = build_mixing(self.mix_type, self.mix_params or _mixing(self.mix_type).defaults)
         algorithm = build_algorithm(
             self.algorithm,
             hierarchy,

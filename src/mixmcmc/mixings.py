@@ -1,28 +1,64 @@
 """Priors on mixture weights and the partition masses they induce.
 
-Marginal mixings (Dirichlet process, Pitman-Yor) expose the unnormalized
-log masses assigned to joining an existing cluster or opening a new one;
-the truncated stick-breaking mixing instead carries explicit weights for a
-fixed number of components, given as log weights. ``update_state`` resamples whatever part of the
-mixing state has a full conditional (stick fractions; the concentration
-under its optional Gamma hyperprior) and is a no-op otherwise.
+Marginal mixings (Dirichlet process, Pitman-Yor) give the log masses of
+joining an existing cluster or opening a new one; the truncated
+stick-breaking mixing carries the log weights of a fixed number of
+components. ``update_state`` resamples the part of the state that has a full
+conditional (the sticks; the DP concentration under its Gamma hyperprior).
+The existing-cluster mass depends on n and the cluster size only: a
+marginal sweep computes it once per size.
 
-The existing-cluster mass may depend on n and the cluster size only: a
-marginal sweep computes it once per size and reuses it across clusters.
+Each mixing is one entry of ``_MIXINGS``, its config reader and the
+estimator's default ``mix_params``, and a ``_Mixing`` subclass that writes
+its fields, checks and formulas. The base gives the chain record's state
+params (``_params``), a no-op ``update_state`` and a record's log weights.
 """
 
+import copy
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._util import logsumexp
 from ._validation import check_positive, check_positive_int
 from .config import _check_read, _fresh
 from .exceptions import ConfigError
 
-MIXING_TYPES = ("DP", "PY", "TruncSB")
+
+class _Mixing:
+    """What every mixing shares; a marginal one by default."""
+
+    _params = ()  # the state a chain record keeps, in order
+
+    def is_conditional(self):
+        return False
+
+    def update_state(self, cluster_sizes, n, rng):
+        pass
+
+    def log_weights(self, sizes):
+        """A record's log weights: its clusters' normalised masses, then a new cluster's."""
+        n = sum(sizes)
+        log_masses = np.array([self.mass_existing_cluster(n, size) for size in sizes]
+                              + [self.mass_new_cluster(n, len(sizes))])
+        return log_masses - logsumexp(log_masses)
+
+    def state_params(self):
+        return {name: copy.copy(getattr(self, name)) for name in self._params}
+
+    def set_state_params(self, params):
+        self._check_params(params)
+        for name in self._params:
+            value = params[name]
+            setattr(self, name, np.array(value, dtype=float).reshape(-1)
+                    if isinstance(getattr(self, name), np.ndarray) else float(value))
+
+    def _check_params(self, params):
+        """Raise if a record's params do not fit this mixing."""
 
 
-class DirichletMixing:
+class DirichletMixing(_Mixing):
     """Dirichlet-process weights: mass n_h for cluster h, totalmass for a new one.
 
     With ``gamma_prior=(shape, rate)`` the concentration gets a Gamma
@@ -30,15 +66,14 @@ class DirichletMixing:
     Beta-augmentation two-component Gamma mixture.
     """
 
+    _params = ("totalmass",)
+
     def __init__(self, totalmass=1.0, gamma_prior=None):
         self.totalmass = check_positive(totalmass, "totalmass")
         if gamma_prior is not None:
             a, b = gamma_prior
             gamma_prior = (check_positive(a, "shape"), check_positive(b, "rate"))
         self.gamma_prior = gamma_prior
-
-    def is_conditional(self):
-        return False
 
     def mass_existing_cluster(self, n, n_h):
         return math.log(n_h)
@@ -57,15 +92,11 @@ class DirichletMixing:
         shape_post = a + k if rng.random() < odds / (1.0 + odds) else a + k - 1.0
         self.totalmass = rng.gamma(shape_post) / rate_post
 
-    def state_params(self):
-        return {"totalmass": self.totalmass}
 
-    def set_state_params(self, params):
-        self.totalmass = float(params["totalmass"])
-
-
-class PitYorMixing:
+class PitYorMixing(_Mixing):
     """Pitman-Yor weights: mass n_h - discount, or strength + discount * k."""
+
+    _params = ("strength", "discount")
 
     def __init__(self, strength, discount):
         self.discount = float(discount)
@@ -74,9 +105,6 @@ class PitYorMixing:
             raise ValueError("discount must lie in [0, 1)")
         if not self.strength > -self.discount:
             raise ValueError("strength must exceed -discount")
-
-    def is_conditional(self):
-        return False
 
     def mass_existing_cluster(self, n, n_h):
         return math.log(n_h - self.discount)
@@ -88,18 +116,8 @@ class PitYorMixing:
             return 0.0
         return math.log(self.strength + self.discount * k)
 
-    def update_state(self, cluster_sizes, n, rng):
-        pass
 
-    def state_params(self):
-        return {"strength": self.strength, "discount": self.discount}
-
-    def set_state_params(self, params):
-        self.strength = float(params["strength"])
-        self.discount = float(params["discount"])
-
-
-class TruncatedSBMixing:
+class TruncatedSBMixing(_Mixing):
     """Truncated stick-breaking prior on the weights of m components.
 
     Stick fractions start at the deterministic values giving uniform
@@ -107,24 +125,25 @@ class TruncatedSBMixing:
     given the component allocation counts.
     """
 
+    _params = ("sticks", "totalmass")
+
     def __init__(self, num_components, totalmass=1.0):
         self.num_components = check_positive_int(num_components, "num_components")
         self.totalmass = check_positive(totalmass, "totalmass")
-        m = self.num_components
-        self.sticks = np.array([1.0 / (m - j) for j in range(m - 1)])
+        self.sticks = 1.0 / np.arange(self.num_components, 1, -1.0)
 
     def is_conditional(self):
         return True
 
     def get_weights(self):
         """Log weights of the m components (-inf where a weight underflows)."""
-        v = self.sticks
-        remain = np.concatenate(([1.0], np.cumprod(1.0 - v)))
-        weights = np.empty(self.num_components)
-        weights[:-1] = v * remain[:-1]
-        weights[-1] = remain[-1]
+        # the last component takes the whole of what the sticks leave
+        remain = np.concatenate(([1.0], np.cumprod(1.0 - self.sticks)))
         with np.errstate(divide="ignore"):
-            return np.log(weights)
+            return np.log(np.append(self.sticks, 1.0) * remain)
+
+    def log_weights(self, sizes):
+        return self.get_weights()
 
     def update_state(self, cluster_sizes, n, rng):
         counts = np.asarray(cluster_sizes, dtype=float)
@@ -136,47 +155,60 @@ class TruncatedSBMixing:
         for h in range(self.num_components - 1):
             self.sticks[h] = rng.beta(1.0 + counts[h], self.totalmass + tail[h])
 
-    def state_params(self):
-        return {"sticks": self.sticks.copy(), "totalmass": self.totalmass}
-
-    def set_state_params(self, params):
-        sticks = np.asarray(params["sticks"], dtype=float).reshape(-1)
-        if sticks.shape[0] != self.num_components - 1:
+    def _check_params(self, params):
+        if np.size(params["sticks"]) != self.num_components - 1:
             raise ValueError("stick vector length does not match num_components")
-        self.sticks = sticks
-        self.totalmass = float(params["totalmass"])
+
+
+def _read_dp(args):
+    """``fixed_value { totalmass: x }`` and/or a ``gamma_prior { shape: a  rate: b }``
+    hyperprior block, whose mean starts the concentration unless ``fixed_value`` is given."""
+    gamma_prior = totalmass = None
+    if args.has("gamma_prior"):
+        sub = args.child("gamma_prior")
+        gamma_prior = (sub.get_float("shape"), sub.get_float("rate"))
+        totalmass = gamma_prior[0] / gamma_prior[1]
+    if args.has("fixed_value"):
+        totalmass = args.child("fixed_value").get_float("totalmass")
+    if totalmass is None:
+        raise ConfigError("DP mixing needs 'fixed_value' or 'gamma_prior'")
+    return DirichletMixing(totalmass, gamma_prior)
+
+
+def _read_py(args):
+    sub = args.child("fixed_values")
+    return PitYorMixing(sub.get_float("strength"), sub.get_float("discount"))
+
+
+class _MixingEntry(NamedTuple):
+    """A mixing, declared once."""
+
+    read: Callable  # the config tree -> the mixing
+    defaults: dict  # the ``mix_params`` the estimator uses when given none
+
+
+_MIXINGS = {
+    "DP": _MixingEntry(_read_dp, {"fixed_value": {"totalmass": 1.0}}),
+    "PY": _MixingEntry(_read_py, {"fixed_values": {"strength": 1.0, "discount": 0.1}}),
+    "TruncSB": _MixingEntry(  # the defaults are the reader's
+        lambda args: TruncatedSBMixing(args.get_int("num_components", 25),
+                                       args.get_float("totalmass", 1.0)), {}),
+}
+MIXING_TYPES = tuple(_MIXINGS)
+
+
+def _mixing(mix_type):
+    if mix_type not in _MIXINGS:
+        raise ConfigError(
+            f"unknown mixing type '{mix_type}'; expected one of " + ", ".join(_MIXINGS))
+    return _MIXINGS[mix_type]
 
 
 def build_mixing(mix_type, args=None):
-    """Create a mixing from its config tree.
-
-    DP reads ``fixed_value { totalmass: x }`` and the optional
-    ``gamma_prior { shape: a  rate: b }`` hyperprior block; PY reads
-    ``fixed_values { strength: x  discount: y }``; TruncSB reads the
-    top-level ``num_components`` (default 25) and ``totalmass`` (default 1).
-    A key the mixing does not read is an error.
-    """
-    if mix_type not in MIXING_TYPES:
-        raise ConfigError(
-            f"unknown mixing type '{mix_type}'; expected one of " + ", ".join(MIXING_TYPES)
-        )
+    """Create a mixing from its config tree, as its entry of ``_MIXINGS`` reads it (see the
+    README's mixing files). A key the mixing does not read is an error."""
+    read = _mixing(mix_type).read
     args = _fresh(args)
-    if mix_type == "DP":
-        gamma_prior = totalmass = None
-        if args.has("gamma_prior"):
-            sub = args.child("gamma_prior")
-            gamma_prior = (sub.get_float("shape"), sub.get_float("rate"))
-            totalmass = gamma_prior[0] / gamma_prior[1]
-        if args.has("fixed_value"):
-            totalmass = args.child("fixed_value").get_float("totalmass")
-        if totalmass is None:
-            raise ConfigError("DP mixing needs 'fixed_value' or 'gamma_prior'")
-        mixing = DirichletMixing(totalmass, gamma_prior)
-    elif mix_type == "PY":
-        sub = args.child("fixed_values")
-        mixing = PitYorMixing(sub.get_float("strength"), sub.get_float("discount"))
-    else:
-        mixing = TruncatedSBMixing(args.get_int("num_components", 25),
-                                   args.get_float("totalmass", 1.0))
+    mixing = read(args)
     _check_read(args)
     return mixing

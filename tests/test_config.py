@@ -272,6 +272,25 @@ def test_mapped_values_are_typed_by_their_getter():
         mapped.get_list("rows")
 
 
+def test_an_integer_beyond_the_float_range_names_its_key():
+    # float() of such an int raises OverflowError, which named no key
+    from mixmcmc.estimator import BayesianMixture
+
+    for mapping, key in (({"a": 10**400}, "a"), ({"b": {"data": [1, -10**400]}}, "data")):
+        with pytest.raises(ConfigError, match=f"key '{key}' must be a finite number"):
+            ConfigTree.from_mapping(mapping)
+    x = np.linspace(-1.0, 1.0, 10)
+    fixed = {"mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}
+    for params, key in (
+            (dict(hier_params={"fixed_values": {**fixed, "mean": 10**400}}), "mean"),
+            (dict(mix_params={"fixed_value": {"totalmass": 10**400}}), "totalmass"),
+            (dict(mix_type="TruncSB", algorithm="BlockedGibbs",
+                  mix_params={"num_components": 10**400}), "num_components")):
+        est = BayesianMixture(iterations=5, burnin=1, **params)
+        with pytest.raises(ConfigError, match=f"key '{key}' must be a finite number"):
+            est.fit(x)
+
+
 def test_algo_params_reject_a_key_they_do_not_read():
     # a misspelt neal8_n_aux used to run Neal8 with the default 3 auxiliaries
     neal8 = ALGO_TEXT.replace('"Neal2"', '"Neal8"')
@@ -311,3 +330,14 @@ def test_readme_parameter_files_build():
     assert g0.prior.hypers == NIGHypers(0.0, 0.1, 2.0, 2.0)
     dp = build_mixing("DP", parse_config(_readme_block("# dp_params.txt")))
     assert (dp.totalmass, dp.gamma_prior) == (1.0, None)
+
+
+def test_readme_lower_level_example_runs():
+    # the README's lower-level Python example runs as written, given its data
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=100) - 3, rng.normal(size=100) + 3])
+    scope = {"np": np, "x": x}
+    block = _readme_block("python\nfrom mixmcmc import build_hierarchy")
+    exec(block.partition("\n")[2], scope)  # the code after the language tag
+    assert scope["labels"].shape == (200,) and len(set(scope["labels"].tolist())) >= 2
+    assert scope["lpdf"].shape == (1000, 500) and np.isfinite(scope["lpdf"]).all()

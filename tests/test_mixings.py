@@ -247,3 +247,56 @@ def test_state_params_round_trip():
     assert fresh.totalmass == 1.5
     with pytest.raises(ValueError, match="stick vector length"):
         TruncatedSBMixing(5).set_state_params(params)
+
+
+def test_a_record_is_weighted_by_its_cluster_sizes():
+    # a marginal mixing's normalised masses, then the new cluster's; the
+    # stick weights for truncated stick-breaking, whatever the sizes
+    dp = DirichletMixing(2.0)
+    assert np.allclose(np.exp(dp.log_weights([3, 1])), [0.5, 1.0 / 6.0, 1.0 / 3.0], rtol=1e-15)
+    py = PitYorMixing(1.0, 0.5)
+    assert np.allclose(np.exp(py.log_weights([2, 2])), [0.3, 0.3, 0.4], rtol=1e-15)
+    sb = TruncatedSBMixing(3)
+    sb.sticks = np.array([0.5, 0.5])
+    assert np.array_equal(sb.log_weights([0, 4, 0]), sb.get_weights())
+    # the params are copies both ways
+    params = sb.state_params()
+    params["sticks"][0] = 0.9
+    assert sb.sticks[0] == 0.5
+    sb.set_state_params(params)
+    params["sticks"][0] = 0.1
+    assert sb.sticks[0] == 0.9
+
+
+def test_a_table_entry_is_a_whole_mixing(monkeypatch):
+    # a renamed copy of the DP or TruncSB entry is a mixing of its own: the
+    # config reader, the estimator's defaults and the samplers take it from
+    # the table alone
+    import mixmcmc.mixings as mixings
+    from mixmcmc.algorithms import ALGORITHM_IDS, build_algorithm
+    from mixmcmc.estimator import BayesianMixture
+    from mixmcmc.hierarchy import build_hierarchy
+
+    hier = build_hierarchy("NNIG", {"fixed_values": {
+        "mean": 0.0, "var_scaling": 0.1, "shape": 2.0, "scale": 2.0}})
+    rng = np.random.default_rng(3)
+    x = np.concatenate((rng.normal(-3.0, 1.0, 20), rng.normal(3.0, 1.0, 20)))[:, None]
+    for mix_type, text, algorithm, accepted in (
+            ("DP", "fixed_value { totalmass: 2.0 }", "Neal2", {"Neal2", "Neal3", "Neal8"}),
+            ("TruncSB", "num_components: 7", "BlockedGibbs", {"BlockedGibbs"})):
+        twin_type = mix_type + "2"
+        monkeypatch.setitem(mixings._MIXINGS, twin_type, mixings._MIXINGS[mix_type])
+        mixing = build_mixing(twin_type, parse_config(text))
+        assert mixing.state_params().keys() == build_mixing(
+            mix_type, parse_config(text)).state_params().keys()
+        with pytest.raises(ConfigError, match="unknown key 'extra'"):
+            build_mixing(twin_type, parse_config(text + "\nextra: 1.0"))
+        fits = [BayesianMixture(mix_type=name, algorithm=algorithm, iterations=60, burnin=20,
+                                random_state=4).fit(x) for name in (twin_type, mix_type)]
+        assert np.array_equal(fits[0].labels_, fits[1].labels_)
+        for algo_id in ALGORITHM_IDS:
+            if algo_id in accepted:
+                build_algorithm(algo_id, hier, mixing)
+            else:
+                with pytest.raises(ConfigError, match=f"{algo_id} requires a"):
+                    build_algorithm(algo_id, hier, mixing)

@@ -176,17 +176,18 @@ class FileCollector:
 
     ``start_collecting`` begins a new chain and truncates the file; a
     ``collect`` outside of it appends. Reading flushes pending records and
-    leaves collection open.
+    leaves collection open. An existing file's records are counted only
+    when ``len`` or an appending ``collect`` needs the count.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self._handle = None
-        self._size = 0
-        if os.path.exists(self.path):
-            self._size = self._count_records()
+        self._size = None  # not counted yet
 
     def _count_records(self):
+        if not os.path.exists(self.path):
+            return 0
         count = 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -205,6 +206,7 @@ class FileCollector:
 
     def collect(self, state):
         if self._handle is None:
+            self._size = len(self)  # the records it appends to
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(encode_state(state))
         self._handle.write("\n")
@@ -225,6 +227,8 @@ class FileCollector:
         return self._read_records()
 
     def __len__(self):
+        if self._size is None:
+            self._size = self._count_records()
         return self._size
 
 

@@ -12,6 +12,9 @@ assignment or a nested block::
 
 Grammar: file := entry*; entry := key ':' scalar | key '{' entry* '}';
 scalar := number | quoted-string | 'true' | 'false' | '[' number (',' number)* ']'.
+A key appears at most once per level, so a level parses to a dict
+(:class:`ConfigTree`); a repeated key, scalar or block, is an error that
+names its line and column.
 
 One compiled pattern, ``_TOKEN``, is the token table. After any run of
 whitespace (``str.isspace``) and ``#`` line comments it matches one of
@@ -28,7 +31,7 @@ their consumers.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,27 +48,21 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 _EXACT_INT_LIMIT = 2 ** 53
 
 
-@dataclass
-class ConfigTree:
-    """Ordered list of (key, value) entries.
+class ConfigTree(dict):
+    """A level of a parameter file: a dict from each key, in file order, to its value.
 
-    Values are floats, strings, lists of floats, or nested ``ConfigTree``
-    instances. Scalar keys are unique per level; nested-tree keys may repeat.
-    Every getter marks the entry it reads, for :func:`_check_read`.
+    Values are floats, strings, booleans, lists of floats, or nested
+    ``ConfigTree`` instances. ``get`` and the typed getters mark the key
+    they read, for :func:`_check_read`.
     """
 
-    entries: list = field(default_factory=list)
-    _read: set = field(default_factory=set, compare=False, repr=False)
-
-    def has(self, key):
-        return any(k == key for k, _ in self.entries)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._read = set()
 
     def get(self, key, default=None):
-        for i, (k, v) in enumerate(self.entries):
-            if k == key:
-                self._read.add(i)
-                return v
-        return default
+        self._read.add(key)
+        return super().get(key, default)
 
     def _typed(self, key, default, kind, expected):
         """The value at ``key`` (or ``default``), which must be a ``kind``.
@@ -76,7 +73,7 @@ class ConfigTree:
         v = self.get(key, default)
         if not isinstance(v, kind):
             raise ConfigError(f"key '{key}' must be " + expected.format(type(v).__name__)
-                              if self.has(key) else f"missing required key '{key}'")
+                              if key in self else f"missing required key '{key}'")
         return v
 
     def get_float(self, key, default=None):
@@ -111,9 +108,10 @@ class ConfigTree:
 
     @classmethod
     def from_mapping(cls, mapping):
-        """Build a tree from a plain dict (nested dicts become subtrees)."""
-        return cls([(k, cls.from_mapping(v) if isinstance(v, dict) else _plain(v, k))
-                    for k, v in mapping.items()])
+        """A tree with no key read yet, built from a dict or copied from a tree (nested
+        dicts become subtrees)."""
+        return cls({k: cls.from_mapping(v) if isinstance(v, dict) else _plain(v, k)
+                    for k, v in mapping.items()})
 
 
 def _plain(value, key):
@@ -133,23 +131,12 @@ def _plain(value, key):
                           f"of {value.bit_length()} bits") from None
 
 
-def _fresh(args):
-    """A tree with no entry read yet: a copy of the tree ``args``, or that of a
-    plain dict, or an empty one for ``None``."""
-    if isinstance(args, ConfigTree):
-        return ConfigTree([(k, _fresh(v) if isinstance(v, ConfigTree) else v)
-                           for k, v in args.entries])
-    return ConfigTree.from_mapping(args or {})
-
-
 def _check_read(tree, reasons=None, prefix=""):
-    """Reject the first entry, at any depth, that no getter read. ``reasons`` maps a
+    """Reject the first key, at any depth, that no getter read. ``reasons`` maps a
     top-level key to the error that names why it goes unread."""
-    for i, (key, value) in enumerate(tree.entries):
-        if i not in tree._read:
-            repeated = any(tree.entries[j][0] == key for j in tree._read)
-            raise ConfigError((reasons or {}).get(key)
-                              or f"{'repeated' if repeated else 'unknown'} key '{prefix}{key}'")
+    for key, value in tree.items():
+        if key not in tree._read:
+            raise ConfigError((reasons or {}).get(key) or f"unknown key '{prefix}{key}'")
         if isinstance(value, ConfigTree):
             _check_read(value, prefix=f"{prefix}{key}.")
 
@@ -191,7 +178,7 @@ def _tokens(text):
 
 
 def _entries(tokens, top_level):
-    tree, seen = ConfigTree(), {}
+    tree = ConfigTree()
     for kind, key, line, col in tokens:
         if kind in ("eof", "}"):
             if (kind == "eof") == top_level:
@@ -203,10 +190,9 @@ def _entries(tokens, top_level):
         sep, _, line2, col2 = next(tokens)
         if sep not in (":", "{"):
             raise ConfigError(f"expected ':' or '{{' after key '{key}'", line2, col2)
-        if key in seen and ":" in (sep, seen[key]):  # only nested blocks repeat
+        if key in tree:
             raise ConfigError(f"duplicate key '{key}'", line, col)
-        seen[key] = sep
-        tree.entries.append((key, _value(tokens) if sep == ":" else _entries(tokens, False)))
+        tree[key] = _value(tokens) if sep == ":" else _entries(tokens, False)
 
 
 def _value(tokens):
@@ -248,7 +234,7 @@ def _serialize_value(value, indent, lines, key):
     pad = "    " * indent
     if isinstance(value, ConfigTree):
         lines.append(f"{pad}{key} {{")
-        for k, v in value.entries:
+        for k, v in value.items():
             _serialize_value(v, indent + 1, lines, k)
         lines.append(f"{pad}}}")
     elif isinstance(value, bool):
@@ -266,7 +252,7 @@ def _serialize_value(value, indent, lines, key):
 def serialize_config(tree):
     """Render a tree back to text; the result parses to an equal tree."""
     lines = []
-    for k, v in tree.entries:
+    for k, v in tree.items():
         _serialize_value(v, 0, lines, k)
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -293,7 +279,7 @@ def parse_algo_params(tree):
     ``algo_id`` and ``init_num_clusters`` by ``build_algorithm``,
     ``iterations`` and ``burnin`` by the sampler's ``run``.
     """
-    tree = _fresh(tree)
+    tree = ConfigTree.from_mapping(tree or {})
     algo_id = tree.get_str("algo_id")
     rng_seed = tree.get_int("rng_seed")
     if rng_seed < 0:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import _check_read, _fresh
+from .config import ConfigTree, _check_read
 from .exceptions import CapabilityError, ConfigError
 from .likelihoods import (GammaLikelihood, LaplaceLikelihood, MultiNormLikelihood,
                           UniNormLikelihood, moved_stats)
@@ -193,19 +193,19 @@ def build_hierarchy(hier_type, args):
     the two step keys where no Metropolis updater runs among them.
     """
     family = _family(hier_type)
-    args = _fresh(args)
+    args = ConfigTree.from_mapping(args or {})
     hypers = family.read(args.child("fixed_values"))
     prior = family.prior(hypers)
     like = family.likelihood(*family.like_args(hypers))
 
-    updater = args.get_str("updater") if args.has("updater") else family.updater
+    updater = args.get_str("updater") if "updater" in args else family.updater
     reasons = {}
     if isinstance(updater, str):
         if not family.metropolis:
             raise ConfigError(
                 f"'{hier_type}' takes no Metropolis updater; 'updater' is accepted by "
                 + ", ".join(name for name, f in _FAMILIES.items() if f.metropolis))
-        step_size = args.get_float("step_size") if args.has("step_size") else None
+        step_size = args.get_float("step_size") if "step_size" in args else None
         updater = build_metropolis_updater(updater, step_size, args.get_int("num_steps", 1))
     else:
         updater = updater()

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import logsumexp
 from ._validation import check_positive, check_positive_int
-from .config import _check_read, _fresh
+from .config import ConfigTree, _check_read
 from .exceptions import ConfigError
 
 
@@ -164,11 +164,11 @@ def _read_dp(args):
     """``fixed_value { totalmass: x }`` and/or a ``gamma_prior { shape: a  rate: b }``
     hyperprior block, whose mean starts the concentration unless ``fixed_value`` is given."""
     gamma_prior = totalmass = None
-    if args.has("gamma_prior"):
+    if "gamma_prior" in args:
         sub = args.child("gamma_prior")
         gamma_prior = (sub.get_float("shape"), sub.get_float("rate"))
         totalmass = gamma_prior[0] / gamma_prior[1]
-    if args.has("fixed_value"):
+    if "fixed_value" in args:
         totalmass = args.child("fixed_value").get_float("totalmass")
     if totalmass is None:
         raise ConfigError("DP mixing needs 'fixed_value' or 'gamma_prior'")
@@ -208,7 +208,7 @@ def build_mixing(mix_type, args=None):
     """Create a mixing from its config tree, as its entry of ``_MIXINGS`` reads it (see the
     README's mixing files). A key the mixing does not read is an error."""
     read = _mixing(mix_type).read
-    args = _fresh(args)
+    args = ConfigTree.from_mapping(args or {})
     mixing = read(args)
     _check_read(args)
     return mixing

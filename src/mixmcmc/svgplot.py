@@ -15,21 +15,17 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def _header(title):
-    return [
+def _document(title, x_min, x_max, y_min, y_max, body):
+    """A complete document: the title, axes labelled with the two ranges, then ``body``."""
+    left, right = MARGIN, WIDTH - MARGIN
+    top, bottom = MARGIN, HEIGHT - MARGIN
+    parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
-    ]
-
-
-def _axes(x_min, x_max, y_min, y_max):
-    left, right = MARGIN, WIDTH - MARGIN
-    top, bottom = MARGIN, HEIGHT - MARGIN
-    parts = [
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{left}" y2="{top}" stroke="black"/>',
         f'<text x="{left}" y="{bottom + 20}" text-anchor="middle" '
@@ -41,7 +37,7 @@ def _axes(x_min, x_max, y_min, y_max):
         f'<text x="{left - 8}" y="{top + 4}" text-anchor="end" '
         f'font-family="sans-serif" font-size="11">{_fmt(y_max)}</text>',
     ]
-    return parts
+    return "\n".join(parts + body + ["</svg>"]) + "\n"
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -52,22 +48,23 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
+def _curve(title, xs, ys, x_min, x_max, y_min, y_max, stroke):
+    """A document of one polyline through (xs, ys), over axes spanning the two ranges."""
+    xs = _scale(xs, x_min, x_max, MARGIN, WIDTH - MARGIN)
+    ys = _scale(ys, y_min, y_max, HEIGHT - MARGIN, MARGIN)
+    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    return _document(title, x_min, x_max, y_min, y_max,
+                     [f'<polyline points="{points}" fill="none" {stroke}/>'])
+
+
 def density_curve_svg(grid, density, title="Posterior predictive density"):
     """Polyline of a density curve over a 1-d grid."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
     density = np.asarray(density, dtype=float).reshape(-1)
     if grid.shape != density.shape:
         raise ValueError("grid and density lengths differ")
-    x_min, x_max = float(grid.min()), float(grid.max())
-    y_min, y_max = 0.0, float(max(density.max(), 1e-12))
-    xs = _scale(grid, x_min, x_max, MARGIN, WIDTH - MARGIN)
-    ys = _scale(density, y_min, y_max, HEIGHT - MARGIN, MARGIN)
-    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    parts = _header(title)
-    parts += _axes(x_min, x_max, y_min, y_max)
-    parts.append(f'<polyline points="{points}" fill="none" stroke="crimson" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _curve(title, grid, density, float(grid.min()), float(grid.max()),
+                  0.0, float(max(density.max(), 1e-12)), 'stroke="crimson" stroke-width="1.5"')
 
 
 def histogram_svg(values, title="Posterior of the number of clusters"):
@@ -79,23 +76,21 @@ def histogram_svg(values, title="Posterior of the number of clusters"):
     freqs = counts / counts.sum()
     x_min, x_max = float(uniq.min()) - 0.5, float(uniq.max()) + 0.5
     y_max = float(freqs.max())
-    parts = _header(title)
-    parts += _axes(x_min, x_max, 0.0, y_max)
     bottom = HEIGHT - MARGIN
+    bars = []
     for value, freq in zip(uniq, freqs):
         x0 = _scale(value - 0.4, x_min, x_max, MARGIN, WIDTH - MARGIN)
         x1 = _scale(value + 0.4, x_min, x_max, MARGIN, WIDTH - MARGIN)
         top = _scale(freq, 0.0, y_max, bottom, MARGIN)
-        parts.append(
+        bars.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(top)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(bottom - top)}" fill="steelblue"/>'
         )
-        parts.append(
+        bars.append(
             f'<text x="{_fmt((x0 + x1) / 2)}" y="{bottom + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{int(value)}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(title, x_min, x_max, 0.0, y_max, bars)
 
 
 def traceplot_svg(values, title="Trace of the number of clusters"):
@@ -103,13 +98,6 @@ def traceplot_svg(values, title="Trace of the number of clusters"):
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("empty series")
-    t = values.shape[0]
-    y_min, y_max = float(values.min()) - 0.5, float(values.max()) + 0.5
-    xs = _scale(np.arange(t), 0, max(t - 1, 1), MARGIN, WIDTH - MARGIN)
-    ys = _scale(values, y_min, y_max, HEIGHT - MARGIN, MARGIN)
-    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    parts = _header(title)
-    parts += _axes(0.0, float(t - 1), y_min, y_max)
-    parts.append(f'<polyline points="{points}" fill="none" stroke="darkgreen" stroke-width="1"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _curve(title, np.arange(values.size), values, 0.0, float(values.size - 1),
+                  float(values.min()) - 0.5, float(values.max()) + 0.5,
+                  'stroke="darkgreen" stroke-width="1"')

@@ -165,6 +165,21 @@ def test_file_collector_reading_keeps_collected_records(tmp_path):
     assert list(FileCollector(path)) == states + states[:1]
 
 
+def test_a_collect_into_an_existing_file_appends_after_its_records(tmp_path):
+    path = tmp_path / "old.chain"
+    states = [random_state(np.random.default_rng(60), t) for t in range(3)]
+    first = FileCollector(path)
+    first.start_collecting()
+    for s in states[:2]:
+        first.collect(s)
+    first.finish_collecting()
+    again = FileCollector(path)
+    again.collect(states[2])
+    again.finish_collecting()
+    assert len(again) == 3
+    assert list(again) == states
+
+
 def test_file_and_memory_collectors_replay_identically(tmp_path):
     rng = np.random.default_rng(53)
     states = [random_state(rng, t) for t in range(10)]

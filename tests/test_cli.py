@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -73,6 +74,15 @@ def test_full_run_produces_all_outputs(tmp_path):
     assert mean.shape == (1, 120)
     # chain file holds the retained records
     assert sum(1 for _ in open(tmp_path / "chains.chain")) == 200
+
+
+def test_a_run_truncates_an_old_chain_file_unread(tmp_path):
+    # the old records are not counted, so bytes that are not even UTF-8 do
+    # not stop the run
+    _write_run_inputs(tmp_path)
+    (tmp_path / "chains.chain").write_bytes(b"\xff\xfe not a chain\n" * 3)
+    assert main(_full_run_args(tmp_path)) == 0
+    assert len(chainio.FileCollector(tmp_path / "chains.chain")) == 200
 
 
 def test_skip_rule_omits_outputs(tmp_path):
@@ -404,6 +414,30 @@ def test_histogram_single_bar():
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
     # one background plus exactly one bar
     assert len(rects) == 2
+
+
+SVG_SHA256 = {
+    "density": "5550326c19c4d82de18c535f22355ad302fc9f34af16e7e67d5d20e3ffdb6246",
+    "histogram": "63eb802ca7381355f924e12aaabe1510cd57b5a99538ec9c7448c9bca33341ea",
+    "trace": "7aec94dfc3a6e83defa2dd153b1950317937a8cf6b5a30498e215eb9488a8c71",
+    "flat density": "0f0d1dc88ab15aa209d3b571f625674c29972133dbf5adfd9887444bb59b2a95",
+    "one-point trace": "a2f897711acc43416ffb448015a300b288306821dabcf6140a9b71cfe2fbb853",
+}
+
+
+def test_svg_documents_are_pinned():
+    # the bytes of each plot for fixed inputs, a zero-height density and a
+    # one-point trace among them
+    grid = np.linspace(-3.0, 3.0, 7)
+    docs = {
+        "density": svgplot.density_curve_svg(grid, np.exp(-0.5 * grid ** 2) / np.sqrt(2 * np.pi)),
+        "histogram": svgplot.histogram_svg([1, 2, 2, 3, 3, 3]),
+        "trace": svgplot.traceplot_svg([1.0, 2.0, 2.0, 3.0, 1.0]),
+        "flat density": svgplot.density_curve_svg([0.0, 1.0], [0.0, 0.0]),
+        "one-point trace": svgplot.traceplot_svg([4.0]),
+    }
+    assert {name: hashlib.sha256(doc.encode()).hexdigest()
+            for name, doc in docs.items()} == SVG_SHA256
 
 
 def test_svg_renderers_reject_empty_series():

@@ -57,13 +57,13 @@ fixed_values {
 
 def test_parse_nested_scalar():
     tree = parse_config(DP_TEXT)
-    assert [key for key, _ in tree.entries] == ["fixed_value"]
+    assert list(tree) == ["fixed_value"]
     assert tree.child("fixed_value").get_float("totalmass") == 1.0
 
 
 def test_parse_empty_input():
-    assert parse_config("").entries == []
-    assert parse_config("   # only a comment\n").entries == []
+    assert parse_config("") == {}
+    assert parse_config("   # only a comment\n") == {}
 
 
 def test_parse_flat_values():
@@ -99,11 +99,6 @@ def test_duplicate_scalar_key_rejected():
         parse_config("a: 1.0\na: 2.0\n")
 
 
-def test_repeated_tree_keys_allowed():
-    tree = parse_config("b { x: 1 }\nb { x: 2 }\n")
-    assert [sub.get_float("x") for key, sub in tree.entries if key == "b"] == [1.0, 2.0]
-
-
 def test_mixed_scalar_tree_duplicate_rejected():
     with pytest.raises(ConfigError):
         parse_config("a: 1.0\na { x: 2.0 }\n")
@@ -132,16 +127,16 @@ def _random_tree(rng, depth=0):
         key = f"k{depth}_{idx}"
         kind = rng.integers(0, 5 if depth < 2 else 4)
         if kind == 0:
-            tree.entries.append((key, float(np.round(rng.normal() * 100, 6))))
+            tree[key] = float(np.round(rng.normal() * 100, 6))
         elif kind == 1:
-            tree.entries.append((key, f"s{rng.integers(0, 100)}"))
+            tree[key] = f"s{rng.integers(0, 100)}"
         elif kind == 2:
             vals = [float(np.round(v, 6)) for v in rng.normal(size=rng.integers(1, 4))]
-            tree.entries.append((key, vals))
+            tree[key] = vals
         elif kind == 3:
-            tree.entries.append((key, bool(rng.integers(0, 2))))
+            tree[key] = bool(rng.integers(0, 2))
         else:
-            tree.entries.append((key, _random_tree(rng, depth + 1)))
+            tree[key] = _random_tree(rng, depth + 1)
     return tree
 
 
@@ -223,6 +218,9 @@ PARSE_TABLE = [
     ('a 1\nb: "open\n', ("expected ':' or '{' after key 'a'", 1, 3)),
     ('a: 1 # comment "open\nb: [1, -2.5e-3] c { d: true }\n',
      {"a": 1.0, "b": [1.0, -0.0025], "c": {"d": True}}),
+    # a key appears once per level: a repeated block fails where it is parsed
+    ("b { x: 1 }\nb { x: 2 }\n", ("duplicate key 'b'", 2, 1)),
+    ("b { x: 1 x { } }\n", ("duplicate key 'x'", 1, 10)),
 ]
 
 
@@ -310,7 +308,7 @@ def test_a_tree_is_checked_for_its_own_reads_alone():
     # checks its own reads
     tree = parse_config(ALGO_TEXT.replace('"Neal2"', '"Neal8"') + "neal8_n_aux: 5\n")
     parse_algo_params(tree)
-    tree.entries[0] = ("algo_id", "Neal2")
+    tree["algo_id"] = "Neal2"
     with pytest.raises(ConfigError, match="neal8_n_aux"):
         parse_algo_params(tree)
 

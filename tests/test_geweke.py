@@ -18,7 +18,7 @@ posterior: NNW at d = 2, GammaGamma, and NNxIG's Gibbs scan. The
 normal families other than the first NNIG cells have a prior mean away
 from 0, where the statistics' centring matters. The Metropolis cells run
 Neal8 on each family a Metropolis updater moves: LapNIG and NNxIG under
-MALA, NNIG under the random walk.
+MALA, NNIG and LapNIG under the random walk.
 
 The hyperprior cell runs Neal2 on NNIG under a DP whose total mass has
 the Gamma hyperprior ``GAMMA_PRIOR`` (shape, rate), resampled after each
@@ -26,13 +26,14 @@ sweep (Escobar and West 1995). Forward: the mass from its Gamma prior,
 then a CRP of that mass. The mass joins the compared statistics.
 
 The blocked Gibbs cells (Ishwaran and James 2001) run NNIG, LapNIG under
-the random walk, NNW and NNxIG under a truncated stick-breaking mixing of
+the random walk, NNW, NNxIG and GammaGamma under a truncated stick-breaking mixing of
 ``COMPONENTS`` components. Forward: the stick fractions from their
 Beta(1, MASS) prior, then N iid labels from the weights they make. Its k
 is the number of occupied components, and datum 0's component parameters
 come from the prior, as an empty component's do. The empty components are
 drawn from the prior too: by the Metropolis updater's prior draw, which
-then renumbers the occupied ones' labels, by NNW's stacked draw at card 0,
+then renumbers the occupied ones' labels, by NNW's and GammaGamma's stacked
+draws at card 0,
 and by NNxIG's elementwise Gibbs scan at card 0, which no marginal sampler
 runs beside occupied clusters.
 """
@@ -199,7 +200,8 @@ def test_each_family_matches_forward_draws(cell, seed):
 
 @pytest.mark.parametrize("cell, step_size, seed", [("Neal8/LapNIG/mala", 0.6, 108),
                                                    ("Neal8/NNIG/rwmh", 1.0, 109),
-                                                   ("Neal8/NNxIG/mala", 0.6, 110)])
+                                                   ("Neal8/NNxIG/mala", 0.6, 110),
+                                                   ("Neal8/LapNIG/rwmh", 1.0, 122)])
 def test_each_metropolis_family_matches_forward_draws(cell, step_size, seed):
     # three steps a sweep at a step near each target's scale: the chain's
     # autocorrelation stays low enough for 10,000 kept sweeps
@@ -212,11 +214,11 @@ def test_each_metropolis_family_matches_forward_draws(cell, step_size, seed):
 
 
 @pytest.mark.parametrize("cell, seed", [("NNIG", 115), ("LapNIG/rwmh", 119), ("NNW", 120),
-                                        ("NNxIG", 121)])
+                                        ("NNxIG", 121), ("GammaGamma", 123)])
 def test_blocked_gibbs_matches_forward_draws(cell, seed):
     # LapNIG's random walk draws the empty components from the prior and renumbers
     # the occupied ones' labels; NNW's stacked draw and NNxIG's Gibbs scan run the
-    # empty ones at card 0, beside the occupied ones
+    # empty ones at card 0, beside the occupied ones, as GammaGamma's stacked draw does
     # the last component, mostly empty, has the prior as its law too
     hier_type, *kind = cell.split("/")
     updater = {"updater": kind[0], "step_size": 1.0, "num_steps": 3} if kind else None

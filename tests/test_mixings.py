@@ -230,10 +230,9 @@ def test_a_key_the_mixing_does_not_read_is_rejected(mix_type, text, key):
         build_mixing(mix_type, parse_config(text))
 
 
-def test_a_repeated_block_is_rejected_where_one_is_read():
-    with pytest.raises(ConfigError, match="repeated key 'fixed_value'"):
-        build_mixing("DP", parse_config("fixed_value { totalmass: 1.0 }\n"
-                                        "fixed_value { totalmass: 2.0 }"))
+def test_a_repeated_block_is_rejected_where_it_is_parsed():
+    with pytest.raises(ConfigError, match=r"duplicate key 'fixed_value' \(line 2, column 1\)"):
+        parse_config("fixed_value { totalmass: 1.0 }\nfixed_value { totalmass: 2.0 }")
 
 
 def test_state_params_round_trip():
